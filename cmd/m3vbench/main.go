@@ -28,18 +28,15 @@ import (
 	"m3v/internal/trace"
 )
 
-// The dispatch table comes from the shared experiment registry
+// order is the canonical run sequence of the shared experiment registry
 // (bench.Experiments), the single source of truth for experiment names used
-// here and by the m3vd serving layer: order preserves the registry's
-// canonical run sequence, experiments indexes it by ID.
-var order, experiments = func() ([]string, map[string]func() *bench.Result) {
+// here and by the m3vd serving layer.
+var order = func() []string {
 	var ids []string
-	byID := make(map[string]func() *bench.Result)
 	for _, e := range bench.Experiments() {
 		ids = append(ids, e.ID)
-		byID[e.ID] = e.Run
 	}
-	return ids, byID
+	return ids
 }()
 
 // benchRow is one table row in the -bench-json report.
@@ -57,10 +54,9 @@ type benchExperiment struct {
 	WallMs float64    `json:"wall_ms"`
 	Rows   []benchRow `json:"rows"`
 	Notes  []string   `json:"notes,omitempty"`
-	// Scheduler throughput, recorded since m3vbench/v2: simulation events
-	// dispatched during the experiment (its parallel pass only, under
-	// -compare-serial) and the resulting events per wall-clock second. Zero
-	// when read from a v1 report.
+	// Scheduler throughput: simulation events dispatched during the
+	// experiment (its parallel pass only, under -compare-serial) and the
+	// resulting events per wall-clock second.
 	EventsExecuted uint64  `json:"events_executed,omitempty"`
 	EventsPerSec   float64 `json:"events_per_sec,omitempty"`
 	// Set by -compare-serial: the serial wall clock, the parallel/serial
@@ -68,11 +64,10 @@ type benchExperiment struct {
 	SerialWallMs float64 `json:"serial_wall_ms,omitempty"`
 	Speedup      float64 `json:"speedup,omitempty"`
 	Identical    *bool   `json:"identical,omitempty"`
-	// Tail latencies, recorded since m3vbench/v3: the p99 of TileMux context
-	// switches and of DTU command durations, merged across every system the
-	// experiment simulated (quantile-sketch estimates, relative error <=
-	// 1/16). Zero when read from an older report or when recorder collection
-	// was off.
+	// Tail latencies: the p99 of TileMux context switches and of DTU
+	// command durations, merged across every system the experiment
+	// simulated (quantile-sketch estimates, relative error <= 1/16). Zero
+	// when recorder collection was off.
 	P99SwitchPs int64 `json:"p99_switch_ps,omitempty"`
 	P99CmdPs    int64 `json:"p99_cmd_ps,omitempty"`
 }
@@ -80,29 +75,21 @@ type benchExperiment struct {
 // benchReport is the BENCH_m3vbench.json schema (schema "m3vbench/v3"): the
 // per-experiment simulated metrics plus the simulator's own wall-clock
 // trajectory, so performance regressions of the simulator are recorded run
-// over run. v2 added the sched field and per-experiment events_executed /
-// events_per_sec; v3 adds the p99 tail-latency fields. Older files lack the
-// newer fields and are still accepted by loadBenchReport.
+// over run.
 type benchReport struct {
 	Schema      string            `json:"schema"`
 	Timestamp   string            `json:"timestamp"`
 	GoVersion   string            `json:"go_version"`
 	NumCPU      int               `json:"num_cpu"`
 	Parallel    int               `json:"parallel"`
-	Sched       string            `json:"sched,omitempty"`
 	Experiments []benchExperiment `json:"experiments"`
 	TotalWallMs float64           `json:"total_wall_ms"`
 }
 
-// benchSchema is the version this binary writes; benchSchemas are the
-// versions loadBenchReport accepts.
+// benchSchema is the only report version this binary writes and reads.
 const benchSchema = "m3vbench/v3"
 
-var benchSchemas = map[string]bool{"m3vbench/v1": true, "m3vbench/v2": true, benchSchema: true}
-
-// loadBenchReport reads a BENCH_m3vbench.json written by any supported
-// schema version. Older reports parse with the current struct: the fields
-// added since stay zero.
+// loadBenchReport reads a BENCH_m3vbench.json of the current schema.
 func loadBenchReport(path string) (*benchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -112,7 +99,7 @@ func loadBenchReport(path string) (*benchReport, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if !benchSchemas[r.Schema] {
+	if r.Schema != benchSchema {
 		return nil, fmt.Errorf("%s: unsupported schema %q", path, r.Schema)
 	}
 	return &r, nil
@@ -125,7 +112,7 @@ func fail(format string, args ...interface{}) {
 
 // options are the parsed command-line settings.
 type options struct {
-	run           string
+	run           []bench.Experiment
 	list          bool
 	traceFile     string
 	flowsFile     string
@@ -137,7 +124,6 @@ type options struct {
 	fig9Series    []int
 	faultSeed     uint64
 	faultRate     float64
-	sched         sim.SchedKind
 	sampleEvery   sim.Time
 	seriesFile    string
 	cpuProfile    string
@@ -148,7 +134,7 @@ type options struct {
 func parseOptions(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("m3vbench", flag.ContinueOnError)
-	fs.StringVar(&o.run, "run", "", "comma-separated experiment ids (default: all)")
+	run := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	fs.BoolVar(&o.list, "list", false, "list experiment ids")
 	fs.StringVar(&o.traceFile, "trace", "", "write a merged Chrome trace-event JSON file of all simulated runs")
 	fs.StringVar(&o.flowsFile, "flows", "", "write the causal span streams of all runs as m3vflows JSON (analyze with m3vtrace)")
@@ -159,10 +145,9 @@ func parseOptions(args []string) (*options, error) {
 	fig9Tiles := fs.String("fig9-tiles", "", "override the fig9 tile-count series, e.g. 1,2,4 (smoke runs)")
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault-injection schedule seed (with -fault-rate)")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "uniform fault-injection rate in [0,1] applied to every simulated system (0 disables)")
-	schedFlag := fs.String("sched", "wheel", "event scheduler: wheel (timing wheel, default) or heap (4-ary min-heap)")
 	sampleIvl := fs.String("sample-interval", "", "telemetry sampling interval in sim time applied to every simulated system (e.g. 100ns; empty disables)")
 	fs.StringVar(&o.seriesFile, "series", "", "write the sampled telemetry series of all runs as m3vseries JSON (report with m3vstat)")
-	fs.StringVar(&o.baseline, "baseline", "", "compare wall clock against a previous BENCH_m3vbench.json (older schemas accepted with a warning)")
+	fs.StringVar(&o.baseline, "baseline", "", "compare wall clock against a previous BENCH_m3vbench.json")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on clean exit")
 	if err := fs.Parse(args); err != nil {
@@ -177,12 +162,8 @@ func parseOptions(args []string) (*options, error) {
 	if o.faultRate < 0 || o.faultRate > 1 {
 		return nil, fmt.Errorf("-fault-rate must be in [0,1], got %g", o.faultRate)
 	}
-	sched, err := sim.ParseSched(*schedFlag)
-	if err != nil {
-		return nil, err
-	}
-	o.sched = sched
 	if *sampleIvl != "" {
+		var err error
 		o.sampleEvery, err = sim.ParseTime(*sampleIvl)
 		if err != nil {
 			return nil, fmt.Errorf("-sample-interval: %w", err)
@@ -198,7 +179,32 @@ func parseOptions(args []string) (*options, error) {
 		}
 		o.fig9Series = series
 	}
+	// Resolve the ids up front: a typo must fail before any experiment
+	// runs, not after an earlier one has spent minutes.
+	if *run == "" {
+		o.run = bench.Experiments()
+	} else {
+		for _, id := range strings.Split(*run, ",") {
+			e, ok := bench.Lookup(strings.TrimSpace(id))
+			if !ok {
+				return nil, fmt.Errorf("unknown experiment %q (try -list)", id)
+			}
+			o.run = append(o.run, e)
+		}
+	}
 	return o, nil
+}
+
+// params builds the one configuration value every experiment runs with.
+func (o *options) params() bench.Params {
+	p := bench.Params{Tiles: o.fig9Series}
+	if o.faultRate > 0 {
+		p.Fault = fault.Uniform(o.faultSeed, o.faultRate)
+	}
+	if o.sampleEvery > 0 {
+		p.Sample = core.SampleConfig{Interval: o.sampleEvery}
+	}
+	return p
 }
 
 // parseTiles parses a -fig9-tiles series like "1,2,4".
@@ -234,10 +240,6 @@ func main() {
 		return
 	}
 	bench.SetParallelism(o.parallel)
-	// Experiments build their engines internally (often on sweep worker
-	// goroutines), so the scheduler choice travels through the process-wide
-	// default, like the fault config below.
-	sim.SetDefaultScheduler(o.sched)
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
 		if err != nil {
@@ -251,19 +253,7 @@ func main() {
 			f.Close()
 		}()
 	}
-	if o.fig9Series != nil {
-		bench.Fig9Tiles = o.fig9Series
-	}
-	if o.faultRate > 0 {
-		// Experiments build their Systems internally with per-experiment
-		// configs; the process-wide default reaches all of them.
-		core.SetDefaultFault(fault.Uniform(o.faultSeed, o.faultRate))
-	}
-	if o.sampleEvery > 0 {
-		// Same pattern for telemetry sampling: every simulated system arms a
-		// sampler at this interval.
-		core.SetDefaultSampling(core.SampleConfig{Interval: o.sampleEvery})
-	}
+	params := o.params()
 	// Experiments build their Systems internally; collect every recorder
 	// created while they run via the global auto-register hook. Under
 	// -parallel the registration order follows run completion, so merged
@@ -277,28 +267,26 @@ func main() {
 		trace.SetAutoRegister(true, o.traceFile != "" || o.flowsFile != "")
 		defer trace.SetAutoRegister(false, false)
 	}
-	ids := order
-	if o.run != "" {
-		ids = strings.Split(o.run, ",")
-	}
 	report := benchReport{
 		Schema:    benchSchema,
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 		Parallel:  o.parallel,
-		Sched:     sim.DefaultScheduler().String(),
+	}
+	run := func(e bench.Experiment) *bench.Result {
+		r, err := e.Run(params, nil)
+		if err != nil {
+			fail("%s: %v", e.ID, err)
+		}
+		return r
 	}
 	t0 := time.Now()
-	for _, id := range ids {
-		fn, ok := experiments[strings.TrimSpace(id)]
-		if !ok {
-			fail("unknown experiment %q (try -list)", id)
-		}
+	for _, e := range o.run {
 		ev0 := sim.TotalEventsExecuted()
 		recStart := len(trace.Registered())
 		start := time.Now()
-		r := fn()
+		r := run(e)
 		wall := time.Since(start)
 		events := sim.TotalEventsExecuted() - ev0
 		fmt.Println(r)
@@ -323,7 +311,7 @@ func main() {
 		if o.compareSerial {
 			bench.SetParallelism(1)
 			serialStart := time.Now()
-			sr := fn()
+			sr := run(e)
 			serialWall := time.Since(serialStart)
 			bench.SetParallelism(o.parallel)
 			identical := sr.String() == r.String()
@@ -346,10 +334,6 @@ func main() {
 		old, err := loadBenchReport(o.baseline)
 		if err != nil {
 			fail("baseline: %v", err)
-		}
-		if old.Schema != benchSchema {
-			fmt.Fprintf(os.Stderr, "m3vbench: baseline %s uses older schema %s (current %s); missing fields read as zero\n",
-				o.baseline, old.Schema, benchSchema)
 		}
 		printBaselineDelta(os.Stdout, old, &report)
 	}
@@ -453,7 +437,7 @@ func tailLatencies(recs []*trace.Recorder) (p99Switch, p99Cmd int64) {
 }
 
 // printBaselineDelta prints the wall-clock trajectory of the current run
-// against a previously recorded report (v1 or v2).
+// against a previously recorded report.
 func printBaselineDelta(w io.Writer, old, cur *benchReport) {
 	oldExp := make(map[string]benchExperiment, len(old.Experiments))
 	for _, e := range old.Experiments {

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"m3v/internal/bench"
+	"m3v/internal/core"
+	"m3v/internal/fault"
 	"m3v/internal/sim"
 	"m3v/internal/trace"
 )
@@ -31,8 +33,8 @@ func TestRegistryAgreement(t *testing.T) {
 		if order[i] != e.ID {
 			t.Errorf("order[%d] = %q, registry %q", i, order[i], e.ID)
 		}
-		if fn, ok := experiments[e.ID]; !ok || fn == nil {
-			t.Errorf("experiment %q has no m3vbench driver", e.ID)
+		if e.Run == nil {
+			t.Errorf("experiment %q has no driver", e.ID)
 		}
 	}
 }
@@ -43,8 +45,14 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseOptions(nil): %v", err)
 	}
-	if o.run != "" || o.list || o.parallel != runtime.NumCPU() {
+	if o.list || o.parallel != runtime.NumCPU() {
 		t.Errorf("defaults = %+v", o)
+	}
+	if ids := runIDs(o); !reflect.DeepEqual(ids, order) {
+		t.Errorf("default run = %v, want every experiment %v", ids, order)
+	}
+	if p := o.params(); !reflect.DeepEqual(p, bench.Params{}) {
+		t.Errorf("default params = %+v, want the zero value", p)
 	}
 	if o.fig9Series != nil {
 		t.Errorf("fig9Series default = %v, want nil", o.fig9Series)
@@ -68,6 +76,7 @@ func TestParseOptionsErrors(t *testing.T) {
 		{"zero tile", []string{"-fig9-tiles", "0"}, "bad -fig9-tiles entry"},
 		{"bad interval", []string{"-sample-interval", "later"}, "-sample-interval"},
 		{"series needs interval", []string{"-series", "s.json"}, "-series requires -sample-interval"},
+		{"unknown experiment", []string{"-run", "table1,bogus"}, `unknown experiment "bogus"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -78,17 +87,23 @@ func TestParseOptionsErrors(t *testing.T) {
 	}
 }
 
-// TestParseOptionsFig9Tiles checks the tile-series override parsing.
+// TestParseOptionsFig9Tiles checks the tile-series override parsing, the
+// -run id resolution (given order, spaces trimmed), and the Params value
+// both turn into.
 func TestParseOptionsFig9Tiles(t *testing.T) {
-	o, err := parseOptions([]string{"-fig9-tiles", "1, 2,4", "-run", "fig9", "-fault-rate", "0.1", "-fault-seed", "7"})
+	o, err := parseOptions([]string{"-fig9-tiles", "1, 2,4", "-run", "fig9, table1", "-fault-rate", "0.1", "-fault-seed", "7"})
 	if err != nil {
 		t.Fatalf("parseOptions: %v", err)
 	}
 	if !reflect.DeepEqual(o.fig9Series, []int{1, 2, 4}) {
 		t.Errorf("fig9Series = %v, want [1 2 4]", o.fig9Series)
 	}
-	if o.run != "fig9" || o.faultRate != 0.1 || o.faultSeed != 7 {
+	if ids := runIDs(o); !reflect.DeepEqual(ids, []string{"fig9", "table1"}) || o.faultRate != 0.1 || o.faultSeed != 7 {
 		t.Errorf("options = %+v", o)
+	}
+	want := bench.Params{Tiles: []int{1, 2, 4}, Fault: fault.Uniform(7, 0.1)}
+	if p := o.params(); !reflect.DeepEqual(p, want) {
+		t.Errorf("params = %+v, want %+v", p, want)
 	}
 }
 
@@ -102,37 +117,33 @@ func TestListExperiments(t *testing.T) {
 		t.Errorf("-list = %v, want %v", lines, order)
 	}
 	for _, id := range lines {
-		if _, ok := experiments[id]; !ok {
+		if _, ok := bench.Lookup(id); !ok {
 			t.Errorf("listed experiment %q has no driver", id)
 		}
 	}
 }
 
-// TestParseOptionsSched covers the -sched flag: the default is the wheel,
-// heap is the escape hatch, anything else errors.
+// TestParseOptionsSched pins that the retired -sched flag is gone: the
+// timing wheel is the only scheduler, so the flag is an unknown-flag error.
 func TestParseOptionsSched(t *testing.T) {
-	o, err := parseOptions(nil)
-	if err != nil {
-		t.Fatalf("parseOptions(nil): %v", err)
-	}
-	if o.sched != sim.SchedWheel {
-		t.Errorf("default sched = %v, want wheel", o.sched)
-	}
-	o, err = parseOptions([]string{"-sched", "heap"})
-	if err != nil {
-		t.Fatalf("parseOptions(-sched heap): %v", err)
-	}
-	if o.sched != sim.SchedHeap {
-		t.Errorf("sched = %v, want heap", o.sched)
-	}
-	if _, err := parseOptions([]string{"-sched", "calendar"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown scheduler") {
-		t.Errorf("parseOptions(-sched calendar) err = %v, want unknown scheduler", err)
+	_, err := parseOptions([]string{"-sched", "heap"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -sched") {
+		t.Errorf("parseOptions(-sched heap) err = %v, want unknown flag", err)
 	}
 }
 
-// TestLoadBenchReportV1 checks that the reader still accepts the previous
-// schema version: the fields added in v2 read as zero.
+// runIDs lists the experiments o will run.
+func runIDs(o *options) []string {
+	var ids []string
+	for _, e := range o.run {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
+
+// TestLoadBenchReportV1 checks that a report of a retired schema version
+// is a clean error: the v1 and v2 readers are gone, and their files lack
+// fields the current report compares.
 func TestLoadBenchReportV1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.json")
 	v1 := `{
@@ -150,56 +161,9 @@ func TestLoadBenchReportV1(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := loadBenchReport(path)
-	if err != nil {
-		t.Fatalf("loadBenchReport(v1): %v", err)
-	}
-	if r.Schema != "m3vbench/v1" || r.TotalWallMs != 12601.35 || len(r.Experiments) != 1 {
-		t.Errorf("report = %+v", r)
-	}
-	exp := r.Experiments[0]
-	if exp.WallMs != 6244.193 || exp.Rows[0].Label != "M3v find 1" {
-		t.Errorf("experiment = %+v", exp)
-	}
-	if exp.EventsExecuted != 0 || exp.EventsPerSec != 0 {
-		t.Errorf("v1 report must read with zero v2 fields, got %d / %g",
-			exp.EventsExecuted, exp.EventsPerSec)
-	}
-	if r.Sched != "" {
-		t.Errorf("v1 report must read with empty sched, got %q", r.Sched)
-	}
-}
-
-// TestLoadBenchReportV2RoundTrip writes a v2 report through the same
-// marshaling main uses and reads it back.
-func TestLoadBenchReportV2RoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v2.json")
-	want := benchReport{
-		Schema:    "m3vbench/v2",
-		GoVersion: "go1.24.0",
-		NumCPU:    1,
-		Parallel:  2,
-		Sched:     "wheel",
-		Experiments: []benchExperiment{{
-			ID: "fig9", Title: "Scalability", WallMs: 5000,
-			EventsExecuted: 2400000, EventsPerSec: 480000,
-			Rows: []benchRow{{Label: "M3v find 1", Value: 87.7, Unit: "runs/s"}},
-		}},
-		TotalWallMs: 5000,
-	}
-	data, err := json.MarshalIndent(&want, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadBenchReport(path)
-	if err != nil {
-		t.Fatalf("loadBenchReport(v2): %v", err)
-	}
-	if !reflect.DeepEqual(got, &want) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, &want)
+	if _, err := loadBenchReport(path); err == nil ||
+		!strings.Contains(err.Error(), `unsupported schema "m3vbench/v1"`) {
+		t.Errorf("loadBenchReport(v1) err = %v, want unsupported schema", err)
 	}
 }
 
@@ -212,6 +176,9 @@ func TestParseOptionsSampling(t *testing.T) {
 	if o.sampleEvery != 100*sim.Nanosecond || o.seriesFile != "s.json" {
 		t.Errorf("sampling options = every %v, series %q", o.sampleEvery, o.seriesFile)
 	}
+	if p := o.params(); p.Sample != (core.SampleConfig{Interval: 100 * sim.Nanosecond}) {
+		t.Errorf("params sampling = %+v", p.Sample)
+	}
 }
 
 // TestLoadBenchReportV3RoundTrip writes a current-schema report with the
@@ -223,7 +190,6 @@ func TestLoadBenchReportV3RoundTrip(t *testing.T) {
 		GoVersion: "go1.24.0",
 		NumCPU:    1,
 		Parallel:  2,
-		Sched:     "wheel",
 		Experiments: []benchExperiment{{
 			ID: "fig9", Title: "Scalability", WallMs: 5000,
 			EventsExecuted: 2400000, EventsPerSec: 480000,
@@ -271,15 +237,18 @@ func TestTailLatencies(t *testing.T) {
 	}
 }
 
-// TestLoadBenchReportBadSchema rejects unknown schema versions.
+// TestLoadBenchReportBadSchema rejects every schema version but the
+// current one.
 func TestLoadBenchReportBadSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"schema": "m3vbench/v99"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBenchReport(path); err == nil ||
-		!strings.Contains(err.Error(), "unsupported schema") {
-		t.Errorf("loadBenchReport(bad schema) err = %v, want unsupported schema", err)
+	for _, schema := range []string{"m3vbench/v99", "m3vbench/v2", ""} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(`{"schema": "`+schema+`"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadBenchReport(path); err == nil ||
+			!strings.Contains(err.Error(), "unsupported schema") {
+			t.Errorf("loadBenchReport(%q) err = %v, want unsupported schema", schema, err)
+		}
 	}
 }
 
@@ -287,12 +256,12 @@ func TestLoadBenchReportBadSchema(t *testing.T) {
 // matched experiment and one missing from the old report.
 func TestPrintBaselineDelta(t *testing.T) {
 	old := &benchReport{
-		Schema:      "m3vbench/v1",
+		Schema:      benchSchema,
 		Experiments: []benchExperiment{{ID: "fig9", WallMs: 1000}},
 		TotalWallMs: 1000,
 	}
 	cur := &benchReport{
-		Schema: "m3vbench/v2",
+		Schema: benchSchema,
 		Experiments: []benchExperiment{
 			{ID: "fig9", WallMs: 800},
 			{ID: "fig6", WallMs: 50},
@@ -305,7 +274,7 @@ func TestPrintBaselineDelta(t *testing.T) {
 	for _, want := range []string{
 		"baseline fig9: 1000ms -> 800ms (-20.0%)",
 		"baseline fig6: no previous wall clock",
-		"baseline total (m3vbench/v1): 1000ms -> 850ms (-15.0%)",
+		"baseline total (m3vbench/v3): 1000ms -> 850ms (-15.0%)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("baseline output missing %q:\n%s", want, got)

@@ -63,7 +63,6 @@ func parseOptions(args []string) (*options, error) {
 	fs.StringVar(&o.outFile, "out", "", "with -single: write the response body to this file")
 	fs.StringVar(&o.req.Experiment, "experiment", "fig6", "experiment ID for /run requests")
 	fs.IntVar(&o.req.Tiles, "tiles", 0, "tile count (0 = experiment default)")
-	fs.StringVar(&o.req.Sched, "sched", "", "scheduler kind: wheel or heap (empty = default)")
 	fs.Uint64Var(&o.req.FaultSeed, "fault-seed", 0, "fault injection seed")
 	fs.Float64Var(&o.req.FaultRate, "fault-rate", 0, "fault injection rate in [0,1]")
 	fs.StringVar(&o.req.SampleInterval, "sample-interval", "", "telemetry sampling interval, e.g. 100ns")

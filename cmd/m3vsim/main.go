@@ -51,7 +51,6 @@ func run(args []string, out io.Writer) error {
 	traceHash := fs.Bool("trace-hash", false, "enable tracing and print the run's event and span hashes")
 	sampleIvl := fs.String("sample-interval", "", "telemetry sampling interval in sim time (e.g. 100ns, 1us; empty disables sampling)")
 	seriesFile := fs.String("series", "", "write sampled telemetry series to this file (JSON; a .csv suffix selects CSV long format)")
-	schedFlag := fs.String("sched", "wheel", "event scheduler: wheel (timing wheel, default) or heap (4-ary min-heap)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on clean exit")
 	if err := fs.Parse(args); err != nil {
@@ -66,12 +65,9 @@ func run(args []string, out io.Writer) error {
 	if *faultRate < 0 || *faultRate > 1 {
 		return fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate)
 	}
-	sched, err := sim.ParseSched(*schedFlag)
-	if err != nil {
-		return err
-	}
 	var sampleEvery sim.Time
 	if *sampleIvl != "" {
+		var err error
 		sampleEvery, err = sim.ParseTime(*sampleIvl)
 		if err != nil {
 			return fmt.Errorf("-sample-interval: %w", err)
@@ -99,7 +95,6 @@ func run(args []string, out io.Writer) error {
 	if *gem5 {
 		cfg = m3v.Gem5(4)
 	}
-	cfg.Sched = sched
 	if *faultRate > 0 {
 		cfg.Fault = fault.Uniform(*faultSeed, *faultRate)
 	}

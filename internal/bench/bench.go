@@ -74,7 +74,7 @@ func (r *Result) Get(label string) float64 {
 func All() []*Result {
 	var out []*Result
 	for _, e := range Experiments() {
-		out = append(out, e.Run())
+		out = append(out, must(e.Run(Params{}, nil)))
 	}
 	return out
 }

@@ -89,8 +89,8 @@ func TestFig9SingleTileTwoFold(t *testing.T) {
 		name string
 		mk   func() *traces.Trace
 	}{{"find", traces.Find}, {"SQLite", traces.SQLite}} {
-		m3v := fig9Throughput(false, 1, tr.mk)
-		m3x := fig9Throughput(true, 1, tr.mk)
+		m3v := Fig9Point(false, 1, tr.mk)
+		m3x := Fig9Point(true, 1, tr.mk)
 		t.Logf("%s 1 tile: M3v %.0f runs/s, M3x %.0f runs/s (%.2fx)", tr.name, m3v, m3x, m3v/m3x)
 		if m3v <= m3x {
 			t.Errorf("%s: M3v (%.0f) should beat M3x (%.0f) on one tile", tr.name, m3v, m3x)
@@ -107,12 +107,12 @@ func TestFig9Scalability(t *testing.T) {
 	}
 	// M3v scales almost linearly; M3x plateaus.
 	mk := traces.Find
-	v1 := fig9Throughput(false, 1, mk)
-	v4 := fig9Throughput(false, 4, mk)
-	v8 := fig9Throughput(false, 8, mk)
-	x1 := fig9Throughput(true, 1, mk)
-	x4 := fig9Throughput(true, 4, mk)
-	x8 := fig9Throughput(true, 8, mk)
+	v1 := Fig9Point(false, 1, mk)
+	v4 := Fig9Point(false, 4, mk)
+	v8 := Fig9Point(false, 8, mk)
+	x1 := Fig9Point(true, 1, mk)
+	x4 := Fig9Point(true, 4, mk)
+	x8 := Fig9Point(true, 8, mk)
 	t.Logf("M3v find: 1->%.0f 4->%.0f 8->%.0f runs/s", v1, v4, v8)
 	t.Logf("M3x find: 1->%.0f 4->%.0f 8->%.0f runs/s", x1, x4, x8)
 	if v8 < 6*v1 {
@@ -148,9 +148,9 @@ func TestVoiceAssistantShape(t *testing.T) {
 
 func TestFig10ReadHeavyShape(t *testing.T) {
 	// One mix end-to-end (the full figure runs in the harness).
-	iso := m3vCloud(ycsbReadHeavy(), false)
-	sh := m3vCloud(ycsbReadHeavy(), true)
-	lx := linuxCloud(ycsbReadHeavy())
+	iso := m3vCloud(Params{}, nil, ycsbReadHeavy(), false)
+	sh := m3vCloud(Params{}, nil, ycsbReadHeavy(), true)
+	lx := linuxCloud(nil, ycsbReadHeavy())
 	t.Logf("read-heavy: iso=%v shared=%v linux=%v", iso.total, sh.total, lx.total)
 	if iso.total <= 0 || sh.total <= 0 || lx.total <= 0 {
 		t.Fatal("missing measurements")
@@ -205,8 +205,8 @@ func TestFig10ScanAnomaly(t *testing.T) {
 	// Paper §6.5.2: "Linux performs worse than M3v (shared) for scans" —
 	// the application loses its cache state on every system call, while
 	// M3v handles block reads through the vDTU without context switches.
-	sh := m3vCloud(ycsb.ScanHeavy, true)
-	lx := linuxCloud(ycsb.ScanHeavy)
+	sh := m3vCloud(Params{}, nil, ycsb.ScanHeavy, true)
+	lx := linuxCloud(nil, ycsb.ScanHeavy)
 	t.Logf("scan-heavy: shared=%v linux=%v", sh.total, lx.total)
 	if lx.total <= sh.total {
 		t.Errorf("Linux (%v) should be slower than M3v shared (%v) on scans", lx.total, sh.total)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"m3v/internal/activity"
@@ -17,11 +18,15 @@ type rpcShare struct {
 	ready    bool
 }
 
+// fig6Rounds is the number of timed RPCs or primitives per Figure 6 point
+// (paper §6.2: 1000 runs with a warm system; we use fewer repetitions since
+// the simulation is deterministic).
+const fig6Rounds = 100
+
 // measureM3vRPC times no-op RPCs between two activities, tile-local or
-// cross-tile, on BOOM cores (paper §6.2: 1000 runs with a warm system; we
-// use fewer repetitions since the simulation is deterministic).
-func measureM3vRPC(sameTile bool, rounds int) sim.Time {
-	sys := core.New(core.FPGAConfig())
+// cross-tile, on BOOM cores.
+func measureM3vRPC(p Params, c *sim.Canceler, sameTile bool, rounds int) sim.Time {
+	sys := p.boot(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
 	clientTile := procs[1] // first BOOM core
@@ -100,8 +105,8 @@ func rpcEchoServer(a *activity.Activity) {
 }
 
 // measureLinuxSyscall times no-op system calls on the Linux model.
-func measureLinuxSyscall(rounds int) sim.Time {
-	eng := sim.NewEngine()
+func measureLinuxSyscall(c *sim.Canceler, rounds int) sim.Time {
+	eng := linuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
 	var per sim.Time
@@ -119,8 +124,8 @@ func measureLinuxSyscall(rounds int) sim.Time {
 
 // measureLinuxYield2 times two yields between two processes (the paper's
 // analogue of a tile-local RPC: two context switches).
-func measureLinuxYield2(rounds int) sim.Time {
-	eng := sim.NewEngine()
+func measureLinuxYield2(c *sim.Canceler, rounds int) sim.Time {
+	eng := linuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
 	var per sim.Time
@@ -141,27 +146,32 @@ func measureLinuxYield2(rounds int) sim.Time {
 	return per
 }
 
+// fig6M3v measures the M³v half of Figure 6, the cross-tile and the
+// tile-local no-op RPC. The figure and the served fig6 both run it.
+func fig6M3v(p Params, c *sim.Canceler) (remote, local sim.Time) {
+	pts := runPoints(2, func(i int) sim.Time {
+		return measureM3vRPC(p, c, i == 1, fig6Rounds)
+	})
+	return pts[0], pts[1]
+}
+
 // Fig6 reproduces Figure 6: local/remote communication on M³v and the
 // corresponding Linux primitives. Values in microseconds on 80 MHz BOOM
 // cores; the paper's anchors are ~25us for both the Linux no-op syscall and
 // the M³v remote RPC, ~5k cycles (~62us) for the tile-local RPC.
-func Fig6() *Result {
-	const rounds = 100
+func Fig6() *Result { return must(fig6(Params{}, nil)) }
+
+func fig6(p Params, c *sim.Canceler) (*Result, error) {
 	r := &Result{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives"}
 	clk := sim.MHz(80)
-	pts := runPoints(4, func(i int) sim.Time {
-		switch i {
-		case 0:
-			return measureM3vRPC(false, rounds)
-		case 1:
-			return measureM3vRPC(true, rounds)
-		case 2:
-			return measureLinuxSyscall(rounds)
-		default:
-			return measureLinuxYield2(rounds)
+	remote, local := fig6M3v(p, c)
+	linux := runPoints(2, func(i int) sim.Time {
+		if i == 0 {
+			return measureLinuxSyscall(c, fig6Rounds)
 		}
+		return measureLinuxYield2(c, fig6Rounds)
 	})
-	remote, local, syscall, yield2 := pts[0], pts[1], pts[2], pts[3]
+	syscall, yield2 := linux[0], linux[1]
 	r.Add("Linux yield (2x)", yield2.Micros(), "us", 55)
 	r.Add("Linux syscall", syscall.Micros(), "us", 25)
 	r.Add("M3v local", local.Micros(), "us", 62)
@@ -169,5 +179,26 @@ func Fig6() *Result {
 	r.Add("M3v local (cycles)", float64(clk.CyclesIn(local)), "cycles", 5000)
 	r.Add("M3v remote (cycles)", float64(clk.CyclesIn(remote)), "cycles", 2000)
 	r.Note("shape: remote RPC ~ Linux syscall; local RPC ~ Linux 2x yield, several times remote")
-	return r
+	return finish(r, c)
+}
+
+// serveFig6 is the served fig6: the M³v rows only (the Linux-model rows are
+// CLI-only). Tiles is ignored: the topology is the fixed FPGA platform.
+func serveFig6(p Params, c *sim.Canceler) (*Result, error) {
+	remote, local := fig6M3v(p, c)
+	if c.Cancelled() {
+		return nil, ErrCancelled
+	}
+	if remote <= 0 || local <= 0 {
+		// Anything but a cancellation producing zero is a broken
+		// measurement.
+		return nil, errors.New("fig6: rpc measurement incomplete")
+	}
+	clk := sim.MHz(80)
+	r := &Result{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives"}
+	r.Add("M3v remote", remote.Micros(), "us", 25)
+	r.Add("M3v local", local.Micros(), "us", 62)
+	r.Add("M3v remote (cycles)", float64(clk.CyclesIn(remote)), "cycles", 2000)
+	r.Add("M3v local (cycles)", float64(clk.CyclesIn(local)), "cycles", 5000)
+	return r, nil
 }

@@ -17,8 +17,8 @@ const (
 
 // m3vUDPLatency measures the UDP round trip on M³v, with the client either
 // co-located with the net service or on its own tile.
-func m3vUDPLatency(shared bool) sim.Time {
-	sys := core.New(core.FPGAConfig())
+func m3vUDPLatency(p Params, c *sim.Canceler, shared bool) sim.Time {
+	sys := p.boot(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
 	netTile := procs[1]
@@ -60,8 +60,8 @@ func m3vUDPLatency(shared bool) sim.Time {
 }
 
 // linuxUDPLatency measures the Linux reference.
-func linuxUDPLatency() sim.Time {
-	eng := sim.NewEngine()
+func linuxUDPLatency(c *sim.Canceler) sim.Time {
+	eng := linuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
 	m.PeerEcho = func(b []byte) []byte { return b }
@@ -84,16 +84,18 @@ func linuxUDPLatency() sim.Time {
 
 // Fig8 reproduces Figure 8: UDP latency between the platform and a directly
 // connected machine, 1-byte packets.
-func Fig8() *Result {
+func Fig8() *Result { return must(fig8(Params{}, nil)) }
+
+func fig8(p Params, c *sim.Canceler) (*Result, error) {
 	r := &Result{ID: "fig8", Title: "UDP round-trip latency (us)"}
 	pts := runPoints(3, func(i int) sim.Time {
 		switch i {
 		case 0:
-			return linuxUDPLatency()
+			return linuxUDPLatency(c)
 		case 1:
-			return m3vUDPLatency(true)
+			return m3vUDPLatency(p, c, true)
 		default:
-			return m3vUDPLatency(false)
+			return m3vUDPLatency(p, c, false)
 		}
 	})
 	linux, shared, isolated := pts[0], pts[1], pts[2]
@@ -101,5 +103,5 @@ func Fig8() *Result {
 	r.Add("M3v (shared)", shared.Micros(), "us", 600)
 	r.Add("M3v (isolated)", isolated.Micros(), "us", 330)
 	r.Note("shape: shared competitive with Linux; isolated faster but uses an extra tile")
-	return r
+	return finish(r, c)
 }

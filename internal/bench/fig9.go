@@ -19,8 +19,9 @@ const (
 	fig9Runs   = 2
 )
 
-// Fig9Tiles is the tile-count series of the figure.
-var Fig9Tiles = []int{1, 2, 4, 8, 12}
+// fig9Tiles is the tile-count series of the figure; Params.Tiles
+// overrides it.
+var fig9Tiles = []int{1, 2, 4, 8, 12}
 
 // playerResult records one traceplayer's timed window.
 type playerResult struct {
@@ -30,31 +31,23 @@ type playerResult struct {
 
 // Fig9Point measures one data point of Figure 9: runs/s on n worker tiles.
 func Fig9Point(m3xMode bool, n int, mkTrace func() *traces.Trace) float64 {
-	return fig9Throughput(m3xMode, n, mkTrace)
-}
-
-// fig9Throughput runs the benchmark on n worker tiles and reports runs/s.
-func fig9Throughput(m3xMode bool, n int, mkTrace func() *traces.Trace) float64 {
-	v, err := fig9Run(m3xMode, n, mkTrace, ServeParams{}, nil)
+	v, err := fig9Run(Params{}, nil, m3xMode, n, mkTrace)
 	if err != nil {
 		panic(err)
 	}
 	return v
 }
 
-// fig9Run is the parameterized, cancellable core of the figure: one
-// (system, trace, tile-count) point. The canceler may stop the simulation
-// from another goroutine (ErrCancelled); an uncancelled run whose players
-// made no progress is an error instead of the CLI path's panic.
-func fig9Run(m3xMode bool, n int, mkTrace func() *traces.Trace, p ServeParams, c *sim.Canceler) (float64, error) {
+// fig9Run measures one (system, trace, tile-count) point of the figure. The
+// canceler may stop the simulation from another goroutine (ErrCancelled);
+// an uncancelled run whose players made no progress is an error.
+func fig9Run(p Params, c *sim.Canceler, m3xMode bool, n int, mkTrace func() *traces.Trace) (float64, error) {
 	cfg := core.Gem5Config(n + 1) // +1 for the orchestrator
 	if m3xMode {
 		cfg = cfg.WithM3x()
 	}
-	p.apply(&cfg)
-	sys := core.New(cfg)
+	sys := p.boot(cfg, c)
 	defer sys.Shutdown()
-	c.Attach(sys.Eng)
 	procs := sys.Cfg.ProcessingTiles()
 	rootTile := procs[0]
 	workers := procs[1 : n+1]
@@ -163,8 +156,37 @@ var fig9Paper = map[string]float64{
 // tile-count) points are independent simulations and fan out across the
 // sweep worker pool; rows keep the figure's order regardless of worker
 // count.
-func Fig9() *Result {
-	r := &Result{ID: "fig9", Title: "Scalability of tile multiplexing (runs/s)"}
+func Fig9() *Result { return must(fig9(Params{}, nil)) }
+
+func fig9(p Params, c *sim.Canceler) (*Result, error) {
+	r, err := fig9Sweep(p, c, true)
+	if err != nil {
+		return nil, err
+	}
+	r.Note("shape: M3v scales almost linearly with tiles; M3x is capped by the single-threaded controller")
+	r.Note("shape: at one tile, M3v achieves about 2x the throughput of M3x")
+	return r, nil
+}
+
+// serveFig9 is the served fig9: the M³v points of both traces at one tile
+// count, the first of p.Tiles clamped to the figure's 1..12 range.
+func serveFig9(p Params, c *sim.Canceler) (*Result, error) {
+	n := 1
+	if len(p.Tiles) > 0 {
+		n = min(max(p.Tiles[0], 1), 12)
+	}
+	p.Tiles = []int{n}
+	return fig9Sweep(p, c, false)
+}
+
+// fig9Sweep measures every trace at every tile count of p.Tiles (the
+// figure's series if empty): the M³v points, then the M³x points if
+// withM3x.
+func fig9Sweep(p Params, c *sim.Canceler, withM3x bool) (*Result, error) {
+	tiles := p.Tiles
+	if len(tiles) == 0 {
+		tiles = fig9Tiles
+	}
 	type point struct {
 		label string
 		mk    func() *traces.Trace
@@ -179,22 +201,35 @@ func Fig9() *Result {
 		{"find", traces.Find},
 		{"SQLite", traces.SQLite},
 	} {
-		for _, n := range Fig9Tiles {
+		for _, n := range tiles {
 			pts = append(pts, point{fmt.Sprintf("M3v %s %d", tr.name, n), tr.mk, false, n})
 		}
-		for _, n := range Fig9Tiles {
+		if !withM3x {
+			continue
+		}
+		for _, n := range tiles {
 			// The paper could not run M³x reliably at high tile counts; we
 			// can, and the line stays flat either way.
 			pts = append(pts, point{fmt.Sprintf("M3x %s %d", tr.name, n), tr.mk, true, n})
 		}
 	}
-	vals := runPoints(len(pts), func(i int) float64 {
-		return fig9Throughput(pts[i].m3x, pts[i].n, pts[i].mk)
-	})
-	for i, p := range pts {
-		r.Add(p.label, vals[i], "runs/s", fig9Paper[p.label])
+	type result struct {
+		v   float64
+		err error
 	}
-	r.Note("shape: M3v scales almost linearly with tiles; M3x is capped by the single-threaded controller")
-	r.Note("shape: at one tile, M3v achieves about 2x the throughput of M3x")
-	return r
+	vals := runPoints(len(pts), func(i int) result {
+		v, err := fig9Run(p, c, pts[i].m3x, pts[i].n, pts[i].mk)
+		return result{v, err}
+	})
+	if c.Cancelled() {
+		return nil, ErrCancelled
+	}
+	r := &Result{ID: "fig9", Title: "Scalability of tile multiplexing (runs/s)"}
+	for i, pt := range pts {
+		if vals[i].err != nil {
+			return nil, vals[i].err
+		}
+		r.Add(pt.label, vals[i].v, "runs/s", fig9Paper[pt.label])
+	}
+	return r, nil
 }

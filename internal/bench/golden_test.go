@@ -15,34 +15,27 @@ import (
 //	M3V_UPDATE_GOLDEN=1 go test ./internal/bench -run TestGoldenFigures
 const goldenFile = "testdata/golden.json"
 
-// goldenExperiments are the figure drivers pinned by the snapshot. Fig9 runs
-// on a truncated tile series to keep the test fast; the series is restored
-// after the run.
-var goldenExperiments = []struct {
-	id  string
-	run func() *Result
-}{
-	{"fig6", Fig6},
-	{"fig7", Fig7},
-	{"fig8", Fig8},
-	{"fig9", Fig9},
-	{"fig10", Fig10},
-}
+// goldenExperiments are the figure drivers pinned by the snapshot.
+var goldenExperiments = []string{"fig6", "fig7", "fig8", "fig9", "fig10"}
+
+// goldenParams runs fig9 on a truncated tile series to keep the test fast;
+// the fixed-topology figures ignore it.
+var goldenParams = Params{Tiles: []int{1, 2}}
 
 // collectGolden runs the pinned drivers and flattens their tables.
-func collectGolden() map[string]map[string]float64 {
-	saved := Fig9Tiles
-	Fig9Tiles = []int{1, 2}
-	defer func() { Fig9Tiles = saved }()
-
+func collectGolden(t *testing.T) map[string]map[string]float64 {
 	out := make(map[string]map[string]float64)
-	for _, e := range goldenExperiments {
-		r := e.run()
+	for _, id := range goldenExperiments {
+		e, _ := Lookup(id)
+		r, err := e.Run(goldenParams, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 		rows := make(map[string]float64, len(r.Rows))
 		for _, m := range r.Rows {
 			rows[m.Label] = m.Value
 		}
-		out[e.id] = rows
+		out[id] = rows
 	}
 	return out
 }
@@ -51,7 +44,7 @@ func collectGolden() map[string]map[string]float64 {
 // snapshot: the simulation is deterministic, so any drift is a real model
 // change and must be reviewed (and the snapshot regenerated) explicitly.
 func TestGoldenFigures(t *testing.T) {
-	got := collectGolden()
+	got := collectGolden(t)
 
 	if os.Getenv("M3V_UPDATE_GOLDEN") != "" {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -142,14 +142,13 @@ func TestForEachPointParallelPanicWrapsAndCompletes(t *testing.T) {
 // keeps it affordable; it still covers both systems and both traces.
 func TestFig9ParallelSerialEquivalence(t *testing.T) {
 	defer SetParallelism(orig(t))
-	savedTiles := Fig9Tiles
-	Fig9Tiles = []int{1, 2}
-	defer func() { Fig9Tiles = savedTiles }()
-
+	fig9Small := func() string {
+		return must(fig9(Params{Tiles: []int{1, 2}}, nil)).String()
+	}
 	SetParallelism(1)
-	serial := Fig9().String()
+	serial := fig9Small()
 	SetParallelism(8)
-	parallel := Fig9().String()
+	parallel := fig9Small()
 	if serial != parallel {
 		t.Fatalf("fig9 tables differ between -parallel 1 and 8:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
@@ -183,7 +182,7 @@ func TestParallelTraceHashDeterminism(t *testing.T) {
 		trace.SetAutoRegister(true, true)
 		defer trace.SetAutoRegister(false, false)
 		runPoints(4, func(i int) float64 {
-			return fig9Throughput(i >= 2, 1+i%2, traces.Find)
+			return Fig9Point(i >= 2, 1+i%2, traces.Find)
 		})
 		var hashes []uint64
 		for _, r := range trace.Registered() {

@@ -8,41 +8,62 @@ import (
 	"m3v/internal/sim"
 )
 
-// ErrCancelled is returned by Servable runners whose simulation was stopped
-// through the canceler before completing (deadline, client disconnect).
+// ErrCancelled is returned by runners whose simulation was stopped through
+// the canceler before completing (deadline, client disconnect).
 var ErrCancelled = errors.New("bench: run cancelled")
 
-// ServeParams are the knobs a serving request may turn on a servable
-// experiment. The zero value means "experiment defaults". Together with the
-// experiment ID these fully determine the simulation — the simulator is
-// bit-deterministic, so equal params imply equal results (the property the
-// serving layer's cache and coalescing rely on).
-type ServeParams struct {
-	// Tiles is the worker tile count for experiments with a tile sweep
-	// (fig9). Experiments with a fixed topology ignore it.
-	Tiles int
-	// Sched selects the event scheduler; SchedDefault keeps the
-	// process-wide default.
-	Sched sim.SchedKind
-	// FaultSeed / FaultRate arm deterministic fault injection when
-	// FaultRate > 0.
-	FaultSeed uint64
-	FaultRate float64
-	// SampleInterval arms sim-time telemetry sampling when > 0.
-	SampleInterval sim.Time
+// Params is the one configuration value every experiment driver takes. The
+// zero value reproduces the paper's setup: the figure's own tile series, a
+// perfect platform, no telemetry sampling. Together with the experiment ID
+// it fully determines the simulation — the simulator is bit-deterministic,
+// so equal params imply equal results (the property the serving layer's
+// cache and coalescing rely on).
+type Params struct {
+	// Tiles overrides the tile-count series of experiments with a tile
+	// sweep (fig9). Experiments with a fixed topology ignore it.
+	Tiles []int
+	// Fault arms deterministic fault injection on every simulated platform.
+	Fault fault.Config
+	// Sample arms sim-time telemetry sampling on every simulated platform.
+	Sample core.SampleConfig
 }
 
-// apply overlays the request knobs onto a platform config.
-func (p ServeParams) apply(cfg *core.Config) {
-	if p.Sched != sim.SchedDefault {
-		cfg.Sched = p.Sched
+// boot builds a platform from cfg with p's fault injection and sampling,
+// attached to c so that a cancellation stops it. Every driver builds its
+// platforms here.
+func (p Params) boot(cfg core.Config, c *sim.Canceler) *core.System {
+	cfg.Fault = p.Fault
+	cfg.Sample = p.Sample
+	sys := core.New(cfg)
+	c.Attach(sys.Eng)
+	return sys
+}
+
+// linuxEngine returns an engine for the Linux reference models, attached to
+// c. The Linux models have no fault-injection points or platform probes, so
+// Params do not apply to them.
+func linuxEngine(c *sim.Canceler) *sim.Engine {
+	eng := sim.NewEngine()
+	c.Attach(eng)
+	return eng
+}
+
+// finish returns the driver's result, or ErrCancelled if c stopped any of
+// its simulations: a cancelled run's rows are meaningless.
+func finish(r *Result, c *sim.Canceler) (*Result, error) {
+	if c.Cancelled() {
+		return nil, ErrCancelled
 	}
-	if p.FaultRate > 0 {
-		cfg.Fault = fault.Uniform(p.FaultSeed, p.FaultRate)
+	return r, nil
+}
+
+// must unwraps a run made without a canceler for the exported Fig*
+// functions, where the only possible error is a broken measurement.
+func must(r *Result, err error) *Result {
+	if err != nil {
+		panic(err)
 	}
-	if p.SampleInterval > 0 {
-		cfg.Sample = core.SampleConfig{Interval: p.SampleInterval}
-	}
+	return r
 }
 
 // Experiment is one entry of the shared experiment registry: the single
@@ -53,30 +74,37 @@ type Experiment struct {
 	ID string
 	// Title matches the Result title the driver produces.
 	Title string
-	// Run executes the full figure/table reproduction (CLI semantics).
-	Run func() *Result
-	// Servable executes a parameterized, cancellable variant for the
-	// serving layer; nil marks the experiment CLI-only. Implementations
-	// must honor the canceler (returning ErrCancelled) and be
-	// deterministic for equal params.
-	Servable func(ServeParams, *sim.Canceler) (*Result, error)
+	// Run executes the full figure/table reproduction.
+	Run func(Params, *sim.Canceler) (*Result, error)
+	// Servable executes the variant the serving layer runs; nil marks the
+	// experiment CLI-only.
+	Servable func(Params, *sim.Canceler) (*Result, error)
 }
 
 // Experiments returns the registry in canonical run order. It is an ordered
 // slice rather than a map: bench is a determinism-checked package, and both
 // consumers (-list output, the serving layer's experiment index) print it.
+//
+// Every runner honors the canceler (returning ErrCancelled) and is
+// deterministic for equal params.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "table1", Title: "vDTU area accounting (structural model)", Run: Table1},
-		{ID: "sloc", Title: "Software complexity (SLOC)", Run: SoftwareComplexity},
-		{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives", Run: Fig6, Servable: servableFig6},
-		{ID: "fig7", Title: "File read/write throughput (MiB/s)", Run: Fig7},
-		{ID: "fig8", Title: "UDP round-trip latency (us)", Run: Fig8},
-		{ID: "fig9", Title: "Scalability of tile multiplexing (runs/s)", Run: Fig9, Servable: servableFig9},
-		{ID: "voice", Title: "Voice assistant: compress+transmit after trigger", Run: VoiceAssistant},
-		{ID: "fig10", Title: "Cloud service (YCSB on LSM store), runtime per run", Run: Fig10},
-		{ID: "ablation", Title: "Design-choice ablations", Run: Ablations},
+		{ID: "table1", Title: "vDTU area accounting (structural model)", Run: static(Table1)},
+		{ID: "sloc", Title: "Software complexity (SLOC)", Run: static(SoftwareComplexity)},
+		{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives", Run: fig6, Servable: serveFig6},
+		{ID: "fig7", Title: "File read/write throughput (MiB/s)", Run: fig7},
+		{ID: "fig8", Title: "UDP round-trip latency (us)", Run: fig8},
+		{ID: "fig9", Title: "Scalability of tile multiplexing (runs/s)", Run: fig9, Servable: serveFig9},
+		{ID: "voice", Title: "Voice assistant: compress+transmit after trigger", Run: voice},
+		{ID: "fig10", Title: "Cloud service (YCSB on LSM store), runtime per run", Run: fig10},
+		{ID: "ablation", Title: "Design-choice ablations", Run: ablations},
 	}
+}
+
+// static adapts a driver that simulates nothing (table1, sloc) to the
+// registry signature.
+func static(f func() *Result) func(Params, *sim.Canceler) (*Result, error) {
+	return func(Params, *sim.Canceler) (*Result, error) { return f(), nil }
 }
 
 // Lookup finds a registry entry by ID. A linear scan over the ordered

@@ -3,8 +3,10 @@ package bench
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
+	"m3v/internal/fault"
 	"m3v/internal/sim"
 )
 
@@ -52,7 +54,7 @@ func TestRegistryShape(t *testing.T) {
 func TestServableFig6Deterministic(t *testing.T) {
 	e, _ := Lookup("fig6")
 	run := func() string {
-		r, err := e.Servable(ServeParams{}, sim.NewCanceler())
+		r, err := e.Servable(Params{}, sim.NewCanceler())
 		if err != nil {
 			t.Fatalf("servable fig6: %v", err)
 		}
@@ -67,12 +69,11 @@ func TestServableFig6Deterministic(t *testing.T) {
 	}
 }
 
-// TestServableFig9TileClamp checks the tile knob: out-of-range counts
-// clamp into the figure's 1..12 series and the row labels carry the
-// resolved count.
+// TestServableFig9TileClamp checks the tile knob: an absent count defaults
+// to 1 and the row labels carry the resolved count.
 func TestServableFig9TileClamp(t *testing.T) {
 	e, _ := Lookup("fig9")
-	r, err := e.Servable(ServeParams{Tiles: 0}, sim.NewCanceler())
+	r, err := e.Servable(Params{}, sim.NewCanceler())
 	if err != nil {
 		t.Fatalf("servable fig9: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestServableCancelledBeforeStart(t *testing.T) {
 		e, _ := Lookup(id)
 		c := sim.NewCanceler()
 		c.Cancel()
-		if _, err := e.Servable(ServeParams{Tiles: 1}, c); !errors.Is(err, ErrCancelled) {
+		if _, err := e.Servable(Params{Tiles: []int{1}}, c); !errors.Is(err, ErrCancelled) {
 			t.Errorf("%s with pre-cancelled canceler: err = %v, want ErrCancelled", id, err)
 		}
 	}
@@ -112,11 +113,91 @@ func TestServableCancelConcurrent(t *testing.T) {
 	c := sim.NewCanceler()
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Servable(ServeParams{Tiles: 1}, c)
+		_, err := e.Servable(Params{Tiles: []int{1}}, c)
 		done <- err
 	}()
 	c.Cancel()
 	if err := <-done; err != nil && !errors.Is(err, ErrCancelled) {
 		t.Errorf("concurrent cancel: err = %v, want nil or ErrCancelled", err)
+	}
+}
+
+// TestRunCancelledBeforeStart calls every runner that simulates anything
+// with an already-cancelled canceler. Each must return ErrCancelled
+// without executing a single event, which pins that every platform and
+// Linux-model engine of every driver is attached to the canceler.
+func TestRunCancelledBeforeStart(t *testing.T) {
+	c := sim.NewCanceler()
+	c.Cancel()
+	p := Params{Tiles: []int{1}}
+	for _, e := range Experiments() {
+		if e.ID == "table1" || e.ID == "sloc" {
+			continue // structural models: nothing to cancel
+		}
+		runners := []func(Params, *sim.Canceler) (*Result, error){e.Run, e.Servable}
+		for i, run := range runners {
+			if run == nil {
+				continue
+			}
+			kind := [...]string{"Run", "Servable"}[i]
+			ev0 := sim.TotalEventsExecuted()
+			if _, err := run(p, c); !errors.Is(err, ErrCancelled) {
+				t.Errorf("%s %s: err = %v, want ErrCancelled", e.ID, kind, err)
+			}
+			if n := sim.TotalEventsExecuted() - ev0; n != 0 {
+				t.Errorf("%s %s: executed %d events after cancellation, want 0", e.ID, kind, n)
+			}
+		}
+	}
+}
+
+// TestConcurrentParamsIsolation runs differently parameterized experiments
+// at the same time — the m3vd worker situation — and requires each result
+// to equal the same call made alone: configuration travels in the Params
+// value, so concurrent runs cannot see each other's settings. Run under
+// -race in CI.
+func TestConcurrentParamsIsolation(t *testing.T) {
+	fig6, _ := Lookup("fig6")
+	fig9, _ := Lookup("fig9")
+	calls := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"fig6", func() (*Result, error) { return fig6.Servable(Params{}, nil) }},
+		{"fig6 faults", func() (*Result, error) {
+			return fig6.Servable(Params{Fault: fault.Uniform(7, 0.05)}, nil)
+		}},
+		{"fig9", func() (*Result, error) { return fig9.Servable(Params{Tiles: []int{1}}, nil) }},
+	}
+	render := func(i int) string {
+		r, err := calls[i].run()
+		if err != nil {
+			t.Errorf("%s: %v", calls[i].name, err)
+			return ""
+		}
+		return r.String()
+	}
+	alone := make([]string, len(calls))
+	for i := range calls {
+		alone[i] = render(i)
+	}
+	if alone[0] == alone[1] {
+		t.Fatal("fault injection did not change the fig6 result: Params.Fault not applied")
+	}
+	together := make([]string, len(calls))
+	var wg sync.WaitGroup
+	for i := range calls {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			together[i] = render(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range calls {
+		if together[i] != alone[i] {
+			t.Errorf("%s run concurrently differs from the same call alone:\n%s\nvs\n%s",
+				calls[i].name, together[i], alone[i])
+		}
 	}
 }

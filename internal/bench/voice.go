@@ -36,8 +36,8 @@ type voiceShare struct {
 
 // voiceAssistant runs the pipeline and returns the mean per-repetition
 // processing time (compress + transmit) after warmup.
-func voiceAssistant(shared bool) (sim.Time, float64) {
-	sys := core.New(core.FPGAConfig())
+func voiceAssistant(p Params, c *sim.Canceler, shared bool) (sim.Time, float64) {
+	sys := p.boot(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
 	scannerTile := procs[0] // the Rocket core
@@ -142,6 +142,9 @@ func voiceAssistant(shared bool) (sim.Time, float64) {
 		}
 	})
 	sys.Run(600 * sim.Second)
+	if c.Cancelled() {
+		return 0, 0 // no repetitions to average
+	}
 	var sum sim.Time
 	n := 0
 	for _, d := range share.perRep[voiceWarmup:] {
@@ -227,14 +230,16 @@ func compressorProg(a *activity.Activity) {
 // without tile sharing. The paper measured 384 ms isolated vs 398 ms shared
 // (3.6% overhead) for its audio segment; the shape target is a small
 // sharing overhead.
-func VoiceAssistant() *Result {
+func VoiceAssistant() *Result { return must(voice(Params{}, nil)) }
+
+func voice(p Params, c *sim.Canceler) (*Result, error) {
 	r := &Result{ID: "voice", Title: "Voice assistant: compress+transmit after trigger"}
 	type vres struct {
 		t     sim.Time
 		ratio float64
 	}
 	pts := runPoints(2, func(i int) vres {
-		t, ratio := voiceAssistant(i != 0)
+		t, ratio := voiceAssistant(p, c, i != 0)
 		return vres{t, ratio}
 	})
 	iso, ratio := pts[0].t, pts[0].ratio
@@ -245,5 +250,5 @@ func VoiceAssistant() *Result {
 	r.Add("sharing overhead", overhead, "%", 3.6)
 	r.Add("FLAC ratio", ratio, "x", 0)
 	r.Note("shape: sharing overhead stays small; it includes competition for the shared core, not just context switches")
-	return r
+	return finish(r, c)
 }

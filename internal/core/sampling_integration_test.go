@@ -133,19 +133,3 @@ func TestSamplingCollectsSeries(t *testing.T) {
 		t.Fatal("busy-time series all zero on a worked tile")
 	}
 }
-
-// TestSetDefaultSampling: the process-wide default reaches systems whose
-// configs never mention sampling — the path m3vbench sweeps use.
-func TestSetDefaultSampling(t *testing.T) {
-	SetDefaultSampling(SampleConfig{Interval: 100 * sim.Nanosecond})
-	defer SetDefaultSampling(SampleConfig{})
-	sys := runTracedRPC(t, true, 5)
-	defer sys.Shutdown()
-	sp := sys.Eng.Tracer().Sampler()
-	if sp == nil {
-		t.Fatal("default sampling config did not arm a sampler")
-	}
-	if sp.Samples() == 0 {
-		t.Fatal("sampler took no ticks")
-	}
-}

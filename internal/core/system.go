@@ -68,7 +68,7 @@ func (h *Handle) Code() int32 { return h.code }
 // New builds and boots a platform: tiles, NoC, DRAM, controller, TileMux
 // instances, and all boot-time endpoint wiring.
 func New(cfg Config) *System {
-	eng := sim.NewEngineSched(cfg.Sched)
+	eng := sim.NewEngine()
 	topo := noc.StarMesh{NumTiles: len(cfg.Tiles)}
 	net := noc.New(eng, topo, cfg.NoC)
 	s := &System{
@@ -148,12 +148,8 @@ func New(cfg Config) *System {
 	// so fault-free systems carry no injector, no fault.* counters, and no
 	// behavioral difference. Muxes are visited via the deterministic
 	// ProcessingTiles order, not the map.
-	fc := cfg.Fault
-	if !fc.Enabled() {
-		fc = defaultFault
-	}
-	if fc.Enabled() {
-		inj := fault.New(eng, fc)
+	if cfg.Fault.Enabled() {
+		inj := fault.New(eng, cfg.Fault)
 		s.Fault = inj
 		net.SetInjector(inj)
 		for _, t := range s.Tiles {
@@ -168,13 +164,8 @@ func New(cfg Config) *System {
 
 	// Telemetry sampling: armed last so the components' probes are all
 	// registered, disabled by default (no recurring event, no gauges beyond
-	// the instruments above). A disabled config defers to the process-wide
-	// default, mirroring the fault-injection pattern.
-	sc := cfg.Sample
-	if !sc.Enabled() {
-		sc = defaultSample
-	}
-	if sc.Enabled() {
+	// the instruments above).
+	if sc := cfg.Sample; sc.Enabled() {
 		eng.StartSampling(sc.Interval, sc.Cap)
 	}
 

@@ -7,7 +7,7 @@ import (
 )
 
 // ResponseSchema versions the POST /run response body.
-const ResponseSchema = "m3vd/v1"
+const ResponseSchema = "m3vd/v2"
 
 // Response is the POST /run reply: the canonical request echoed back, its
 // digest, and the experiment result in m3vbench row shape. It carries no

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,24 +17,25 @@ import (
 	"time"
 
 	"m3v/internal/bench"
+	"m3v/internal/fault"
 	"m3v/internal/sim"
 )
 
 // okResult builds a deterministic fake experiment result from the params.
-func okResult(id string, p bench.ServeParams) *bench.Result {
+func okResult(id string, p bench.Params) *bench.Result {
 	r := &bench.Result{ID: id, Title: "Fake experiment"}
-	r.Add("tiles", float64(p.Tiles), "n", 0)
+	r.Add("tiles", float64(p.Tiles[0]), "n", 0)
 	return r
 }
 
 // fakeLookup serves two servable fakes sharing one runner plus a CLI-only
 // entry, standing in for the bench registry.
-func fakeLookup(run func(string, bench.ServeParams, *sim.Canceler) (*bench.Result, error)) func(string) (bench.Experiment, bool) {
+func fakeLookup(run func(string, bench.Params, *sim.Canceler) (*bench.Result, error)) func(string) (bench.Experiment, bool) {
 	mk := func(id string) bench.Experiment {
 		return bench.Experiment{
 			ID:    id,
 			Title: "Fake " + id,
-			Servable: func(p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+			Servable: func(p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 				return run(id, p, c)
 			},
 		}
@@ -136,21 +138,21 @@ func waitMetric(t *testing.T, base, name string, want int64) {
 // equivalent spellings share a digest, distinct requests do not, and the
 // validation paths reject.
 func TestCanonicalizeDigest(t *testing.T) {
-	lookup := fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+	lookup := fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 		return okResult(id, p), nil
 	})
 	canon, params, err := Canonicalize(Request{Experiment: "fake"}, lookup)
 	if err != nil {
 		t.Fatalf("Canonicalize: %v", err)
 	}
-	if canon.Tiles != 1 || canon.Sched != "wheel" || canon.FaultSeed != 0 {
+	if canon.Tiles != 1 || canon.FaultSeed != 0 {
 		t.Errorf("canonical defaults = %+v", canon)
 	}
-	if params.Tiles != 1 || params.Sched != sim.SchedWheel {
+	if !reflect.DeepEqual(params, bench.Params{Tiles: []int{1}}) {
 		t.Errorf("params = %+v", params)
 	}
 
-	spelled, _, err := Canonicalize(Request{Experiment: "fake", Tiles: 1, Sched: "wheel", FaultSeed: 99}, lookup)
+	spelled, _, err := Canonicalize(Request{Experiment: "fake", Tiles: 1, FaultSeed: 99}, lookup)
 	if err != nil {
 		t.Fatalf("Canonicalize spelled: %v", err)
 	}
@@ -170,16 +172,27 @@ func TestCanonicalizeDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Canonicalize sampled: %v", err)
 	}
-	if sampled.SampleInterval != "100ns" || params.SampleInterval != 100*sim.Nanosecond {
-		t.Errorf("sample interval canonical form = %q / %v", sampled.SampleInterval, params.SampleInterval)
+	if sampled.SampleInterval != "100ns" || params.Sample.Interval != 100*sim.Nanosecond {
+		t.Errorf("sample interval canonical form = %q / %v", sampled.SampleInterval, params.Sample.Interval)
+	}
+	// A spelling the short rendering would round keeps its exact value.
+	exact, params, err := Canonicalize(Request{Experiment: "fake", SampleInterval: "1.0005us"}, lookup)
+	if err != nil {
+		t.Fatalf("Canonicalize exact: %v", err)
+	}
+	if exact.SampleInterval != "1000500ps" || params.Sample.Interval != 1000500*sim.Picosecond {
+		t.Errorf("sample interval canonical form = %q / %v", exact.SampleInterval, params.Sample.Interval)
 	}
 
-	armed, _, err := Canonicalize(Request{Experiment: "fake", FaultRate: 0.5}, lookup)
+	armed, params, err := Canonicalize(Request{Experiment: "fake", FaultRate: 0.5}, lookup)
 	if err != nil {
 		t.Fatalf("Canonicalize armed: %v", err)
 	}
 	if armed.FaultSeed != 1 {
 		t.Errorf("armed fault seed = %d, want default 1", armed.FaultSeed)
+	}
+	if params.Fault != fault.Uniform(1, 0.5) {
+		t.Errorf("armed fault config = %+v", params.Fault)
 	}
 
 	for _, bad := range []Request{
@@ -187,7 +200,6 @@ func TestCanonicalizeDigest(t *testing.T) {
 		{Experiment: "clionly"},
 		{Experiment: "fake", Tiles: -1},
 		{Experiment: "fake", Tiles: maxTiles + 1},
-		{Experiment: "fake", Sched: "calendar"},
 		{Experiment: "fake", FaultRate: 1.5},
 		{Experiment: "fake", SampleInterval: "later"},
 	} {
@@ -204,7 +216,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			runs.Add(1)
 			return okResult(id, p), nil
 		}),
@@ -250,7 +262,7 @@ func TestCoalescing(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			runs.Add(1)
 			<-release
 			return okResult(id, p), nil
@@ -288,7 +300,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		Workers:      1,
 		QueueDepth:   1,
 		RetrySeconds: 7,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			started <- struct{}{}
 			<-release
 			return okResult(id, p), nil
@@ -327,7 +339,7 @@ func TestDisconnectCancelsJob(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			select {
 			case <-c.Done():
 				return nil, bench.ErrCancelled
@@ -371,7 +383,7 @@ func TestJobDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:    1,
 		JobTimeout: 30 * time.Millisecond,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			<-c.Done()
 			return nil, bench.ErrCancelled
 		}),
@@ -391,7 +403,7 @@ func TestJobDeadline(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			if id == "fake" {
 				panic("kaboom")
 			}
@@ -415,22 +427,25 @@ func TestPanicIsolation(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			return okResult(id, p), nil
 		}),
 	})
 	if st, _, _ := post(t, ts.URL, Request{Experiment: "nope"}); st != 400 {
 		t.Errorf("unknown experiment status = %d, want 400", st)
 	}
-	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(`{"experiment":"fake","bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
+	// Unknown fields are rejected, including m3vd/v1's retired "sched".
+	for _, body := range []string{`{"experiment":"fake","bogus":1}`, `{"experiment":"fake","sched":"heap"}`} {
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: status = %d, want 400", body, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("unknown field status = %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/run")
+	resp, err := http.Get(ts.URL + "/run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,8 +454,8 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("GET /run status = %d, want 405", resp.StatusCode)
 	}
 	_, metrics := get(t, ts.URL, "/metrics")
-	if v, _ := metricValue(metrics, "serve.bad_requests"); v != 2 {
-		t.Errorf("serve.bad_requests = %d, want 2", v)
+	if v, _ := metricValue(metrics, "serve.bad_requests"); v != 3 {
+		t.Errorf("serve.bad_requests = %d, want 3", v)
 	}
 }
 
@@ -450,7 +465,7 @@ func TestBadRequests(t *testing.T) {
 func TestDrainingRejects(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			return okResult(id, p), nil
 		}),
 	})
@@ -481,7 +496,7 @@ func TestServeDrain(t *testing.T) {
 	s := New(Config{
 		Workers: 1,
 		Now:     time.Now,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			started <- struct{}{}
 			<-release
 			return okResult(id, p), nil
@@ -526,7 +541,7 @@ func TestServeDrainTimeoutCancelsStuckJob(t *testing.T) {
 		Workers:      1,
 		DrainTimeout: 50 * time.Millisecond,
 		Now:          time.Now,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			started <- struct{}{}
 			<-c.Done() // only a cancellation ends this job
 			return nil, bench.ErrCancelled

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -56,7 +55,7 @@ type Config struct {
 type call struct {
 	digest    string
 	req       Request
-	params    bench.ServeParams
+	params    bench.Params
 	exp       bench.Experiment
 	canceler  *sim.Canceler
 	done      chan struct{} // closed by the worker after status/body are set
@@ -229,10 +228,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(r.Body)
+	if err != nil {
 		s.countBadRequest()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return

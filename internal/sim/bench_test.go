@@ -7,16 +7,9 @@ import (
 // BenchmarkEngineSchedule measures the steady-state schedule+dispatch path:
 // a populated queue of self-rescheduling timers, one At and one pop per
 // event. This is the path every DTU command and NoC packet rides; it must
-// not allocate (the closures are created once, outside the loop). The
-// unsuffixed benchmark runs the default scheduler (the timing wheel); the
-// Heap variant keeps the old queue's numbers for comparison.
-func BenchmarkEngineSchedule(b *testing.B) { benchSchedule(b, SchedWheel) }
-
-// BenchmarkEngineScheduleHeap is BenchmarkEngineSchedule on the heap queue.
-func BenchmarkEngineScheduleHeap(b *testing.B) { benchSchedule(b, SchedHeap) }
-
-func benchSchedule(b *testing.B, kind SchedKind) {
-	e := NewEngineSched(kind)
+// not allocate (the closures are created once, outside the loop).
+func BenchmarkEngineSchedule(b *testing.B) {
+	e := NewEngine()
 	const timers = 256
 	executed := 0
 	stop := false
@@ -72,33 +65,28 @@ func BenchmarkEnginePingPong(b *testing.B) {
 	e.Shutdown()
 }
 
-// TestSchedulePathAllocFree pins the acceptance criterion for both
-// schedulers: once the queues' backing arrays are warm, At/After plus
-// dispatch allocate nothing. The wheel run spreads deltas across slot
-// widths and drains repeatedly, so slot recycling (not just first-touch
-// warm-up) is what keeps it at zero.
+// TestSchedulePathAllocFree pins the acceptance criterion of the timing
+// wheel: once its backing arrays are warm, At/After plus dispatch allocate
+// nothing. The run spreads deltas across slot widths and drains
+// repeatedly, so slot recycling (not just first-touch warm-up) is what
+// keeps it at zero.
 func TestSchedulePathAllocFree(t *testing.T) {
-	for _, kind := range []SchedKind{SchedWheel, SchedHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineSched(kind)
-			fns := make([]func(), 64)
-			for i := range fns {
-				fns[i] = func() {}
-			}
-			batch := func() {
-				for i, fn := range fns {
-					// 0..448ns: the same-time ring plus ~100 distinct level-0
-					// slots per batch as the clock advances.
-					e.After(Time(i%8)*64*Nanosecond, fn)
-				}
-				e.Run()
-			}
-			batch() // warm up queue, ring, and counter paths
-			if avg := testing.AllocsPerRun(100, batch); avg != 0 {
-				t.Errorf("steady-state schedule path (%v) allocates %.1f allocs per 64 events, want 0",
-					kind, avg)
-			}
-		})
+	e := NewEngine()
+	fns := make([]func(), 64)
+	for i := range fns {
+		fns[i] = func() {}
+	}
+	batch := func() {
+		for i, fn := range fns {
+			// 0..448ns: the same-time ring plus ~100 distinct level-0 slots
+			// per batch as the clock advances.
+			e.After(Time(i%8)*64*Nanosecond, fn)
+		}
+		e.Run()
+	}
+	batch() // warm up queue, ring, and counter paths
+	if avg := testing.AllocsPerRun(100, batch); avg != 0 {
+		t.Errorf("steady-state schedule path allocates %.1f allocs per 64 events, want 0", avg)
 	}
 }
 

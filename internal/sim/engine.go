@@ -143,156 +143,9 @@ const (
 	popBeyond        // the next event lies beyond the limit
 )
 
-// heapQueue orders events by (at, seq) without per-event allocation: a 4-ary
-// min-heap of value events plus the same-time ring. It is the original
-// scheduler, kept behind -sched=heap as the differential-testing reference
-// for the timing wheel (see wheel.go).
-type heapQueue struct {
-	heap []event
-	ring ringBuf
-}
-
-//m3v:noalloc
-func (q *heapQueue) len() int { return len(q.heap) + q.ring.n }
-
-// schedule inserts an event with at >= now.
-//
-//m3v:noalloc
-func (q *heapQueue) schedule(ev event, now Time) {
-	if ev.at == now {
-		q.ring.push(ev)
-		return
-	}
-	heapPush(&q.heap, ev)
-}
-
-// popNext removes and returns the event with the smallest (at, seq).
-//
-//m3v:noalloc
-func (q *heapQueue) popNext() (event, bool) {
-	if q.ring.n == 0 {
-		if len(q.heap) == 0 {
-			return event{}, false
-		}
-		return heapPop(&q.heap), true
-	}
-	if len(q.heap) == 0 {
-		return q.ring.pop(), true
-	}
-	// Both non-empty: full (at, seq) comparison. By the ring invariant the
-	// heap wins ties on at, but comparing seq keeps this robust.
-	if evLess(&q.heap[0], &q.ring.buf[q.ring.head]) {
-		return heapPop(&q.heap), true
-	}
-	return q.ring.pop(), true
-}
-
-// popSeq pops and discards the minimum event iff it is exactly the event
-// with the given seq and its timestamp is <= limit. This backs the Sleep
-// self-resume fast path (see Proc.Sleep): the caller knows the event's fn
-// is its own cached resume closure, so the event need not be returned.
-//
-//m3v:noalloc
-func (q *heapQueue) popSeq(seq uint64, limit Time) (Time, bool) {
-	var min *event
-	if q.ring.n > 0 {
-		min = &q.ring.buf[q.ring.head]
-	}
-	if len(q.heap) > 0 && (min == nil || evLess(&q.heap[0], min)) {
-		min = &q.heap[0]
-	}
-	if min == nil || min.seq != seq || min.at > limit {
-		return 0, false
-	}
-	at := min.at
-	if len(q.heap) > 0 && min == &q.heap[0] {
-		heapPop(&q.heap)
-	} else {
-		q.ring.pop()
-	}
-	return at, true
-}
-
-// popLimit pops the minimum event if its timestamp is <= limit.
-//
-//m3v:noalloc
-func (q *heapQueue) popLimit(limit Time) (event, int) {
-	var min *event
-	if q.ring.n > 0 {
-		min = &q.ring.buf[q.ring.head]
-	}
-	if len(q.heap) > 0 && (min == nil || evLess(&q.heap[0], min)) {
-		min = &q.heap[0]
-	}
-	if min == nil {
-		return event{}, popEmpty
-	}
-	if min.at > limit {
-		return event{}, popBeyond
-	}
-	if len(q.heap) > 0 && min == &q.heap[0] {
-		return heapPop(&q.heap), popOK
-	}
-	return q.ring.pop(), popOK
-}
-
-// SchedKind selects the engine's event-queue implementation.
-type SchedKind uint8
-
-// Scheduler kinds. SchedWheel is the hierarchical timing wheel tuned to the
-// simulator's delay distribution (the default); SchedHeap is the original
-// 4-ary min-heap, kept as an escape hatch and differential-testing reference.
-const (
-	SchedDefault SchedKind = iota // resolve to the process-wide default
-	SchedWheel
-	SchedHeap
-)
-
-// String reports the scheduler name as accepted by ParseSched.
-func (k SchedKind) String() string {
-	switch k {
-	case SchedWheel:
-		return "wheel"
-	case SchedHeap:
-		return "heap"
-	default:
-		return "default"
-	}
-}
-
-// ParseSched parses a -sched flag value.
-func ParseSched(s string) (SchedKind, error) {
-	switch s {
-	case "wheel":
-		return SchedWheel, nil
-	case "heap":
-		return SchedHeap, nil
-	default:
-		return SchedDefault, fmt.Errorf("unknown scheduler %q (want wheel or heap)", s)
-	}
-}
-
-// defaultSched is the process-wide scheduler default, read by every
-// NewEngine call. Atomic because experiment sweeps build engines from worker
-// goroutines while the default stays fixed; stored as int32 for the atomic.
-var defaultSched atomic.Int32
-
-// SetDefaultScheduler sets the scheduler used by engines constructed with
-// NewEngine (or NewEngineSched(SchedDefault)). SchedDefault restores the
-// built-in default (the timing wheel).
-func SetDefaultScheduler(k SchedKind) { defaultSched.Store(int32(k)) }
-
-// DefaultScheduler reports the current process-wide scheduler default.
-func DefaultScheduler() SchedKind {
-	if k := SchedKind(defaultSched.Load()); k != SchedDefault {
-		return k
-	}
-	return SchedWheel
-}
-
 // totalExecuted counts events executed by every engine in the process. The
 // bench harness reads it around experiments to report scheduler throughput
-// (events_executed / events_per_sec in the m3vbench/v2 report); atomic
+// (events_executed / events_per_sec in the m3vbench report); atomic
 // because sweep points run engines on worker goroutines.
 var totalExecuted atomic.Uint64
 
@@ -311,14 +164,12 @@ func TotalEventsExecuted() uint64 { return totalExecuted.Load() }
 //
 // The engine guarantees that at most one of these is active at any moment.
 type Engine struct {
-	now      Time
-	seq      uint64
-	useWheel bool
-	wq       wheelQueue
-	hq       heapQueue
-	parked   chan struct{} // a process hands control back to the engine
-	dead     bool          // set by Shutdown; unwinds woken processes
-	procs    []*Proc       // spawned, not yet finished processes
+	now    Time
+	seq    uint64
+	wq     wheelQueue
+	parked chan struct{} // a process hands control back to the engine
+	dead   bool          // set by Shutdown; unwinds woken processes
+	procs  []*Proc       // spawned, not yet finished processes
 
 	// stopped halts the active dispatch loop after the in-flight event.
 	// Atomic: Stop and Cancel are the only engine entry points that may be
@@ -343,35 +194,16 @@ type Engine struct {
 	sampleFn    func() // cached recurring tick closure (scheduled without allocating)
 }
 
-// NewEngine returns a ready-to-use engine at time zero, using the
-// process-wide default scheduler (see SetDefaultScheduler).
-func NewEngine() *Engine { return NewEngineSched(SchedDefault) }
-
-// NewEngineSched returns a ready-to-use engine at time zero with the given
-// event scheduler. SchedDefault resolves to the process-wide default.
-func NewEngineSched(kind SchedKind) *Engine {
-	if kind == SchedDefault {
-		kind = DefaultScheduler()
-	}
+// NewEngine returns a ready-to-use engine at time zero.
+func NewEngine() *Engine {
 	rec := trace.NewRecorder()
 	e := &Engine{
-		useWheel: kind == SchedWheel,
-		parked:   make(chan struct{}),
-		rec:      rec,
-		evExec:   rec.Metrics().Counter("sim.events_executed"),
+		parked: make(chan struct{}),
+		rec:    rec,
+		evExec: rec.Metrics().Counter("sim.events_executed"),
 	}
-	if e.useWheel {
-		e.wq.init()
-	}
+	e.wq.init()
 	return e
-}
-
-// Scheduler reports the engine's event-queue implementation.
-func (e *Engine) Scheduler() SchedKind {
-	if e.useWheel {
-		return SchedWheel
-	}
-	return SchedHeap
 }
 
 // Now reports the current simulated time.
@@ -410,11 +242,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now (%v)", t, e.now))
 	}
 	e.seq++
-	if e.useWheel {
-		e.wq.schedule(event{at: t, seq: e.seq, fn: fn}, e.now)
-		return
-	}
-	e.hq.schedule(event{at: t, seq: e.seq, fn: fn}, e.now)
+	e.wq.schedule(event{at: t, seq: e.seq, fn: fn}, e.now)
 }
 
 // After schedules fn to run d after the current time.
@@ -457,28 +285,15 @@ func (e *Engine) Run() Time {
 	defer e.leave()
 	e.limit = MaxTime
 	var executed int64
-	if e.useWheel {
-		for !e.stopped.Load() {
-			ev, ok := e.wq.popNext()
-			if !ok {
-				break
-			}
-			e.now = ev.at
-			executed++
-			//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
-			ev.fn()
+	for !e.stopped.Load() {
+		ev, ok := e.wq.popNext()
+		if !ok {
+			break
 		}
-	} else {
-		for !e.stopped.Load() {
-			ev, ok := e.hq.popNext()
-			if !ok {
-				break
-			}
-			e.now = ev.at
-			executed++
-			//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
-			ev.fn()
-		}
+		e.now = ev.at
+		executed++
+		//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
+		ev.fn()
 	}
 	e.flush(executed)
 	return e.now
@@ -502,34 +317,18 @@ func (e *Engine) RunUntil(limit Time) Time {
 	defer e.leave()
 	e.limit = limit
 	var executed int64
-	if e.useWheel {
-		for !e.stopped.Load() {
-			ev, st := e.wq.popLimit(limit)
-			if st != popOK {
-				if st == popBeyond && limit > e.now {
-					e.now = limit
-				}
-				break
+	for !e.stopped.Load() {
+		ev, st := e.wq.popLimit(limit)
+		if st != popOK {
+			if st == popBeyond && limit > e.now {
+				e.now = limit
 			}
-			e.now = ev.at
-			executed++
-			//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
-			ev.fn()
+			break
 		}
-	} else {
-		for !e.stopped.Load() {
-			ev, st := e.hq.popLimit(limit)
-			if st != popOK {
-				if st == popBeyond && limit > e.now {
-					e.now = limit
-				}
-				break
-			}
-			e.now = ev.at
-			executed++
-			//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
-			ev.fn()
-		}
+		e.now = ev.at
+		executed++
+		//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
+		ev.fn()
 	}
 	e.flush(executed)
 	return e.now
@@ -573,8 +372,7 @@ func (e *Engine) flush(executed int64) {
 // entirely. This is exact, not an approximation: the resume event's only
 // effect is to transfer control back to the sleeping process, which staying
 // on its goroutine achieves identically, and dispatch order is untouched
-// because only the true minimum is ever consumed. Both schedulers share the
-// path, so heap/wheel differential runs stay bit-identical.
+// because only the true minimum is ever consumed.
 //
 // Called from process context only: the engine goroutine is blocked in
 // resume at this point, so mutating the queue and clock here is ordered by
@@ -585,13 +383,7 @@ func (e *Engine) popSelf(seq uint64) bool {
 	if e.stopped.Load() {
 		return false
 	}
-	var at Time
-	var ok bool
-	if e.useWheel {
-		at, ok = e.wq.popSeq(seq, e.limit)
-	} else {
-		at, ok = e.hq.popSeq(seq, e.limit)
-	}
+	at, ok := e.wq.popSeq(seq, e.limit)
 	if !ok {
 		return false
 	}
@@ -640,9 +432,7 @@ func (e *Engine) StartSampling(every Time, capSamples int) *trace.Sampler {
 		gParked.Set(int64(parked))
 		gReady.Set(int64(len(e.procs) - parked))
 		gPending.Set(int64(e.Pending()))
-		if e.useWheel {
-			gSlots.Set(int64(e.wq.occupiedSlots()))
-		}
+		gSlots.Set(int64(e.wq.occupiedSlots()))
 	})
 	s := trace.NewSampler(m, int64(every), capSamples)
 	e.sampler = s
@@ -674,12 +464,7 @@ func (e *Engine) StopSampling() {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int {
-	if e.useWheel {
-		return e.wq.len()
-	}
-	return e.hq.len()
-}
+func (e *Engine) Pending() int { return e.wq.len() }
 
 // Live reports the number of spawned processes that have not finished.
 func (e *Engine) Live() int { return len(e.procs) }

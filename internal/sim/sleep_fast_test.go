@@ -5,52 +5,51 @@ import (
 	"testing"
 )
 
-// TestSleepFastPathEquivalence runs the same process program under both
-// schedulers and checks that the observable timeline (the clock after every
-// Sleep) and the events_executed accounting are identical. The program mixes
-// sleeps that hit the inline fast path (nothing else pending), sleeps that
-// must take the slow path (a competing timer is due first), zero-length
-// sleeps (the same-time ring), and a far sleep that lands in the wheel's
-// overflow heap.
+// TestSleepFastPathEquivalence runs a process program whose sleeps mix the
+// inline fast path (nothing else pending), the slow path (a competing timer
+// is due first), zero-length sleeps (the same-time ring), and a far sleep
+// that lands in the wheel's overflow heap. The observable timeline (the
+// clock after every Sleep) must be exactly the arithmetic of the sleeps,
+// and events_executed must count inlined resumes as if the loop had
+// dispatched them. The queue half of the fast path (popSeq) is compared
+// against the heap reference in TestPopSeqEquivalence.
 func TestSleepFastPathEquivalence(t *testing.T) {
-	run := func(kind SchedKind) ([]Time, int64) {
-		e := NewEngineSched(kind)
-		defer e.Shutdown()
-		var timeline []Time
-		ticks := 0
-		e.Spawn("sleeper", func(p *Proc) {
-			p.Sleep(3 * Nanosecond) // inline: queue otherwise empty
-			timeline = append(timeline, p.Now())
-			p.Sleep(0) // ring path
-			timeline = append(timeline, p.Now())
-			e.After(Nanosecond, func() { ticks++ }) // competing timer...
-			p.Sleep(5 * Nanosecond)                 // ...forces the slow path
-			timeline = append(timeline, p.Now())
-			p.Sleep(10 * Millisecond) // far: overflow heap under the wheel
-			timeline = append(timeline, p.Now())
-			for i := 0; i < 100; i++ {
-				p.Sleep(Time(i%7+1) * 64 * Nanosecond) // spans several slot widths
-			}
-			timeline = append(timeline, p.Now())
-		})
-		e.Run()
-		if ticks != 1 {
-			t.Fatalf("%v: competing timer ran %d times, want 1", kind, ticks)
+	e := NewEngine()
+	defer e.Shutdown()
+	var timeline []Time
+	ticks := 0
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(3 * Nanosecond) // inline: queue otherwise empty
+		timeline = append(timeline, p.Now())
+		p.Sleep(0) // ring path
+		timeline = append(timeline, p.Now())
+		e.After(Nanosecond, func() { ticks++ }) // competing timer...
+		p.Sleep(5 * Nanosecond)                 // ...forces the slow path
+		timeline = append(timeline, p.Now())
+		p.Sleep(10 * Millisecond) // far: overflow heap
+		timeline = append(timeline, p.Now())
+		for i := 0; i < 100; i++ {
+			p.Sleep(Time(i%7+1) * 64 * Nanosecond) // spans several slot widths
 		}
-		return timeline, e.Tracer().Metrics().Counter("sim.events_executed").Value()
+		timeline = append(timeline, p.Now())
+	})
+	e.Run()
+	if ticks != 1 {
+		t.Fatalf("competing timer ran %d times, want 1", ticks)
 	}
-	wheelTL, wheelN := run(SchedWheel)
-	heapTL, heapN := run(SchedHeap)
-	if !reflect.DeepEqual(wheelTL, heapTL) {
-		t.Errorf("timelines differ:\nwheel %v\nheap  %v", wheelTL, heapTL)
+	var loop Time
+	for i := 0; i < 100; i++ {
+		loop += Time(i%7+1) * 64 * Nanosecond
 	}
-	if wheelN != heapN {
-		t.Errorf("events_executed differ: wheel %d, heap %d", wheelN, heapN)
+	far := 8*Nanosecond + 10*Millisecond
+	want := []Time{3 * Nanosecond, 3 * Nanosecond, 8 * Nanosecond, far, far + loop}
+	if !reflect.DeepEqual(timeline, want) {
+		t.Errorf("timeline = %v, want %v", timeline, want)
 	}
 	// 1 spawn resume + 104 sleeps + 1 competing timer, counted whether the
 	// dispatch loop or the inline fast path consumed them.
-	if want := int64(106); wheelN != want {
-		t.Errorf("events_executed = %d, want %d", wheelN, want)
+	if n := e.Tracer().Metrics().Counter("sim.events_executed").Value(); n != 106 {
+		t.Errorf("events_executed = %d, want 106", n)
 	}
 }
 
@@ -58,28 +57,24 @@ func TestSleepFastPathEquivalence(t *testing.T) {
 // whose resume is the next event must still not advance the clock past the
 // active RunUntil limit, even though nothing else is queued.
 func TestSleepFastPathRespectsRunUntilLimit(t *testing.T) {
-	for _, kind := range []SchedKind{SchedWheel, SchedHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineSched(kind)
-			defer e.Shutdown()
-			resumed := false
-			e.Spawn("sleeper", func(p *Proc) {
-				p.Sleep(100 * Nanosecond)
-				resumed = true
-			})
-			if got := e.RunUntil(10 * Nanosecond); got != 10*Nanosecond {
-				t.Fatalf("RunUntil(10ns) = %v", got)
-			}
-			if resumed {
-				t.Fatal("process resumed before its wake-up time")
-			}
-			if got := e.RunUntil(200 * Nanosecond); got != 100*Nanosecond {
-				t.Fatalf("RunUntil(200ns) = %v, want 100ns", got)
-			}
-			if !resumed {
-				t.Fatal("process did not resume")
-			}
-		})
+	e := NewEngine()
+	defer e.Shutdown()
+	resumed := false
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100 * Nanosecond)
+		resumed = true
+	})
+	if got := e.RunUntil(10 * Nanosecond); got != 10*Nanosecond {
+		t.Fatalf("RunUntil(10ns) = %v", got)
+	}
+	if resumed {
+		t.Fatal("process resumed before its wake-up time")
+	}
+	if got := e.RunUntil(200 * Nanosecond); got != 100*Nanosecond {
+		t.Fatalf("RunUntil(200ns) = %v, want 100ns", got)
+	}
+	if !resumed {
+		t.Fatal("process did not resume")
 	}
 }
 

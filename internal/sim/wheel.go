@@ -14,11 +14,12 @@ import "math/bits"
 //	level 2: 256 slots × 2^28 ps (~268µs)  — span ~68.7ms
 //	level 3: 256 slots × 2^36 ps (~68.7ms) — span ~17.6s
 //
-// Events beyond level 3's window go to an overflow 4-ary heap (shared code
-// with heapQueue), so degenerate far-future scheduling degrades to exactly
-// the old heap behavior rather than breaking.
+// Events beyond level 3's window go to an overflow 4-ary heap (heapPush /
+// heapPop), so degenerate far-future scheduling degrades to a plain heap
+// rather than breaking.
 //
-// Ordering invariant (the reason wheel and heap dispatch bit-identically):
+// Ordering invariant (the reason the wheel dispatches in exact (at, seq)
+// order, bit-identically to the heap reference queue in the tests):
 //
 //   - cur holds the drained run of wheel events with at < lowBound, sorted
 //     by (at, seq); every event still in a slot has at >= lowBound. The
@@ -49,7 +50,7 @@ func wheelShift(level int) uint {
 }
 
 type wheelQueue struct {
-	ring ringBuf // events at exactly the current time (same invariant as heapQueue)
+	ring ringBuf // events at exactly the current time (see ringBuf)
 
 	// cur is the sorted run currently being dispatched, consumed from
 	// curHead. All wheel-domain events with at < lowBound live here.
@@ -359,7 +360,7 @@ func (q *wheelQueue) popLimit(limit Time) (event, int) {
 
 // popSeq pops and discards the minimum event iff it is exactly the event
 // with the given seq and its timestamp is <= limit (the Sleep self-resume
-// fast path; see heapQueue.popSeq and Proc.Sleep).
+// fast path; see Engine.popSelf and Proc.Sleep).
 //
 //m3v:noalloc
 func (q *wheelQueue) popSeq(seq uint64, limit Time) (Time, bool) {
