@@ -32,6 +32,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench module =="
+# The repository benchmark is its own module (replace m3v => ../), so the
+# root ./... patterns above never build it. Vet and test it here: a root
+# go.mod bump or an API change that breaks it fails this gate.
+(cd perfbench && go vet ./... && go test -short ./...)
+
 echo "== fuzz seeds =="
 go test -run '^Fuzz' ./internal/sim ./internal/noc ./internal/dtu ./internal/serve
 
@@ -43,8 +49,9 @@ go test -race -count=1 -run 'TestAutoRegisterConcurrent' ./internal/trace
 
 echo "== bench smoke =="
 # One iteration of the engine hot-path benchmarks (the alloc guards run as
-# regular tests) and of the fastest figure benchmark.
-go test -run '^$' -bench 'EngineSchedule|EnginePingPong' -benchtime 1x ./internal/sim
+# regular tests) and of the fastest figure benchmark. ProcSleep records the
+# Sleep fast path (popSelf) against a forced miss.
+go test -run '^$' -bench 'EngineSchedule|EnginePingPong|ProcSleep' -benchtime 1x ./internal/sim
 go test -run '^$' -bench 'Fig9FindOneTile' -benchtime 1x .
 
 echo "== perf smoke =="

@@ -399,27 +399,45 @@ func TestJobDeadline(t *testing.T) {
 }
 
 // TestPanicIsolation: a panicking experiment answers 500 and the pool
-// survives to serve the next request.
+// survives to serve the next request, whether the panic is raised by the
+// driver itself or by a model process inside the simulation.
 func TestPanicIsolation(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
-			if id == "fake" {
+	cases := map[string]func(){
+		"driver": func() { panic("kaboom") },
+		"sim process": func() {
+			e := sim.NewEngine()
+			defer e.Shutdown()
+			e.Spawn("bystander", func(p *sim.Proc) { p.Park() })
+			e.Spawn("model", func(p *sim.Proc) {
+				p.Sleep(sim.Nanosecond)
 				panic("kaboom")
+			})
+			e.Run()
+		},
+	}
+	for name, fail := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{
+				Workers: 1,
+				Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
+					if id == "fake" {
+						fail()
+					}
+					return okResult(id, p), nil
+				}),
+			})
+			st, _, body := post(t, ts.URL, Request{Experiment: "fake"})
+			if st != http.StatusInternalServerError || !strings.Contains(body, "panicked: kaboom") {
+				t.Errorf("panic response = %d %q, want 500 with panic error", st, body)
 			}
-			return okResult(id, p), nil
-		}),
-	})
-	st, _, body := post(t, ts.URL, Request{Experiment: "fake"})
-	if st != http.StatusInternalServerError || !strings.Contains(body, "panicked") {
-		t.Errorf("panic response = %d %q, want 500 with panic error", st, body)
-	}
-	if st, _, _ := post(t, ts.URL, Request{Experiment: "other"}); st != 200 {
-		t.Errorf("post-panic request status = %d, want 200", st)
-	}
-	_, metrics := get(t, ts.URL, "/metrics")
-	if v, _ := metricValue(metrics, "serve.jobs_failed"); v != 1 {
-		t.Errorf("serve.jobs_failed = %d, want 1", v)
+			if st, _, _ := post(t, ts.URL, Request{Experiment: "other"}); st != 200 {
+				t.Errorf("post-panic request status = %d, want 200", st)
+			}
+			_, metrics := get(t, ts.URL, "/metrics")
+			if v, _ := metricValue(metrics, "serve.jobs_failed"); v != 1 {
+				t.Errorf("serve.jobs_failed = %d, want 1", v)
+			}
+		})
 	}
 }
 

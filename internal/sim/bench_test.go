@@ -65,6 +65,38 @@ func BenchmarkEnginePingPong(b *testing.B) {
 	e.Shutdown()
 }
 
+// BenchmarkProcSleep measures one Sleep in both of its paths. In "fast" a
+// lone process sleeps, so its resume is always the next event and popSelf
+// consumes it inline without leaving the coroutine. In "miss" two processes
+// sleep in lockstep: each one's resume is queued behind the other's
+// co-scheduled resume at the same instant, so every Sleep switches out to
+// the dispatch loop and back. The gap between the two is what the fast path
+// saves per Sleep.
+func BenchmarkProcSleep(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+	}{{"fast", 1}, {"miss", 2}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := NewEngine()
+			sleeps := 0
+			for i := 0; i < tc.procs; i++ {
+				e.Spawn("sleeper", func(p *Proc) {
+					for sleeps < b.N {
+						sleeps++
+						p.Sleep(Nanosecond)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			b.StopTimer()
+			e.Shutdown()
+		})
+	}
+}
+
 // TestSchedulePathAllocFree pins the acceptance criterion of the timing
 // wheel: once its backing arrays are warm, At/After plus dispatch allocate
 // nothing. The run spreads deltas across slot widths and drains

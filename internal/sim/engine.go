@@ -159,17 +159,19 @@ func TotalEventsExecuted() uint64 { return totalExecuted.Load() }
 // Model code runs in two contexts:
 //
 //   - handler context: event callbacks executed by the Run loop;
-//   - process context: inside a goroutine started with Spawn, between the
+//   - process context: inside a coroutine started with Spawn, between the
 //     engine's resume and the process's next blocking call.
 //
-// The engine guarantees that at most one of these is active at any moment.
+// The engine guarantees that at most one of these is active at any moment:
+// a process runs on an iter.Pull coroutine that the dispatch loop switches
+// into and that switches straight back, without the Go scheduler, so the
+// whole simulation advances as one thread of control.
 type Engine struct {
-	now    Time
-	seq    uint64
-	wq     wheelQueue
-	parked chan struct{} // a process hands control back to the engine
-	dead   bool          // set by Shutdown; unwinds woken processes
-	procs  []*Proc       // spawned, not yet finished processes
+	now   Time
+	seq   uint64
+	wq    wheelQueue
+	dead  bool    // set by Shutdown; unwinds stopped processes
+	procs []*Proc // spawned, not yet finished processes
 
 	// stopped halts the active dispatch loop after the in-flight event.
 	// Atomic: Stop and Cancel are the only engine entry points that may be
@@ -198,7 +200,6 @@ type Engine struct {
 func NewEngine() *Engine {
 	rec := trace.NewRecorder()
 	e := &Engine{
-		parked: make(chan struct{}),
 		rec:    rec,
 		evExec: rec.Metrics().Counter("sim.events_executed"),
 	}
@@ -368,19 +369,20 @@ func (e *Engine) flush(executed int64) {
 // scheduled its own resume as event seq; if that event is the queue's next
 // eligible event (true (at, seq) minimum, within the active loop's bound,
 // and the loop was not stopped), consume it inline and advance the clock —
-// the yield/resume goroutine hand-off through the engine is skipped
-// entirely. This is exact, not an approximation: the resume event's only
-// effect is to transfer control back to the sleeping process, which staying
-// on its goroutine achieves identically, and dispatch order is untouched
-// because only the true minimum is ever consumed.
+// the coroutine switch out to the engine and back is skipped entirely. This
+// is exact, not an approximation: the resume event's only effect is to
+// transfer control back to the sleeping process, which staying on its
+// coroutine achieves identically, and dispatch order is untouched because
+// only the true minimum is ever consumed. A dead engine never takes the fast
+// path, so a Sleep during Shutdown's unwind yields and is unwound in turn.
 //
-// Called from process context only: the engine goroutine is blocked in
-// resume at this point, so mutating the queue and clock here is ordered by
-// the wake/parked channel hand-offs.
+// Called from process context only: the dispatch loop is suspended in
+// resume at this point, on the same thread of control, so the process may
+// mutate the queue and clock directly.
 //
 //m3v:noalloc
 func (e *Engine) popSelf(seq uint64) bool {
-	if e.stopped.Load() {
+	if e.dead || e.stopped.Load() {
 		return false
 	}
 	at, ok := e.wq.popSeq(seq, e.limit)
@@ -469,26 +471,27 @@ func (e *Engine) Pending() int { return e.wq.len() }
 // Live reports the number of spawned processes that have not finished.
 func (e *Engine) Live() int { return len(e.procs) }
 
-// Shutdown unwinds all parked process goroutines. It must be called after Run
-// has returned (never from handler or process context). The engine is dead
+// Shutdown unwinds all live processes. It must be called after Run has
+// returned (never from handler or process context). The engine is dead
 // afterwards; further use panics.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown during Run")
 	}
 	e.dead = true
-	// Every live process goroutine is blocked in waitWake (the engine is not
-	// running, so none is executing). Wake each one; it observes e.dead,
-	// panics with shutdownError, and is recovered by the Spawn wrapper
-	// without handing control back. The dead flag is published by the
-	// channel send's happens-before edge.
+	// Every live process is suspended in yield or not yet started (the
+	// engine is not running, so none is executing). stop makes a suspended
+	// yield report false, so the process panics with shutdownError, runs its
+	// defers and is recovered by the Spawn wrapper; a process that never
+	// started just releases its coroutine. Either way stop returns only once
+	// the coroutine has finished.
 	for _, p := range e.procs {
-		p.wake <- struct{}{}
+		p.stop()
 	}
 	e.procs = nil
 }
 
-// errShutdown is the sentinel used to unwind process goroutines at Shutdown.
+// shutdownError is the sentinel used to unwind processes at Shutdown.
 type shutdownError struct{}
 
 func (shutdownError) Error() string { return "sim: engine shut down" }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTimeString(t *testing.T) {
@@ -367,4 +370,176 @@ func TestShutdownUnblocksParked(t *testing.T) {
 		t.Errorf("live = %d, want 1", e.Live())
 	}
 	e.Shutdown() // must not deadlock
+}
+
+// unwindCounts counts the defers of spawnUnwindSet's processes. Atomic, and
+// read only after waitGoroutines, so the shutdown tests do not depend on
+// Shutdown finishing each unwind before it returns.
+type unwindCounts struct{ parked, sleeping, fresh atomic.Int32 }
+
+func (c *unwindCounts) check(t *testing.T, n int32) {
+	t.Helper()
+	if c.parked.Load() != n || c.sleeping.Load() != n || c.fresh.Load() != 0 {
+		t.Errorf("defers ran parked=%d sleeping=%d fresh=%d, want %d, %d, 0",
+			c.parked.Load(), c.sleeping.Load(), c.fresh.Load(), n, n)
+	}
+}
+
+// spawnUnwindSet builds an engine holding one process in each state Shutdown
+// must unwind: parked (waiting for a Wake that never comes), sleeping (its
+// resume event still queued) and never started (spawned after the last run,
+// so its start event never ran and its defers must not run either).
+func spawnUnwindSet(c *unwindCounts) *Engine {
+	e := NewEngine()
+	e.Spawn("parked", func(p *Proc) {
+		defer c.parked.Add(1)
+		p.Park()
+	})
+	e.Spawn("sleeping", func(p *Proc) {
+		defer c.sleeping.Add(1)
+		p.Sleep(Second)
+	})
+	e.RunUntil(Microsecond)
+	e.Spawn("fresh", func(p *Proc) {
+		defer c.fresh.Add(1)
+		p.Park()
+	})
+	return e
+}
+
+// waitGoroutines polls until the goroutine count drops to at most n: every
+// process holds a goroutine (its coroutine's stack) until it is unwound.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > n {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d (leaked process)", runtime.NumGoroutine(), n)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestShutdownUnwindsEveryState(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var c unwindCounts
+	e := spawnUnwindSet(&c)
+	if e.Live() != 3 {
+		t.Fatalf("live before Shutdown = %d, want 3", e.Live())
+	}
+	e.Shutdown()
+	if e.Live() != 0 {
+		t.Errorf("live after Shutdown = %d, want 0", e.Live())
+	}
+	waitGoroutines(t, base)
+	c.check(t, 1)
+}
+
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var c unwindCounts
+	for i := 0; i < 100; i++ {
+		spawnUnwindSet(&c).Shutdown()
+	}
+	waitGoroutines(t, base)
+	c.check(t, 100)
+}
+
+// TestShutdownDeferBlocksAgain: a defer that sleeps or parks while Shutdown
+// unwinds its process is unwound in turn instead of hanging Shutdown or
+// leaking the process.
+func TestShutdownDeferBlocksAgain(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var sleeper, parker atomic.Int32
+	e := NewEngine()
+	e.Spawn("sleeper", func(p *Proc) {
+		defer sleeper.Add(1)
+		defer p.Sleep(Nanosecond)
+		p.Park()
+	})
+	e.Spawn("parker", func(p *Proc) {
+		defer parker.Add(1)
+		defer p.Park()
+		p.Sleep(Second)
+	})
+	e.RunUntil(Microsecond)
+	done := make(chan struct{})
+	go func() {
+		e.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown hung on a defer that blocks during the unwind")
+	}
+	waitGoroutines(t, base)
+	if sleeper.Load() != 1 || parker.Load() != 1 {
+		t.Errorf("defers ran sleeper=%d parker=%d, want each once", sleeper.Load(), parker.Load())
+	}
+}
+
+type procPanic struct{ code int }
+
+// TestProcPanicSurfacesFromRun: a model panic inside a process leaves Run
+// with its original value; the panicking process is finished and no longer
+// live, and a later Shutdown still unwinds the others.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	unwound := 0
+	e.Spawn("bystander", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Park()
+	})
+	bad := e.Spawn("bad", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		panic(procPanic{42})
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != (procPanic{42}) {
+		t.Fatalf("Run panicked with %#v, want procPanic{42}", got)
+	}
+	if !bad.Done() {
+		t.Error("panicking process not marked done")
+	}
+	if e.Live() != 1 {
+		t.Errorf("live = %d, want 1 (the bystander)", e.Live())
+	}
+	if e.Now() != Nanosecond {
+		t.Errorf("Now = %v, want 1ns", e.Now())
+	}
+	e.Shutdown()
+	if unwound != 1 || e.Live() != 0 {
+		t.Errorf("after Shutdown: bystander unwound %d times, live %d; want 1, 0", unwound, e.Live())
+	}
+}
+
+// TestProcGoexitEndsRun: runtime.Goexit inside a process (t.Fatal in a test
+// process) ends the goroutine that called Run, with the process done.
+func TestProcGoexitEndsRun(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("quitter", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Error("Run returned normally after runtime.Goexit in a process")
+	}
+	if !p.Done() || e.Live() != 0 {
+		t.Errorf("done = %v, live = %d; want true, 0", p.Done(), e.Live())
+	}
+	e.Shutdown() // Run's goroutine left the engine idle, not running
 }

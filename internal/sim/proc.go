@@ -1,23 +1,37 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to go1.23, the
+// first release with iter.Pull, without bumping the module's go directive.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
+// Proc is a simulation process: a coroutine whose execution is interleaved
 // deterministically with the event loop. A process runs only between the
-// engine's resume signal and its next call to Sleep, Park, or return.
+// engine's resume and its next call to Sleep, Park, or return.
 //
-// Methods on Proc must be called from the process's own goroutine (process
-// context). Wake must be called from handler context or another process's
-// context via the engine's event queue.
+// Methods on Proc must be called from the process itself (process context).
+// Wake must be called from handler context or another process's context via
+// the engine's event queue.
 type Proc struct {
 	e           *Engine
 	name        string
-	wake        chan struct{}
 	parked      bool // parked via Park, waiting for an explicit Wake
 	wakePending bool // a wake event is already queued
 	done        bool
 	interrupted bool // Wake arrived while the process was not parked
 	idx         int  // position in the engine's procs list
+
+	// next and stop drive the process's iter.Pull coroutine; yieldFn is the
+	// coroutine's yield, captured when it starts. resume switches in with
+	// next, yield switches back out, and Shutdown unwinds with stop.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
 
 	// resumeFn and wakeFn are the closures Sleep and Wake schedule. They are
 	// built once at Spawn so the blocking hot paths (every Sleep, every
@@ -29,37 +43,41 @@ type Proc struct {
 // Spawn creates a process executing fn and schedules its start at the current
 // time. fn runs in process context.
 //
+// A panic in fn leaves the Run or RunUntil call that resumed the process
+// with the original value, and runtime.Goexit in fn (t.Fatal in a test
+// process) ends the goroutine that called Run, as iter.Pull propagates both.
+// Either way the process is finished first: Done reports true and Live no
+// longer counts it.
+//
 //m3v:simctx
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.dead {
 		panic("sim: Spawn after Shutdown")
 	}
-	p := &Proc{e: e, name: name, wake: make(chan struct{}), idx: len(e.procs)}
+	p := &Proc{e: e, name: name, idx: len(e.procs)}
 	p.resumeFn = func() { e.resume(p) }
 	p.wakeFn = p.completeWake
 	e.procs = append(e.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
 		defer func() {
-			r := recover()
-			if _, ok := r.(shutdownError); ok {
-				return // engine shut down; exit silently
-			}
-			if r != nil {
-				panic(r) // genuine model bug: crash loudly
-			}
-			// Normal return or runtime.Goexit (e.g. t.Fatal inside a test
-			// process): mark finished and hand control back so the engine
-			// does not deadlock. Dropping out of the procs list here is safe:
-			// the engine goroutine is blocked in resume until the parked
-			// send below.
 			p.done = true
+			if e.dead {
+				// Shutdown's unwind: swallow the sentinel raised by
+				// yield. Shutdown drops the procs list itself.
+				if r := recover(); r != nil {
+					if _, ok := r.(shutdownError); !ok {
+						panic(r)
+					}
+				}
+				return
+			}
+			// Normal return, model panic or runtime.Goexit: leave the live
+			// list before next hands the outcome to resume's caller.
 			e.unregister(p)
-			//m3vlint:ignore simblock audited proc hand-off: final parked send returns control to the engine blocked in resume
-			e.parked <- struct{}{}
 		}()
-		p.waitWake() // wait for the start event
 		fn(p)
-	}()
+	})
 	e.After(0, p.resumeFn)
 	return p
 }
@@ -73,37 +91,26 @@ func (e *Engine) unregister(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// resume transfers control to p and blocks until p yields or finishes. It
-// must run in handler context.
+// resume switches to p's coroutine and returns when p yields or finishes.
+// It must run in handler context.
+//
+//m3v:noalloc
 func (e *Engine) resume(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: resume of finished process %q", p.name))
 	}
-	//m3vlint:ignore simblock audited proc hand-off: bounded rendezvous, the resumed process parks or finishes
-	p.wake <- struct{}{}
-	//m3vlint:ignore simblock audited proc hand-off: bounded rendezvous, the resumed process parks or finishes
-	<-e.parked
+	//m3vlint:ignore noalloc coroutine switch: iter.Pull's next swaps stacks with the parked process and allocates nothing (TestSleepWakeAllocFree)
+	p.next()
 }
 
-// yield hands control back to the engine and blocks until resumed.
-func (p *Proc) yield() {
-	//m3vlint:ignore simblock audited proc hand-off: parked send pairs with the engine's receive in resume
-	p.e.parked <- struct{}{}
-	p.waitWake()
-}
-
-// waitWake blocks until the engine (or Shutdown) hands control to this
-// process. A plain channel receive, not a select: the old two-way select on
-// a shutdown channel made every hand-off go through runtime.selectgo, which
-// profiling showed cost more than the event queue itself. Shutdown instead
-// sets e.dead and then wakes each live process; the send's happens-before
-// edge publishes the flag.
+// yield switches back to the engine and returns when the process is resumed.
+// Shutdown's stop makes the coroutine's yield report false; the process then
+// unwinds with shutdownError, recovered by Spawn's wrapper.
 //
 //m3v:noalloc
-func (p *Proc) waitWake() {
-	//m3vlint:ignore simblock audited proc hand-off: wake receive pairs with resume's send (or Shutdown's unwind)
-	<-p.wake
-	if p.e.dead {
+func (p *Proc) yield() {
+	//m3vlint:ignore noalloc coroutine switch: iter.Pull's yield swaps stacks back to resume and allocates nothing (TestSleepWakeAllocFree)
+	if !p.yieldFn(struct{}{}) {
 		panic(shutdownError{})
 	}
 }
@@ -123,7 +130,7 @@ func (p *Proc) Now() Time { return p.e.now }
 // Fast path: if the resume just scheduled is the next eligible event — no
 // other component has anything to do before this process continues — the
 // process consumes it inline (popSelf) and keeps running, skipping the
-// double goroutine switch through the engine. On the fig9 workload most
+// coroutine switch out to the engine and back. On the fig9 workload most
 // DTU command charges hit this path.
 //
 //m3v:noalloc
