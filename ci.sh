@@ -76,10 +76,14 @@ go run ./cmd/m3vtrace -perfetto "$TRACE_TMP/fig6-perfetto.json" \
     "$TRACE_TMP/fig6.json" | grep -q 'dtu.send'
 grep -q '"ph":"s"' "$TRACE_TMP/fig6-perfetto.json"   # flow arrows present
 go run ./cmd/m3vtrace "$TRACE_TMP/fig6.json" | grep -Eq '[1-9][0-9]* fast'
-go run ./cmd/m3vbench -run fig9 -fig9-tiles 1 -flows "$TRACE_TMP/fig9.json" > /dev/null
+# The same run also exports a sampled series of its four systems, so the
+# shared writer and m3vstat are exercised on multi-run input.
+go run ./cmd/m3vbench -run fig9 -fig9-tiles 1 -flows "$TRACE_TMP/fig9.json" \
+    -sample-interval 1us -series "$TRACE_TMP/fig9-series.json" > /dev/null
 go run ./cmd/m3vtrace -check "$TRACE_TMP/fig9.json"
 go run ./cmd/m3vtrace "$TRACE_TMP/fig9.json" | grep -Eq '[1-9][0-9]* slow,'
 go run ./cmd/m3vtrace "$TRACE_TMP/fig9.json" | grep -q 'kernel.forward'
+go run ./cmd/m3vstat "$TRACE_TMP/fig9-series.json" | grep -q 'utilization'
 
 echo "== chaos smoke =="
 # Deterministic fault injection gate: two chaos runs with the same seed
@@ -152,11 +156,10 @@ wait "$M3VD_PID"                         # graceful drain must exit 0
 grep -q 'm3vd: drained' "$TRACE_TMP/m3vd.log"
 trap 'rm -rf "$TRACE_TMP"' EXIT
 
-echo "== bench json =="
-# Record the perf trajectory: wall clock per experiment plus the
-# serial-vs-parallel comparison, which also gates on byte-identical tables.
-go run ./cmd/m3vbench -run fig9 -fig9-tiles 1,2 -compare-serial \
-    -bench-json BENCH_m3vbench.json
+echo "== determinism =="
+# Parallel sweeps must render byte-identical tables to serial ones: the
+# fig9 tiles 1,2 table at 1 vs 8 workers, plus the other equivalence tests.
+go test -count=1 -run 'ParallelSerialEquivalence' ./internal/bench
 
 if [ -n "${FUZZTIME:-}" ]; then
     echo "== fuzzing (${FUZZTIME}) =="

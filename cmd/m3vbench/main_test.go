@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,8 +58,8 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.fig9Series != nil {
 		t.Errorf("fig9Series default = %v, want nil", o.fig9Series)
 	}
-	if o.faultSeed != 1 || o.faultRate != 0 {
-		t.Errorf("fault defaults = seed %d rate %g, want 1/0", o.faultSeed, o.faultRate)
+	if o.obs.FaultSeed != 1 || o.obs.FaultRate != 0 {
+		t.Errorf("fault defaults = seed %d rate %g, want 1/0", o.obs.FaultSeed, o.obs.FaultRate)
 	}
 }
 
@@ -71,10 +72,12 @@ func TestParseOptionsErrors(t *testing.T) {
 	}{
 		{"positional", []string{"fig6"}, "unexpected arguments"},
 		{"bad parallel", []string{"-parallel", "0"}, "-parallel must be >= 1"},
-		{"bad rate", []string{"-fault-rate", "2"}, "-fault-rate must be in [0,1]"},
 		{"bad tiles", []string{"-fig9-tiles", "1,x"}, "bad -fig9-tiles entry"},
 		{"zero tile", []string{"-fig9-tiles", "0"}, "bad -fig9-tiles entry"},
-		{"bad interval", []string{"-sample-interval", "later"}, "-sample-interval"},
+		{"tile above range", []string{"-fig9-tiles", "1,13"}, `bad -fig9-tiles entry "13" (want 1..12)`},
+		{"tile far above range", []string{"-fig9-tiles", "5000"}, `bad -fig9-tiles entry "5000" (want 1..12)`},
+		// The shared flag rules are tested in internal/cliflags; this case
+		// checks m3vbench applies them.
 		{"series needs interval", []string{"-series", "s.json"}, "-series requires -sample-interval"},
 		{"unknown experiment", []string{"-run", "table1,bogus"}, `unknown experiment "bogus"`},
 	}
@@ -98,7 +101,7 @@ func TestParseOptionsFig9Tiles(t *testing.T) {
 	if !reflect.DeepEqual(o.fig9Series, []int{1, 2, 4}) {
 		t.Errorf("fig9Series = %v, want [1 2 4]", o.fig9Series)
 	}
-	if ids := runIDs(o); !reflect.DeepEqual(ids, []string{"fig9", "table1"}) || o.faultRate != 0.1 || o.faultSeed != 7 {
+	if ids := runIDs(o); !reflect.DeepEqual(ids, []string{"fig9", "table1"}) || o.obs.FaultRate != 0.1 || o.obs.FaultSeed != 7 {
 		t.Errorf("options = %+v", o)
 	}
 	want := bench.Params{Tiles: []int{1, 2, 4}, Fault: fault.Uniform(7, 0.1)}
@@ -141,143 +144,108 @@ func runIDs(o *options) []string {
 	return ids
 }
 
-// TestLoadBenchReportV1 checks that a report of a retired schema version
-// is a clean error: the v1 and v2 readers are gone, and their files lack
-// fields the current report compares.
-func TestLoadBenchReportV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.json")
-	v1 := `{
-  "schema": "m3vbench/v1",
-  "timestamp": "2026-08-08T09:14:25Z",
-  "go_version": "go1.24.0",
-  "num_cpu": 1,
-  "parallel": 1,
-  "experiments": [
-    {"id": "fig9", "title": "Scalability", "wall_ms": 6244.193,
-     "rows": [{"label": "M3v find 1", "value": 87.7, "unit": "runs/s", "paper": 84}]}
-  ],
-  "total_wall_ms": 12601.35
-}`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBenchReport(path); err == nil ||
-		!strings.Contains(err.Error(), `unsupported schema "m3vbench/v1"`) {
-		t.Errorf("loadBenchReport(v1) err = %v, want unsupported schema", err)
-	}
-}
-
 // TestParseOptionsSampling covers the telemetry flags.
 func TestParseOptionsSampling(t *testing.T) {
 	o, err := parseOptions([]string{"-sample-interval", "100ns", "-series", "s.json"})
 	if err != nil {
 		t.Fatalf("parseOptions: %v", err)
 	}
-	if o.sampleEvery != 100*sim.Nanosecond || o.seriesFile != "s.json" {
-		t.Errorf("sampling options = every %v, series %q", o.sampleEvery, o.seriesFile)
+	if o.obs.Series != "s.json" {
+		t.Errorf("series file = %q", o.obs.Series)
 	}
 	if p := o.params(); p.Sample != (core.SampleConfig{Interval: 100 * sim.Nanosecond}) {
 		t.Errorf("params sampling = %+v", p.Sample)
 	}
 }
 
-// TestLoadBenchReportV3RoundTrip writes a current-schema report with the
-// tail-latency fields and reads it back.
-func TestLoadBenchReportV3RoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v3.json")
-	want := benchReport{
-		Schema:    benchSchema,
-		GoVersion: "go1.24.0",
-		NumCPU:    1,
-		Parallel:  2,
-		Experiments: []benchExperiment{{
-			ID: "fig9", Title: "Scalability", WallMs: 5000,
-			EventsExecuted: 2400000, EventsPerSec: 480000,
-			P99SwitchPs: 8_750_000, P99CmdPs: 7_260_625,
-			Rows: []benchRow{{Label: "M3v find 1", Value: 87.7, Unit: "runs/s"}},
-		}},
-		TotalWallMs: 5000,
-	}
-	data, err := json.MarshalIndent(&want, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadBenchReport(path)
-	if err != nil {
-		t.Fatalf("loadBenchReport(v3): %v", err)
-	}
-	if !reflect.DeepEqual(got, &want) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, &want)
-	}
-}
-
-// TestTailLatencies checks the cross-recorder histogram merge behind the
-// report's p99 fields.
-func TestTailLatencies(t *testing.T) {
-	a := trace.NewRecorder()
-	b := trace.NewRecorder()
-	for i := int64(1); i <= 50; i++ {
-		a.Metrics().Histogram("tile01.mux.switch_time").Observe(i * 1000)
-		b.Metrics().Histogram("tile02.mux.switch_time").Observe(i * 2000)
-		a.Metrics().Histogram("tile01.dtu.cmd_time").Observe(i * 100)
-	}
-	p99Switch, p99Cmd := tailLatencies([]*trace.Recorder{a, b})
-	// The merged switch distribution tops out near 100us; cmd near 5ns.
-	if p99Switch < 90_000 || p99Switch > 100_000 {
-		t.Errorf("p99Switch = %d, want ~99000 (error <= 1/16)", p99Switch)
-	}
-	if p99Cmd < 4_500 || p99Cmd > 5_000 {
-		t.Errorf("p99Cmd = %d, want ~4950 (error <= 1/16)", p99Cmd)
-	}
-	if s, c := tailLatencies(nil); s != 0 || c != 0 {
-		t.Errorf("tailLatencies(nil) = %d/%d, want 0/0", s, c)
-	}
-}
-
-// TestLoadBenchReportBadSchema rejects every schema version but the
-// current one.
-func TestLoadBenchReportBadSchema(t *testing.T) {
-	for _, schema := range []string{"m3vbench/v99", "m3vbench/v2", ""} {
-		path := filepath.Join(t.TempDir(), "bad.json")
-		if err := os.WriteFile(path, []byte(`{"schema": "`+schema+`"}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loadBenchReport(path); err == nil ||
-			!strings.Contains(err.Error(), "unsupported schema") {
-			t.Errorf("loadBenchReport(%q) err = %v, want unsupported schema", schema, err)
-		}
-	}
-}
-
-// TestPrintBaselineDelta checks the -baseline comparison output for both a
-// matched experiment and one missing from the old report.
-func TestPrintBaselineDelta(t *testing.T) {
-	old := &benchReport{
-		Schema:      benchSchema,
-		Experiments: []benchExperiment{{ID: "fig9", WallMs: 1000}},
-		TotalWallMs: 1000,
-	}
-	cur := &benchReport{
-		Schema: benchSchema,
-		Experiments: []benchExperiment{
-			{ID: "fig9", WallMs: 800},
-			{ID: "fig6", WallMs: 50},
-		},
-		TotalWallMs: 850,
-	}
+// TestRunExports runs a sampled fig6 with every export on and checks each
+// file parses with the reader its consumers use, all with the same number of
+// runs.
+func TestRunExports(t *testing.T) {
+	defer bench.SetParallelism(bench.Parallelism())
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "t.json")
+	flowsPath := filepath.Join(dir, "f.json")
+	seriesPath := filepath.Join(dir, "s.json")
 	var out strings.Builder
-	printBaselineDelta(&out, old, cur)
-	got := out.String()
-	for _, want := range []string{
-		"baseline fig9: 1000ms -> 800ms (-20.0%)",
-		"baseline fig6: no previous wall clock",
-		"baseline total (m3vbench/v3): 1000ms -> 850ms (-15.0%)",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("baseline output missing %q:\n%s", want, got)
+	if err := run([]string{"-run", "fig6", "-parallel", "1", "-sample-interval", "1us",
+		"-trace", tracePath, "-flows", flowsPath, "-series", seriesPath}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(out.String(), "== fig6:") {
+		t.Errorf("fig6 table missing:\n%s", out.String())
+	}
+
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &chrome); err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	traceRuns := map[int]bool{}
+	for _, ev := range chrome.TraceEvents {
+		if ev.Ph != "M" {
+			traceRuns[ev.Pid/1000] = true
 		}
+	}
+
+	f, err := os.Open(flowsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := trace.ReadFlows(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("flows: %v", err)
+	}
+	f, err = os.Open(seriesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := trace.ReadSeries(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("series: %v", err)
+	}
+
+	if runs := len(series.Runs); runs < 2 || len(flows.Runs) != runs {
+		t.Errorf("runs: flows %d, series %d; want equal and >= 2", len(flows.Runs), runs)
+	}
+	// The Chrome trace has no lane for a run that recorded nothing (the
+	// Linux reference engines), so compare against the runs with spans.
+	spanRuns := map[int]bool{}
+	for i, r := range flows.Runs {
+		if len(r.Spans) > 0 {
+			spanRuns[i] = true
+		}
+	}
+	if len(spanRuns) == 0 || !reflect.DeepEqual(traceRuns, spanRuns) {
+		t.Errorf("runs in trace %v, runs with spans %v; want equal", traceRuns, spanRuns)
+	}
+	runsLine := fmt.Sprintf("from %d run(s) -> ", len(series.Runs))
+	for _, path := range []string{tracePath, flowsPath, seriesPath} {
+		if !strings.Contains(out.String(), runsLine+path+"\n") {
+			t.Errorf("report missing %q line for %s:\n%s", runsLine, path, out.String())
+		}
+	}
+}
+
+// TestRunFaultRateOne checks that a model failure under injection is a
+// clean error naming the experiment, not a crash.
+func TestRunFaultRateOne(t *testing.T) {
+	defer bench.SetParallelism(bench.Parallelism())
+	var out strings.Builder
+	err := run([]string{"-run", "fig6", "-parallel", "1", "-fault-rate", "1"}, &out)
+	want := "fig6: simulation failed: kernel: mux request to tile 2 failed: dtu: transfer timed out"
+	if err == nil || err.Error() != want {
+		t.Errorf("run(-fault-rate 1) err = %v, want %q", err, want)
 	}
 }

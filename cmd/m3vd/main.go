@@ -54,18 +54,15 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	jobTimeout := fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock deadline (negative disables)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "bound on graceful drain before in-flight jobs are cancelled")
 	retry := fs.Int("retry-after", 2, "Retry-After seconds on 429 backpressure responses")
-	parallel := fs.Int("parallel", 1, "per-job sweep parallelism (points within one experiment)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *parallel >= 1 {
-		// Jobs already fan out across the pool; keep each job's internal
-		// sweep narrow by default so p99 stays stable under load.
-		bench.SetParallelism(*parallel)
-	}
+	// Jobs already fan out across the pool; keep each job's internal sweep
+	// serial so p99 stays stable under load.
+	bench.SetParallelism(1)
 
 	s := serve.New(serve.Config{
 		Workers:      *workers,

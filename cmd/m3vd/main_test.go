@@ -20,6 +20,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}},
 		{"positional", []string{"fig6"}},
 		{"bad addr", []string{"-addr", "definitely:not:an:addr"}},
+		{"retired parallel", []string{"-parallel", "2"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

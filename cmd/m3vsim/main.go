@@ -10,15 +10,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
 	"m3v"
-	"m3v/internal/fault"
-	"m3v/internal/sim"
+	"m3v/internal/cliflags"
 	"m3v/internal/trace"
 )
 
@@ -43,16 +38,8 @@ func run(args []string, out io.Writer) error {
 	rounds := fs.Int("rounds", 50, "number of RPC rounds")
 	shared := fs.Bool("shared", false, "co-locate client and server on one tile")
 	gem5 := fs.Bool("gem5", false, "use the 3 GHz gem5-style platform instead of the FPGA layout")
-	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto)")
-	flowsFile := fs.String("flows", "", "write the causal span streams as m3vflows JSON (analyze with m3vtrace)")
-	metrics := fs.Bool("metrics", false, "print the metrics registry summary after the run")
-	faultSeed := fs.Uint64("fault-seed", 1, "fault-injection schedule seed (with -fault-rate)")
-	faultRate := fs.Float64("fault-rate", 0, "uniform fault-injection rate in [0,1] (0 disables injection)")
 	traceHash := fs.Bool("trace-hash", false, "enable tracing and print the run's event and span hashes")
-	sampleIvl := fs.String("sample-interval", "", "telemetry sampling interval in sim time (e.g. 100ns, 1us; empty disables sampling)")
-	seriesFile := fs.String("series", "", "write sampled telemetry series to this file (JSON; a .csv suffix selects CSV long format)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on clean exit")
+	obs := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -62,48 +49,24 @@ func run(args []string, out io.Writer) error {
 	if *rounds < 1 {
 		return fmt.Errorf("-rounds must be >= 1, got %d", *rounds)
 	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate)
+	if err := obs.Validate(); err != nil {
+		return err
 	}
-	var sampleEvery sim.Time
-	if *sampleIvl != "" {
-		var err error
-		sampleEvery, err = sim.ParseTime(*sampleIvl)
-		if err != nil {
-			return fmt.Errorf("-sample-interval: %w", err)
-		}
+	stopProfile, err := obs.StartCPUProfile()
+	if err != nil {
+		return err
 	}
-	if *seriesFile != "" && sampleEvery == 0 {
-		return fmt.Errorf("-series requires -sample-interval")
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
+	defer stopProfile()
 
 	cfg := m3v.FPGA()
 	if *gem5 {
 		cfg = m3v.Gem5(4)
 	}
-	if *faultRate > 0 {
-		cfg.Fault = fault.Uniform(*faultSeed, *faultRate)
-	}
-	if sampleEvery > 0 {
-		cfg.Sample = m3v.SampleConfig{Interval: sampleEvery}
-	}
+	cfg.Fault = obs.Fault()
+	cfg.Sample = obs.Sample()
 	sys := m3v.NewSystem(cfg)
 	defer sys.Shutdown()
-	if *traceFile != "" || *flowsFile != "" || *traceHash {
+	if obs.Events() || *traceHash {
 		sys.Eng.Tracer().Enable()
 	}
 	procs := sys.Cfg.ProcessingTiles()
@@ -120,7 +83,7 @@ func run(args []string, out io.Writer) error {
 		_, err := a.Spawn(tiles[serverTile], serverTile, "server",
 			map[string]interface{}{"share": sh, "client": a.ID, "rounds": *rounds}, server)
 		if err != nil {
-			log.Fatalf("spawn: %v", err)
+			panic(fmt.Errorf("spawn: %w", err))
 		}
 		for !sh.ready {
 			a.Compute(1000)
@@ -128,19 +91,28 @@ func run(args []string, out io.Writer) error {
 		}
 		sgEp, err := a.SysActivate(sh.sgateSel)
 		if err != nil {
-			log.Fatalf("activate: %v", err)
+			panic(fmt.Errorf("activate: %w", err))
 		}
 		rgSel, _ := a.SysCreateRGate(1, 64)
 		rgEp, _ := a.SysActivate(rgSel)
 		start := a.Now()
 		for i := 0; i < *rounds; i++ {
 			if _, err := a.Call(sgEp, rgEp, []byte{byte(i)}); err != nil {
-				log.Fatalf("call %d: %v", i, err)
+				panic(fmt.Errorf("call %d: %w", i, err))
 			}
 		}
 		perRPC = (a.Now() - start) / m3v.Time(*rounds)
 	})
-	end := sys.Run(60 * m3v.Second)
+	// A failing model panics, as do the client and server processes; the
+	// panic surfaces from sys.Run and becomes the run's error.
+	var end m3v.Time
+	err = cliflags.Simulate(func() error {
+		end = sys.Run(60 * m3v.Second)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 
 	mode := "remote (cross-tile fast path)"
 	if *shared {
@@ -160,88 +132,14 @@ func run(args []string, out io.Writer) error {
 	}
 	if in := sys.Fault; in != nil {
 		fmt.Fprintf(out, "faults:   seed %d rate %g: %d drops, %d delays, %d dups, %d cmd fails, %d retries, %d giveups, %d stalls\n",
-			*faultSeed, *faultRate, in.NoCDrops(), in.NoCDelays(), in.NoCDups(),
+			obs.FaultSeed, obs.FaultRate, in.NoCDrops(), in.NoCDelays(), in.NoCDups(),
 			in.CmdFails(), in.CmdRetries(), in.CmdGiveups(), in.MuxStalls())
 	}
 	rec := sys.Eng.Tracer()
 	if *traceHash {
 		fmt.Fprintf(out, "trace-hash: %#x span-hash: %#x\n", rec.Hash(), rec.SpanHash())
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if err := rec.WriteChrome(f); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Fprintf(out, "trace:    %d events -> %s\n", len(rec.Events()), *traceFile)
-	}
-	if *flowsFile != "" {
-		f, err := os.Create(*flowsFile)
-		if err != nil {
-			return fmt.Errorf("flows: %w", err)
-		}
-		if err := trace.WriteFlows(f, []*trace.Recorder{rec}); err != nil {
-			return fmt.Errorf("flows: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("flows: %w", err)
-		}
-		fmt.Fprintf(out, "flows:    %d spans -> %s\n", len(rec.Spans()), *flowsFile)
-	}
-	if *seriesFile != "" {
-		sp := rec.Sampler()
-		f, err := os.Create(*seriesFile)
-		if err != nil {
-			return fmt.Errorf("series: %w", err)
-		}
-		if strings.HasSuffix(*seriesFile, ".csv") {
-			err = sp.WriteCSV(f)
-		} else {
-			err = trace.WriteSeries(f, []*trace.Recorder{rec})
-		}
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("series: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("series: %w", err)
-		}
-		fmt.Fprintf(out, "series:   %d ticks, %d series -> %s\n",
-			sp.Samples(), len(sp.Series()), *seriesFile)
-	}
-	if *metrics {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, rec.Summary())
-	}
-	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeHeapProfile dumps the heap profile after a GC, so the file reflects
-// live objects rather than garbage awaiting collection.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	return nil
+	return obs.Export(out, []*trace.Recorder{rec})
 }
 
 func server(a *m3v.Activity) {
@@ -250,26 +148,26 @@ func server(a *m3v.Activity) {
 	rounds := a.Env["rounds"].(int)
 	rgSel, err := a.SysCreateRGate(2, 64)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	rgEp, err := a.SysActivate(rgSel)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	sgSel, err := a.SysCreateSGate(rgSel, 0, 1)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	delegated, err := a.SysDelegate(client, sgSel)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	sh.sgateSel = delegated
 	sh.ready = true
 	for i := 0; i < rounds; i++ {
 		slot, msg := a.Recv(rgEp)
 		if err := a.ReplyMsg(rgEp, slot, msg, []byte{1}, 0); err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func main() {
 // out. Split from main for CLI tests.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("m3vstat", flag.ContinueOnError)
-	csv := fs.Bool("csv", false, "dump the samples as CSV (series,kind,t_ps,value) instead of the report")
+	csv := fs.Bool("csv", false, "dump the samples as CSV (run,series,kind,t_ps,value) instead of the report")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 // Command m3vbench's fixture pins walltime's cmd/ carve-out: harness
-// binaries measure real wall time (bench-json timestamps, speedup
-// reports), so nothing here is flagged. This mirrors the real
-// cmd/m3vbench/main.go timestamp and wall-clock usage.
+// binaries measure real wall time (report timestamps, request latencies),
+// so nothing here is flagged.
 package main
 
 import (

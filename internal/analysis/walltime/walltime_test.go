@@ -19,14 +19,13 @@ func TestWalltime(t *testing.T) {
 	)
 }
 
-// TestBenchTimestampStaysExempt pins the carve-out on the real harness
-// binary: cmd/m3vbench reads the wall clock for its bench-json timestamp
-// and speedup measurement (main.go), and walltime must keep accepting
-// that. The test fails if the binary stops using the wall clock (the pin
+// TestBenchTimestampStaysExempt pins the carve-out on a real harness
+// binary: cmd/m3vload reads the wall clock to time its requests and the
+// whole load run (main.go), and walltime must keep accepting that. The test fails if the binary stops using the wall clock (the pin
 // is then meaningless and should move) or if the analyzer starts flagging
 // it.
 func TestBenchTimestampStaysExempt(t *testing.T) {
-	units, err := load.Packages("../../..", "./cmd/m3vbench")
+	units, err := load.Packages("../../..", "./cmd/m3vload")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -48,7 +47,7 @@ func TestBenchTimestampStaysExempt(t *testing.T) {
 		})
 	}
 	if wallReads == 0 {
-		t.Fatal("cmd/m3vbench no longer reads the wall clock; relocate this exemption pin")
+		t.Fatal("cmd/m3vload no longer reads the wall clock; relocate this exemption pin")
 	}
 
 	findings, err := analysis.Run([]*analysis.Unit{u}, suite.Analyzers)
@@ -57,7 +56,7 @@ func TestBenchTimestampStaysExempt(t *testing.T) {
 	}
 	for _, f := range findings {
 		if f.Analyzer == walltime.Analyzer.Name {
-			t.Errorf("walltime must exempt cmd/m3vbench: %s", f)
+			t.Errorf("walltime must exempt cmd/m3vload: %s", f)
 		}
 	}
 	if !strings.HasPrefix(u.Path, "m3v/cmd/") || !analysis.IsCmd(u.Path) {

@@ -19,9 +19,14 @@ const (
 	fig9Runs   = 2
 )
 
+// Fig9MaxTiles is the largest tile count of the figure's 1..12 range; a
+// Params.Tiles entry beyond it is rejected by the CLI and clamped by the
+// served fig9.
+const Fig9MaxTiles = 12
+
 // fig9Tiles is the tile-count series of the figure; Params.Tiles
 // overrides it.
-var fig9Tiles = []int{1, 2, 4, 8, 12}
+var fig9Tiles = []int{1, 2, 4, 8, Fig9MaxTiles}
 
 // playerResult records one traceplayer's timed window.
 type playerResult struct {
@@ -173,7 +178,7 @@ func fig9(p Params, c *sim.Canceler) (*Result, error) {
 func serveFig9(p Params, c *sim.Canceler) (*Result, error) {
 	n := 1
 	if len(p.Tiles) > 0 {
-		n = min(max(p.Tiles[0], 1), 12)
+		n = min(max(p.Tiles[0], 1), Fig9MaxTiles)
 	}
 	p.Tiles = []int{n}
 	return fig9Sweep(p, c, false)

@@ -36,29 +36,22 @@ type chromeFile struct {
 // ps to chrome microseconds.
 func usOf(ps int64) float64 { return float64(ps) / 1e6 }
 
-// WriteChrome writes the recorder's events as Chrome trace-event JSON.
-func (r *Recorder) WriteChrome(w io.Writer) error {
-	return writeChrome(w, []*Recorder{r}, 0)
-}
+// chromePidStride spaces the runs of one trace: recorder i's tiles appear
+// as processes i*chromePidStride + tile, and its global counter tracks on
+// the last pid of that window.
+const chromePidStride = 1000
 
-// WriteChromeMerged writes several recorders (e.g. one per benchmarked
-// System) into a single trace; recorder i's tiles appear as processes
-// i*pidStride + tile. A pidStride of 0 uses 1000.
+// WriteChrome writes the recorders' events, spans and sampled series (e.g.
+// one recorder per benchmarked System) into a single Chrome trace; recorder
+// i's tiles appear as processes i*1000 + tile.
 //
 // Events are ordered by (run, timestamp): each recorder's stream is written
 // in full before the next one's, and is internally time-ordered because a
 // recorder appends in simulated-time order. The run index is the recorder's
 // position in recs — with auto-registered recorders from a parallel sweep
-// that is completion order, not sweep-point order, so two merged traces of
-// the same experiment may list the same runs under different pids.
-func WriteChromeMerged(w io.Writer, recs []*Recorder, pidStride int) error {
-	return writeChrome(w, recs, pidStride)
-}
-
-func writeChrome(w io.Writer, recs []*Recorder, pidStride int) error {
-	if pidStride == 0 {
-		pidStride = 1000
-	}
+// that is completion order, not sweep-point order, so two traces of the
+// same experiment may list the same runs under different pids.
+func WriteChrome(w io.Writer, recs []*Recorder) error {
 	var out chromeFile
 	type lane struct{ pid, tid int }
 	seen := make(map[lane]bool)
@@ -68,9 +61,9 @@ func writeChrome(w io.Writer, recs []*Recorder, pidStride int) error {
 			return
 		}
 		seen[l] = true
-		proc := fmt.Sprintf("tile %d", pid%pidStride)
+		proc := fmt.Sprintf("tile %d", pid%chromePidStride)
 		if len(recs) > 1 {
-			proc = fmt.Sprintf("sys%d tile %d", ri, pid%pidStride)
+			proc = fmt.Sprintf("sys%d tile %d", ri, pid%chromePidStride)
 		}
 		out.TraceEvents = append(out.TraceEvents,
 			chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
@@ -82,7 +75,7 @@ func writeChrome(w io.Writer, recs []*Recorder, pidStride int) error {
 	for ri, r := range recs {
 		for i := range r.Events() {
 			ev := &r.events[i]
-			pid := ri*pidStride + int(ev.Tile)
+			pid := ri*chromePidStride + int(ev.Tile)
 			tid := int(ev.Comp) + 1 // tid 0 reserved for process metadata
 			name(pid, tid, ri, ev.Comp)
 			ce := chromeEvent{
@@ -105,8 +98,8 @@ func writeChrome(w io.Writer, recs []*Recorder, pidStride int) error {
 			}
 			out.TraceEvents = append(out.TraceEvents, ce)
 		}
-		writeChromeSpans(&out, r, ri, pidStride, name)
-		writeChromeCounters(&out, r, ri, pidStride)
+		writeChromeSpans(&out, r, ri, name)
+		writeChromeCounters(&out, r, ri)
 	}
 	out.DisplayTimeUnit = "ns"
 	enc := json.NewEncoder(w)
@@ -120,7 +113,7 @@ type spanLane struct{ pid, tid int }
 // dedicated per-component lanes, then stitches each flow's spans together
 // with Perfetto flow events ("s"/"t"/"f") so the UI draws connected arrows
 // from the sending DTU across the NoC to the receiving tile.
-func writeChromeSpans(out *chromeFile, r *Recorder, ri, pidStride int,
+func writeChromeSpans(out *chromeFile, r *Recorder, ri int,
 	name func(pid, tid, ri int, comp Component)) {
 	spans := r.Spans()
 	if len(spans) == 0 {
@@ -136,7 +129,7 @@ func writeChromeSpans(out *chromeFile, r *Recorder, ri, pidStride int,
 	var flowOrder []uint64
 	for i := range spans {
 		s := &spans[i]
-		pid := ri*pidStride + int(s.Tile)
+		pid := ri*chromePidStride + int(s.Tile)
 		// Span lanes sit after the component event lanes (tid 0 is
 		// metadata, 1..numComponents are event lanes).
 		tid := 1 + int(numComponents) + int(s.Comp)
@@ -209,18 +202,18 @@ func writeChromeSpans(out *chromeFile, r *Recorder, ri, pidStride int,
 // (name "tileNN.component.what") attach to that tile's process; global
 // series (engine, NoC) go to a per-run "metrics" pseudo-process at the last
 // pid of the run's stride window.
-func writeChromeCounters(out *chromeFile, r *Recorder, ri, pidStride int) {
+func writeChromeCounters(out *chromeFile, r *Recorder, ri int) {
 	sp := r.Sampler()
 	if sp == nil {
 		return
 	}
-	metricsPid := ri*pidStride + pidStride - 1
+	metricsPid := ri*chromePidStride + chromePidStride - 1
 	namedMetricsPid := false
 	for _, sr := range sp.Series() {
 		pid := metricsPid
 		var tile int
 		if n, _ := fmt.Sscanf(sr.Name(), "tile%d.", &tile); n == 1 {
-			pid = ri*pidStride + tile
+			pid = ri*chromePidStride + tile
 		} else if !namedMetricsPid {
 			namedMetricsPid = true
 			proc := "metrics"

@@ -112,8 +112,8 @@ func pathOf(s string) Path {
 }
 
 // WriteFlowsChrome renders a parsed flow file as Chrome trace-event JSON
-// with Perfetto flow arrows — the file-based equivalent of WriteChromeMerged
-// for runs whose recorders are no longer live.
+// with Perfetto flow arrows — the file-based equivalent of WriteChrome for
+// runs whose recorders are no longer live.
 func WriteFlowsChrome(w io.Writer, f *FlowFile) error {
 	recs := make([]*Recorder, 0, len(f.Runs))
 	for _, run := range f.Runs {
@@ -128,7 +128,7 @@ func WriteFlowsChrome(w io.Writer, f *FlowFile) error {
 		}
 		recs = append(recs, r)
 	}
-	return writeChrome(w, recs, 0)
+	return WriteChrome(w, recs)
 }
 
 // ReadFlows parses a FlowFile and validates the schema marker.

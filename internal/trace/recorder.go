@@ -279,7 +279,8 @@ func Registered() []*Recorder {
 	return append([]*Recorder(nil), registered...)
 }
 
-// ClearRegistered empties the global registry (for tests).
+// ClearRegistered empties the global registry, so a new collection starts
+// from no recorders.
 func ClearRegistered() {
 	globalMu.Lock()
 	registered = nil

@@ -157,27 +157,6 @@ func (s *Sampler) Series() []*Series {
 	return out
 }
 
-// WriteCSV writes the series in long format — one row per sample:
-//
-//	series,kind,t_ps,value
-//
-// Long format keeps rows self-describing even though series can start at
-// different ticks or wrap their rings at different times.
-func (s *Sampler) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "series,kind,t_ps,value\n"); err != nil {
-		return err
-	}
-	for _, sr := range s.Series() {
-		for i := 0; i < sr.Len(); i++ {
-			t, v := sr.Sample(i)
-			if _, err := fmt.Fprintf(w, "%s,%s,%d,%d\n", sr.name, sr.kind, t, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // seriesSchema identifies the telemetry series file format.
 const seriesSchema = "m3vseries/v1"
 

@@ -335,22 +335,6 @@ func TestReadSeriesRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestSamplerWriteCSV(t *testing.T) {
-	m := NewMetrics()
-	m.Gauge("a.depth").Set(3)
-	m.Counter("b.sends").Add(2)
-	s := NewSampler(m, 10, 0)
-	s.Sample(10)
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	want := "series,kind,t_ps,value\na.depth,gauge,10,3\nb.sends,delta,10,2\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
-	}
-}
-
 // TestWriteChromeCounterTracks checks the Perfetto export: sampled series
 // become "ph":"C" counter events, tile-prefixed series land on the tile's
 // pid, and everything else goes to the metrics pseudo-process.
@@ -368,7 +352,7 @@ func TestWriteChromeCounterTracks(t *testing.T) {
 	s.Sample(100)
 
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var parsed struct {
@@ -415,7 +399,7 @@ func TestWriteChromeNoSampler(t *testing.T) {
 	r.Enable()
 	r.Irq(100, 1, 2)
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	if strings.Contains(buf.String(), `"ph":"C"`) {

@@ -53,7 +53,7 @@ func TestSummaryGaugesAndQuantiles(t *testing.T) {
 func TestWriteChromeEmpty(t *testing.T) {
 	r := NewRecorder()
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var parsed struct {

@@ -174,7 +174,7 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	r.NoCPacket(4100, 60, 2, 0, 80, false)
 	r.ActExit(5000, 0, 1, 0)
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var parsed struct {
@@ -211,8 +211,8 @@ func TestWriteChromeMerged(t *testing.T) {
 	b.Enable()
 	b.Irq(20, 1, 0)
 	var buf bytes.Buffer
-	if err := WriteChromeMerged(&buf, []*Recorder{a, b}, 100); err != nil {
-		t.Fatalf("WriteChromeMerged: %v", err)
+	if err := WriteChrome(&buf, []*Recorder{a, b}); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
 	}
 	var parsed struct {
 		TraceEvents []struct {
@@ -229,8 +229,8 @@ func TestWriteChromeMerged(t *testing.T) {
 			pids[ev.Pid] = true
 		}
 	}
-	if !pids[1] || !pids[101] {
-		t.Fatalf("merged pids = %v, want tiles at 1 and 101", pids)
+	if !pids[1] || !pids[1001] {
+		t.Fatalf("merged pids = %v, want tiles at 1 and 1001", pids)
 	}
 }
 
