@@ -39,7 +39,10 @@ echo "== perfbench module =="
 (cd perfbench && go vet ./... && go test -short ./...)
 
 echo "== fuzz seeds =="
-go test -run '^Fuzz' ./internal/sim ./internal/noc ./internal/dtu ./internal/serve
+# FuzzReadFlows (internal/trace) and FuzzReadSeries (cmd/m3vstat) feed the
+# flow and series file readers and everything m3vtrace/m3vstat run on them.
+go test -run '^Fuzz' ./internal/sim ./internal/noc ./internal/dtu ./internal/serve \
+    ./internal/trace ./cmd/m3vstat
 
 echo "== parallel sweep runner under race =="
 # The full race pass above already covers the heavy equivalence tests; this
@@ -168,6 +171,8 @@ if [ -n "${FUZZTIME:-}" ]; then
     go test -fuzz FuzzNoCArbitration -fuzztime "$FUZZTIME" ./internal/noc
     go test -fuzz FuzzDTUCommands -fuzztime "$FUZZTIME" ./internal/dtu
     go test -fuzz FuzzCanonicalize -fuzztime "$FUZZTIME" ./internal/serve
+    go test -fuzz FuzzReadFlows -fuzztime "$FUZZTIME" ./internal/trace
+    go test -fuzz FuzzReadSeries -fuzztime "$FUZZTIME" ./cmd/m3vstat
 fi
 
 echo "CI gate passed."

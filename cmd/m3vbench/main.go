@@ -87,7 +87,7 @@ func parseOptions(args []string) (*options, error) {
 
 // params builds the one configuration value every experiment runs with.
 func (o *options) params() bench.Params {
-	return bench.Params{Tiles: o.fig9Series, Fault: o.obs.Fault(), Sample: o.obs.Sample()}
+	return bench.Params{Tiles: o.fig9Series, Fault: o.obs.Fault(), SampleInterval: o.obs.SampleInterval()}
 }
 
 // parseTiles parses a -fig9-tiles series like "1,2,4"; every entry must lie

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"m3v/internal/bench"
-	"m3v/internal/core"
 	"m3v/internal/fault"
 	"m3v/internal/sim"
 	"m3v/internal/trace"
@@ -104,7 +103,7 @@ func TestParseOptionsFig9Tiles(t *testing.T) {
 	if ids := runIDs(o); !reflect.DeepEqual(ids, []string{"fig9", "table1"}) || o.obs.FaultRate != 0.1 || o.obs.FaultSeed != 7 {
 		t.Errorf("options = %+v", o)
 	}
-	want := bench.Params{Tiles: []int{1, 2, 4}, Fault: fault.Uniform(7, 0.1)}
+	want := bench.Params{Tiles: []int{1, 2, 4}, Fault: fault.Config{Seed: 7, Rate: 0.1}}
 	if p := o.params(); !reflect.DeepEqual(p, want) {
 		t.Errorf("params = %+v, want %+v", p, want)
 	}
@@ -153,8 +152,8 @@ func TestParseOptionsSampling(t *testing.T) {
 	if o.obs.Series != "s.json" {
 		t.Errorf("series file = %q", o.obs.Series)
 	}
-	if p := o.params(); p.Sample != (core.SampleConfig{Interval: 100 * sim.Nanosecond}) {
-		t.Errorf("params sampling = %+v", p.Sample)
+	if p := o.params(); p.SampleInterval != 100*sim.Nanosecond {
+		t.Errorf("params sampling = %v", p.SampleInterval)
 	}
 }
 

@@ -63,7 +63,7 @@ func run(args []string, out io.Writer) error {
 		cfg = m3v.Gem5(4)
 	}
 	cfg.Fault = obs.Fault()
-	cfg.Sample = obs.Sample()
+	cfg.SampleInterval = obs.SampleInterval()
 	sys := m3v.NewSystem(cfg)
 	defer sys.Shutdown()
 	if obs.Events() || *traceHash {

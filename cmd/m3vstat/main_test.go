@@ -12,7 +12,7 @@ import (
 // writeFixture samples a synthetic registry into a series file: one tile's
 // busy-time counter ramping to saturation, a queue-depth gauge, and a
 // latency histogram.
-func writeFixture(t *testing.T) string {
+func writeFixture(t testing.TB) string {
 	t.Helper()
 	r := trace.NewRecorder()
 	m := r.Metrics()
@@ -22,7 +22,7 @@ func writeFixture(t *testing.T) string {
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i * 1000)
 	}
-	s := trace.NewSampler(m, 1000, 0)
+	s := trace.NewSampler(m, 1000)
 	r.SetSampler(s)
 	for tick := int64(1); tick <= 10; tick++ {
 		// Ramp: idle for 5 ticks, then fully busy.

@@ -24,8 +24,9 @@ type Params struct {
 	Tiles []int
 	// Fault arms deterministic fault injection on every simulated platform.
 	Fault fault.Config
-	// Sample arms sim-time telemetry sampling on every simulated platform.
-	Sample core.SampleConfig
+	// SampleInterval arms sim-time telemetry sampling on every simulated
+	// platform; 0 keeps it off.
+	SampleInterval sim.Time
 }
 
 // boot builds a platform from cfg with p's fault injection and sampling,
@@ -33,7 +34,7 @@ type Params struct {
 // platforms here.
 func (p Params) boot(cfg core.Config, c *sim.Canceler) *core.System {
 	cfg.Fault = p.Fault
-	cfg.Sample = p.Sample
+	cfg.SampleInterval = p.SampleInterval
 	sys := core.New(cfg)
 	c.Attach(sys.Eng)
 	return sys

@@ -165,7 +165,7 @@ func TestConcurrentParamsIsolation(t *testing.T) {
 	}{
 		{"fig6", func() (*Result, error) { return fig6.Servable(Params{}, nil) }},
 		{"fig6 faults", func() (*Result, error) {
-			return fig6.Servable(Params{Fault: fault.Uniform(7, 0.05)}, nil)
+			return fig6.Servable(Params{Fault: fault.Config{Seed: 7, Rate: 0.05}}, nil)
 		}},
 		{"fig9", func() (*Result, error) { return fig9.Servable(Params{Tiles: []int{1}}, nil) }},
 	}

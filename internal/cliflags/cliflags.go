@@ -32,8 +32,8 @@ type Options struct {
 	CPUProfile string
 	MemProfile string
 
-	sampleInterval string
-	sampleEvery    sim.Time
+	sampleText  string
+	sampleEvery sim.Time
 }
 
 // Register declares the shared flags on fs. Call Validate after fs.Parse.
@@ -45,7 +45,7 @@ func Register(fs *flag.FlagSet) *Options {
 	fs.BoolVar(&o.Metrics, "metrics", false, "print the metrics registry of each simulated run")
 	fs.Uint64Var(&o.FaultSeed, "fault-seed", 1, "fault-injection schedule seed (with -fault-rate)")
 	fs.Float64Var(&o.FaultRate, "fault-rate", 0, "uniform fault-injection rate in [0,1] applied to every simulated system (0 disables)")
-	fs.StringVar(&o.sampleInterval, "sample-interval", "", "telemetry sampling interval in sim time, e.g. 100ns or 1us (empty disables)")
+	fs.StringVar(&o.sampleText, "sample-interval", "", "telemetry sampling interval in sim time, at least 10ns, e.g. 100ns or 1us (empty disables)")
 	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile to this file on clean exit")
 	return o
@@ -56,10 +56,13 @@ func (o *Options) Validate() error {
 	if o.FaultRate < 0 || o.FaultRate > 1 {
 		return fmt.Errorf("-fault-rate must be in [0,1], got %g", o.FaultRate)
 	}
-	if o.sampleInterval != "" {
-		every, err := sim.ParseTime(o.sampleInterval)
+	if o.sampleText != "" {
+		every, err := sim.ParseTime(o.sampleText)
 		if err != nil {
 			return fmt.Errorf("-sample-interval: %w", err)
+		}
+		if every < core.MinSampleInterval {
+			return fmt.Errorf("-sample-interval must be at least %v, got %v", core.MinSampleInterval, every)
 		}
 		o.sampleEvery = every
 	}
@@ -75,14 +78,12 @@ func (o *Options) Fault() fault.Config {
 	if o.FaultRate == 0 {
 		return fault.Config{}
 	}
-	return fault.Uniform(o.FaultSeed, o.FaultRate)
+	return fault.Config{Seed: o.FaultSeed, Rate: o.FaultRate}
 }
 
-// Sample is the telemetry sampling configuration every simulated system
-// runs with; the zero value (sampling off) without -sample-interval.
-func (o *Options) Sample() core.SampleConfig {
-	return core.SampleConfig{Interval: o.sampleEvery}
-}
+// SampleInterval is the telemetry sampling interval every simulated system
+// runs with; 0 (sampling off) without -sample-interval.
+func (o *Options) SampleInterval() sim.Time { return o.sampleEvery }
 
 // Events reports whether the runs must record their event and span streams.
 func (o *Options) Events() bool { return o.Trace != "" || o.Flows != "" }

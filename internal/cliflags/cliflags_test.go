@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"m3v/internal/core"
 	"m3v/internal/fault"
 	"m3v/internal/sim"
 )
@@ -37,6 +36,9 @@ func TestValidate(t *testing.T) {
 		{"bad interval", []string{"-sample-interval", "later"}, "-sample-interval"},
 		{"interval with spaces", []string{"-sample-interval", "5 minutes"}, "-sample-interval"},
 		{"series needs interval", []string{"-series", "s.json"}, "-series requires -sample-interval"},
+		{"interval 1ps", []string{"-sample-interval", "1ps"}, "-sample-interval must be at least 10ns"},
+		{"interval 9ns", []string{"-sample-interval", "9ns"}, "-sample-interval must be at least 10ns"},
+		{"zero interval", []string{"-sample-interval", "0s"}, "-sample-interval must be at least 10ns"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -55,8 +57,8 @@ func TestConfigValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse(nil): %v", err)
 	}
-	if o.Fault() != (fault.Config{}) || o.Sample() != (core.SampleConfig{}) {
-		t.Errorf("defaults = %+v / %+v, want zero values", o.Fault(), o.Sample())
+	if o.Fault() != (fault.Config{}) || o.SampleInterval() != 0 {
+		t.Errorf("defaults = %+v / %v, want zero values", o.Fault(), o.SampleInterval())
 	}
 	if o.FaultSeed != 1 || o.Collect() || o.Events() {
 		t.Errorf("defaults = %+v", o)
@@ -66,11 +68,11 @@ func TestConfigValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if o.Fault() != fault.Uniform(7, 0.1) {
+	if o.Fault() != (fault.Config{Seed: 7, Rate: 0.1}) {
 		t.Errorf("Fault() = %+v", o.Fault())
 	}
-	if o.Sample() != (core.SampleConfig{Interval: 100 * sim.Nanosecond}) {
-		t.Errorf("Sample() = %+v", o.Sample())
+	if o.SampleInterval() != 100*sim.Nanosecond {
+		t.Errorf("SampleInterval() = %v", o.SampleInterval())
 	}
 	if !o.Collect() || o.Events() {
 		t.Errorf("-series: Collect %v Events %v, want true/false", o.Collect(), o.Events())

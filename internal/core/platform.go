@@ -22,7 +22,6 @@ const (
 	KindController TileKind = iota
 	KindProcessing
 	KindMemory
-	KindAccel
 )
 
 // TileSpec describes one tile of the platform.
@@ -38,29 +37,23 @@ type Config struct {
 	Name  string
 	Tiles []TileSpec
 	NoC   noc.Config
-	Mem   func(size uint64) mem.Config
 	// BaselineM3x builds the M³x baseline instead of M³v: plain DTUs with
 	// RCTMux on the tiles and remote multiplexing in the controller.
 	BaselineM3x bool
 	// Fault selects deterministic fault injection (see internal/fault).
-	// The zero value — or any config with all rates zero — builds the
-	// perfect platform.
+	// The zero value — or any config with a zero rate — builds the perfect
+	// platform.
 	Fault fault.Config
-	// Sample arms sim-time telemetry sampling (see sim.StartSampling). The
-	// zero value keeps sampling off.
-	Sample SampleConfig
+	// SampleInterval arms sim-time telemetry sampling (see
+	// sim.StartSampling) at this period; 0 keeps sampling off.
+	SampleInterval sim.Time
 }
 
-// SampleConfig configures the sim-time telemetry sampler.
-type SampleConfig struct {
-	// Interval is the sampling period in sim time; 0 disables sampling.
-	Interval sim.Time
-	// Cap bounds each series' ring buffer (0 = trace.DefaultSampleCap).
-	Cap int
-}
-
-// Enabled reports whether this config arms the sampler.
-func (sc SampleConfig) Enabled() bool { return sc.Interval > 0 }
+// MinSampleInterval is the shortest sampling period the command lines and
+// m3vd accept. It sits below one NoC hop (15 ns); much shorter periods let
+// the sampler's own ticks dominate the run (at 1 ps a single m3vsim round
+// does not finish within a minute).
+const MinSampleInterval = 10 * sim.Nanosecond
 
 // WithM3x returns a copy of the config that builds the M³x baseline.
 func (c Config) WithM3x() Config {
@@ -88,7 +81,7 @@ func FPGAConfig() Config {
 		TileSpec{Name: "ddr0", Kind: KindMemory, MemSize: 512 << 20},
 		TileSpec{Name: "ddr1", Kind: KindMemory, MemSize: 512 << 20},
 	)
-	return Config{Name: "fpga", Tiles: tiles, NoC: noc.DefaultConfig(), Mem: mem.DefaultConfig}
+	return Config{Name: "fpga", Tiles: tiles, NoC: noc.DefaultConfig()}
 }
 
 // Gem5Config mirrors the M³x comparison setup (§6.4): a controller plus n
@@ -101,7 +94,7 @@ func Gem5Config(userTiles int) Config {
 		})
 	}
 	tiles = append(tiles, TileSpec{Name: "dram", Kind: KindMemory, MemSize: 1 << 30})
-	return Config{Name: "gem5", Tiles: tiles, NoC: noc.DefaultConfig(), Mem: mem.DefaultConfig}
+	return Config{Name: "gem5", Tiles: tiles, NoC: noc.DefaultConfig()}
 }
 
 // Tile is one built tile.

@@ -8,12 +8,13 @@ import (
 	"m3v/internal/sim"
 )
 
-// runSampledRPC is runTracedRPC with a sampling config: it boots a system,
-// runs n tile-local no-op RPCs, and returns the system for inspection.
-func runSampledRPC(t *testing.T, sc SampleConfig, n int) *System {
+// runSampledRPC is runTracedRPC with a sampling interval (0 for off): it
+// boots a system, runs n tile-local no-op RPCs, and returns the system for
+// inspection.
+func runSampledRPC(t *testing.T, every sim.Time, n int) *System {
 	t.Helper()
 	cfg := FPGAConfig()
-	cfg.Sample = sc
+	cfg.SampleInterval = every
 	sys := New(cfg)
 	sys.Eng.Tracer().Enable()
 	procs := sys.Cfg.ProcessingTiles()
@@ -53,17 +54,17 @@ func runSampledRPC(t *testing.T, sc SampleConfig, n int) *System {
 }
 
 // TestSamplingDisabledBitIdentical pins the zero-cost-when-disabled
-// contract: a system built with a zero SampleConfig arms no sampler and
+// contract: a system built with a zero SampleInterval arms no sampler and
 // produces exactly the event and span streams of the pre-telemetry code
 // path — run twice, the hashes must match, and they must match a run that
 // never mentions sampling at all (runTracedRPC).
 func TestSamplingDisabledBitIdentical(t *testing.T) {
 	plain := runTracedRPC(t, true, 10)
 	defer plain.Shutdown()
-	off := runSampledRPC(t, SampleConfig{}, 10)
+	off := runSampledRPC(t, 0, 10)
 	defer off.Shutdown()
 	if off.Eng.Tracer().Sampler() != nil {
-		t.Fatal("zero SampleConfig armed a sampler")
+		t.Fatal("zero SampleInterval armed a sampler")
 	}
 	pr, or := plain.Eng.Tracer(), off.Eng.Tracer()
 	if pr.Hash() != or.Hash() || len(pr.Events()) != len(or.Events()) {
@@ -80,9 +81,9 @@ func TestSamplingDisabledBitIdentical(t *testing.T) {
 // event and span hashes as one with sampling OFF — telemetry observes the
 // simulation without changing it.
 func TestSamplingDoesNotPerturbTrace(t *testing.T) {
-	off := runSampledRPC(t, SampleConfig{}, 10)
+	off := runSampledRPC(t, 0, 10)
 	defer off.Shutdown()
-	on := runSampledRPC(t, SampleConfig{Interval: 100 * sim.Nanosecond}, 10)
+	on := runSampledRPC(t, 100*sim.Nanosecond, 10)
 	defer on.Shutdown()
 	offR, onR := off.Eng.Tracer(), on.Eng.Tracer()
 	if offR.Hash() != onR.Hash() || len(offR.Events()) != len(onR.Events()) {
@@ -99,7 +100,7 @@ func TestSamplingDoesNotPerturbTrace(t *testing.T) {
 // series, and the per-tile busy-time counter sampled into a utilization
 // timeline with a nonzero busy share on the worked tile.
 func TestSamplingCollectsSeries(t *testing.T) {
-	sys := runSampledRPC(t, SampleConfig{Interval: 100 * sim.Nanosecond}, 10)
+	sys := runSampledRPC(t, 100*sim.Nanosecond, 10)
 	defer sys.Shutdown()
 	sp := sys.Eng.Tracer().Sampler()
 	if sp == nil {

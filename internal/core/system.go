@@ -87,7 +87,7 @@ func New(cfg Config) *System {
 		t := &Tile{ID: id, Spec: spec}
 		switch spec.Kind {
 		case KindMemory:
-			t.DRAM = mem.New(eng, cfg.Mem(spec.MemSize))
+			t.DRAM = mem.New(eng, mem.DefaultConfig(spec.MemSize))
 			t.DTU = dtu.NewMemory(eng, net, id, t.DRAM)
 		case KindController:
 			t.DTU = dtu.New(eng, net, id, spec.Clock, false)
@@ -165,8 +165,8 @@ func New(cfg Config) *System {
 	// Telemetry sampling: armed last so the components' probes are all
 	// registered, disabled by default (no recurring event, no gauges beyond
 	// the instruments above).
-	if sc := cfg.Sample; sc.Enabled() {
-		eng.StartSampling(sc.Interval, sc.Cap)
+	if cfg.SampleInterval > 0 {
+		eng.StartSampling(cfg.SampleInterval)
 	}
 
 	s.Kern.OnActExit = func(id uint32, code int32) {
@@ -187,9 +187,6 @@ func mustEp(err error) {
 		panic(fmt.Sprintf("core: boot endpoint configuration failed: %v", err))
 	}
 }
-
-// Mem returns the DRAM model of a memory tile (for test inspection).
-func (s *System) Mem(id noc.TileID) *mem.Memory { return s.Tiles[id].DRAM }
 
 // DTU returns a tile's DTU.
 func (s *System) DTU(id noc.TileID) *dtu.DTU { return s.Tiles[id].DTU }

@@ -121,15 +121,6 @@ type recvSlot struct {
 	msg Message
 }
 
-// ConfiguredSlots reports the number of receive slots if r is a receive
-// endpoint, else 0.
-func (ep *Endpoint) ConfiguredSlots() int {
-	if ep.Kind != EpReceive {
-		return 0
-	}
-	return ep.Slots
-}
-
 // UnreadCount reports the number of unfetched messages in a receive endpoint.
 func (ep *Endpoint) UnreadCount() int {
 	n := 0

@@ -67,7 +67,7 @@ func FuzzDTUCommands(f *testing.F) {
 
 			if len(data) > 0 {
 				if rate := float64(data[0]&0x07) / 40; rate > 0 {
-					inj := fault.New(eng, fault.Uniform(uint64(data[0]), rate))
+					inj := fault.New(eng, fault.Config{Seed: uint64(data[0]), Rate: rate})
 					net.SetInjector(inj)
 					d0.SetInjector(inj)
 					d1.SetInjector(inj)

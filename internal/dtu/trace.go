@@ -15,20 +15,11 @@ func (d *DTU) Sends() int64 { return d.m.sends.Value() }
 // Replies reports the number of REPLY commands that passed validation.
 func (d *DTU) Replies() int64 { return d.m.replies.Value() }
 
-// Fetches reports the number of successful FETCH_MSG commands.
-func (d *DTU) Fetches() int64 { return d.m.fetches.Value() }
-
-// Acks reports the number of successful ACK_MSG commands.
-func (d *DTU) Acks() int64 { return d.m.acks.Value() }
-
 // Reads reports the number of successful READ commands.
 func (d *DTU) Reads() int64 { return d.m.reads.Value() }
 
 // Writes reports the number of successful WRITE commands.
 func (d *DTU) Writes() int64 { return d.m.writes.Value() }
-
-// CoreReqsRaised reports the number of core requests pushed to the queue.
-func (d *DTU) CoreReqsRaised() int64 { return d.m.coreReqs.Value() }
 
 // NackedDeliveries reports deliveries rejected for NoC-level backpressure
 // (full receive buffer or core-request queue overrun).

@@ -33,66 +33,34 @@ const (
 	classMuxStall
 )
 
-// Config selects the fault classes to inject and their rates. The zero
-// value disables injection entirely.
+// Recovery timing shared by every armed injector.
+const (
+	// noCDelayTime is the extra latency added to a delayed delivery.
+	noCDelayTime = 500 * sim.Nanosecond
+	// muxStallTime is how long a stalled wakeup poke is deferred.
+	muxStallTime = 2 * sim.Microsecond
+	// retryBase is the first retry backoff for transient failures; it
+	// doubles per attempt, capped at retryBase<<6.
+	retryBase = 200 * sim.Nanosecond
+	// retryMax bounds the retries a command wrapper attempts before giving
+	// up and surfacing the error.
+	retryMax = 12
+)
+
+// Config selects the fault schedule. Every fault class is injected at the
+// same rate; the zero value disables injection entirely.
 type Config struct {
 	// Seed keys the fault schedule. Two runs with equal seeds and equal
 	// workloads observe identical fault patterns.
 	Seed uint64
-
-	// Per-class injection rates in [0, 1].
-	NoCDrop  float64 // drop a packet at its transmit edge
-	NoCDelay float64 // add extra wire latency to a delivery
-	NoCDup   float64 // transmit a ghost duplicate (filtered at the sink)
-	CmdFail  float64 // fail a DTU send/reply command with ErrXferTimeout
-	MuxStall float64 // defer a TileMux wakeup poke
-
-	// NoCDelayTime is the extra latency added to a delayed delivery
-	// (default 500ns).
-	NoCDelayTime sim.Time
-	// MuxStallTime is how long a stalled wakeup poke is deferred
-	// (default 2µs).
-	MuxStallTime sim.Time
-	// RetryBase is the first retry backoff for transient command
-	// failures; it doubles per attempt, capped at RetryBase<<6
-	// (default 200ns).
-	RetryBase sim.Time
-	// RetryMax bounds the retries a command wrapper attempts before
-	// giving up and surfacing the error (default 12).
-	RetryMax int
+	// Rate is the per-decision injection probability in [0, 1], applied to
+	// packet drops, delays and duplicates, DTU command failures and TileMux
+	// wakeup stalls alike.
+	Rate float64
 }
 
-// Enabled reports whether any fault class has a nonzero rate.
-func (c Config) Enabled() bool {
-	return c.NoCDrop > 0 || c.NoCDelay > 0 || c.NoCDup > 0 ||
-		c.CmdFail > 0 || c.MuxStall > 0
-}
-
-// Uniform returns a Config injecting every fault class at the same rate.
-// This is what the -fault-seed/-fault-rate CLI flags build.
-func Uniform(seed uint64, rate float64) Config {
-	return Config{
-		Seed:    seed,
-		NoCDrop: rate, NoCDelay: rate, NoCDup: rate,
-		CmdFail: rate, MuxStall: rate,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.NoCDelayTime == 0 {
-		c.NoCDelayTime = 500 * sim.Nanosecond
-	}
-	if c.MuxStallTime == 0 {
-		c.MuxStallTime = 2 * sim.Microsecond
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 200 * sim.Nanosecond
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 12
-	}
-	return c
-}
+// Enabled reports whether the config injects faults.
+func (c Config) Enabled() bool { return c.Rate > 0 }
 
 // Injector answers fault-injection queries for one engine. It owns the
 // graceful-degradation counters (fault.*) in the engine's metric registry
@@ -126,7 +94,7 @@ func New(eng *sim.Engine, cfg Config) *Injector {
 	return &Injector{
 		eng:         eng,
 		rec:         eng.Tracer(),
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		sends:       m.Counter("fault.noc_sends"),
 		drops:       m.Counter("fault.noc_drops"),
 		delays:      m.Counter("fault.noc_delays"),
@@ -155,10 +123,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// roll draws one deterministic decision for the class at the given rate.
+// roll draws one deterministic decision for the class at the configured
+// rate.
 //
 //m3v:noalloc
-func (in *Injector) roll(class uint64, rate float64) bool {
+func (in *Injector) roll(class uint64) bool {
+	rate := in.cfg.Rate
 	if rate <= 0 {
 		return false
 	}
@@ -169,7 +139,7 @@ func (in *Injector) roll(class uint64, rate float64) bool {
 }
 
 // backoff is the exponential retry backoff for the given 0-based attempt,
-// capped at RetryBase<<6.
+// capped at retryBase<<6.
 //
 //m3v:noalloc
 func (in *Injector) backoff(attempt int) sim.Time {
@@ -177,7 +147,7 @@ func (in *Injector) backoff(attempt int) sim.Time {
 	if shift > 6 {
 		shift = 6
 	}
-	return in.cfg.RetryBase << uint(shift)
+	return retryBase << uint(shift)
 }
 
 // CountSend accounts one packet entering the NoC, for the conservation
@@ -195,7 +165,7 @@ func (in *Injector) CountSend() {
 // returns the retransmit backoff to apply and emits a fault.drop span over
 // the backoff window. Nil-safe: returns (0, false) when unarmed.
 func (in *Injector) Drop(flow uint64, tile, attempt int) (sim.Time, bool) {
-	if in == nil || !in.roll(classNoCDrop, in.cfg.NoCDrop) {
+	if in == nil || !in.roll(classNoCDrop) {
 		return 0, false
 	}
 	in.drops.Inc()
@@ -222,11 +192,11 @@ func (in *Injector) TerminalDrop(flow uint64, tile, attempt int) {
 // and returns the penalty (0 when not injecting). Emits a fault.delay span
 // over the penalty window. Nil-safe.
 func (in *Injector) Delay(flow uint64, tile int) sim.Time {
-	if in == nil || !in.roll(classNoCDelay, in.cfg.NoCDelay) {
+	if in == nil || !in.roll(classNoCDelay) {
 		return 0
 	}
 	in.delays.Inc()
-	d := in.cfg.NoCDelayTime
+	d := noCDelayTime
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultDelay, now, now+int64(d),
 		tile, trace.CompFault, trace.PathNone, int64(d), 0)
@@ -237,7 +207,7 @@ func (in *Injector) Delay(flow uint64, tile int) sim.Time {
 // The caller books the ghost through the normal contention path and
 // discards it at the destination via DiscardGhost. Nil-safe.
 func (in *Injector) Dup(flow uint64, tile int) bool {
-	if in == nil || !in.roll(classNoCDup, in.cfg.NoCDup) {
+	if in == nil || !in.roll(classNoCDup) {
 		return false
 	}
 	in.dups.Inc()
@@ -262,7 +232,7 @@ func (in *Injector) DiscardGhost() {
 // FailCmd decides whether to fail the current DTU command with a transient
 // error. kind is 0 for send, 1 for reply. Nil-safe.
 func (in *Injector) FailCmd(flow uint64, tile, kind int) bool {
-	if in == nil || !in.roll(classCmdFail, in.cfg.CmdFail) {
+	if in == nil || !in.roll(classCmdFail) {
 		return false
 	}
 	in.cmdFails.Inc()
@@ -280,7 +250,7 @@ func (in *Injector) CmdRetry(attempt int) (sim.Time, bool) {
 	if in == nil {
 		return 0, false
 	}
-	if attempt >= in.cfg.RetryMax {
+	if attempt >= retryMax {
 		in.cmdGiveups.Inc()
 		return 0, false
 	}
@@ -301,11 +271,11 @@ func (in *Injector) EmitRetry(flow uint64, at, end int64, tile, attempt int) {
 // Stall decides whether to defer a TileMux wakeup poke and returns the
 // stall duration. Emits a fault.stall span over the deferral. Nil-safe.
 func (in *Injector) Stall(flow uint64, tile int) (sim.Time, bool) {
-	if in == nil || !in.roll(classMuxStall, in.cfg.MuxStall) {
+	if in == nil || !in.roll(classMuxStall) {
 		return 0, false
 	}
 	in.stalls.Inc()
-	d := in.cfg.MuxStallTime
+	d := muxStallTime
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultStall, now, now+int64(d),
 		tile, trace.CompFault, trace.PathNone, int64(d), 0)

@@ -60,7 +60,7 @@ func TestZeroRateNeverFires(t *testing.T) {
 
 func TestRateOneAlwaysFires(t *testing.T) {
 	eng := sim.NewEngine()
-	in := New(eng, Uniform(3, 1.0))
+	in := New(eng, Config{Seed: 3, Rate: 1.0})
 	for i := 0; i < 100; i++ {
 		if _, ok := in.Drop(1, 0, 0); !ok {
 			t.Fatal("rate-1 drop missed")
@@ -80,7 +80,7 @@ func TestRateOneAlwaysFires(t *testing.T) {
 // rollStream draws n decisions of one class and returns the outcomes.
 func rollStream(seed uint64, rate float64, n int) []bool {
 	eng := sim.NewEngine()
-	in := New(eng, Config{Seed: seed, NoCDrop: rate})
+	in := New(eng, Config{Seed: seed, Rate: rate})
 	out := make([]bool, n)
 	for i := range out {
 		_, out[i] = in.Drop(1, 0, 0)
@@ -127,12 +127,12 @@ func TestRollRateRoughlyHonored(t *testing.T) {
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
 	eng := sim.NewEngine()
-	in := New(eng, Config{Seed: 1, CmdFail: 0.5})
+	in := New(eng, Config{Seed: 1, Rate: 0.5})
 	base := 200 * sim.Nanosecond
 	for attempt := 0; attempt < 10; attempt++ {
 		d, ok := in.CmdRetry(attempt)
 		if !ok {
-			t.Fatalf("attempt %d: retry denied before RetryMax", attempt)
+			t.Fatalf("attempt %d: retry denied before retryMax", attempt)
 		}
 		want := base << uint(min(attempt, 6))
 		if d != want {
@@ -140,7 +140,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 		}
 	}
 	if _, ok := in.CmdRetry(12); ok {
-		t.Fatal("retry granted past RetryMax")
+		t.Fatal("retry granted past retryMax")
 	}
 	if in.CmdRetries() != 10 || in.CmdGiveups() != 1 {
 		t.Fatalf("retry counters = %d/%d, want 10/1", in.CmdRetries(), in.CmdGiveups())
@@ -150,7 +150,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 func TestCountersAndSpans(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Tracer().Enable()
-	in := New(eng, Uniform(11, 1.0))
+	in := New(eng, Config{Seed: 11, Rate: 1.0})
 	in.CountSend()
 	in.Drop(1, 2, 0)
 	in.Delay(1, 2)
@@ -183,7 +183,7 @@ func TestCountersAndSpans(t *testing.T) {
 func TestUntracedFlowEmitsNoSpans(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Tracer().Enable()
-	in := New(eng, Uniform(11, 1.0))
+	in := New(eng, Config{Seed: 11, Rate: 1.0})
 	in.Drop(0, 0, 0)
 	in.Delay(0, 0)
 	in.Stall(0, 0)
@@ -196,15 +196,28 @@ func TestUntracedFlowEmitsNoSpans(t *testing.T) {
 }
 
 func TestConfigEnabledAndDefaults(t *testing.T) {
-	if (Config{}).Enabled() {
-		t.Fatal("zero config enabled")
+	if (Config{Seed: 7}).Enabled() {
+		t.Fatal("zero-rate config enabled")
 	}
-	if !(Config{MuxStall: 0.01}).Enabled() {
-		t.Fatal("single-class config disabled")
+	if !(Config{Rate: 0.01}).Enabled() {
+		t.Fatal("nonzero-rate config disabled")
 	}
-	c := (Config{}).withDefaults()
-	if c.NoCDelayTime != 500*sim.Nanosecond || c.MuxStallTime != 2*sim.Microsecond ||
-		c.RetryBase != 200*sim.Nanosecond || c.RetryMax != 12 {
-		t.Fatalf("defaults wrong: %+v", c)
+	// The fixed recovery timing: delay and stall penalties, the first
+	// retry backoff and the retry budget.
+	in := New(sim.NewEngine(), Config{Seed: 1, Rate: 1})
+	if d := in.Delay(1, 0); d != 500*sim.Nanosecond {
+		t.Fatalf("delay penalty %v, want 500ns", d)
+	}
+	if d, _ := in.Stall(1, 0); d != 2*sim.Microsecond {
+		t.Fatalf("stall %v, want 2us", d)
+	}
+	if d, _ := in.CmdRetry(0); d != 200*sim.Nanosecond {
+		t.Fatalf("first backoff %v, want 200ns", d)
+	}
+	if _, ok := in.CmdRetry(11); !ok {
+		t.Fatal("retry 11 denied, want a budget of 12")
+	}
+	if _, ok := in.CmdRetry(12); ok {
+		t.Fatal("retry 12 granted, want a budget of 12")
 	}
 }

@@ -18,7 +18,7 @@ func TestRPCLivenessAndConservation(t *testing.T) {
 	const rounds = 20
 	for _, shared := range []bool{false, true} {
 		for _, rate := range chaosRates {
-			o := RunRPC(shared, rounds, fault.Uniform(42, rate))
+			o := RunRPC(shared, rounds, fault.Config{Seed: 42, Rate: rate})
 			if !o.Completed {
 				t.Errorf("shared=%v rate=%g: run did not complete (%d/%d rounds served)",
 					shared, rate, o.Rounds, rounds)
@@ -35,7 +35,7 @@ func TestRPCLivenessAndConservation(t *testing.T) {
 // the cross-tile run must observe real injected faults, and recovery must be
 // lossless (no terminal drops with unbounded NoC retries, no send giveups).
 func TestRPCFaultsActuallyInjected(t *testing.T) {
-	o := RunRPC(false, 20, fault.Uniform(42, 0.10))
+	o := RunRPC(false, 20, fault.Config{Seed: 42, Rate: 0.10})
 	if o.DropsInjected == 0 && o.DupInjected == 0 && o.CmdRetries == 0 && o.MuxStalls == 0 {
 		t.Fatalf("10%% chaos run observed no faults at all: %+v", o)
 	}
@@ -51,8 +51,8 @@ func TestRPCFaultsActuallyInjected(t *testing.T) {
 // produces bit-identical runs (equal event and span hashes), and a different
 // seed produces a different schedule.
 func TestRPCDeterminism(t *testing.T) {
-	a := RunRPC(false, 15, fault.Uniform(7, 0.05))
-	b := RunRPC(false, 15, fault.Uniform(7, 0.05))
+	a := RunRPC(false, 15, fault.Config{Seed: 7, Rate: 0.05})
+	b := RunRPC(false, 15, fault.Config{Seed: 7, Rate: 0.05})
 	if a.EventHash != b.EventHash || a.SpanHash != b.SpanHash {
 		t.Errorf("same seed, different runs: %#x/%#x vs %#x/%#x",
 			a.EventHash, a.SpanHash, b.EventHash, b.SpanHash)
@@ -60,7 +60,7 @@ func TestRPCDeterminism(t *testing.T) {
 	if a.SimTime != b.SimTime {
 		t.Errorf("same seed, different end times: %v vs %v", a.SimTime, b.SimTime)
 	}
-	c := RunRPC(false, 15, fault.Uniform(8, 0.05))
+	c := RunRPC(false, 15, fault.Config{Seed: 8, Rate: 0.05})
 	if c.EventHash == a.EventHash {
 		t.Errorf("different seeds produced identical event hashes %#x", a.EventHash)
 	}
@@ -72,7 +72,7 @@ func TestRPCDeterminism(t *testing.T) {
 // either case).
 func TestDisabledInjectionMatchesBaseline(t *testing.T) {
 	base := RunRPC(false, 10, fault.Config{})
-	zero := RunRPC(false, 10, fault.Uniform(99, 0))
+	zero := RunRPC(false, 10, fault.Config{Seed: 99, Rate: 0})
 	if base.EventHash != zero.EventHash || base.SpanHash != zero.SpanHash {
 		t.Errorf("rate-0 run differs from zero-config run: %#x/%#x vs %#x/%#x",
 			base.EventHash, base.SpanHash, zero.EventHash, zero.SpanHash)
@@ -91,7 +91,7 @@ func TestDisabledInjectionMatchesBaseline(t *testing.T) {
 func TestM3xForwardSurvivesFaults(t *testing.T) {
 	const rounds = 6
 	for _, rate := range chaosRates {
-		o := RunM3xForward(rounds, fault.Uniform(42, rate))
+		o := RunM3xForward(rounds, fault.Config{Seed: 42, Rate: rate})
 		if !o.Completed {
 			t.Errorf("rate=%g: M3x forward run did not complete (%d/%d replies)",
 				rate, o.Rounds, rounds)
@@ -110,8 +110,8 @@ func TestM3xForwardSurvivesFaults(t *testing.T) {
 // TestM3xForwardDeterminism pins the forward slow path's schedule under the
 // same seed.
 func TestM3xForwardDeterminism(t *testing.T) {
-	a := RunM3xForward(4, fault.Uniform(11, 0.05))
-	b := RunM3xForward(4, fault.Uniform(11, 0.05))
+	a := RunM3xForward(4, fault.Config{Seed: 11, Rate: 0.05})
+	b := RunM3xForward(4, fault.Config{Seed: 11, Rate: 0.05})
 	if a.EventHash != b.EventHash || a.SpanHash != b.SpanHash {
 		t.Errorf("same seed, different M3x runs: %#x/%#x vs %#x/%#x",
 			a.EventHash, a.SpanHash, b.EventHash, b.SpanHash)

@@ -66,7 +66,7 @@ func FuzzNoCArbitration(f *testing.F) {
 
 			var inj *fault.Injector
 			if rate := float64(header0&0x07) / 40; rate > 0 {
-				inj = fault.New(eng, fault.Uniform(uint64(header0), rate))
+				inj = fault.New(eng, fault.Config{Seed: uint64(header0), Rate: rate})
 				net.SetInjector(inj)
 			}
 

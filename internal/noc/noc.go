@@ -72,19 +72,17 @@ func DefaultConfig() Config {
 // Network is the NoC instance. Construct with New.
 type Network struct {
 	eng      *sim.Engine
-	topo     Topology
 	cfg      Config
-	handlers []Handler // indexed by TileID; grown on Attach
+	handlers []Handler // indexed by TileID
 
-	// Fast-path tables, precomputed in New when the topology reports its
-	// tile count. The transmit path is the second-hottest loop in the
-	// simulator after the event queue; a flat table load replaces the
-	// interface calls and Manhattan-distance arithmetic of Topology.Hops
-	// per packet.
-	nTiles    int        // 0 when the topology does not report a tile count
+	// Routing tables, precomputed in New. The transmit path is the
+	// second-hottest loop in the simulator after the event queue; a flat
+	// table load replaces the Manhattan-distance arithmetic of
+	// StarMesh.Hops per packet.
+	nTiles    int
 	latBase   []sim.Time // [src*nTiles+dst] hop latency (no serialization)
-	routerTab []int      // [tile] router, mirrors topo.RouterOf
-	psPerByte int64      // serialization ps/byte when exact, else 0 (slow path)
+	routerTab []int      // [tile] router, mirrors StarMesh.RouterOf
+	psPerByte int64      // serialization ps/byte when exact, else 0 (division)
 
 	// routerFree[r] is the earliest time router r can accept the next
 	// packet; it models serialization contention at the router.
@@ -109,14 +107,19 @@ type Network struct {
 	inj *fault.Injector
 }
 
-// New creates a network over the given topology.
-func New(eng *sim.Engine, topo Topology, cfg Config) *Network {
+// New creates a network over the given star-mesh. Tiles outside
+// [0, topo.NumTiles) cannot be attached or addressed.
+func New(eng *sim.Engine, topo StarMesh, cfg Config) *Network {
 	reg := eng.Tracer().Metrics()
+	tiles := topo.NumTiles
 	n := &Network{
 		eng:        eng,
-		topo:       topo,
 		cfg:        cfg,
-		routerFree: make([]sim.Time, topo.Routers()),
+		handlers:   make([]Handler, tiles),
+		nTiles:     tiles,
+		latBase:    make([]sim.Time, tiles*tiles),
+		routerTab:  make([]int, tiles),
+		routerFree: make([]sim.Time, len(routerPos)),
 		rec:        eng.Tracer(),
 		cDelivered: reg.Counter("noc.delivered"),
 		cNacked:    reg.Counter("noc.nacked"),
@@ -128,7 +131,7 @@ func New(eng *sim.Engine, topo Topology, cfg Config) *Network {
 	// sits beyond the clock, i.e. the serialization queue ahead of the next
 	// packet. Published lazily — the gauges update only when a sampler tick
 	// runs the probe.
-	backlog := make([]*trace.Gauge, topo.Routers())
+	backlog := make([]*trace.Gauge, len(routerPos))
 	for r := range backlog {
 		backlog[r] = reg.Gauge(fmt.Sprintf("noc.router%02d.backlog_ps", r))
 	}
@@ -142,16 +145,10 @@ func New(eng *sim.Engine, topo Topology, cfg Config) *Network {
 			g.Set(int64(b))
 		}
 	})
-	if tiles := topo.Tiles(); tiles > 0 {
-		n.nTiles = tiles
-		n.handlers = make([]Handler, tiles)
-		n.latBase = make([]sim.Time, tiles*tiles)
-		n.routerTab = make([]int, tiles)
-		for s := 0; s < tiles; s++ {
-			n.routerTab[s] = topo.RouterOf(TileID(s))
-			for d := 0; d < tiles; d++ {
-				n.latBase[s*tiles+d] = sim.Time(topo.Hops(TileID(s), TileID(d))) * cfg.HopLatency
-			}
+	for s := 0; s < tiles; s++ {
+		n.routerTab[s] = topo.RouterOf(TileID(s))
+		for d := 0; d < tiles; d++ {
+			n.latBase[s*tiles+d] = sim.Time(topo.Hops(TileID(s), TileID(d))) * cfg.HopLatency
 		}
 	}
 	if bps := cfg.BandwidthBps; bps > 0 && int64(sim.Second)%bps == 0 {
@@ -177,12 +174,7 @@ func (n *Network) Bytes() int64 { return n.cBytes.Value() }
 
 // Attach registers the packet handler for a tile. Attaching twice replaces
 // the handler.
-func (n *Network) Attach(id TileID, h Handler) {
-	for int(id) >= len(n.handlers) {
-		n.handlers = append(n.handlers, nil)
-	}
-	n.handlers[id] = h
-}
+func (n *Network) Attach(id TileID, h Handler) { n.handlers[id] = h }
 
 // SetInjector arms fault injection on the network. A nil injector restores
 // the perfect interconnect.
@@ -202,27 +194,17 @@ func (n *Network) serialization(size int) sim.Time {
 }
 
 // hopLatency reports the propagation share of a transfer: hops times the
-// per-hop latency, via the precomputed table when available.
+// per-hop latency.
 //
 //m3v:noalloc
 func (n *Network) hopLatency(src, dst TileID) sim.Time {
-	if n.latBase != nil && int(src) < n.nTiles && int(dst) < n.nTiles {
-		return n.latBase[int(src)*n.nTiles+int(dst)]
-	}
-	//m3vlint:ignore noalloc dynamic-topology fallback: the sole Topology impl (StarMesh.Hops) is pure arithmetic
-	return sim.Time(n.topo.Hops(src, dst)) * n.cfg.HopLatency
+	return n.latBase[int(src)*n.nTiles+int(dst)]
 }
 
-// routerOf reports a tile's router, via the precomputed table when available.
+// routerOf reports a tile's router.
 //
 //m3v:noalloc
-func (n *Network) routerOf(t TileID) int {
-	if n.routerTab != nil && int(t) < n.nTiles {
-		return n.routerTab[t]
-	}
-	//m3vlint:ignore noalloc dynamic-topology fallback: the sole Topology impl (StarMesh.RouterOf) is pure arithmetic
-	return n.topo.RouterOf(t)
-}
+func (n *Network) routerOf(t TileID) int { return n.routerTab[t] }
 
 // Latency reports the uncontended transfer time for a packet of the given
 // size between two tiles.
@@ -412,21 +394,6 @@ func (fl *inflight) deliver() {
 	n.eng.After(n.cfg.RetryDelay, fl.retry)
 }
 
-// Topology computes routes between tiles.
-type Topology interface {
-	// Hops reports the number of link hops between two distinct tiles.
-	Hops(a, b TileID) int
-	// RouterOf reports the router a tile is attached to.
-	RouterOf(t TileID) int
-	// Routers reports the number of routers.
-	Routers() int
-	// Tiles reports the number of tiles, or 0 if unknown. A positive count
-	// lets the network precompute per-(src,dst) latency and router tables;
-	// Hops/RouterOf must be pure functions of their arguments for tiles in
-	// [0, Tiles()).
-	Tiles() int
-}
-
 // StarMesh is the paper's 2x2 star-mesh: four routers in a square, each with
 // a set of tiles attached in a star. Tiles are assigned to routers round
 // robin, matching the balanced placement of the FPGA floorplan.
@@ -434,15 +401,9 @@ type StarMesh struct {
 	NumTiles int
 }
 
-// routerGrid is the fixed 2x2 arrangement; Manhattan distance in the square
+// routerPos is the fixed 2x2 arrangement; Manhattan distance in the square
 // gives the router-to-router hop count (adjacent: 1, diagonal: 2).
 var routerPos = [4][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
-
-// Routers reports 4.
-func (s StarMesh) Routers() int { return 4 }
-
-// Tiles reports the number of attached tiles.
-func (s StarMesh) Tiles() int { return s.NumTiles }
 
 // RouterOf assigns tiles to the four routers round robin.
 func (s StarMesh) RouterOf(t TileID) int { return int(t) % 4 }

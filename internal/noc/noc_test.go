@@ -209,17 +209,11 @@ func TestNoCPacketStampedAtTransmit(t *testing.T) {
 	}
 }
 
-// dynamicTopo wraps StarMesh but hides its tile count, forcing the network
-// onto the interface-call slow path for latency and routing.
-type dynamicTopo struct{ StarMesh }
-
-func (dynamicTopo) Tiles() int { return 0 }
-
 // TestFastPathTablesMatchDynamic pins the precomputed latency/router tables
-// and the multiply-based serialization against the original interface-call
-// arithmetic, over every (src, dst) pair and a spread of sizes — including a
-// bandwidth that does not divide sim.Second evenly, which must fall back to
-// the division path.
+// and the multiply-based serialization against StarMesh arithmetic done
+// here, over every (src, dst) pair and a spread of sizes — including a
+// bandwidth that does not divide sim.Second evenly, which must take the
+// division path.
 func TestFastPathTablesMatchDynamic(t *testing.T) {
 	eng := sim.NewEngine()
 	configs := []Config{
@@ -229,22 +223,21 @@ func TestFastPathTablesMatchDynamic(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		topo := StarMesh{NumTiles: 12}
-		fast := New(eng, topo, cfg)
-		slow := New(eng, dynamicTopo{topo}, cfg)
-		if fast.latBase == nil || fast.routerTab == nil {
-			t.Fatalf("cfg %+v: tables not built for a sized topology", cfg)
-		}
-		if slow.latBase != nil || slow.routerTab != nil {
-			t.Fatalf("cfg %+v: tables built without a tile count", cfg)
+		n := New(eng, topo, cfg)
+		if exact := cfg.BandwidthBps > 0 && int64(sim.Second)%cfg.BandwidthBps == 0; exact != (n.psPerByte != 0) {
+			t.Fatalf("cfg %+v: multiply path %v, want %v", cfg, n.psPerByte != 0, exact)
 		}
 		for src := 0; src < topo.NumTiles; src++ {
-			if got, want := fast.routerOf(TileID(src)), topo.RouterOf(TileID(src)); got != want {
+			if got, want := n.routerOf(TileID(src)), topo.RouterOf(TileID(src)); got != want {
 				t.Errorf("routerOf(%d) = %d, want %d", src, got, want)
 			}
 			for dst := 0; dst < topo.NumTiles; dst++ {
 				for _, size := range []int{0, 1, 64, 113, 4096} {
-					got := fast.Latency(TileID(src), TileID(dst), size)
-					want := slow.Latency(TileID(src), TileID(dst), size)
+					got := n.Latency(TileID(src), TileID(dst), size)
+					want := sim.Time(topo.Hops(TileID(src), TileID(dst))) * cfg.HopLatency
+					if cfg.BandwidthBps > 0 {
+						want += sim.Time(int64(size) * int64(sim.Second) / cfg.BandwidthBps)
+					}
 					if got != want {
 						t.Errorf("cfg %+v: Latency(%d,%d,%d) = %v, want %v",
 							cfg, src, dst, size, got, want)

@@ -88,18 +88,18 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 		if r.FaultSeed == 0 {
 			r.FaultSeed = 1
 		}
-		p.Fault = fault.Uniform(r.FaultSeed, r.FaultRate)
+		p.Fault = fault.Config{Seed: r.FaultSeed, Rate: r.FaultRate}
 	}
 	if r.SampleInterval != "" {
 		every, err := sim.ParseTime(r.SampleInterval)
 		if err != nil {
 			return r, p, fmt.Errorf("sample_interval: %w", err)
 		}
-		if every <= 0 {
-			return r, p, fmt.Errorf("sample_interval %q must be positive", r.SampleInterval)
+		if every < core.MinSampleInterval {
+			return r, p, fmt.Errorf("sample_interval %q must be at least %v", r.SampleInterval, core.MinSampleInterval)
 		}
 		r.SampleInterval = formatInterval(every)
-		p.Sample = core.SampleConfig{Interval: every}
+		p.SampleInterval = every
 	}
 	return r, p, nil
 }

@@ -172,16 +172,16 @@ func TestCanonicalizeDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Canonicalize sampled: %v", err)
 	}
-	if sampled.SampleInterval != "100ns" || params.Sample.Interval != 100*sim.Nanosecond {
-		t.Errorf("sample interval canonical form = %q / %v", sampled.SampleInterval, params.Sample.Interval)
+	if sampled.SampleInterval != "100ns" || params.SampleInterval != 100*sim.Nanosecond {
+		t.Errorf("sample interval canonical form = %q / %v", sampled.SampleInterval, params.SampleInterval)
 	}
 	// A spelling the short rendering would round keeps its exact value.
 	exact, params, err := Canonicalize(Request{Experiment: "fake", SampleInterval: "1.0005us"}, lookup)
 	if err != nil {
 		t.Fatalf("Canonicalize exact: %v", err)
 	}
-	if exact.SampleInterval != "1000500ps" || params.Sample.Interval != 1000500*sim.Picosecond {
-		t.Errorf("sample interval canonical form = %q / %v", exact.SampleInterval, params.Sample.Interval)
+	if exact.SampleInterval != "1000500ps" || params.SampleInterval != 1000500*sim.Picosecond {
+		t.Errorf("sample interval canonical form = %q / %v", exact.SampleInterval, params.SampleInterval)
 	}
 
 	armed, params, err := Canonicalize(Request{Experiment: "fake", FaultRate: 0.5}, lookup)
@@ -191,7 +191,7 @@ func TestCanonicalizeDigest(t *testing.T) {
 	if armed.FaultSeed != 1 {
 		t.Errorf("armed fault seed = %d, want default 1", armed.FaultSeed)
 	}
-	if params.Fault != fault.Uniform(1, 0.5) {
+	if params.Fault != (fault.Config{Seed: 1, Rate: 0.5}) {
 		t.Errorf("armed fault config = %+v", params.Fault)
 	}
 
@@ -202,6 +202,8 @@ func TestCanonicalizeDigest(t *testing.T) {
 		{Experiment: "fake", Tiles: maxTiles + 1},
 		{Experiment: "fake", FaultRate: 1.5},
 		{Experiment: "fake", SampleInterval: "later"},
+		{Experiment: "fake", SampleInterval: "1ps"},
+		{Experiment: "fake", SampleInterval: "9ns"},
 	} {
 		if _, _, err := Canonicalize(bad, lookup); err == nil {
 			t.Errorf("Canonicalize(%+v) accepted", bad)

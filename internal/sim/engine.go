@@ -186,7 +186,6 @@ type Engine struct {
 	running   bool
 	limit     Time  // bound of the active dispatch loop (MaxTime for Run)
 	inlined   int64 // events consumed by the Sleep fast path since last flush
-	tracer    func(Time, string)
 
 	rec    *trace.Recorder
 	evExec *trace.Counter
@@ -222,16 +221,6 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // components built on this engine share it: the recorder's metrics registry
 // is always live, while the event stream is off until Tracer().Enable().
 func (e *Engine) Tracer() *trace.Recorder { return e.rec }
-
-// SetTracer installs a debug tracer invoked for engine-level events. A nil
-// tracer disables tracing.
-func (e *Engine) SetTracer(fn func(Time, string)) { e.tracer = fn }
-
-func (e *Engine) trace(format string, args ...interface{}) {
-	if e.tracer != nil {
-		e.tracer(e.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would violate causality. Steady-state scheduling is allocation-free:
@@ -397,9 +386,9 @@ func (e *Engine) popSelf(seq uint64) bool {
 // StartSampling arms sim-time telemetry: a trace.Sampler over the engine's
 // metrics registry, driven by a recurring event every `every` (first tick at
 // now+every). Each tick runs the registry's probes, snapshots all gauges and
-// counter deltas into ring-buffered series (capSamples per series, 0 for the
-// default), and reschedules itself. The engine also registers its own probe
-// publishing sim.procs_ready / sim.procs_parked / sim.events_pending /
+// counter deltas into ring-buffered series (trace.DefaultSampleCap samples
+// per series), and reschedules itself. The engine also registers its own
+// probe publishing sim.procs_ready / sim.procs_parked / sim.events_pending /
 // sim.wheel_slots, so scheduler pressure shows up in the timelines.
 //
 // When sampling is off nothing here runs — no event is scheduled and the
@@ -412,7 +401,7 @@ func (e *Engine) popSelf(seq uint64) bool {
 // streams of fault-free runs are unaffected.
 //
 // Calling StartSampling again returns the existing sampler unchanged.
-func (e *Engine) StartSampling(every Time, capSamples int) *trace.Sampler {
+func (e *Engine) StartSampling(every Time) *trace.Sampler {
 	if every <= 0 {
 		panic("sim: StartSampling interval must be positive")
 	}
@@ -436,7 +425,7 @@ func (e *Engine) StartSampling(every Time, capSamples int) *trace.Sampler {
 		gPending.Set(int64(e.Pending()))
 		gSlots.Set(int64(e.wq.occupiedSlots()))
 	})
-	s := trace.NewSampler(m, int64(every), capSamples)
+	s := trace.NewSampler(m, int64(every))
 	e.sampler = s
 	e.rec.SetSampler(s)
 	e.sampleEvery = every

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,7 @@ func TestTimeString(t *testing.T) {
 		{Millisecond, "1ms"},
 		{2 * Second, "2s"},
 		{-Microsecond, "-1us"},
+		{math.MinInt64, "-9223372.037s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -36,6 +37,10 @@ const MaxTime Time = 1<<62 - 1
 // String formats the time with an adaptive unit, e.g. "12.5us".
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64:
+		// -t overflows back to t; format the one value without a
+		// positive counterpart directly.
+		return trimUnit(float64(t)/float64(Second), "s")
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Nanosecond:

@@ -1,100 +1,12 @@
-// Package stats provides the small statistics and table-formatting helpers
-// used by the benchmark harness to report experiment results.
+// Package stats provides the aligned plain-text tables the benchmark harness
+// and the report tools print results with.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Sample accumulates observations and reports summary statistics.
-type Sample struct {
-	vals []float64
-}
-
-// Add appends an observation.
-func (s *Sample) Add(v float64) { s.vals = append(s.vals, v) }
-
-// N reports the number of observations.
-func (s *Sample) N() int { return len(s.vals) }
-
-// Mean reports the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// StdDev reports the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two observations.
-func (s *Sample) StdDev() float64 {
-	if len(s.vals) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	ss := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.vals)-1))
-}
-
-// Min reports the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max reports the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Percentile reports the p-th percentile (0..100) using nearest-rank, or 0
-// for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.vals...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-// Values returns a copy of the observations in insertion order.
-func (s *Sample) Values() []float64 { return append([]float64(nil), s.vals...) }
 
 // Table renders aligned plain-text tables for the experiment harness.
 type Table struct {

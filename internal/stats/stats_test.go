@@ -1,62 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestSampleBasics(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Error("empty sample should report zeros")
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Errorf("mean = %v, want 5", s.Mean())
-	}
-	// Sample stddev with n-1: sqrt(32/7).
-	if want := math.Sqrt(32.0 / 7.0); math.Abs(s.StdDev()-want) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", s.StdDev(), want)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if p := s.Percentile(50); p != 50 {
-		t.Errorf("p50 = %v", p)
-	}
-	if p := s.Percentile(99); p != 99 {
-		t.Errorf("p99 = %v", p)
-	}
-	if p := s.Percentile(100); p != 100 {
-		t.Errorf("p100 = %v", p)
-	}
-	if p := s.Percentile(0); p != 1 {
-		t.Errorf("p0 = %v", p)
-	}
-}
-
-func TestValuesCopy(t *testing.T) {
-	var s Sample
-	s.Add(1)
-	vals := s.Values()
-	vals[0] = 99
-	if s.Mean() != 1 {
-		t.Error("Values returned a live reference")
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("name", "value")

@@ -119,9 +119,6 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// NumKinds reports the number of defined event kinds.
-func NumKinds() int { return int(numKinds) }
-
 // DTUCmd distinguishes the unprivileged DTU commands within KindDTUCmd.
 type DTUCmd uint8
 

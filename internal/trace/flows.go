@@ -147,19 +147,17 @@ func ReadFlows(r io.Reader) (*FlowFile, error) {
 // CheckFlows verifies span-stream well-formedness and returns a list of
 // problems (empty = well-formed):
 //
+//   - every span's ID is its 1-based position in the run's stream, so IDs
+//     are unique;
 //   - every begun span has an end (End >= At);
-//   - every parent ref resolves to an earlier span of the same flow, and the
-//     child's interval is enclosed by its parent's;
+//   - every parent ref resolves to an earlier span (0 < Parent < ID) of the
+//     same flow, and the child's interval is enclosed by its parent's;
 //   - every flow that must resolve — its root dtu.send/dtu.reply completed
 //     successfully, or it carries a kernel.forward span — has a fast/slow
 //     verdict (flows whose send failed, e.g. out of credits, may have none).
 func CheckFlows(f *FlowFile) []string {
 	var problems []string
 	for _, run := range f.Runs {
-		byID := make(map[int32]*FlowSpan, len(run.Spans))
-		for i := range run.Spans {
-			byID[run.Spans[i].ID] = &run.Spans[i]
-		}
 		mustResolve := map[uint64]bool{}
 		verdict := map[uint64]string{}
 		flowSeen := map[uint64]bool{}
@@ -170,17 +168,27 @@ func CheckFlows(f *FlowFile) []string {
 				flowSeen[s.Flow] = true
 				order = append(order, s.Flow)
 			}
+			if int(s.ID) != i+1 {
+				problems = append(problems, fmt.Sprintf(
+					"run %d: span at position %d (%s) has id %d, want %d",
+					run.Run, i+1, s.Name, s.ID, i+1))
+			}
 			if s.End < s.At {
 				problems = append(problems, fmt.Sprintf(
 					"run %d: span %d (%s, flow %d) begun at %d but never ended",
 					run.Run, s.ID, s.Name, s.Flow, s.At))
 			}
 			if s.Parent != 0 {
-				p := byID[s.Parent]
+				// Parents are looked up by position, which is the ID of a
+				// well-formed stream.
+				var p *FlowSpan
+				if s.Parent > 0 && int(s.Parent) <= i {
+					p = &run.Spans[s.Parent-1]
+				}
 				switch {
 				case p == nil:
 					problems = append(problems, fmt.Sprintf(
-						"run %d: span %d (%s) has dangling parent %d",
+						"run %d: span %d (%s) has dangling parent %d (not an earlier span)",
 						run.Run, s.ID, s.Name, s.Parent))
 				case p.Flow != s.Flow:
 					problems = append(problems, fmt.Sprintf(

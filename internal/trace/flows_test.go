@@ -88,6 +88,14 @@ func TestCheckFlows(t *testing.T) {
 			"begun at 100 but never ended"},
 		{"dangling parent", func(s []FlowSpan) []FlowSpan { s[1].Parent = 42; return s },
 			"dangling parent 42"},
+		{"self parent", func(s []FlowSpan) []FlowSpan { s[0].Parent = 1; return s },
+			"dangling parent 1 (not an earlier span)"},
+		{"later parent", func(s []FlowSpan) []FlowSpan { s[1].Parent = 3; return s },
+			"dangling parent 3 (not an earlier span)"},
+		{"negative parent", func(s []FlowSpan) []FlowSpan { s[1].Parent = -1; return s },
+			"dangling parent -1"},
+		{"duplicate id", func(s []FlowSpan) []FlowSpan { s[2].ID = 2; return s },
+			"span at position 3 (dtu.deliver) has id 2, want 3"},
 		{"cross-flow parent", func(s []FlowSpan) []FlowSpan { s[1].Flow = 2; return s },
 			"different flow"},
 		{"child not enclosed", func(s []FlowSpan) []FlowSpan { s[1].End = 500; return s },

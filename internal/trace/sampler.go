@@ -67,7 +67,7 @@ func (s *Series) push(tPs, v int64) {
 	s.head = (s.head + 1) % len(s.t)
 }
 
-// DefaultSampleCap is the per-series ring capacity when none is given.
+// DefaultSampleCap is the per-series ring capacity.
 const DefaultSampleCap = 4096
 
 // Sampler turns a Metrics registry into time series. It knows nothing about
@@ -81,22 +81,17 @@ const DefaultSampleCap = 4096
 type Sampler struct {
 	m          *Metrics
 	intervalPs int64
-	capSamples int
 	ticks      int64
 	series     map[string]*Series
 	lastCtr    map[string]int64
 }
 
-// NewSampler creates a sampler over m with the given sim-time interval and
-// per-series ring capacity (DefaultSampleCap if capSamples <= 0).
-func NewSampler(m *Metrics, intervalPs int64, capSamples int) *Sampler {
-	if capSamples <= 0 {
-		capSamples = DefaultSampleCap
-	}
+// NewSampler creates a sampler over m with the given sim-time interval. Each
+// series keeps the most recent DefaultSampleCap samples.
+func NewSampler(m *Metrics, intervalPs int64) *Sampler {
 	return &Sampler{
 		m:          m,
 		intervalPs: intervalPs,
-		capSamples: capSamples,
 		series:     make(map[string]*Series),
 		lastCtr:    make(map[string]int64),
 	}
@@ -140,8 +135,8 @@ func (s *Sampler) get(name string, kind SeriesKind) *Series {
 	sr := &Series{
 		name: name,
 		kind: kind,
-		t:    make([]int64, s.capSamples),
-		v:    make([]int64, s.capSamples),
+		t:    make([]int64, DefaultSampleCap),
+		v:    make([]int64, DefaultSampleCap),
 	}
 	s.series[name] = sr
 	return sr

@@ -167,7 +167,7 @@ func TestSamplerSeries(t *testing.T) {
 	c := m.Counter("dtu.sends")
 	probed := 0
 	m.AddProbe(func() { probed++ })
-	s := NewSampler(m, 100, 0)
+	s := NewSampler(m, 100)
 	if s.Interval() != 100 {
 		t.Fatalf("interval = %d, want 100", s.Interval())
 	}
@@ -216,7 +216,7 @@ func TestSamplerSeries(t *testing.T) {
 // history as one delta.
 func TestSamplerMidRunCounter(t *testing.T) {
 	m := NewMetrics()
-	s := NewSampler(m, 100, 0)
+	s := NewSampler(m, 100)
 	m.Counter("a.early").Add(10)
 	s.Sample(100)
 	late := m.Counter("b.late")
@@ -244,18 +244,19 @@ func TestSamplerMidRunCounter(t *testing.T) {
 func TestSeriesRingEviction(t *testing.T) {
 	m := NewMetrics()
 	g := m.Gauge("a.b")
-	s := NewSampler(m, 1, 4)
-	for i := int64(0); i < 10; i++ {
+	s := NewSampler(m, 1)
+	const extra = 6
+	for i := int64(0); i < DefaultSampleCap+extra; i++ {
 		g.Set(i)
 		s.Sample(i)
 	}
 	sr := s.Series()[0]
-	if sr.Len() != 4 {
-		t.Fatalf("ring kept %d samples, want 4", sr.Len())
+	if sr.Len() != DefaultSampleCap {
+		t.Fatalf("ring kept %d samples, want %d", sr.Len(), DefaultSampleCap)
 	}
-	for i := 0; i < 4; i++ {
+	for _, i := range []int{0, 1, DefaultSampleCap - 1} {
 		tp, v := sr.Sample(i)
-		if want := int64(6 + i); tp != want || v != want {
+		if want := int64(extra + i); tp != want || v != want {
 			t.Fatalf("sample %d = (%d,%d), want (%d,%d)", i, tp, v, want, want)
 		}
 	}
@@ -265,10 +266,13 @@ func TestSamplerSteadyStateNoAlloc(t *testing.T) {
 	m := NewMetrics()
 	g := m.Gauge("a.b")
 	m.Counter("c.d").Add(1)
-	s := NewSampler(m, 1, 64)
-	g.Set(1)
-	s.Sample(0) // create the series and counter baselines
-	now := int64(1)
+	s := NewSampler(m, 1)
+	// Fill the rings past capacity so the measured ticks evict.
+	now := int64(0)
+	for ; now < DefaultSampleCap+16; now++ {
+		g.Set(now)
+		s.Sample(now)
+	}
 	// Steady-state ticks allocate only the sorted-accessor slices and their
 	// sort closures; the ring pushes themselves are allocation free.
 	if avg := testing.AllocsPerRun(200, func() {
@@ -288,7 +292,7 @@ func TestWriteSeriesRoundTrip(t *testing.T) {
 	h.Observe(1000)
 	h.Observe(3000)
 	m.Histogram("mux.unused") // zero observations: excluded from the export
-	s := NewSampler(m, 250, 0)
+	s := NewSampler(m, 250)
 	r.SetSampler(s)
 	g.Set(4)
 	s.Sample(250)
@@ -345,7 +349,7 @@ func TestWriteChromeCounterTracks(t *testing.T) {
 	m := r.Metrics()
 	gTile := m.Gauge("tile02.mux.runnable")
 	gGlobal := m.Gauge("noc.inflight")
-	s := NewSampler(m, 100, 0)
+	s := NewSampler(m, 100)
 	r.SetSampler(s)
 	gTile.Set(1)
 	gGlobal.Set(9)

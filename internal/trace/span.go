@@ -122,10 +122,6 @@ func (s SpanName) String() string {
 	return "?"
 }
 
-// NumSpanNames reports the number of defined span names (including the
-// SpanNone sentinel).
-func NumSpanNames() int { return int(numSpanNames) }
-
 // Path is a span's fast/slow-path attribution. A flow's verdict is the
 // strongest mark of any of its spans: PathSlow wins over PathFast, because
 // the M³x controller's final delivery of a forwarded message re-uses the

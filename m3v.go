@@ -32,6 +32,14 @@
 // resources via system calls to the controller, and are scheduled by the
 // tile-local TileMux exactly as in the paper. See examples/ for complete
 // scenarios and internal/bench for the paper's experiments.
+//
+// # Configuration
+//
+// The platform model is the paper's one machine: tiles on a 2x2 star-mesh
+// NoC with uniform DRAM tiles. A Config chooses the tiles and NoC timing;
+// beyond that, Config.Fault arms seeded fault injection at one uniform rate
+// and Config.SampleInterval arms sim-time telemetry sampling (the command
+// lines and m3vd accept intervals of 10 ns and up).
 package m3v
 
 import (
@@ -72,8 +80,6 @@ type (
 	Handle = core.Handle
 	// TileID identifies a tile on the NoC.
 	TileID = noc.TileID
-	// SampleConfig arms sim-time telemetry sampling (Config.Sample).
-	SampleConfig = core.SampleConfig
 )
 
 // Re-exported activity types.
