@@ -59,8 +59,9 @@ go test -run '^$' -bench 'Fig9FindOneTile' -benchtime 1x .
 
 echo "== perf smoke =="
 # Scheduler performance gate: every sim microbenchmark runs once and the
-# timing wheel's steady-state alloc guard must hold. Dispatch order against
-# the heap reference queue is gated by FuzzQueueEquivalence (fuzz seeds).
+# event queue's alloc guard must hold (once the 4-ary heap and the same-time
+# ring are warm, scheduling and dispatch allocate nothing). Dispatch order
+# is gated by FuzzEngineOrdering (fuzz seeds).
 go test -run '^$' -bench . -benchtime 1x ./internal/sim/
 go test -run 'TestSchedulePathAllocFree' -count=1 -v ./internal/sim/ \
     | grep -q '^--- PASS: TestSchedulePathAllocFree'
@@ -167,7 +168,6 @@ go test -count=1 -run 'ParallelSerialEquivalence' ./internal/bench
 if [ -n "${FUZZTIME:-}" ]; then
     echo "== fuzzing (${FUZZTIME}) =="
     go test -fuzz FuzzEngineOrdering -fuzztime "$FUZZTIME" ./internal/sim
-    go test -fuzz FuzzQueueEquivalence -fuzztime "$FUZZTIME" ./internal/sim
     go test -fuzz FuzzNoCArbitration -fuzztime "$FUZZTIME" ./internal/noc
     go test -fuzz FuzzDTUCommands -fuzztime "$FUZZTIME" ./internal/dtu
     go test -fuzz FuzzCanonicalize -fuzztime "$FUZZTIME" ./internal/serve

@@ -126,7 +126,7 @@ func TestListExperiments(t *testing.T) {
 }
 
 // TestParseOptionsSched pins that the retired -sched flag is gone: the
-// timing wheel is the only scheduler, so the flag is an unknown-flag error.
+// engine has one event queue, so the flag is an unknown-flag error.
 func TestParseOptionsSched(t *testing.T) {
 	_, err := parseOptions([]string{"-sched", "heap"})
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -sched") {

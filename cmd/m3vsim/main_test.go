@@ -131,10 +131,8 @@ func TestRunChaosDeterminism(t *testing.T) {
 }
 
 // TestRunTraceHashPinned pins the event and span hashes of three runs
-// (cross-tile, tile-local, fault-injected) to the values the heap scheduler
-// and the timing wheel both produced while both were selectable. The heap
-// survives only as a test reference (internal/sim), so these constants keep
-// the end-to-end dispatch order from drifting.
+// (cross-tile, tile-local, fault-injected), so the end-to-end dispatch
+// order cannot drift.
 func TestRunTraceHashPinned(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -158,8 +156,8 @@ func TestRunTraceHashPinned(t *testing.T) {
 	}
 }
 
-// TestRunBadScheduler pins that the retired -sched flag is gone: the timing
-// wheel is the only scheduler, so the flag is an unknown-flag error.
+// TestRunBadScheduler pins that the retired -sched flag is gone: the engine
+// has one event queue, so the flag is an unknown-flag error.
 func TestRunBadScheduler(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-sched", "heap"}, &out)

@@ -8,17 +8,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"m3v/internal/traces"
 )
 
 func main() {
-	name := flag.String("trace", "find", "trace to print: find or sqlite")
-	phase := flag.String("phase", "run", "phase to print: setup or run")
-	summary := flag.Bool("summary", false, "print only the trace summary")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run executes the tool and returns its exit code: 2 for a usage error.
+// Split from main for CLI tests.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("trace", "find", "trace to print: find or sqlite")
+	phase := fs.String("phase", "run", "phase to print: setup or run")
+	summary := fs.Bool("summary", false, "print only the trace summary")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...interface{}) int {
+		fmt.Fprintf(stderr, "tracegen: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
 	var tr *traces.Trace
 	switch *name {
 	case "find":
@@ -26,28 +43,32 @@ func main() {
 	case "sqlite":
 		tr = traces.SQLite()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown trace %q\n", *name)
-		os.Exit(1)
-	}
-	sys, comp := tr.Stats()
-	fmt.Printf("# trace %s: %d setup ops, %d run ops (%d syscalls, %d compute cycles)\n",
-		tr.Name, len(tr.Setup), len(tr.Run), sys, comp)
-	if *summary {
-		return
+		return usage("unknown trace %q (want find or sqlite)", *name)
 	}
 	ops := tr.Run
-	if *phase == "setup" {
+	switch *phase {
+	case "run":
+	case "setup":
 		ops = tr.Setup
+	default:
+		return usage("unknown phase %q (want setup or run)", *phase)
+	}
+	sys, comp := tr.Stats()
+	fmt.Fprintf(stdout, "# trace %s: %d setup ops, %d run ops (%d syscalls, %d compute cycles)\n",
+		tr.Name, len(tr.Setup), len(tr.Run), sys, comp)
+	if *summary {
+		return 0
 	}
 	names := []string{"open", "create", "read", "write", "close", "stat", "readdir", "unlink", "mkdir", "compute"}
 	for _, op := range ops {
 		switch {
 		case op.Kind == traces.OpCompute:
-			fmt.Printf("compute %d\n", op.Cycles)
+			fmt.Fprintf(stdout, "compute %d\n", op.Cycles)
 		case op.Size > 0:
-			fmt.Printf("%-8s %s %d\n", names[op.Kind], op.Path, op.Size)
+			fmt.Fprintf(stdout, "%-8s %s %d\n", names[op.Kind], op.Path, op.Size)
 		default:
-			fmt.Printf("%-8s %s\n", names[op.Kind], op.Path)
+			fmt.Fprintf(stdout, "%-8s %s\n", names[op.Kind], op.Path)
 		}
 	}
+	return 0
 }

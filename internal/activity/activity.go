@@ -242,14 +242,32 @@ func (a *Activity) Call(sg, rg dtu.EpID, req []byte) ([]byte, error) {
 
 // ReadMem reads n bytes from a memory gate, page by page.
 func (a *Activity) ReadMem(ep dtu.EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
+	if n > 0 && n <= dtu.PageSize {
+		// One DTU read, whose reply is already a fresh slice of n bytes.
+		return a.readPage(ep, off, n, vaddr)
+	}
 	out := make([]byte, 0, n)
 	for n > 0 {
 		chunk := n
 		if chunk > dtu.PageSize {
 			chunk = dtu.PageSize
 		}
+		data, err := a.readPage(ep, off, chunk, vaddr)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data...)
+		off += uint64(chunk)
+		n -= chunk
+	}
+	return out, nil
+}
+
+// readPage issues one DTU read of at most a page, resolving TLB misses.
+func (a *Activity) readPage(ep dtu.EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
+	for {
 		a.X.BeginOp()
-		data, err := a.D.Read(a.Proc(), ep, off, chunk, vaddr)
+		data, err := a.D.Read(a.Proc(), ep, off, n, vaddr)
 		a.X.EndOp()
 		if errors.Is(err, dtu.ErrTLBMiss) {
 			if ferr := a.X.FixTranslation(vaddr, dtu.PermW); ferr != nil {
@@ -260,11 +278,8 @@ func (a *Activity) ReadMem(ep dtu.EpID, off uint64, n int, vaddr uint64) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, data...)
-		off += uint64(chunk)
-		n -= chunk
+		return data, nil
 	}
-	return out, nil
 }
 
 // WriteMem writes data through a memory gate, page by page.

@@ -53,7 +53,7 @@ func Register(fs *flag.FlagSet) *Options {
 
 // Validate checks the parsed flags and resolves the sampling interval.
 func (o *Options) Validate() error {
-	if o.FaultRate < 0 || o.FaultRate > 1 {
+	if !(o.FaultRate >= 0 && o.FaultRate <= 1) { // also rejects NaN
 		return fmt.Errorf("-fault-rate must be in [0,1], got %g", o.FaultRate)
 	}
 	if o.sampleText != "" {

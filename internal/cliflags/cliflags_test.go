@@ -33,6 +33,7 @@ func TestValidate(t *testing.T) {
 		{"negative rate", []string{"-fault-rate", "-0.1"}, "-fault-rate must be in [0,1]"},
 		{"rate above one", []string{"-fault-rate", "1.5"}, "-fault-rate must be in [0,1]"},
 		{"bad rate", []string{"-fault-rate", "2"}, "-fault-rate must be in [0,1]"},
+		{"nan rate", []string{"-fault-rate", "NaN"}, "-fault-rate must be in [0,1]"},
 		{"bad interval", []string{"-sample-interval", "later"}, "-sample-interval"},
 		{"interval with spaces", []string{"-sample-interval", "5 minutes"}, "-sample-interval"},
 		{"series needs interval", []string{"-series", "s.json"}, "-series requires -sample-interval"},

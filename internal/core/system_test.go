@@ -143,6 +143,19 @@ func TestEndToEndMemoryGate(t *testing.T) {
 			t.Error("read-back mismatch")
 			return
 		}
+		// A read within one page returns the DTU's reply buffer; it must be
+		// the caller's own copy, not a view of the memory tile.
+		for i := 0; i < 2; i++ {
+			one, err := a.ReadMem(ep, 100, 7, 0)
+			if err != nil || !bytes.Equal(one, payload[:7]) {
+				t.Errorf("single-page read %d = (%q, %v), want %q", i, one, err, payload[:7])
+				return
+			}
+			copy(one, "XXXXXXX")
+		}
+		if empty, err := a.ReadMem(ep, 100, 0, 0); err != nil || len(empty) != 0 {
+			t.Errorf("empty read = (%q, %v)", empty, err)
+		}
 		// A derived read-only window must reject writes.
 		roSel, err := a.SysDeriveMGate(sel, 0, 4096, dtu.PermR)
 		if err != nil {

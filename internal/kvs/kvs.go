@@ -185,62 +185,68 @@ func (db *DB) probe(name, key string) (string, bool, error) {
 
 // Scan returns up to limit key/value pairs with key >= start, merged across
 // the memtable and all tables (newest version wins, tombstones filtered).
+// The scan walks every key >= start, so its CPU and block-fetch charges
+// cover all of them, not only the rows it returns.
 func (db *DB) Scan(start string, limit int) ([][2]string, error) {
-	// Collect candidates: newest source first so older versions are
-	// shadowed.
-	seen := make(map[string]string)
-	consider := func(k, v string) {
+	// One sorted run per source, newest first: the memtable, then L0 and L1
+	// tables. Keys are unique within a run.
+	var mem run
+	for k := range db.mem {
 		if k >= start {
-			if _, dup := seen[k]; !dup {
-				seen[k] = v
+			mem.keys = append(mem.keys, k)
+		}
+	}
+	sort.Strings(mem.keys)
+	mem.vals = make([]string, len(mem.keys))
+	for i, k := range mem.keys {
+		mem.vals[i] = db.mem[k]
+	}
+	runs := []run{mem}
+	for _, level := range [][]string{db.l0, db.l1} {
+		for _, name := range level {
+			t, err := db.load(name)
+			if err != nil {
+				return nil, err
+			}
+			i := sort.SearchStrings(t.keys, start)
+			runs = append(runs, run{t.keys[i:], t.vals[i:]})
+		}
+	}
+	out := make([][2]string, 0, limit)
+	entries, scannedBytes := 0, 0
+	for {
+		// The smallest head key; on a tie the newest run's version wins.
+		win := -1
+		for i := range runs {
+			if len(runs[i].keys) > 0 && (win < 0 || runs[i].keys[0] < runs[win].keys[0]) {
+				win = i
 			}
 		}
-	}
-	for k, v := range db.mem {
-		consider(k, v)
-	}
-	for _, name := range db.l0 {
-		t, err := db.load(name)
-		if err != nil {
-			return nil, err
-		}
-		i := sort.SearchStrings(t.keys, start)
-		for ; i < len(t.keys); i++ {
-			consider(t.keys[i], t.vals[i])
-		}
-	}
-	for _, name := range db.l1 {
-		t, err := db.load(name)
-		if err != nil {
-			return nil, err
-		}
-		i := sort.SearchStrings(t.keys, start)
-		for ; i < len(t.keys); i++ {
-			consider(t.keys[i], t.vals[i])
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	scannedBytes := 0
-	for k := range seen {
-		keys = append(keys, k)
-		scannedBytes += len(k) + len(seen[k])
-	}
-	sort.Strings(keys)
-	out := make([][2]string, 0, limit)
-	for _, k := range keys {
-		if len(out) >= limit {
+		if win < 0 {
 			break
 		}
-		if seen[k] == tombstone {
-			continue
+		k, v := runs[win].keys[0], runs[win].vals[0]
+		for i := range runs {
+			if len(runs[i].keys) > 0 && runs[i].keys[0] == k {
+				runs[i].keys, runs[i].vals = runs[i].keys[1:], runs[i].vals[1:]
+			}
 		}
-		out = append(out, [2]string{k, seen[k]})
+		entries++
+		scannedBytes += len(k) + len(v)
+		if len(out) < limit && v != tombstone {
+			out = append(out, [2]string{k, v})
+		}
 	}
-	db.compute(int64(len(keys)) * costScanEntry)
+	db.compute(int64(entries) * costScanEntry)
 	if db.opts.BlockFetch != nil {
 		db.opts.BlockFetch(scannedBytes/4096 + 1)
 	}
 	return out, nil
+}
+
+// run is a sorted key/value sequence that Scan merges.
+type run struct {
+	keys, vals []string
 }
 
 // Flush forces the memtable to disk.

@@ -3,6 +3,7 @@ package kvs
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +115,84 @@ func TestScan(t *testing.T) {
 		if kv[0] != want[i] {
 			t.Errorf("scan[%d] = %s, want %s", i, kv[0], want[i])
 		}
+	}
+}
+
+// refScan is the map-based merge Scan must match: every key >= start in any
+// source, the newest source's version winning, counted once.
+func refScan(t *testing.T, db *DB, start string, limit int) (rows [][2]string, entries, bytes int) {
+	t.Helper()
+	seen := map[string]string{}
+	consider := func(k, v string) {
+		if _, dup := seen[k]; k >= start && !dup {
+			seen[k] = v
+		}
+	}
+	for k, v := range db.mem {
+		consider(k, v)
+	}
+	for _, name := range append(append([]string{}, db.l0...), db.l1...) {
+		tb, err := db.load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range tb.keys {
+			consider(k, tb.vals[i])
+		}
+	}
+	keys := make([]string, 0, len(seen))
+	for k, v := range seen {
+		keys = append(keys, k)
+		bytes += len(k) + len(v)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if len(rows) < limit && seen[k] != tombstone {
+			rows = append(rows, [2]string{k, seen[k]})
+		}
+	}
+	return rows, len(keys), bytes
+}
+
+// TestScanMatchesReference runs random puts, deletes and scans, so versions
+// of a key sit in the memtable, L0 and L1 at once, and checks each scan's
+// rows, CPU charge and fetched blocks against refScan.
+func TestScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var cycles int64
+	var blocks int
+	db := Open(NewMemFS(), Options{
+		MemtableBytes: 256,
+		L0Tables:      3,
+		Compute:       func(c int64) { cycles += c },
+		BlockFetch:    func(n int) { blocks += n },
+	})
+	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(200)) }
+	for i := 0; i < 3000; i++ {
+		switch op := rng.Intn(10); {
+		case op < 6:
+			db.Put(key(), fmt.Sprintf("v%d", rng.Intn(1<<20)))
+		case op < 8:
+			db.Delete(key())
+		default:
+			start, limit := key(), rng.Intn(20)
+			want, entries, bytes := refScan(t, db, start, limit)
+			c0, b0 := cycles, blocks
+			got, err := db.Scan(start, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("op %d: Scan(%q, %d) = %v, want %v", i, start, limit, got, want)
+			}
+			if c, b := cycles-c0, blocks-b0; c != int64(entries)*costScanEntry || b != bytes/4096+1 {
+				t.Fatalf("op %d: Scan(%q) charged %d cycles, %d blocks; want %d, %d",
+					i, start, c, b, int64(entries)*costScanEntry, bytes/4096+1)
+			}
+		}
+	}
+	if db.Compactions == 0 || len(db.l0) == 0 {
+		t.Fatalf("workload left compactions=%d, l0=%d: not every level was exercised", db.Compactions, len(db.l0))
 	}
 }
 

@@ -77,7 +77,7 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 		r.Tiles = 1
 	}
 	p.Tiles = []int{r.Tiles}
-	if r.FaultRate < 0 || r.FaultRate > 1 {
+	if !(r.FaultRate >= 0 && r.FaultRate <= 1) { // also rejects NaN
 		return r, p, fmt.Errorf("fault_rate %g out of range [0,1]", r.FaultRate)
 	}
 	if r.FaultRate == 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -201,6 +202,7 @@ func TestCanonicalizeDigest(t *testing.T) {
 		{Experiment: "fake", Tiles: -1},
 		{Experiment: "fake", Tiles: maxTiles + 1},
 		{Experiment: "fake", FaultRate: 1.5},
+		{Experiment: "fake", FaultRate: math.NaN()},
 		{Experiment: "fake", SampleInterval: "later"},
 		{Experiment: "fake", SampleInterval: "1ps"},
 		{Experiment: "fake", SampleInterval: "9ns"},

@@ -97,11 +97,10 @@ func BenchmarkProcSleep(b *testing.B) {
 	}
 }
 
-// TestSchedulePathAllocFree pins the acceptance criterion of the timing
-// wheel: once its backing arrays are warm, At/After plus dispatch allocate
-// nothing. The run spreads deltas across slot widths and drains
-// repeatedly, so slot recycling (not just first-touch warm-up) is what
-// keeps it at zero.
+// TestSchedulePathAllocFree pins the event queue's alloc guard: once the
+// heap and the same-time ring are warm, At/After plus dispatch allocate
+// nothing. Every batch refills and drains both, so reused capacity (not
+// just first-touch warm-up) is what keeps it at zero.
 func TestSchedulePathAllocFree(t *testing.T) {
 	e := NewEngine()
 	fns := make([]func(), 64)
@@ -110,8 +109,7 @@ func TestSchedulePathAllocFree(t *testing.T) {
 	}
 	batch := func() {
 		for i, fn := range fns {
-			// 0..448ns: the same-time ring plus ~100 distinct level-0 slots
-			// per batch as the clock advances.
+			// 0..448ns: the same-time ring plus the heap.
 			e.After(Time(i%8)*64*Nanosecond, fn)
 		}
 		e.Run()

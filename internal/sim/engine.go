@@ -136,12 +136,95 @@ func (r *ringBuf) pop() event {
 	return ev
 }
 
+// queue is the engine's event queue: a 4-ary min-heap of value events plus
+// the same-time ring, dispatching in exact (at, seq) order. The simulator
+// keeps it shallow (DESIGN.md §10), so the heap's O(log n) pops stay cheap.
+type queue struct {
+	heap []event
+	ring ringBuf
+}
+
+//m3v:noalloc
+func (q *queue) len() int { return len(q.heap) + q.ring.n }
+
+// schedule inserts an event with at >= now.
+//
+//m3v:noalloc
+func (q *queue) schedule(ev event, now Time) {
+	if ev.at == now {
+		q.ring.push(ev)
+		return
+	}
+	heapPush(&q.heap, ev)
+}
+
+// min returns the (at, seq)-minimum event without removing it (nil when the
+// queue is empty) and whether it is the ring head rather than the heap top.
+// By the ring invariant the heap wins ties on at, but comparing seq keeps
+// this robust.
+//
+//m3v:noalloc
+func (q *queue) min() (*event, bool) {
+	if q.ring.n == 0 {
+		if len(q.heap) == 0 {
+			return nil, false
+		}
+		return &q.heap[0], false
+	}
+	h := &q.ring.buf[q.ring.head]
+	if len(q.heap) > 0 && evLess(&q.heap[0], h) {
+		return &q.heap[0], false
+	}
+	return h, true
+}
+
+// pop removes the event min reported, from the ring or from the heap.
+//
+//m3v:noalloc
+func (q *queue) pop(ring bool) event {
+	if ring {
+		return q.ring.pop()
+	}
+	return heapPop(&q.heap)
+}
+
 // pop status codes reported by popLimit.
 const (
 	popOK     = iota // an event at or before the limit was popped
 	popEmpty         // the queue is empty
 	popBeyond        // the next event lies beyond the limit
 )
+
+// popLimit pops the minimum event if its timestamp is <= limit.
+//
+//m3v:noalloc
+func (q *queue) popLimit(limit Time) (event, int) {
+	m, ring := q.min()
+	if m == nil {
+		return event{}, popEmpty
+	}
+	if m.at > limit {
+		return event{}, popBeyond
+	}
+	return q.pop(ring), popOK
+}
+
+// popSeq pops and discards the minimum event iff it is exactly the event
+// with the given seq and its timestamp is <= limit. This backs the Sleep
+// self-resume fast path (see Engine.popSelf and Proc.Sleep): the caller
+// knows the event's fn is its own cached resume closure, so the event need
+// not be returned.
+//
+//m3v:noalloc
+func (q *queue) popSeq(seq uint64, limit Time) (Time, bool) {
+	m, ring := q.min()
+	if m == nil || m.seq != seq || m.at > limit {
+		return 0, false
+	}
+	at := m.at
+	q.pop(ring)
+	return at, true
+}
 
 // totalExecuted counts events executed by every engine in the process. The
 // bench harness reads it around experiments to report scheduler throughput
@@ -158,7 +241,7 @@ func TotalEventsExecuted() uint64 { return totalExecuted.Load() }
 //
 // Model code runs in two contexts:
 //
-//   - handler context: event callbacks executed by the Run loop;
+//   - handler context: event callbacks executed by the dispatch loop;
 //   - process context: inside a coroutine started with Spawn, between the
 //     engine's resume and the process's next blocking call.
 //
@@ -169,7 +252,7 @@ func TotalEventsExecuted() uint64 { return totalExecuted.Load() }
 type Engine struct {
 	now   Time
 	seq   uint64
-	wq    wheelQueue
+	q     queue
 	dead  bool    // set by Shutdown; unwinds stopped processes
 	procs []*Proc // spawned, not yet finished processes
 
@@ -198,12 +281,10 @@ type Engine struct {
 // NewEngine returns a ready-to-use engine at time zero.
 func NewEngine() *Engine {
 	rec := trace.NewRecorder()
-	e := &Engine{
+	return &Engine{
 		rec:    rec,
 		evExec: rec.Metrics().Counter("sim.events_executed"),
 	}
-	e.wq.init()
-	return e
 }
 
 // Now reports the current simulated time.
@@ -232,7 +313,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now (%v)", t, e.now))
 	}
 	e.seq++
-	e.wq.schedule(event{at: t, seq: e.seq, fn: fn}, e.now)
+	e.q.schedule(event{at: t, seq: e.seq, fn: fn}, e.now)
 }
 
 // After schedules fn to run d after the current time.
@@ -263,31 +344,11 @@ func (e *Engine) Cancel() {
 func (e *Engine) Cancelled() bool { return e.cancelled.Load() }
 
 // Run executes events until the queue is empty or Stop is called. It returns
-// the simulated time at which it stopped. Unlike RunUntil, the dispatch loop
-// carries no bound check at all: with the limit pinned at MaxTime every
-// queued event is eligible, so the per-event "next beyond limit?" test of the
-// bounded loop is dead weight and is skipped.
+// the simulated time at which it stopped.
 //
 //m3v:noalloc
 //m3v:simctx
-func (e *Engine) Run() Time {
-	e.enter()
-	defer e.leave()
-	e.limit = MaxTime
-	var executed int64
-	for !e.stopped.Load() {
-		ev, ok := e.wq.popNext()
-		if !ok {
-			break
-		}
-		e.now = ev.at
-		executed++
-		//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
-		ev.fn()
-	}
-	e.flush(executed)
-	return e.now
-}
+func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
 // RunUntil executes events with timestamps <= limit, then returns. The
 // engine's clock advances to the timestamp of the last executed event (or to
@@ -298,17 +359,12 @@ func (e *Engine) Run() Time {
 //m3v:noalloc
 //m3v:simctx
 func (e *Engine) RunUntil(limit Time) Time {
-	if limit == MaxTime {
-		// "Run to completion" calls land here; take the unbounded loop,
-		// which skips the per-event bound check entirely.
-		return e.Run()
-	}
 	e.enter()
 	defer e.leave()
 	e.limit = limit
 	var executed int64
 	for !e.stopped.Load() {
-		ev, st := e.wq.popLimit(limit)
+		ev, st := e.q.popLimit(limit)
 		if st != popOK {
 			if st == popBeyond && limit > e.now {
 				e.now = limit
@@ -374,7 +430,7 @@ func (e *Engine) popSelf(seq uint64) bool {
 	if e.dead || e.stopped.Load() {
 		return false
 	}
-	at, ok := e.wq.popSeq(seq, e.limit)
+	at, ok := e.q.popSeq(seq, e.limit)
 	if !ok {
 		return false
 	}
@@ -388,8 +444,8 @@ func (e *Engine) popSelf(seq uint64) bool {
 // now+every). Each tick runs the registry's probes, snapshots all gauges and
 // counter deltas into ring-buffered series (trace.DefaultSampleCap samples
 // per series), and reschedules itself. The engine also registers its own
-// probe publishing sim.procs_ready / sim.procs_parked / sim.events_pending /
-// sim.wheel_slots, so scheduler pressure shows up in the timelines.
+// probe publishing sim.procs_ready / sim.procs_parked / sim.events_pending,
+// so scheduler pressure shows up in the timelines.
 //
 // When sampling is off nothing here runs — no event is scheduled and the
 // engine gauges are never created, so an unsampled run pays nothing.
@@ -412,7 +468,6 @@ func (e *Engine) StartSampling(every Time) *trace.Sampler {
 	gReady := m.Gauge("sim.procs_ready")
 	gParked := m.Gauge("sim.procs_parked")
 	gPending := m.Gauge("sim.events_pending")
-	gSlots := m.Gauge("sim.wheel_slots")
 	m.AddProbe(func() {
 		parked := 0
 		for _, p := range e.procs {
@@ -423,7 +478,6 @@ func (e *Engine) StartSampling(every Time) *trace.Sampler {
 		gParked.Set(int64(parked))
 		gReady.Set(int64(len(e.procs) - parked))
 		gPending.Set(int64(e.Pending()))
-		gSlots.Set(int64(e.wq.occupiedSlots()))
 	})
 	s := trace.NewSampler(m, int64(every))
 	e.sampler = s
@@ -455,7 +509,7 @@ func (e *Engine) StopSampling() {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.wq.len() }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // Live reports the number of spawned processes that have not finished.
 func (e *Engine) Live() int { return len(e.procs) }

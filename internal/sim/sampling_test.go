@@ -38,7 +38,7 @@ func TestEngineSampling(t *testing.T) {
 		names[sr.Name()] = true
 	}
 	for _, want := range []string{"sim.procs_ready", "sim.procs_parked",
-		"sim.events_pending", "sim.wheel_slots", "sim.events_executed"} {
+		"sim.events_pending", "sim.events_executed"} {
 		if !names[want] {
 			t.Fatalf("series %q missing; have %v", want, names)
 		}

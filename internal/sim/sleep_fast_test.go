@@ -7,12 +7,11 @@ import (
 
 // TestSleepFastPathEquivalence runs a process program whose sleeps mix the
 // inline fast path (nothing else pending), the slow path (a competing timer
-// is due first), zero-length sleeps (the same-time ring), and a far sleep
-// that lands in the wheel's overflow heap. The observable timeline (the
-// clock after every Sleep) must be exactly the arithmetic of the sleeps,
-// and events_executed must count inlined resumes as if the loop had
-// dispatched them. The queue half of the fast path (popSeq) is compared
-// against the heap reference in TestPopSeqEquivalence.
+// is due first), zero-length sleeps (the same-time ring), and a far sleep.
+// The observable timeline (the clock after every Sleep) must be exactly the
+// arithmetic of the sleeps, and events_executed must count inlined resumes
+// as if the loop had dispatched them. The queue half of the fast path
+// (popSeq) is pinned directly in TestQueuePopSeq.
 func TestSleepFastPathEquivalence(t *testing.T) {
 	e := NewEngine()
 	defer e.Shutdown()
@@ -26,10 +25,10 @@ func TestSleepFastPathEquivalence(t *testing.T) {
 		e.After(Nanosecond, func() { ticks++ }) // competing timer...
 		p.Sleep(5 * Nanosecond)                 // ...forces the slow path
 		timeline = append(timeline, p.Now())
-		p.Sleep(10 * Millisecond) // far: overflow heap
+		p.Sleep(10 * Millisecond) // far
 		timeline = append(timeline, p.Now())
 		for i := 0; i < 100; i++ {
-			p.Sleep(Time(i%7+1) * 64 * Nanosecond) // spans several slot widths
+			p.Sleep(Time(i%7+1) * 64 * Nanosecond)
 		}
 		timeline = append(timeline, p.Now())
 	})

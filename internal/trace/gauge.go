@@ -79,7 +79,7 @@ func (m *Metrics) Gauges() []*Gauge {
 }
 
 // AddProbe registers fn to run immediately before each sampler tick. Probes
-// let components publish derived state (wheel occupancy, router backlog,
+// let components publish derived state (pending events, router backlog,
 // in-progress busy time) lazily: the gauge writes happen only when a sampler
 // is armed and asks for them, so an unsampled run never pays for them.
 // Probes run in registration order, which construction makes deterministic.
