@@ -58,13 +58,17 @@ go test -run '^$' -bench 'EngineSchedule|EnginePingPong|ProcSleep' -benchtime 1x
 go test -run '^$' -bench 'Fig9FindOneTile' -benchtime 1x .
 
 echo "== perf smoke =="
-# Scheduler performance gate: every sim microbenchmark runs once and the
+# Allocation gates: every sim microbenchmark runs once and the
 # event queue's alloc guard must hold (once the 4-ary heap and the same-time
 # ring are warm, scheduling and dispatch allocate nothing). Dispatch order
 # is gated by FuzzEngineOrdering (fuzz seeds).
 go test -run '^$' -bench . -benchtime 1x ./internal/sim/
 go test -run 'TestSchedulePathAllocFree' -count=1 -v ./internal/sim/ \
     | grep -q '^--- PASS: TestSchedulePathAllocFree'
+# DTU round-trip alloc guard: a warm RPC allocates only its two payload
+# copies and two fetched Messages, the external requests nothing.
+go test -run 'TestMessagePathAllocs' -count=1 -v ./internal/dtu/ \
+    | grep -q '^--- PASS: TestMessagePathAllocs'
 
 echo "== m3vtrace smoke =="
 # End-to-end flow tracing gate: a small Figure-6-style run dumps its span

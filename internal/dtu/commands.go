@@ -88,7 +88,7 @@ func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64) error {
 		Data:       append([]byte(nil), a.Data...),
 	}
 	d.m.sends.Inc()
-	err = d.issueMsg(p, e.TgtTile, msgPacket{DstEp: e.TgtEp, Msg: msg, CrdRet: -1}, len(a.Data))
+	err = d.issueMsg(p, e.TgtTile, e.TgtEp, msg, -1)
 	if err != nil {
 		e.Credits++ // command failed; nothing in flight
 	}
@@ -154,7 +154,7 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64, f
 		Data:    append([]byte(nil), data...),
 	}
 	d.m.replies.Inc()
-	err = d.issueMsg(p, req.SndTile, msgPacket{DstEp: req.ReplyEp, Msg: reply, CrdRet: req.CrdEp}, len(data))
+	err = d.issueMsg(p, req.SndTile, req.ReplyEp, reply, req.CrdEp)
 	if errors.Is(err, ErrXferTimeout) {
 		// The reply never reached the requester: re-occupy the slot so the
 		// retry (or the caller, if the budget runs out) can reissue it.
@@ -183,7 +183,7 @@ func (d *DTU) sendRaw(p *sim.Proc, tile noc.TileID, ep EpID, msg Message, crdRet
 	if d.inj.FailCmd(msg.Flow, int(d.tile), 0) {
 		return ErrXferTimeout
 	}
-	return d.issueMsg(p, tile, msgPacket{DstEp: ep, Msg: msg, CrdRet: crdRet}, len(msg.Data))
+	return d.issueMsg(p, tile, ep, msg, crdRet)
 }
 
 // retryTransient reports whether a command wrapper should reissue after a
@@ -204,32 +204,17 @@ func (d *DTU) retryTransient(p *sim.Proc, err error, flow uint64, attempt int) b
 	return true
 }
 
-// issueMsg transmits a message packet and blocks until the destination DTU
-// acknowledges it.
-func (d *DTU) issueMsg(p *sim.Proc, dst noc.TileID, pkt msgPacket, payload int) error {
-	done := false
-	var result error
-	pkt.Ack = func(err error) {
-		result = err
-		done = true
-		p.Wake()
-	}
-	flow := pkt.Msg.Flow
-	d.eng.After(d.costs.Proc, func() {
-		np := d.net.NewPacket(d.tile, dst, headerBytes+payload, pkt)
-		np.Flow = flow
-		if d.inj.Enabled() {
-			// A terminally dropped packet must not leave the command parked
-			// forever: surface the loss as a transient timeout.
-			ack := pkt.Ack
-			np.Drop = func() { ack(ErrXferTimeout) }
-		}
-		d.net.Send(np)
-	})
-	for !done {
-		p.Park()
-	}
-	return result
+// issueMsg transmits a message to receive endpoint ep on tile dst and blocks
+// until the destination DTU acknowledges it. crdRet, if >= 0, is a credit
+// return piggybacked for a send endpoint at the destination.
+//
+//m3v:simctx
+func (d *DTU) issueMsg(p *sim.Proc, dst noc.TileID, ep EpID, msg Message, crdRet EpID) error {
+	c := d.acquireCmd(opMsg, dst, headerBytes+len(msg.Data))
+	c.ep, c.msg, c.crdRet = ep, msg, crdRet
+	err := c.await(p)
+	d.releaseCmd(c)
+	return err
 }
 
 // Fetch executes FETCH_MSG: it returns the oldest unread message of the
@@ -313,7 +298,8 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 
 // Read executes the READ command: a DMA read of n bytes from offset off of
 // the memory endpoint's region. The local buffer (vaddr) and the region
-// window are both limited to a single page per command.
+// window are both limited to a single page per command. A request or
+// response the NoC drops for good fails the command with ErrXferTimeout.
 func (d *DTU) Read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
 	start := d.eng.Now()
 	data, err := d.read(p, ep, off, n, vaddr)
@@ -339,22 +325,13 @@ func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byt
 	if err := d.translate(vaddr, n, PermW); err != nil {
 		return nil, err
 	}
-	var data []byte
-	done := false
-	req := memReadReq{
-		Off: e.MemBase + off,
-		N:   n,
-		Reply: func(b []byte) {
-			data = b
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, e.MemTile, headerBytes, req))
-	})
-	for !done {
-		p.Park()
+	c := d.acquireCmd(opRead, e.MemTile, headerBytes)
+	c.off, c.n = e.MemBase+off, n
+	err = c.await(p)
+	data := c.data
+	d.releaseCmd(c)
+	if err != nil {
+		return nil, err
 	}
 	d.m.reads.Inc()
 	p.Sleep(d.costs.xferTime(n))
@@ -362,7 +339,7 @@ func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byt
 }
 
 // Write executes the WRITE command: a DMA write into the memory endpoint's
-// region.
+// region. A terminal NoC drop fails it with ErrXferTimeout, as for Read.
 func (d *DTU) Write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64) error {
 	start := d.eng.Now()
 	err := d.write(p, ep, off, data, vaddr)
@@ -388,20 +365,13 @@ func (d *DTU) write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64)
 	if err := d.translate(vaddr, len(data), PermR); err != nil {
 		return err
 	}
-	done := false
-	req := memWriteReq{
-		Off:  e.MemBase + off,
-		Data: append([]byte(nil), data...),
-		Ack: func() {
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, e.MemTile, headerBytes+len(data), req))
-	})
-	for !done {
-		p.Park()
+	c := d.acquireCmd(opWrite, e.MemTile, headerBytes+len(data))
+	// The DTU reads the buffer as it issues the command.
+	c.off, c.buf = e.MemBase+off, append(c.buf, data...)
+	err = c.await(p)
+	d.releaseCmd(c)
+	if err != nil {
+		return err
 	}
 	d.m.writes.Inc()
 	p.Sleep(d.costs.xferTime(len(data)))

@@ -54,6 +54,11 @@ type DTU struct {
 	curSpan  trace.SpanRef
 	lastFlow uint64
 
+	// freeCmds recycles the state of finished round trips (cmd.go); irqFn
+	// is raiseIrq, cached so injecting an interrupt does not allocate.
+	freeCmds []*cmd
+	irqFn    func()
+
 	// OnCoreReq is the core-request interrupt: the vDTU injects it into the
 	// core to notify TileMux that a non-running activity received a message.
 	OnCoreReq func()
@@ -118,6 +123,7 @@ func New(eng *sim.Engine, net *noc.Network, tile noc.TileID, coreClock sim.Clock
 		rec:       eng.Tracer(),
 		m:         newDTUMetrics(eng.Tracer().Metrics(), tile),
 	}
+	d.irqFn = d.raiseIrq
 	if virt {
 		d.tlb = NewTLB()
 	}
@@ -243,54 +249,25 @@ func (d *DTU) CheckPMP(addr uint64, n int, perm Perm) (noc.TileID, uint64, error
 //m3v:simctx
 func (d *DTU) Deliver(pkt *noc.Packet) bool {
 	switch pl := pkt.Payload.(type) {
-	case msgPacket:
-		return d.deliverMsg(pkt, pl)
+	case *cmd:
+		if pl.resp {
+			pl.complete()
+			return true
+		}
+		return d.serve(pl)
 	case creditPacket:
 		d.returnCredits(pl.DstEp)
-		return true
-	case respPacket:
-		pl.fn()
-		return true
-	case memReadReq:
-		d.serveMemRead(pkt, pl)
-		return true
-	case memWriteReq:
-		d.serveMemWrite(pkt, pl)
-		return true
-	case extConfigReq:
-		d.serveExtConfig(pkt, pl)
-		return true
-	case extInvalidateReq:
-		d.serveExtInvalidate(pkt, pl)
-		return true
-	case extReadEpsReq:
-		d.serveExtReadEps(pkt, pl)
-		return true
-	case extWriteEpsReq:
-		d.serveExtWriteEps(pkt, pl)
 		return true
 	default:
 		panic(fmt.Sprintf("dtu: tile %d received unknown payload %T", d.tile, pkt.Payload))
 	}
 }
 
-// respPacket carries a response closure back across the NoC; it executes at
-// the destination tile when the packet arrives.
-type respPacket struct {
-	fn func()
-}
-
-// respond sends a response packet of the given size back to dst.
-func (d *DTU) respond(dst noc.TileID, size int, fn func()) {
-	d.net.Send(d.net.NewPacket(d.tile, dst, size, respPacket{fn: fn}))
-}
-
-// deliverMsg handles an incoming message packet. The return value feeds the
-// NoC's flow control: false means "retry later". pkt is recycled by the NoC
-// after this returns, so anything needed later is copied to locals first.
-func (d *DTU) deliverMsg(pkt *noc.Packet, pl msgPacket) bool {
-	src := pkt.Src
-	e := &d.eps[pl.DstEp]
+// deliverMsg stores an incoming message. The return value feeds the NoC's
+// flow control: false means "retry later".
+func (d *DTU) deliverMsg(c *cmd) bool {
+	flow := c.msg.Flow
+	e := &d.eps[c.ep]
 	notPresent := e.Kind != EpReceive
 	if !notPresent && !d.virt && e.Act != d.curAct && e.Act != ActInvalid && e.Act != ActTileMux {
 		// Plain DTU (M³x): only the endpoints of the current activity (and
@@ -300,57 +277,50 @@ func (d *DTU) deliverMsg(pkt *noc.Packet, pl msgPacket) bool {
 	}
 	now := int64(d.eng.Now())
 	if notPresent {
-		d.rec.EmitSpan(pl.Msg.Flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-			trace.CompDTU, trace.PathNone, int64(pl.DstEp), deliverNoRecipient)
-		ack := pl.Ack
-		d.eng.After(d.costs.Proc, func() {
-			d.respond(src, headerBytes, func() { ack(ErrNoRecipient) })
-		})
-		return true // consumed; the error travels back explicitly
+		d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
+			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNoRecipient)
+		c.err = ErrNoRecipient // consumed; the error travels back explicitly
+		d.eng.After(d.costs.Proc, c.respondFn)
+		return true
 	}
 	slot := e.freeSlot()
 	if slot < 0 {
 		d.m.nacked.Inc()
-		d.rec.EmitSpan(pl.Msg.Flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-			trace.CompDTU, trace.PathNone, int64(pl.DstEp), deliverNacked)
+		d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
+			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNacked)
 		return false // receive buffer full: NoC-level backpressure
 	}
 	if d.virt && e.Act != d.curAct && e.Act != ActInvalid && len(d.coreReqs) >= coreReqDepth {
 		// Core-request queue overrun: absorbed by packet flow control
 		// (paper §3.8).
 		d.m.nacked.Inc()
-		d.rec.EmitSpan(pl.Msg.Flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-			trace.CompDTU, trace.PathNone, int64(pl.DstEp), deliverNacked)
+		d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
+			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNacked)
 		return false
 	}
 	bit := uint64(1) << uint(slot)
 	e.occupied |= bit
 	e.unread |= bit
-	e.slots[slot] = recvSlot{msg: pl.Msg}
+	e.slots[slot] = recvSlot{msg: c.msg}
 	// The message was stored by the DTU without controller involvement: the
 	// fast-path mark. On M³x a controller-forwarded message also ends here,
 	// but its kernel.forward span marks the flow slow, and slow wins.
-	d.rec.EmitSpan(pl.Msg.Flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-		trace.CompDTU, trace.PathFast, int64(pl.DstEp), deliverStored)
-	if pl.CrdRet >= 0 {
+	d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
+		trace.CompDTU, trace.PathFast, int64(c.ep), deliverStored)
+	if c.crdRet >= 0 {
 		// Piggybacked credit return (a reply acknowledges the request).
-		d.returnCredits(pl.CrdRet)
+		d.returnCredits(c.crdRet)
 	}
 	if e.Act == d.curAct || e.Act == ActInvalid {
 		d.curMsgs++
 	} else if d.virt {
-		d.pushCoreReq(e.Act, pl.Msg.Flow)
+		d.pushCoreReq(e.Act, flow)
 	}
 	if d.OnMsgArrived != nil {
-		act := e.Act
-		d.eng.After(d.costs.Proc, func() { d.OnMsgArrived(act) })
+		c.act = e.Act
+		d.eng.After(d.costs.Proc, c.arrivedFn)
 	}
-	if pl.Ack != nil {
-		ack := pl.Ack
-		d.eng.After(d.costs.Proc, func() {
-			d.respond(src, headerBytes, func() { ack(nil) })
-		})
-	}
+	d.eng.After(d.costs.Proc, c.respondFn) // the acknowledgement
 	return true
 }
 
@@ -386,35 +356,12 @@ func (d *DTU) injectIrq() {
 	if d.OnCoreReq == nil {
 		return
 	}
-	d.eng.After(d.costs.IrqLatency, func() {
-		if len(d.coreReqs) > 0 && d.OnCoreReq != nil {
-			d.OnCoreReq()
-		}
-	})
+	d.eng.After(d.costs.IrqLatency, d.irqFn)
 }
 
-// serveMemRead handles a DMA read on a memory tile.
-func (d *DTU) serveMemRead(pkt *noc.Packet, pl memReadReq) {
-	if d.mem == nil {
-		panic(fmt.Sprintf("dtu: tile %d got memory read but has no DRAM", d.tile))
+// raiseIrq is the delayed half of injectIrq (cached in irqFn).
+func (d *DTU) raiseIrq() {
+	if len(d.coreReqs) > 0 && d.OnCoreReq != nil {
+		d.OnCoreReq()
 	}
-	delay := d.mem.AccessDelay(pl.N)
-	src := pkt.Src // pkt is recycled once Deliver returns
-	d.eng.After(delay, func() {
-		data := d.mem.ReadAt(pl.Off, pl.N)
-		d.respond(src, headerBytes+len(data), func() { pl.Reply(data) })
-	})
-}
-
-// serveMemWrite handles a DMA write on a memory tile.
-func (d *DTU) serveMemWrite(pkt *noc.Packet, pl memWriteReq) {
-	if d.mem == nil {
-		panic(fmt.Sprintf("dtu: tile %d got memory write but has no DRAM", d.tile))
-	}
-	delay := d.mem.AccessDelay(len(pl.Data))
-	src := pkt.Src
-	d.eng.After(delay, func() {
-		d.mem.WriteAt(pl.Off, pl.Data)
-		d.respond(src, headerBytes, pl.Ack)
-	})
 }

@@ -3,6 +3,7 @@ package dtu
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"m3v/internal/mem"
@@ -426,19 +427,42 @@ func TestExternalRemoteConfiguration(t *testing.T) {
 	})
 }
 
+// TestReadEpsRemote reads windows of a remote register file. The result is
+// the part of [first, first+count) inside [0, NumEPs): a window that
+// misses the file reads nothing, neither panicking past the end nor
+// returning the PMP endpoints for a negative first.
 func TestReadEpsRemote(t *testing.T) {
-	r := newRig(t, true)
-	must(r.d1.ConfigureLocal(10, SendEP(actA, 0, 1, 0x11, 2, 64)))
-	must(r.d1.ConfigureLocal(11, RecvEP(actA, 4, 64)))
-	r.run(func(p *sim.Proc) {
-		eps := r.d0.ReadEpsRemote(p, 1, 10, 2)
-		if len(eps) != 2 {
-			t.Fatalf("got %d EPs, want 2", len(eps))
-		}
-		if eps[0].Kind != EpSend || eps[1].Kind != EpReceive {
-			t.Errorf("kinds = %v,%v", eps[0].Kind, eps[1].Kind)
-		}
-	})
+	for _, tc := range []struct {
+		name         string
+		first, count int
+		want         []EpKind
+	}{
+		{"in range", 10, 2, []EpKind{EpSend, EpReceive}},
+		{"clipped at the end", NumEPs - 1, 3, []EpKind{EpInvalid}},
+		{"past the end", 200, 1, nil},
+		{"negative first", -5, 3, nil},
+		{"negative count", 10, -1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, true)
+			must(r.d1.ConfigureLocal(0, MemEP(actA, 2, 0, 4096, PermRW)))
+			must(r.d1.ConfigureLocal(10, SendEP(actA, 0, 1, 0x11, 2, 64)))
+			must(r.d1.ConfigureLocal(11, RecvEP(actA, 4, 64)))
+			var got []EpKind
+			r.run(func(p *sim.Proc) {
+				eps, err := r.d0.ReadEpsRemote(p, 1, tc.first, tc.count, nil)
+				if err != nil {
+					t.Errorf("ReadEpsRemote: %v", err)
+				}
+				for _, e := range eps {
+					got = append(got, e.Kind)
+				}
+			})
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("ReadEpsRemote(%d, %d) kinds = %v, want %v", tc.first, tc.count, got, tc.want)
+			}
+		})
+	}
 }
 
 func TestReplyWithoutReplyEpFails(t *testing.T) {

@@ -1,8 +1,6 @@
 package dtu
 
 import (
-	"fmt"
-
 	"m3v/internal/noc"
 	"m3v/internal/sim"
 )
@@ -41,85 +39,44 @@ func (d *DTU) InvalidateLocal(ep EpID) error {
 
 // ConfigureRemote sends an external configuration request to the DTU on the
 // given tile and blocks until it is acknowledged. Must be called from the
-// controller's process.
+// controller's process. Like every external request, it fails with
+// ErrXferTimeout if the NoC drops the request or its answer for good.
 func (d *DTU) ConfigureRemote(p *sim.Proc, tile noc.TileID, ep EpID, conf Endpoint) error {
-	done := false
-	var result error
-	req := extConfigReq{
-		Ep:   ep,
-		Conf: conf,
-		Ack: func(err error) {
-			result = err
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, extReqBytes, req))
-	})
-	for !done {
-		p.Park()
-	}
-	return result
+	c := d.acquireCmd(opConfig, tile, extReqBytes)
+	c.ep, c.conf = ep, conf
+	err := c.await(p)
+	d.releaseCmd(c)
+	return err
 }
 
 // InvalidateRemote clears an endpoint on a remote DTU.
 func (d *DTU) InvalidateRemote(p *sim.Proc, tile noc.TileID, ep EpID) error {
-	done := false
-	var result error
-	req := extInvalidateReq{
-		Ep: ep,
-		Ack: func(err error) {
-			result = err
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, extReqBytes, req))
-	})
-	for !done {
-		p.Park()
-	}
-	return result
+	c := d.acquireCmd(opInvalidate, tile, extReqBytes)
+	c.ep = ep
+	err := c.await(p)
+	d.releaseCmd(c)
+	return err
 }
 
-// ReadEpsRemote fetches count endpoint registers starting at first from a
-// remote DTU. The M³x controller uses this to save DTU state during a remote
-// context switch.
-func (d *DTU) ReadEpsRemote(p *sim.Proc, tile noc.TileID, first, count int) []Endpoint {
-	var eps []Endpoint
-	done := false
-	req := extReadEpsReq{
-		First: first,
-		Count: count,
-		Reply: func(e []Endpoint) {
-			eps = e
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, extReqBytes, req))
-	})
-	for !done {
-		p.Park()
-	}
-	return eps
+// ReadEpsRemote reads the endpoint registers [first, first+count) of a
+// remote DTU into buf, reusing its capacity, and returns the filled slice.
+// Only the part of the window inside the register file is read, so a
+// window that misses it yields no endpoints. The registers are
+// snapshotted when the request reaches the remote DTU. The M³x controller
+// uses this to save DTU state during a remote context switch.
+func (d *DTU) ReadEpsRemote(p *sim.Proc, tile noc.TileID, first, count int, buf []Endpoint) ([]Endpoint, error) {
+	c := d.acquireCmd(opReadEps, tile, extReqBytes)
+	c.first, c.count, c.eps = first, count, buf[:0]
+	err := c.await(p)
+	eps := c.eps
+	d.releaseCmd(c)
+	return eps, err
 }
 
 // WriteEpsRemote bulk-writes endpoint state to a remote DTU. The M³x
 // controller uses it to restore an activity's saved DTU state during a
 // remote context switch; the transfer size models the real cost.
-func (d *DTU) WriteEpsRemote(p *sim.Proc, tile noc.TileID, eps []EpConf) {
-	done := false
-	req := extWriteEpsReq{
-		Eps: eps,
-		Ack: func() {
-			done = true
-			p.Wake()
-		},
-	}
+func (d *DTU) WriteEpsRemote(p *sim.Proc, tile noc.TileID, eps []EpConf) error {
 	size := extReqBytes * len(eps)
 	for _, ec := range eps {
 		// Buffered messages travel with the state.
@@ -129,60 +86,11 @@ func (d *DTU) WriteEpsRemote(p *sim.Proc, tile noc.TileID, eps []EpConf) {
 			}
 		}
 	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, size, req))
-	})
-	for !done {
-		p.Park()
-	}
-}
-
-func (d *DTU) serveExtWriteEps(pkt *noc.Packet, pl extWriteEpsReq) {
-	for _, ec := range pl.Eps {
-		if err := d.ConfigureLocal(ec.Ep, ec.Conf); err != nil {
-			panic(fmt.Sprintf("dtu: bulk EP write failed: %v", err))
-		}
-	}
-	ack := pl.Ack
-	src := pkt.Src // pkt is recycled once Deliver returns
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, headerBytes, ack)
-	})
-}
-
-func (d *DTU) serveExtConfig(pkt *noc.Packet, pl extConfigReq) {
-	err := d.ConfigureLocal(pl.Ep, pl.Conf)
-	ack := pl.Ack
-	src := pkt.Src
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, headerBytes, func() { ack(err) })
-	})
-}
-
-func (d *DTU) serveExtInvalidate(pkt *noc.Packet, pl extInvalidateReq) {
-	err := d.InvalidateLocal(pl.Ep)
-	ack := pl.Ack
-	src := pkt.Src
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, headerBytes, func() { ack(err) })
-	})
-}
-
-func (d *DTU) serveExtReadEps(pkt *noc.Packet, pl extReadEpsReq) {
-	first, count := pl.First, pl.Count
-	if first < 0 {
-		first = 0
-	}
-	if first+count > NumEPs {
-		count = NumEPs - first
-	}
-	out := make([]Endpoint, count)
-	copy(out, d.eps[first:first+count])
-	reply := pl.Reply
-	src := pkt.Src
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, extReqBytes*count, func() { reply(out) })
-	})
+	c := d.acquireCmd(opWriteEps, tile, size)
+	c.confs = eps
+	err := c.await(p)
+	d.releaseCmd(c)
+	return err
 }
 
 // SetCurAct initializes CUR_ACT during platform boot (before TileMux runs).

@@ -43,14 +43,18 @@ func errCodeOf(err error) uint64 {
 //   - determinism: replaying the input on a fresh rig reproduces the exact
 //     command results and message flow.
 //
-// Input layout: byte 0 arms the fault injector (rate + seed), every further
-// byte is one command (3-bit opcode, 5 bits of operand).
+// Input layout: byte 0 arms the fault injector (rate + seed) and, in its top
+// two bits, bounds the NoC's retries per packet (0 = unbounded), so packets
+// can be dropped for good and commands must time out instead of wedging;
+// every further byte is one command (3-bit opcode, 5 bits of operand).
 func FuzzDTUCommands(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x01, 0x02, 0x03, 0x04})             // one of each, no faults
 	f.Add([]byte{0x05, 0x00, 0x00, 0x00, 0x02, 0x02, 0x02})       // faults + sends, then drain
 	f.Add([]byte{0x03, 0x06, 0x07, 0x05, 0x00, 0x01, 0x02})       // error paths mixed in
 	f.Add([]byte{0x07, 0x00, 0x01, 0x00, 0x01, 0x03, 0x04, 0x02}) // credit pressure under faults
+	// One try per packet (MaxRetries 1): NACKs and drops are terminal.
+	f.Add([]byte{0x47, 0x00, 0x01, 0x01, 0x01, 0x01, 0x03, 0x04, 0x00, 0x02, 0x0D, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 96 {
@@ -59,7 +63,11 @@ func FuzzDTUCommands(f *testing.F) {
 		run := func() uint64 {
 			eng := sim.NewEngine()
 			defer eng.Shutdown()
-			net := noc.New(eng, noc.StarMesh{NumTiles: 4}, noc.DefaultConfig())
+			cfg := noc.DefaultConfig()
+			if len(data) > 0 {
+				cfg.MaxRetries = int(data[0] >> 6)
+			}
+			net := noc.New(eng, noc.StarMesh{NumTiles: 4}, cfg)
 			d0 := New(eng, net, 0, sim.MHz(80), false)
 			d1 := New(eng, net, 1, sim.MHz(80), false)
 			dram := mem.New(eng, mem.DefaultConfig(1<<20))
@@ -138,6 +146,9 @@ func FuzzDTUCommands(f *testing.F) {
 				}
 			})
 			eng.RunUntil(5 * sim.Second)
+			if !done {
+				t.Fatal("a command never returned")
+			}
 			hash = fnvFold(hash, uint64(net.Delivered())<<32|uint64(net.Nacked())<<8|uint64(net.Dropped()))
 			hash = fnvFold(hash, uint64(eng.Now()))
 			return hash

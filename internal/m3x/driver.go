@@ -37,7 +37,9 @@ type Driver struct {
 
 	// current is the activity each user tile is running (nil = none).
 	current map[noc.TileID]uint32
-	// saved holds the DTU state of every non-running activity.
+	// saved holds the DTU state of every non-running activity. A restore
+	// truncates the activity's set to length 0, so the next save refills
+	// the same backing array.
 	saved map[uint32][]dtu.EpConf
 	// mirror is the controller's copy of every endpoint configuration it
 	// ever issued (routing metadata for the slow path).
@@ -45,6 +47,10 @@ type Driver struct {
 	// pending are context switches queued during syscall handling, executed
 	// after the caller got its reply.
 	pending []pendingSwitch
+	// live and invalidate are performSwitch's scratch: the endpoints read
+	// back from the stopped activity's tile and the ones to clear there.
+	live       []dtu.Endpoint
+	invalidate []dtu.EpConf
 
 	// started lists all started activities per tile for time-slice rotation;
 	// tileOrder keeps the tiles in first-start order so rotation ticks visit
@@ -186,9 +192,26 @@ func (d *Driver) onActStarting(p *sim.Proc, act *kernel.ActEntry) {
 		return
 	}
 	d.current[act.Tile] = act.ID
-	if set := d.saved[act.ID]; len(set) > 0 {
-		d.k.DTU().WriteEpsRemote(p, act.Tile, set)
-		delete(d.saved, act.ID)
+	d.restore(p, act.Tile, act.ID)
+}
+
+// restore pushes an activity's saved endpoints onto its tile and empties
+// its saved set. The set keeps its backing array for the next save; as its
+// length is 0, savedEp finds nothing in it, so no caller can reach the
+// stale copies whose receive slots now belong to the live tile.
+func (d *Driver) restore(p *sim.Proc, tile noc.TileID, act uint32) {
+	if set := d.saved[act]; len(set) > 0 {
+		extOK(d.k.DTU().WriteEpsRemote(p, tile, set))
+		d.saved[act] = set[:0]
+	}
+}
+
+// extOK panics on a failed external request. The controller's requests
+// only fail if the NoC drops a packet for good, which the platform's
+// unbounded NoC retries never do.
+func extOK(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("m3x: external request failed: %v", err))
 	}
 }
 
@@ -229,6 +252,8 @@ func (d *Driver) configureVia(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dt
 }
 
 // setSaved installs or replaces one endpoint in an activity's saved set.
+//
+//m3v:noalloc
 func (d *Driver) setSaved(act uint32, ep dtu.EpID, conf dtu.Endpoint) {
 	set := d.saved[act]
 	for i := range set {
@@ -237,6 +262,7 @@ func (d *Driver) setSaved(act uint32, ep dtu.EpID, conf dtu.Endpoint) {
 			return
 		}
 	}
+	//m3vlint:ignore noalloc amortized growth: a restore truncates the set and keeps its backing array, so saves refill it
 	d.saved[act] = append(set, dtu.EpConf{Ep: ep, Conf: conf})
 }
 
@@ -392,26 +418,25 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 		if curAct != nil {
 			first, count := int(kernel.UserEpFirst), int(te.NextEp-kernel.UserEpFirst)
 			if count > 0 {
-				live := k.DTU().ReadEpsRemote(p, tile, first, count)
-				var invalidate []dtu.EpConf
-				for i, conf := range live {
-					if conf.Act == curAct.Local {
+				live, err := k.DTU().ReadEpsRemote(p, tile, first, count, d.live)
+				extOK(err)
+				d.live = live
+				d.invalidate = d.invalidate[:0]
+				for i := range live {
+					if live[i].Act == curAct.Local {
 						epID := dtu.EpID(first + i)
-						d.setSaved(cur, epID, conf)
-						invalidate = append(invalidate, dtu.EpConf{Ep: epID})
+						d.setSaved(cur, epID, live[i])
+						d.invalidate = append(d.invalidate, dtu.EpConf{Ep: epID})
 					}
 				}
-				if len(invalidate) > 0 {
-					k.DTU().WriteEpsRemote(p, tile, invalidate)
+				if len(d.invalidate) > 0 {
+					extOK(k.DTU().WriteEpsRemote(p, tile, d.invalidate))
 				}
 			}
 		}
 	}
 	// 3. Restore the target's saved endpoints.
-	if set := d.saved[to]; len(set) > 0 {
-		k.DTU().WriteEpsRemote(p, tile, set)
-		delete(d.saved, to)
-	}
+	d.restore(p, tile, to)
 	// 4. Resume.
 	toAct := k.Act(to)
 	req := proto.NewWriter(proto.OpMuxResume).U16(uint16(toAct.Local)).Done()

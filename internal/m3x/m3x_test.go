@@ -7,6 +7,7 @@ import (
 	"m3v/internal/activity"
 	"m3v/internal/cap"
 	"m3v/internal/core"
+	"m3v/internal/dtu"
 	"m3v/internal/sim"
 	"m3v/internal/trace"
 )
@@ -17,20 +18,18 @@ type share struct {
 	cliSgateSel  cap.Sel // then delegated to the client
 	ready        bool
 	replies      int
+	// running, if set, is called by the server after it fetched a request
+	// and by the client after it got a reply, with the endpoints in use.
+	running func(a *activity.Activity, eps ...dtu.EpID)
 }
 
-// TestM3xSameTileSlowPathRPC reproduces the Figure 9 situation at unit
-// level: a client and a server share one tile on the M³x baseline. Every
-// RPC needs the slow path (the recipient's endpoints are saved in the
-// controller) and remote context switches through the controller.
-func TestM3xSameTileSlowPathRPC(t *testing.T) {
-	sys := core.New(core.Gem5Config(2).WithM3x())
-	defer sys.Shutdown()
+// runColocated starts a server and a client of rounds RPCs on one M³x tile
+// (the Figure 9 situation at unit level), runs the system and fails the
+// test unless every activity finished.
+func runColocated(t *testing.T, sys *core.System, sh *share, rounds int) {
+	t.Helper()
 	procs := sys.Cfg.ProcessingTiles()
 	rootTile, workTile := procs[0], procs[1]
-
-	sh := &share{}
-	const rounds = 4
 	root := sys.SpawnRoot(rootTile, "root", nil, func(a *activity.Activity) {
 		tiles := core.TileSels(a)
 		srvRef, err := a.Spawn(tiles[workTile], workTile, "server",
@@ -66,6 +65,18 @@ func TestM3xSameTileSlowPathRPC(t *testing.T) {
 	if !root.Done() {
 		t.Fatal("did not finish")
 	}
+}
+
+// TestM3xSameTileSlowPathRPC reproduces the Figure 9 situation at unit
+// level: a client and a server share one tile on the M³x baseline. Every
+// RPC needs the slow path (the recipient's endpoints are saved in the
+// controller) and remote context switches through the controller.
+func TestM3xSameTileSlowPathRPC(t *testing.T) {
+	sys := core.New(core.Gem5Config(2).WithM3x())
+	defer sys.Shutdown()
+	sh := &share{}
+	const rounds = 4
+	runColocated(t, sys, sh, rounds)
 	if sh.replies != rounds {
 		t.Errorf("replies = %d, want %d", sh.replies, rounds)
 	}
@@ -101,6 +112,9 @@ func m3xServer(a *activity.Activity) {
 	sh.ready = true
 	for i := 0; i < rounds; i++ {
 		slot, msg := a.Recv(rgEp)
+		if sh.running != nil {
+			sh.running(a, rgEp)
+		}
 		if err := a.ReplyMsg(rgEp, slot, msg, append([]byte("re:"), msg.Data...), 0); err != nil {
 			panic(err)
 		}
@@ -131,6 +145,9 @@ func m3xClient(a *activity.Activity) {
 		if err != nil {
 			panic(err)
 		}
+		if sh.running != nil {
+			sh.running(a, rgEp, sgEp)
+		}
 		if len(resp) == 4 && resp[3] == byte(i) {
 			sh.replies++
 		}
@@ -146,46 +163,9 @@ func TestM3xSlowPathSpans(t *testing.T) {
 	sys := core.New(core.Gem5Config(2).WithM3x())
 	defer sys.Shutdown()
 	sys.Eng.Tracer().Enable()
-	procs := sys.Cfg.ProcessingTiles()
-	rootTile, workTile := procs[0], procs[1]
-
 	sh := &share{}
 	const rounds = 4
-	root := sys.SpawnRoot(rootTile, "root", nil, func(a *activity.Activity) {
-		tiles := core.TileSels(a)
-		srvRef, err := a.Spawn(tiles[workTile], workTile, "server",
-			map[string]interface{}{"share": sh, "rounds": rounds, "root": a.ID}, m3xServer)
-		if err != nil {
-			t.Errorf("spawn server: %v", err)
-			return
-		}
-		for !sh.ready {
-			a.Compute(1000)
-			a.Yield()
-		}
-		cliRef, err := a.Spawn(tiles[workTile], workTile, "client",
-			map[string]interface{}{"share": sh, "rounds": rounds}, m3xClient)
-		if err != nil {
-			t.Errorf("spawn client: %v", err)
-			return
-		}
-		sel, err := a.SysDelegate(cliRef.ID, sh.rootSgateSel)
-		if err != nil {
-			t.Errorf("delegate to client: %v", err)
-			return
-		}
-		sh.cliSgateSel = sel
-		if _, err := a.SysWait(cliRef.ActSel); err != nil {
-			t.Errorf("wait client: %v", err)
-		}
-		if _, err := a.SysWait(srvRef.ActSel); err != nil {
-			t.Errorf("wait server: %v", err)
-		}
-	})
-	sys.Run(120 * sim.Second)
-	if !root.Done() {
-		t.Fatal("did not finish")
-	}
+	runColocated(t, sys, sh, rounds)
 
 	rec := sys.Eng.Tracer()
 	var buf bytes.Buffer
@@ -223,5 +203,47 @@ func TestM3xSlowPathSpans(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("kernel.forward missing from the segment breakdown: %+v", rep.Segments)
+	}
+}
+
+// TestM3xSavedStateReuse cycles one tile through remote switches between
+// the co-located server and client, where every request and reply reaches
+// its recipient through the slow path: the controller injects it into the
+// stopped recipient's saved receive endpoint. Whenever an activity runs,
+// its saved set must be empty, so savedEp can never hand out a stale copy
+// whose receive slots belong to the live tile, while the set keeps its
+// backing array for the next save. Each message must reach its owner alone
+// (every reply echoes its request), and the slow-path work is pinned: 12
+// forwards and 13 remote switches for 6 RPCs, as when restores deleted
+// the sets.
+func TestM3xSavedStateReuse(t *testing.T) {
+	sys := core.New(core.Gem5Config(2).WithM3x())
+	defer sys.Shutdown()
+	drv := sys.Driver
+	reused := 0 // checks that found the set's backing array kept
+	sh := &share{running: func(a *activity.Activity, eps ...dtu.EpID) {
+		n, c := drv.SavedSet(a.ID)
+		if n != 0 {
+			t.Errorf("%s runs with %d saved endpoints", a.Name, n)
+		}
+		if c > 0 {
+			reused++
+		}
+		for _, ep := range eps {
+			if drv.SavedEp(a.ID, ep) != nil {
+				t.Errorf("%s runs, but savedEp(%d, %d) returns a saved copy", a.Name, a.ID, ep)
+			}
+		}
+	}}
+	const rounds = 6
+	runColocated(t, sys, sh, rounds)
+	if sh.replies != rounds {
+		t.Errorf("replies = %d, want %d", sh.replies, rounds)
+	}
+	if reused == 0 {
+		t.Error("no restore kept the saved set's backing array")
+	}
+	if drv.Forwards != 12 || drv.Switches != 13 {
+		t.Errorf("forwards %d, switches %d; want 12 and 13", drv.Forwards, drv.Switches)
 	}
 }
