@@ -15,8 +15,8 @@ import (
 //	M3V_UPDATE_GOLDEN=1 go test ./internal/bench -run TestGoldenFigures
 const goldenFile = "testdata/golden.json"
 
-// goldenExperiments are the figure drivers pinned by the snapshot.
-var goldenExperiments = []string{"fig6", "fig7", "fig8", "fig9", "fig10"}
+// goldenExperiments are the experiment drivers pinned by the snapshot.
+var goldenExperiments = []string{"fig6", "fig7", "fig8", "fig9", "fig10", "voice", "ablation"}
 
 // goldenParams runs fig9 on a truncated tile series to keep the test fast;
 // the fixed-topology figures ignore it.
@@ -40,9 +40,9 @@ func collectGolden(t *testing.T) map[string]map[string]float64 {
 	return out
 }
 
-// TestGoldenFigures pins every row of the fig6-fig10 tables to the committed
-// snapshot: the simulation is deterministic, so any drift is a real model
-// change and must be reviewed (and the snapshot regenerated) explicitly.
+// TestGoldenFigures pins every row of the goldenExperiments tables to the
+// committed snapshot: the simulation is deterministic, so any drift is a real
+// model change and must be reviewed (and the snapshot regenerated) explicitly.
 func TestGoldenFigures(t *testing.T) {
 	got := collectGolden(t)
 
