@@ -15,63 +15,47 @@ import (
 //     charging each unprivileged vDTU command the two protection-domain
 //     crossings and argument validation of a mediating trap.
 //  2. §3.6: the single-page transfer restriction lets the vDTU check the
-//     TLB once per command. The alternative (multi-page commands with
-//     per-page checks) would save per-command overhead on large transfers;
-//     we report the read throughput cost of the restriction by doubling the
-//     per-command cost while halving the command count.
+//     TLB once per command, at the price of one command per page on the
+//     data path; we report that per-command overhead (the SEND cost).
 func Ablations() *Result { return must(ablations(Params{}, nil)) }
+
+// mediationCycles is the §3.5 trap charged on top of every unprivileged
+// command: trap entry/exit, argument copy, endpoint-ownership validation in
+// software, and the return.
+const mediationCycles = 2200
 
 func ablations(p Params, c *sim.Canceler) (*Result, error) {
 	r := &Result{ID: "ablation", Title: "Design-choice ablations"}
 
-	// The three measurements are independent systems; run them as sweep
+	// The two measurements are independent systems; run them as sweep
 	// points.
-	pts := runPoints(3, func(i int) sim.Time {
-		switch i {
-		case 0:
+	pts := runPoints(2, func(i int) sim.Time {
+		if i == 0 {
 			return measureM3vRPC(p, c, false, 50)
-		case 1:
-			return measureRPCWithCosts(p, c, 50, func(c *dtu.Costs) {
-				// Every command traps into TileMux: trap entry/exit, argument
-				// copy, endpoint-ownership validation in software, and the
-				// return — charged on top of the hardware command itself.
-				const mediationCycles = 2200
-				c.SendCmd += mediationCycles
-				c.ReplyCmd += mediationCycles
-				c.FetchCmd += mediationCycles
-				c.AckCmd += mediationCycles
-				c.XferCmd += mediationCycles
-			})
-		default:
-			// --- 2: single-page transfer restriction --------------------
-			// The restriction shows up as one command per page on the data
-			// path; report the measured per-command share of a 4 KiB read.
-			return measureRPCWithCosts(p, c, 20, nil)
 		}
+		return measureMediatedRPC(p, c, 50)
 	})
-	base, mediated, one := pts[0], pts[1], pts[2]
+	base, mediated := pts[0], pts[1]
 
 	// --- 1: endpoint tagging vs TileMux mediation -----------------------
 	r.Add("remote RPC, tagged endpoints", base.Micros(), "us", 25)
 	r.Add("remote RPC, TileMux-mediated", mediated.Micros(), "us", 0)
 	r.Add("mediation slowdown", float64(mediated)/float64(base), "x", 10)
 
-	r.Add("per-command overhead at 80MHz", sim.MHz(80).Cycles(520).Micros(), "us", 0)
-	_ = one
+	// --- 2: single-page transfer restriction ----------------------------
+	r.Add("per-command overhead at 80MHz", sim.MHz(80).Cycles(dtu.SendCycles).Micros(), "us", 0)
 	r.Note("paper §3.5: mediation cost is why activities use the vDTU directly")
 	return finish(r, c)
 }
 
-// measureRPCWithCosts measures a remote no-op RPC with modified vDTU costs
-// on both endpoints' tiles.
-func measureRPCWithCosts(p Params, c *sim.Canceler, rounds int, mutate func(*dtu.Costs)) sim.Time {
+// measureMediatedRPC measures a remote no-op RPC with TileMux mediation
+// charged on every processing tile's vDTU.
+func measureMediatedRPC(p Params, c *sim.Canceler, rounds int) sim.Time {
 	sys := p.boot(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
-	if mutate != nil {
-		for _, tile := range procs {
-			mutate(sys.DTU(tile).Costs())
-		}
+	for _, tile := range procs {
+		sys.DTU(tile).SetMediation(mediationCycles)
 	}
 	return measureRPCOn(sys, procs[1], procs[2], rounds)
 }

@@ -38,7 +38,7 @@ func measureM3vRPC(p Params, c *sim.Canceler, sameTile bool, rounds int) sim.Tim
 }
 
 // measureRPCOn runs the RPC measurement on a prebuilt system (the ablation
-// benches mutate cost tables before calling it).
+// arms DTU mediation before calling it).
 func measureRPCOn(sys *core.System, clientTile, serverTile noc.TileID, rounds int) sim.Time {
 	share := &rpcShare{}
 	var total sim.Time

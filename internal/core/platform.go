@@ -36,7 +36,6 @@ type TileSpec struct {
 type Config struct {
 	Name  string
 	Tiles []TileSpec
-	NoC   noc.Config
 	// BaselineM3x builds the M³x baseline instead of M³v: plain DTUs with
 	// RCTMux on the tiles and remote multiplexing in the controller.
 	BaselineM3x bool
@@ -81,7 +80,7 @@ func FPGAConfig() Config {
 		TileSpec{Name: "ddr0", Kind: KindMemory, MemSize: 512 << 20},
 		TileSpec{Name: "ddr1", Kind: KindMemory, MemSize: 512 << 20},
 	)
-	return Config{Name: "fpga", Tiles: tiles, NoC: noc.DefaultConfig()}
+	return Config{Name: "fpga", Tiles: tiles}
 }
 
 // Gem5Config mirrors the M³x comparison setup (§6.4): a controller plus n
@@ -94,7 +93,7 @@ func Gem5Config(userTiles int) Config {
 		})
 	}
 	tiles = append(tiles, TileSpec{Name: "dram", Kind: KindMemory, MemSize: 1 << 30})
-	return Config{Name: "gem5", Tiles: tiles, NoC: noc.DefaultConfig()}
+	return Config{Name: "gem5", Tiles: tiles}
 }
 
 // Tile is one built tile.

@@ -70,7 +70,7 @@ func (h *Handle) Code() int32 { return h.code }
 func New(cfg Config) *System {
 	eng := sim.NewEngine()
 	topo := noc.StarMesh{NumTiles: len(cfg.Tiles)}
-	net := noc.New(eng, topo, cfg.NoC)
+	net := noc.New(eng, topo, noc.DefaultConfig())
 	s := &System{
 		Cfg:         cfg,
 		Eng:         eng,

@@ -118,7 +118,7 @@ func (d *DTU) releaseCmd(c *cmd) {
 //m3v:simctx
 func (c *cmd) await(p *sim.Proc) error {
 	c.p = p
-	c.d.eng.After(c.d.costs.Proc, c.issueFn)
+	c.d.eng.After(procTime, c.issueFn)
 	for !c.done {
 		p.Park()
 	}
@@ -164,7 +164,7 @@ func (c *cmd) arrived() { c.remote.OnMsgArrived(c.act) }
 // NoC has to retry the packet later.
 func (d *DTU) serve(c *cmd) bool {
 	c.remote = d
-	delay := d.costs.Proc
+	delay := procTime
 	switch c.op {
 	case opMsg:
 		return d.deliverMsg(c)

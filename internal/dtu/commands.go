@@ -54,7 +54,7 @@ func (d *DTU) Send(p *sim.Proc, a SendArgs) error {
 }
 
 func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64) error {
-	d.charge(p, d.costs.SendCmd)
+	d.charge(p, SendCycles+d.mediation)
 	if d.inj.FailCmd(flow, int(d.tile), 0) {
 		return ErrXferTimeout
 	}
@@ -93,7 +93,7 @@ func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64) error {
 		e.Credits++ // command failed; nothing in flight
 	}
 	// Data leaves through the cache bus.
-	p.Sleep(d.costs.xferTime(len(a.Data)))
+	p.Sleep(xferTime(len(a.Data)))
 	return err
 }
 
@@ -119,7 +119,7 @@ func (d *DTU) Reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64) e
 }
 
 func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64, flow uint64) error {
-	d.charge(p, d.costs.ReplyCmd)
+	d.charge(p, replyCycles+d.mediation)
 	if d.inj.FailCmd(flow, int(d.tile), 1) {
 		return ErrXferTimeout
 	}
@@ -160,7 +160,7 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64, f
 		// retry (or the caller, if the budget runs out) can reissue it.
 		e.occupied |= 1 << uint(slot)
 	}
-	p.Sleep(d.costs.xferTime(len(data)))
+	p.Sleep(xferTime(len(data)))
 	return err
 }
 
@@ -239,7 +239,7 @@ func (d *DTU) Fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 }
 
 func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
-	d.charge(p, d.costs.FetchCmd)
+	d.charge(p, fetchCycles+d.mediation)
 	e, err := d.epFor(ep, EpReceive)
 	if err != nil {
 		return 0, nil, err
@@ -257,7 +257,7 @@ func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 	}
 	d.m.fetches.Inc()
 	m := e.slots[slot].msg
-	p.Sleep(d.costs.xferTime(len(m.Data))) // message moves over the cache bus
+	p.Sleep(xferTime(len(m.Data))) // message moves over the cache bus
 	return slot, &m, nil
 }
 
@@ -271,7 +271,7 @@ func (d *DTU) Ack(p *sim.Proc, ep EpID, slot int) error {
 }
 
 func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
-	d.charge(p, d.costs.AckCmd)
+	d.charge(p, ackCycles+d.mediation)
 	e, err := d.epFor(ep, EpReceive)
 	if err != nil {
 		return err
@@ -288,7 +288,7 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 	e.unread &^= bit
 	d.m.acks.Inc()
 	if msg.CrdEp >= 0 {
-		d.eng.After(d.costs.Proc, func() {
+		d.eng.After(procTime, func() {
 			d.net.Send(d.net.NewPacket(d.tile, msg.SndTile, headerBytes,
 				creditPacket{DstEp: msg.CrdEp}))
 		})
@@ -308,7 +308,7 @@ func (d *DTU) Read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byt
 }
 
 func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
-	d.charge(p, d.costs.XferCmd)
+	d.charge(p, xferCycles+d.mediation)
 	e, err := d.epFor(ep, EpMemory)
 	if err != nil {
 		return nil, err
@@ -334,7 +334,7 @@ func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byt
 		return nil, err
 	}
 	d.m.reads.Inc()
-	p.Sleep(d.costs.xferTime(n))
+	p.Sleep(xferTime(n))
 	return data, nil
 }
 
@@ -348,7 +348,7 @@ func (d *DTU) Write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64)
 }
 
 func (d *DTU) write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64) error {
-	d.charge(p, d.costs.XferCmd)
+	d.charge(p, xferCycles+d.mediation)
 	e, err := d.epFor(ep, EpMemory)
 	if err != nil {
 		return err
@@ -374,7 +374,7 @@ func (d *DTU) write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64)
 		return err
 	}
 	d.m.writes.Inc()
-	p.Sleep(d.costs.xferTime(len(data)))
+	p.Sleep(xferTime(len(data)))
 	return nil
 }
 

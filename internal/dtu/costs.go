@@ -2,49 +2,40 @@ package dtu
 
 import "m3v/internal/sim"
 
-// Costs is the DTU timing model. Command costs are in cycles of the
-// attached core's clock: they model the uncached MMIO register accesses
-// (argument setup, command issue, status polling) that dominate command
-// latency on the FPGA platform. DTU-internal work is in absolute time since
-// the DTU runs in its own clock domain.
+// The DTU timing model. Command costs are in cycles of the attached core's
+// clock: they model the uncached MMIO register accesses (argument setup,
+// command issue, status polling) that dominate command latency on the FPGA
+// platform. DTU-internal work is in absolute time since the DTU runs in its
+// own clock domain.
 //
 // The constants are calibrated against the paper's Figure 6 anchor points:
 // a cross-tile no-op RPC costs about as much as a Linux no-op system call
 // (~25 us on the 80 MHz BOOM core, i.e. ~2000 cycles), and a tile-local
 // no-op RPC costs ~5k cycles.
-type Costs struct {
-	SendCmd  int64 // SEND: 4 argument registers + issue + completion poll
-	ReplyCmd int64 // REPLY: like SEND
-	FetchCmd int64 // FETCH_MSG: issue + read result register
-	AckCmd   int64 // ACK_MSG
-	XferCmd  int64 // READ/WRITE issue + completion poll
-	PrivCmd  int64 // privileged interface access (SWITCH_ACT, TLB, core reqs)
+const (
+	SendCycles  int64 = 520 // SEND: 4 argument registers + issue + completion poll
+	replyCycles int64 = 520 // REPLY: like SEND
+	fetchCycles int64 = 280 // FETCH_MSG: issue + read result register
+	ackCycles   int64 = 160 // ACK_MSG
+	xferCycles  int64 = 300 // READ/WRITE issue + completion poll
+	privCycles  int64 = 60  // privileged interface access (SWITCH_ACT, TLB, core reqs)
 
-	Proc       sim.Time // DTU command/packet processing (FSM traversal)
-	XferByteNs int64    // cache-bus transfer cost, nanoseconds per 64 bytes
-	IrqLatency sim.Time // core-request interrupt injection latency
-}
-
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		SendCmd:    520,
-		ReplyCmd:   520,
-		FetchCmd:   280,
-		AckCmd:     160,
-		XferCmd:    300,
-		PrivCmd:    60,
-		Proc:       300 * sim.Nanosecond,
-		XferByteNs: 10,
-		IrqLatency: 100 * sim.Nanosecond,
-	}
-}
+	procTime           = 300 * sim.Nanosecond // DTU command/packet processing (FSM traversal)
+	xferNsPer64B int64 = 10                   // cache-bus transfer cost, nanoseconds per 64 bytes
+	irqLatency         = 100 * sim.Nanosecond // core-request interrupt injection latency
+)
 
 // xferTime reports the cache-bus cost for moving n payload bytes.
-func (c Costs) xferTime(n int) sim.Time {
+func xferTime(n int) sim.Time {
 	if n <= 0 {
 		return 0
 	}
 	blocks := int64((n + 63) / 64)
-	return sim.Time(blocks*c.XferByteNs) * sim.Nanosecond
+	return sim.Time(blocks*xferNsPer64B) * sim.Nanosecond
 }
+
+// SetMediation charges cycles on top of every unprivileged command (SEND,
+// REPLY, FETCH_MSG, ACK_MSG, READ/WRITE), modelling the first M³v design in
+// which TileMux mediated each vDTU access (paper §3.5). Privileged commands
+// are unaffected. A new DTU starts at 0.
+func (d *DTU) SetMediation(cycles int64) { d.mediation = cycles }

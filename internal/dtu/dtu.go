@@ -36,7 +36,7 @@ type DTU struct {
 	coreClock sim.Clock
 	virt      bool
 	mem       *mem.Memory // non-nil on memory tiles
-	costs     Costs
+	mediation int64       // extra cycles per unprivileged command (SetMediation)
 
 	eps     [NumEPs]Endpoint
 	tlb     *TLB
@@ -118,7 +118,6 @@ func New(eng *sim.Engine, net *noc.Network, tile noc.TileID, coreClock sim.Clock
 		tile:      tile,
 		coreClock: coreClock,
 		virt:      virt,
-		costs:     DefaultCosts(),
 		curAct:    ActInvalid,
 		rec:       eng.Tracer(),
 		m:         newDTUMetrics(eng.Tracer().Metrics(), tile),
@@ -160,9 +159,6 @@ func (d *DTU) SetInjector(in *fault.Injector) { d.inj = in }
 
 // Virtualized reports whether this DTU carries the privileged interface.
 func (d *DTU) Virtualized() bool { return d.virt }
-
-// Costs returns the timing model (the benches tweak it for ablations).
-func (d *DTU) Costs() *Costs { return &d.costs }
 
 // TLB exposes the software-loaded TLB (nil on non-virtualized DTUs).
 func (d *DTU) TLB() *TLB { return d.tlb }
@@ -280,7 +276,7 @@ func (d *DTU) deliverMsg(c *cmd) bool {
 		d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
 			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNoRecipient)
 		c.err = ErrNoRecipient // consumed; the error travels back explicitly
-		d.eng.After(d.costs.Proc, c.respondFn)
+		d.eng.After(procTime, c.respondFn)
 		return true
 	}
 	slot := e.freeSlot()
@@ -318,9 +314,9 @@ func (d *DTU) deliverMsg(c *cmd) bool {
 	}
 	if d.OnMsgArrived != nil {
 		c.act = e.Act
-		d.eng.After(d.costs.Proc, c.arrivedFn)
+		d.eng.After(procTime, c.arrivedFn)
 	}
-	d.eng.After(d.costs.Proc, c.respondFn) // the acknowledgement
+	d.eng.After(procTime, c.respondFn) // the acknowledgement
 	return true
 }
 
@@ -356,7 +352,7 @@ func (d *DTU) injectIrq() {
 	if d.OnCoreReq == nil {
 		return
 	}
-	d.eng.After(d.costs.IrqLatency, d.irqFn)
+	d.eng.After(irqLatency, d.irqFn)
 }
 
 // raiseIrq is the delayed half of injectIrq (cached in irqFn).

@@ -509,3 +509,87 @@ func TestFetchEmptyReturnsNoMessage(t *testing.T) {
 }
 
 func nil2(f func(p *sim.Proc)) func(p *sim.Proc) { return f }
+
+// mediationTimes runs one of each unprivileged command plus two privileged
+// ones on a fresh rig and reports each command's duration. m >= 0 arms
+// SetMediation(m) on both DTUs; m < 0 leaves them as New returns them.
+func mediationTimes(t *testing.T, m int64) map[string]sim.Time {
+	r := newRig(t, true)
+	if m >= 0 {
+		r.d0.SetMediation(m)
+		r.d1.SetMediation(m)
+	}
+	setupChannel(r, actB, 4)
+	must(r.d0.ConfigureLocal(8, MemEP(actA, 2, 0x1000, 0x2000, PermRW)))
+	got := make(map[string]sim.Time)
+	timed := func(name string, fn func() error) {
+		start := r.eng.Now()
+		if err := fn(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		got[name] = r.eng.Now() - start
+	}
+	r.run(func(p *sim.Proc) {
+		timed("send", func() error {
+			return r.d0.Send(p, SendArgs{Ep: 10, Data: []byte("ping"), ReplyEp: 11})
+		})
+		for !r.d0.HasUnread(11) {
+			p.Sleep(sim.Microsecond)
+		}
+		var slot int
+		timed("fetch", func() (err error) {
+			slot, _, err = r.d0.Fetch(p, 11)
+			return err
+		})
+		timed("ack", func() error { return r.d0.Ack(p, 11, slot) })
+		timed("write", func() error { return r.d0.Write(p, 8, 0, []byte("data"), 0) })
+		timed("read", func() error {
+			_, err := r.d0.Read(p, 8, 0, 4, 0)
+			return err
+		})
+		timed("switch_act", func() error {
+			r.d0.SwitchAct(p, actA, 0)
+			return nil
+		})
+		timed("fetch_core_req", func() error {
+			r.d0.FetchCoreReq(p)
+			return nil
+		})
+	}, func(p *sim.Proc) {
+		for !r.d1.HasUnread(20) {
+			p.Sleep(sim.Microsecond)
+		}
+		slot, _, err := r.d1.Fetch(p, 20)
+		if err != nil {
+			t.Fatalf("fetch: %v", err)
+		}
+		timed("reply", func() error { return r.d1.Reply(p, 20, slot, []byte("pong"), 0) })
+	})
+	return got
+}
+
+// TestSetMediation pins the §3.5 ablation knob: mediation m makes every
+// unprivileged command exactly m core cycles slower, leaves privileged
+// commands alone, and a fresh DTU behaves as SetMediation(0).
+func TestSetMediation(t *testing.T) {
+	const m = 2200
+	fresh := mediationTimes(t, -1)
+	zero := mediationTimes(t, 0)
+	mediated := mediationTimes(t, m)
+	if len(fresh) != 8 {
+		t.Fatalf("timed %d commands, want 8: %v", len(fresh), fresh)
+	}
+	extra := sim.MHz(80).Cycles(m)
+	for name, base := range fresh {
+		if zero[name] != base {
+			t.Errorf("%s: %v with SetMediation(0), %v on a fresh DTU", name, zero[name], base)
+		}
+		want := base + extra
+		if name == "switch_act" || name == "fetch_core_req" {
+			want = base
+		}
+		if mediated[name] != want {
+			t.Errorf("%s: %v with mediation %d, want %v (unmediated %v)", name, mediated[name], m, want, base)
+		}
+	}
+}

@@ -55,6 +55,9 @@ func FuzzDTUCommands(f *testing.F) {
 	f.Add([]byte{0x07, 0x00, 0x01, 0x00, 0x01, 0x03, 0x04, 0x02}) // credit pressure under faults
 	// One try per packet (MaxRetries 1): NACKs and drops are terminal.
 	f.Add([]byte{0x47, 0x00, 0x01, 0x01, 0x01, 0x01, 0x03, 0x04, 0x00, 0x02, 0x0D, 0x02})
+	// RPCs whose replies are never drained: the echo's REPLY is NACKed until
+	// the engine stops.
+	f.Add([]byte("000000"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 96 {
@@ -123,9 +126,12 @@ func FuzzDTUCommands(f *testing.F) {
 					}
 					hash = fnvFold(hash, uint64(i)<<32|uint64(op)<<16|errCodeOf(err))
 				}
-				// Give in-flight replies time to land, then stop the echo.
+				// Give in-flight replies time to land, then stop the echo and
+				// the engine: an undrained reply would otherwise be NACKed
+				// every retry delay until the RunUntil limit.
 				p.Sleep(10 * sim.Millisecond)
 				done = true
+				eng.Stop()
 			})
 			eng.Spawn("echo", func(p *sim.Proc) {
 				// Echo server on tile 1: replies to RPCs, acks one-way sends.

@@ -7,8 +7,8 @@ import (
 	"m3v/internal/noc"
 )
 
-// headerBytes is the on-wire size of a message header, used for NoC
-// serialization costs.
+// headerBytes is the on-wire size of a message header; it counts toward the
+// NoC serialization time.
 const headerBytes = 16
 
 // Message is a received message as stored in a receive buffer slot.

@@ -23,7 +23,7 @@ func (d *DTU) requirePriv() {
 // decision (paper §3.7).
 func (d *DTU) SwitchAct(p *sim.Proc, act ActID, msgs int) (oldAct ActID, oldMsgs int) {
 	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.charge(p, privCycles)
 	oldAct, oldMsgs = d.curAct, d.curMsgs
 	d.curAct, d.curMsgs = act, msgs
 	return oldAct, oldMsgs
@@ -33,7 +33,7 @@ func (d *DTU) SwitchAct(p *sim.Proc, act ActID, msgs int) (oldAct ActID, oldMsgs
 // TileMux resolved a TLB miss reported by a failing command (paper §3.6).
 func (d *DTU) InsertTLB(p *sim.Proc, act ActID, vaddr, paddr uint64, perm Perm) {
 	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.charge(p, privCycles)
 	if vAct, vAddr, evicted := d.tlb.Insert(act, vaddr, paddr, perm); evicted {
 		d.rec.TLB(int64(d.eng.Now()), int(d.tile), trace.KindTLBEvict, int64(vAct), vAddr)
 	}
@@ -42,14 +42,14 @@ func (d *DTU) InsertTLB(p *sim.Proc, act ActID, vaddr, paddr uint64, perm Perm) 
 // InvalidateTLBPage drops one translation (page-table update).
 func (d *DTU) InvalidateTLBPage(p *sim.Proc, act ActID, vaddr uint64) {
 	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.charge(p, privCycles)
 	d.tlb.InvalidatePage(act, vaddr)
 }
 
 // InvalidateTLBAct drops all translations of one activity.
 func (d *DTU) InvalidateTLBAct(p *sim.Proc, act ActID) {
 	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.charge(p, privCycles)
 	d.tlb.InvalidateAct(act)
 }
 
@@ -59,7 +59,7 @@ func (d *DTU) InvalidateTLBAct(p *sim.Proc, act ActID) {
 // queue is empty. The request stays queued until AckCoreReq.
 func (d *DTU) FetchCoreReq(p *sim.Proc) (act ActID, flow uint64, ok bool) {
 	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.charge(p, privCycles)
 	if len(d.coreReqs) == 0 {
 		return ActInvalid, 0, false
 	}
@@ -71,7 +71,7 @@ func (d *DTU) FetchCoreReq(p *sim.Proc) (act ActID, flow uint64, ok bool) {
 // §3.8).
 func (d *DTU) AckCoreReq(p *sim.Proc) {
 	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.charge(p, privCycles)
 	if len(d.coreReqs) == 0 {
 		return
 	}

@@ -44,16 +44,11 @@ const (
 	UserEpFirst dtu.EpID = 8
 )
 
-// Costs is the controller's timing model in controller-core cycles.
-type Costs struct {
-	Syscall int64 // decode + capability checks + bookkeeping per syscall
-	Notify  int64 // handling one TileMux notification
-}
-
-// DefaultCosts returns the calibrated controller cost model.
-func DefaultCosts() Costs {
-	return Costs{Syscall: 800, Notify: 300}
-}
+// The controller's timing model in controller-core cycles.
+const (
+	syscallCycles int64 = 800 // decode + capability checks + bookkeeping per syscall
+	notifyCycles  int64 = 300 // handling one TileMux notification
+)
 
 // TileEntry is the kernel's record of one user tile.
 type TileEntry struct {
@@ -80,7 +75,6 @@ type Kernel struct {
 	eng   *sim.Engine
 	d     *dtu.DTU
 	clock sim.Clock
-	costs Costs
 	proc  *sim.Proc
 
 	acts    map[uint32]*ActEntry
@@ -147,7 +141,6 @@ func New(eng *sim.Engine, d *dtu.DTU, clock sim.Clock) *Kernel {
 		eng:       eng,
 		d:         d,
 		clock:     clock,
-		costs:     DefaultCosts(),
 		acts:      make(map[uint32]*ActEntry),
 		nextAct:   1,
 		tiles:     make(map[noc.TileID]*TileEntry),
@@ -167,9 +160,6 @@ func New(eng *sim.Engine, d *dtu.DTU, clock sim.Clock) *Kernel {
 	k.proc = eng.Spawn("kernel", k.loop)
 	return k
 }
-
-// Costs returns the timing model for calibration.
-func (k *Kernel) Costs() *Costs { return &k.costs }
 
 // Syscalls reports the number of handled system calls.
 func (k *Kernel) Syscalls() int64 { return k.cSyscalls.Value() }
@@ -227,7 +217,7 @@ func (k *Kernel) loop(p *sim.Proc) {
 			}
 			start := k.eng.Now()
 			k.cSyscalls.Inc()
-			p.Sleep(k.clock.Cycles(k.costs.Syscall))
+			p.Sleep(k.clock.Cycles(syscallCycles))
 			caller := k.acts[uint32(msg.Label)]
 			resp, deferred := k.handleSyscall(p, caller, msg, slot)
 			if k.rec.Enabled() {
@@ -255,7 +245,7 @@ func (k *Kernel) loop(p *sim.Proc) {
 			if err != nil {
 				break
 			}
-			p.Sleep(k.clock.Cycles(k.costs.Notify))
+			p.Sleep(k.clock.Cycles(notifyCycles))
 			k.handleNotify(p, msg.Data)
 			_ = k.d.Ack(p, EpNotify, slot)
 		}

@@ -19,53 +19,36 @@ import (
 	"m3v/internal/sim"
 )
 
-// Costs is the Linux cost model in core cycles.
-type Costs struct {
-	SyscallEntry int64 // no-op syscall: entry + exit
-	CtxSwitch    int64 // scheduler switch (on top of the syscall)
-	// PostSyscallUser models the application-side cache refill after a
+// The Linux cost model in core cycles.
+const (
+	syscallEntryCycles int64 = 1700 // no-op syscall: entry + exit
+	ctxSwitchCycles    int64 = 1400 // scheduler switch (on top of the syscall)
+	// postSyscallUserCycles models the application-side cache refill after a
 	// system call evicted its working set (paper §6.5.2: "the small L1
 	// instruction cache and Linux' code size cause the application to lose
 	// most of its state on every system call"). Charged as user time.
-	PostSyscallUser int64
+	postSyscallUserCycles int64 = 350
 
-	CopyBytesPerCycle int64 // kernel<->user copy bandwidth
-	ReadBase          int64 // tmpfs per-read bookkeeping
-	WriteBase         int64 // tmpfs per-write bookkeeping
-	WriteAllocPage    int64 // block allocation + clearing per new page
-	OpenCost          int64
-	StatCost          int64
-	ReadDirCost       int64
-	UnlinkCost        int64
+	copyBytesPerCycle    int64 = 12   // kernel<->user copy bandwidth
+	readBaseCycles       int64 = 200  // tmpfs per-read bookkeeping
+	writeBaseCycles      int64 = 800  // tmpfs per-write bookkeeping
+	writeAllocPageCycles int64 = 2800 // block allocation + clearing per new page
+	openCycles           int64 = 2200
+	seekCycles           int64 = 200
+	closeCycles          int64 = 400
+	statCycles           int64 = 900
+	readDirCycles        int64 = 1400
+	dirEntryCycles       int64 = 40 // per name returned by ReadDir
+	unlinkCycles         int64 = 1800
 
-	UDPSend int64 // protocol processing + driver, send side
-	UDPRecv int64 // protocol processing + driver + interrupt, receive side
-}
-
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		SyscallEntry:      1700,
-		CtxSwitch:         1400,
-		PostSyscallUser:   350,
-		CopyBytesPerCycle: 12,
-		ReadBase:          200,
-		WriteBase:         800,
-		WriteAllocPage:    2800,
-		OpenCost:          2200,
-		StatCost:          900,
-		ReadDirCost:       1400,
-		UnlinkCost:        1800,
-		UDPSend:           2600,
-		UDPRecv:           3200,
-	}
-}
+	udpSendCycles int64 = 2600 // protocol processing + driver, send side
+	udpRecvCycles int64 = 3200 // protocol processing + driver + interrupt, receive side
+)
 
 // Machine is one Linux instance on one core.
 type Machine struct {
 	eng   *sim.Engine
 	clock sim.Clock
-	costs Costs
 
 	cur  *Proc
 	runq []*Proc
@@ -90,14 +73,10 @@ func New(eng *sim.Engine, clock sim.Clock) *Machine {
 	return &Machine{
 		eng:       eng,
 		clock:     clock,
-		costs:     DefaultCosts(),
 		files:     make(map[string]*file),
 		PeerDelay: 60 * sim.Microsecond,
 	}
 }
-
-// Costs returns the timing model for calibration.
-func (m *Machine) Costs() *Costs { return &m.costs }
 
 func (m *Machine) cy(n int64) sim.Time { return m.clock.Cycles(n) }
 
@@ -194,10 +173,10 @@ func (p *Proc) Compute(cycles int64) {
 func (p *Proc) syscall(kernelCycles int64) {
 	m := p.m
 	m.Syscalls++
-	d := m.cy(m.costs.SyscallEntry + kernelCycles)
+	d := m.cy(syscallEntryCycles + kernelCycles)
 	p.sp.Sleep(d)
 	p.sys += d
-	refill := m.costs.PostSyscallUser
+	refill := postSyscallUserCycles
 	if p.refill >= 0 {
 		refill = p.refill
 	}
@@ -215,7 +194,7 @@ func (p *Proc) SyscallNoop() { p.syscall(0) }
 // next runnable process.
 func (p *Proc) Yield() {
 	m := p.m
-	p.syscall(m.costs.CtxSwitch)
+	p.syscall(ctxSwitchCycles)
 	if len(m.runq) == 0 {
 		return
 	}
@@ -224,15 +203,15 @@ func (p *Proc) Yield() {
 }
 
 // copyCycles reports the kernel<->user copy cost for n bytes.
-func (m *Machine) copyCycles(n int) int64 {
-	return int64(n) / m.costs.CopyBytesPerCycle
+func copyCycles(n int) int64 {
+	return int64(n) / copyBytesPerCycle
 }
 
 // --- tmpfs ------------------------------------------------------------------
 
 // Create opens a file for writing, truncating it.
 func (p *Proc) Create(path string) int {
-	p.syscall(p.m.costs.OpenCost)
+	p.syscall(openCycles)
 	f := &file{}
 	p.m.files[path] = f
 	h := p.nextFd
@@ -243,7 +222,7 @@ func (p *Proc) Create(path string) int {
 
 // Open opens an existing file for reading; it returns -1 if absent.
 func (p *Proc) Open(path string) int {
-	p.syscall(p.m.costs.OpenCost)
+	p.syscall(openCycles)
 	f, ok := p.m.files[path]
 	if !ok {
 		return -1
@@ -265,7 +244,7 @@ func (p *Proc) Read(fd int, buf []byte) (int, error) {
 	if rem := len(h.f.data) - h.pos; n > rem {
 		n = rem
 	}
-	p.syscall(p.m.costs.ReadBase + p.m.copyCycles(n))
+	p.syscall(readBaseCycles + copyCycles(n))
 	if n == 0 {
 		return 0, io.EOF
 	}
@@ -283,8 +262,8 @@ func (p *Proc) Write(fd int, buf []byte) (int, error) {
 	const page = 4096
 	oldPages := (len(h.f.data) + page - 1) / page
 	newPages := (len(h.f.data) + len(buf) + page - 1) / page
-	cost := p.m.costs.WriteBase + p.m.copyCycles(len(buf)) +
-		int64(newPages-oldPages)*p.m.costs.WriteAllocPage
+	cost := writeBaseCycles + copyCycles(len(buf)) +
+		int64(newPages-oldPages)*writeAllocPageCycles
 	p.syscall(cost)
 	h.f.data = append(h.f.data, buf...)
 	return len(buf), nil
@@ -292,7 +271,7 @@ func (p *Proc) Write(fd int, buf []byte) (int, error) {
 
 // Seek repositions a file descriptor.
 func (p *Proc) Seek(fd int, pos int) {
-	p.syscall(200)
+	p.syscall(seekCycles)
 	if h := p.fds[fd]; h != nil {
 		h.pos = pos
 	}
@@ -300,13 +279,13 @@ func (p *Proc) Seek(fd int, pos int) {
 
 // Close closes a file descriptor.
 func (p *Proc) Close(fd int) {
-	p.syscall(400)
+	p.syscall(closeCycles)
 	delete(p.fds, fd)
 }
 
 // Stat returns a file's size (-1 if absent).
 func (p *Proc) Stat(path string) int {
-	p.syscall(p.m.costs.StatCost)
+	p.syscall(statCycles)
 	if f, ok := p.m.files[path]; ok {
 		return len(f.data)
 	}
@@ -315,7 +294,7 @@ func (p *Proc) Stat(path string) int {
 
 // Unlink removes a file.
 func (p *Proc) Unlink(path string) {
-	p.syscall(p.m.costs.UnlinkCost)
+	p.syscall(unlinkCycles)
 	delete(p.m.files, path)
 }
 
@@ -327,7 +306,7 @@ func (p *Proc) ReadDir(prefix string) []string {
 			names = append(names, path)
 		}
 	}
-	p.syscall(p.m.costs.ReadDirCost + int64(len(names))*40)
+	p.syscall(readDirCycles + int64(len(names))*dirEntryCycles)
 	return names
 }
 
@@ -338,7 +317,7 @@ func (p *Proc) ReadDir(prefix string) []string {
 // round-trip wire delay.
 func (p *Proc) Sendto(data []byte) {
 	m := p.m
-	p.syscall(m.costs.UDPSend + m.copyCycles(len(data)))
+	p.syscall(udpSendCycles + copyCycles(len(data)))
 	if m.PeerEcho == nil {
 		return
 	}
@@ -354,13 +333,12 @@ func (p *Proc) Sendto(data []byte) {
 
 // Recvfrom blocks until a datagram arrives and returns it.
 func (p *Proc) Recvfrom() []byte {
-	m := p.m
 	for len(p.inbox) == 0 {
 		// recvfrom blocks in the kernel; the interrupt wakes it.
 		p.sp.Park()
 	}
 	data := p.inbox[0]
 	p.inbox = p.inbox[1:]
-	p.syscall(m.costs.UDPRecv + m.copyCycles(len(data)))
+	p.syscall(udpRecvCycles + copyCycles(len(data)))
 	return data
 }

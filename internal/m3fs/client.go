@@ -16,10 +16,9 @@ import (
 // from the server, activated on reusable endpoints, and data then moves
 // directly through the vDTU.
 type Client struct {
-	a     *activity.Activity
-	costs Costs
-	sgEp  dtu.EpID
-	rgEp  dtu.EpID
+	a    *activity.Activity
+	sgEp dtu.EpID
+	rgEp dtu.EpID
 
 	// The client reuses one input and one output endpoint for extent
 	// capabilities across all files (the endpoint register file has 128
@@ -52,7 +51,7 @@ func NewClientNamed(a *activity.Activity, service string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{a: a, costs: DefaultCosts(), sgEp: sgEp, rgEp: rgEp, epIn: -1, epOut: -1}
+	c := &Client{a: a, sgEp: sgEp, rgEp: rgEp, epIn: -1, epOut: -1}
 	code, _, err := c.call(proto.NewWriter(opInit).U32(a.ID).Done())
 	if err != nil {
 		return nil, err
@@ -64,7 +63,7 @@ func NewClientNamed(a *activity.Activity, service string) (*Client, error) {
 }
 
 func (c *Client) call(req []byte) (proto.ErrCode, *proto.Reader, error) {
-	c.a.Compute(c.costs.ClientCall)
+	c.a.Compute(clientCallCycles)
 	resp, err := c.a.Call(c.sgEp, c.rgEp, req)
 	if err != nil {
 		return proto.EUnreachable, nil, err
@@ -85,7 +84,7 @@ func (c *Client) call1(req []byte) (uint64, error) {
 
 // copyCost charges the client-side buffer copy for n bytes.
 func (c *Client) copyCost(n int) {
-	c.a.Compute(c.costs.ClientCall + int64(n)/c.costs.CopyBytesPerCycle)
+	c.a.Compute(clientCallCycles + int64(n)/copyBytesPerCycle)
 }
 
 // Mkdir creates a directory.

@@ -38,43 +38,25 @@ const (
 // BlockBytes is the file system block size.
 const BlockBytes = 4096
 
-// Costs models the server-side work per operation, in server-core cycles.
-type Costs struct {
-	Open      int64
-	Stat      int64
-	NextIn    int64
-	NextOut   int64 // base; plus ZeroBlock per allocated block
-	ZeroBlock int64
-	Commit    int64
-	Close     int64
-	Mkdir     int64
-	ReadDir   int64 // base; plus DirEntry per entry
-	DirEntry  int64
-	Unlink    int64
+// The m3fs timing model. Server-side work per operation, in server-core
+// cycles.
+const (
+	openCycles      int64 = 2500
+	statCycles      int64 = 1200
+	nextInCycles    int64 = 1600
+	nextOutCycles   int64 = 1800 // base; plus zeroBlockCycles per allocated block
+	zeroBlockCycles int64 = 1800
+	commitCycles    int64 = 800
+	closeCycles     int64 = 600
+	mkdirCycles     int64 = 2000
+	readDirCycles   int64 = 1500 // base; plus dirEntryCycles per entry
+	dirEntryCycles  int64 = 60
+	unlinkCycles    int64 = 2000
+)
 
-	// Client-side costs (cycles): per-call library overhead and per-byte
-	// buffer copy, the dominant cost of read/write loops on the 80 MHz
-	// cores.
-	ClientCall        int64
-	CopyBytesPerCycle int64
-}
-
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		Open:      2500,
-		Stat:      1200,
-		NextIn:    1600,
-		NextOut:   1800,
-		ZeroBlock: 1800,
-		Commit:    800,
-		Close:     600,
-		Mkdir:     2000,
-		ReadDir:   1500,
-		DirEntry:  60,
-		Unlink:    2000,
-
-		ClientCall:        250,
-		CopyBytesPerCycle: 8,
-	}
-}
+// Client-side costs (cycles): per-call library overhead and per-byte buffer
+// copy, the dominant cost of read/write loops on the 80 MHz cores.
+const (
+	clientCallCycles  int64 = 250
+	copyBytesPerCycle int64 = 8
+)

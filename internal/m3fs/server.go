@@ -66,7 +66,6 @@ type Config struct {
 // server is the running file-system state.
 type server struct {
 	a       *activity.Activity
-	costs   Costs
 	cfg     Config
 	diskSel cap.Sel
 	alloc   *mem.Allocator
@@ -90,7 +89,6 @@ func Program(cfg Config) activity.Program {
 	return func(a *activity.Activity) {
 		s := &server{
 			a:       a,
-			costs:   DefaultCosts(),
 			cfg:     cfg,
 			alloc:   mem.NewAllocator(cfg.DiskBytes),
 			inodes:  make(map[uint32]*inode),
@@ -206,7 +204,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if r.Err() != nil {
 			return proto.Resp(proto.EInvalid)
 		}
-		a.Compute(s.costs.Open)
+		a.Compute(openCycles)
 		node, err := s.lookup(path, flags&FlagCreate != 0)
 		if err != nil {
 			return proto.Resp(proto.ENotFound)
@@ -227,7 +225,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if r.Err() != nil {
 			return proto.Resp(proto.EInvalid)
 		}
-		a.Compute(s.costs.Stat)
+		a.Compute(statCycles)
 		node, err := s.lookup(path, false)
 		if err != nil {
 			return proto.Resp(proto.ENotFound)
@@ -247,7 +245,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if f == nil || f.flags&FlagR == 0 {
 			return proto.Resp(proto.EInvalid)
 		}
-		a.Compute(s.costs.NextIn)
+		a.Compute(nextInCycles)
 		if f.rdPos >= f.node.size {
 			return proto.Resp(proto.EOK, 0, 0, 0) // EOF
 		}
@@ -284,7 +282,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		blocks := s.cfg.MaxExtentBlocks
 		// Allocation, clearing, and appending is what makes writes slower
 		// than reads (paper §6.3).
-		a.Compute(s.costs.NextOut + int64(blocks)*s.costs.ZeroBlock)
+		a.Compute(nextOutCycles + int64(blocks)*zeroBlockCycles)
 		off, err := s.alloc.Alloc(uint64(blocks)*BlockBytes, BlockBytes)
 		if err != nil {
 			return proto.Resp(proto.ENoSpace)
@@ -307,7 +305,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if f == nil || f.wrExt < 0 {
 			return proto.Resp(proto.EInvalid)
 		}
-		a.Compute(s.costs.Commit)
+		a.Compute(commitCycles)
 		e := &f.node.extents[f.wrExt]
 		usedBlocks := int((used + BlockBytes - 1) / BlockBytes)
 		if usedBlocks < e.blocks {
@@ -335,7 +333,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if r.Err() != nil {
 			return proto.Resp(proto.EInvalid)
 		}
-		a.Compute(s.costs.Close)
+		a.Compute(closeCycles)
 		delete(ss.files, fd)
 		return proto.Resp(proto.EOK)
 
@@ -344,7 +342,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if r.Err() != nil {
 			return proto.Resp(proto.EInvalid)
 		}
-		a.Compute(s.costs.Mkdir)
+		a.Compute(mkdirCycles)
 		parent, name := splitPath(path)
 		pn, err := s.lookup(parent, false)
 		if err != nil || !pn.dir {
@@ -368,7 +366,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if err != nil || !node.dir {
 			return proto.Resp(proto.ENotFound)
 		}
-		a.Compute(s.costs.ReadDir + int64(len(node.children))*s.costs.DirEntry)
+		a.Compute(readDirCycles + int64(len(node.children))*dirEntryCycles)
 		names := make([]string, 0, len(node.children))
 		for n := range node.children {
 			names = append(names, n)
@@ -381,7 +379,7 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		if r.Err() != nil {
 			return proto.Resp(proto.EInvalid)
 		}
-		a.Compute(s.costs.Unlink)
+		a.Compute(unlinkCycles)
 		parent, name := splitPath(path)
 		pn, err := s.lookup(parent, false)
 		if err != nil || !pn.dir {

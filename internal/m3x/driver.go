@@ -12,17 +12,17 @@ import (
 	"m3v/internal/trace"
 )
 
-// DriverCosts is the controller-side cost model of the M³x baseline, in
-// controller-core cycles.
-type DriverCosts struct {
-	Forward int64 // slow-path bookkeeping per forwarded message
-	Switch  int64 // scheduling decision + switch bookkeeping
-}
+// The controller-side timing model of the M³x baseline, in controller-core
+// cycles or absolute time where noted.
+const (
+	forwardCycles int64 = 800  // slow-path bookkeeping per forwarded message
+	switchCycles  int64 = 1500 // scheduling decision + switch bookkeeping
 
-// DefaultDriverCosts returns the calibrated controller costs.
-func DefaultDriverCosts() DriverCosts {
-	return DriverCosts{Forward: 800, Switch: 1500}
-}
+	// quantum is the controller's time slice; the controller rotates each
+	// multiplexed tile among its activities at this period (M³x: "the
+	// controller is responsible for scheduling decisions").
+	quantum = 2 * sim.Millisecond
+)
 
 // Driver is the controller-side half of M³x multiplexing. It hooks into the
 // base kernel: it mirrors every endpoint configuration, redirects
@@ -31,9 +31,8 @@ func DefaultDriverCosts() DriverCosts {
 // switches (stop -> save EPs -> restore EPs -> resume), all serialized in
 // the single-threaded controller — the bottleneck Figure 9 measures.
 type Driver struct {
-	k     *kernel.Kernel
-	clk   sim.Clock
-	costs DriverCosts
+	k   *kernel.Kernel
+	clk sim.Clock
 
 	// current is the activity each user tile is running (nil = none).
 	current map[noc.TileID]uint32
@@ -57,13 +56,9 @@ type Driver struct {
 	// them deterministically (map iteration order would vary run to run).
 	started   map[noc.TileID][]uint32
 	tileOrder []noc.TileID
-	// Quantum is the controller's time slice; the controller rotates each
-	// multiplexed tile among its activities at this period (M³x: "the
-	// controller is responsible for scheduling decisions").
-	Quantum sim.Time
-	tickDue bool
-	eng     *sim.Engine
-	rec     *trace.Recorder
+	tickDue   bool
+	eng       *sim.Engine
+	rec       *trace.Recorder
 
 	// Forwards and Switches count slow-path events, for reports.
 	Forwards int64
@@ -84,12 +79,10 @@ func NewDriver(eng *sim.Engine, k *kernel.Kernel) *Driver {
 		k:       k,
 		clk:     k.Clock(),
 		eng:     eng,
-		costs:   DefaultDriverCosts(),
 		current: make(map[noc.TileID]uint32),
 		saved:   make(map[uint32][]dtu.EpConf),
 		mirror:  make(map[noc.TileID]map[dtu.EpID]dtu.Endpoint),
 		started: make(map[noc.TileID][]uint32),
-		Quantum: 2 * sim.Millisecond,
 		rec:     eng.Tracer(),
 	}
 	k.OnEpConfigured = d.onEpConfigured
@@ -104,7 +97,7 @@ func NewDriver(eng *sim.Engine, k *kernel.Kernel) *Driver {
 }
 
 func (d *Driver) armTick() {
-	d.eng.After(d.Quantum, func() {
+	d.eng.After(quantum, func() {
 		d.tickDue = true
 		d.k.Poke()
 		d.armTick()
@@ -215,9 +208,6 @@ func extOK(err error) {
 	}
 }
 
-// Costs returns the timing model.
-func (d *Driver) Costs() *DriverCosts { return &d.costs }
-
 func (d *Driver) tileMirror(tile noc.TileID) map[dtu.EpID]dtu.Endpoint {
 	m := d.mirror[tile]
 	if m == nil {
@@ -292,7 +282,7 @@ func (d *Driver) handleSyscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op
 	flow := r.U64()
 	d.Forwards++
 	start := d.eng.Now()
-	p.Sleep(d.clk.Cycles(d.costs.Forward))
+	p.Sleep(d.clk.Cycles(forwardCycles))
 	if mode == 0 {
 		// Request leg: routed through the sender's send gate.
 		ep := dtu.EpID(r.U32())
@@ -405,7 +395,7 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 	}
 	d.Switches++
 	start := d.eng.Now()
-	p.Sleep(d.clk.Cycles(d.costs.Switch))
+	p.Sleep(d.clk.Cycles(switchCycles))
 	k := d.k
 	// 1. Stop whatever runs on the tile (reply arrives once it parked).
 	if code, _ := k.MuxRequest(p, tile, proto.NewWriter(proto.OpMuxSwitch).Done()); code != proto.EOK {

@@ -15,18 +15,17 @@ import (
 	"m3v/internal/sim"
 )
 
-// Costs is the RCTMux timing model, in core cycles of the tile.
-type Costs struct {
-	HandleMsg int64    // handling one controller request
-	Stop      int64    // stopping the current activity (trap + save regs)
-	Resume    int64    // resuming an activity (restore regs + return)
-	Poll      sim.Time // DTU poll interval while waiting for messages
-}
+// RCTMux's timing model, in core cycles of the tile or absolute time where
+// noted.
+const (
+	handleMsgCycles int64 = 200 // handling one controller request
+	stopCycles      int64 = 250 // stopping the current activity (trap + save regs)
+	resumeCycles    int64 = 250 // resuming an activity (restore regs + return)
+	yieldCycles     int64 = 100 // the Yield hint, which only costs the call (scheduling is remote)
 
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{HandleMsg: 200, Stop: 250, Resume: 250, Poll: sim.Microsecond}
-}
+	pollInterval = sim.Microsecond       // DTU poll interval while waiting for messages
+	computeChunk = 100 * sim.Microsecond // max compute between controller-stop checks
+)
 
 // EPConfig names RCTMux's endpoints (configured at boot).
 type EPConfig struct {
@@ -40,7 +39,6 @@ type RCTMux struct {
 	clock sim.Clock
 	d     *dtu.DTU
 	eps   EPConfig
-	costs Costs
 
 	acts map[dtu.ActID]*Act
 	cur  *Act
@@ -88,7 +86,6 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *RCTMux {
 		clock: clock,
 		d:     d,
 		eps:   eps,
-		costs: DefaultCosts(),
 		acts:  make(map[dtu.ActID]*Act),
 	}
 	d.SetCurAct(dtu.ActInvalid)
@@ -100,9 +97,6 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *RCTMux {
 	m.proc = eng.Spawn(fmt.Sprintf("rctmux@%d", d.Tile()), m.loop)
 	return m
 }
-
-// Costs returns the timing model for calibration.
-func (m *RCTMux) Costs() *Costs { return &m.costs }
 
 func (m *RCTMux) cy(n int64) sim.Time { return m.clock.Cycles(n) }
 
@@ -183,7 +177,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 		// A pending stop completed (the activity parked)?
 		if m.stopValid && m.cur == nil && !m.stopReq {
 			m.stopValid = false
-			p.Sleep(m.cy(m.costs.Stop))
+			p.Sleep(m.cy(stopCycles))
 			if err := m.d.Reply(p, m.eps.KernRgate, m.stopSlot, proto.Resp(proto.EOK), 0); err != nil {
 				panic(fmt.Sprintf("m3x: stop reply failed: %v", err))
 			}
@@ -193,7 +187,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 			if err != nil {
 				break
 			}
-			p.Sleep(m.cy(m.costs.HandleMsg))
+			p.Sleep(m.cy(handleMsgCycles))
 			resp, deferred := m.handleKernelReq(p, msg.Data, slot)
 			if deferred {
 				continue
@@ -245,7 +239,7 @@ func (m *RCTMux) handleKernelReq(p *sim.Proc, data []byte, slot int) ([]byte, bo
 		// Stop the current activity; the reply is deferred until it reached
 		// an operation boundary.
 		if m.cur == nil {
-			p.Sleep(m.cy(m.costs.Stop))
+			p.Sleep(m.cy(stopCycles))
 			return proto.Resp(proto.EOK), false
 		}
 		m.stopReq = true
@@ -258,7 +252,7 @@ func (m *RCTMux) handleKernelReq(p *sim.Proc, data []byte, slot int) ([]byte, bo
 		if a == nil || a.proc == nil {
 			return proto.Resp(proto.EInvalid), false
 		}
-		p.Sleep(m.cy(m.costs.Resume))
+		p.Sleep(m.cy(resumeCycles))
 		m.cur = a
 		m.d.ResetCur(a.ID, m.d.UnreadOf(a.ID))
 		a.proc.Wake()
@@ -297,12 +291,11 @@ func (a *Act) Compute(n int64) { a.ComputeTime(a.mux.cy(n)) }
 
 // ComputeTime charges a duration of computation.
 func (a *Act) ComputeTime(d sim.Time) {
-	const chunk = 100 * sim.Microsecond
 	for d > 0 {
 		a.BeginOp()
 		c := d
-		if c > chunk {
-			c = chunk
+		if c > computeChunk {
+			c = computeChunk
 		}
 		a.proc.Sleep(c)
 		d -= c
@@ -322,14 +315,14 @@ func (a *Act) WaitForMsg() {
 		if msgs > 0 {
 			return
 		}
-		a.proc.Sleep(m.costs.Poll)
+		a.proc.Sleep(pollInterval)
 	}
 }
 
 // Yield is a no-op hint on M³x: scheduling is remote.
 func (a *Act) Yield() {
 	a.BeginOp()
-	a.proc.Sleep(a.mux.cy(100))
+	a.proc.Sleep(a.mux.cy(yieldCycles))
 	a.EndOp()
 }
 

@@ -13,6 +13,13 @@ import (
 // chunkBits sizes the sparse backing chunks (64 KiB).
 const chunkBits = 16
 
+// The DRAM timing model: the FPGA's DDR4 interface with ~100ns access latency
+// and 3.2 GB/s sustained bandwidth.
+const (
+	accessLatency       = 100 * sim.Nanosecond // fixed access latency (row activation etc.)
+	bwBps         int64 = 3_200_000_000        // sustained bandwidth in bytes/second
+)
+
 // Memory is one memory tile's DRAM. The backing store is sparse: chunks are
 // allocated on first write, so multi-hundred-megabyte tiles cost nothing
 // until used.
@@ -20,35 +27,26 @@ type Memory struct {
 	eng      *sim.Engine
 	size     uint64
 	chunks   map[uint64][]byte
-	latency  sim.Time // fixed access latency (row activation etc.)
-	bwBps    int64    // sustained bandwidth in bytes/second
 	nextFree sim.Time // FCFS contention point
 
 	// Reads and Writes count completed accesses, for tests and reports.
 	Reads, Writes int64
 }
 
-// Config holds memory-tile timing parameters.
+// Config holds the memory tile's capacity.
 type Config struct {
-	Size    uint64
-	Latency sim.Time
-	BwBps   int64
+	Size uint64
 }
 
-// DefaultConfig models the FPGA's DDR4 interface: ~100ns access latency and
-// 3.2 GB/s sustained bandwidth.
-func DefaultConfig(size uint64) Config {
-	return Config{Size: size, Latency: 100 * sim.Nanosecond, BwBps: 3_200_000_000}
-}
+// DefaultConfig returns a memory tile of the given capacity.
+func DefaultConfig(size uint64) Config { return Config{Size: size} }
 
 // New creates a memory tile model.
 func New(eng *sim.Engine, cfg Config) *Memory {
 	return &Memory{
-		eng:     eng,
-		size:    cfg.Size,
-		chunks:  make(map[uint64][]byte),
-		latency: cfg.Latency,
-		bwBps:   cfg.BwBps,
+		eng:    eng,
+		size:   cfg.Size,
+		chunks: make(map[uint64][]byte),
 	}
 }
 
@@ -59,16 +57,14 @@ func (m *Memory) Size() uint64 { return m.size }
 // returns the delay until the transfer completes, including queueing behind
 // earlier transfers.
 func (m *Memory) AccessDelay(n int) sim.Time {
-	ser := sim.Time(0)
-	if m.bwBps > 0 {
-		ser = sim.Time(int64(n) * int64(sim.Second) / m.bwBps)
-	}
+	// 3.2 GB/s is 312.5 ps per byte: a division, not a multiply.
+	ser := sim.Time(int64(n) * int64(sim.Second) / bwBps)
 	now := m.eng.Now()
 	start := now
 	if m.nextFree > start {
 		start = m.nextFree
 	}
-	done := start + m.latency + ser
+	done := start + accessLatency + ser
 	m.nextFree = done
 	return done - now
 }

@@ -48,14 +48,14 @@ func TestOutOfBoundsPanics(t *testing.T) {
 
 func TestAccessDelayContention(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, Config{Size: 4096, Latency: 100 * sim.Nanosecond, BwBps: 1_000_000_000})
-	// 1000 bytes at 1 GB/s = 1us serialization.
-	d1 := m.AccessDelay(1000)
+	m := New(eng, DefaultConfig(4096))
+	// 3200 bytes at 3.2 GB/s = 1us serialization, after 100ns latency.
+	d1 := m.AccessDelay(3200)
 	if want := 100*sim.Nanosecond + sim.Microsecond; d1 != want {
 		t.Errorf("first access delay = %v, want %v", d1, want)
 	}
 	// Second access queues behind the first.
-	d2 := m.AccessDelay(1000)
+	d2 := m.AccessDelay(3200)
 	if want := 100*sim.Nanosecond + sim.Microsecond + d1; d2 != want {
 		t.Errorf("second access delay = %v, want %v", d2, want)
 	}

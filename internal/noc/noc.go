@@ -50,24 +50,23 @@ type HandlerFunc func(pkt *Packet) bool
 // Deliver calls f(pkt).
 func (f HandlerFunc) Deliver(pkt *Packet) bool { return f(pkt) }
 
-// Config holds the NoC timing parameters.
+// The NoC timing model mirrors the FPGA platform: tile-to-tile latency of
+// "dozens of nanoseconds" with a 128-bit 100 MHz NoC link (1.6 GB/s, exactly
+// 625 ps per byte).
+const (
+	perHopLatency = 15 * sim.Nanosecond  // propagation per hop (link + router traversal)
+	psPerByte     = 625                  // link serialization, picoseconds per byte
+	retryDelay    = 200 * sim.Nanosecond // backoff before retransmitting a NACKed packet
+)
+
+// Config holds the NoC's retry budget.
 type Config struct {
-	HopLatency   sim.Time // propagation per hop (link + router traversal)
-	BandwidthBps int64    // per-link bandwidth in bytes per second
-	RetryDelay   sim.Time // backoff before retransmitting a NACKed packet
-	MaxRetries   int      // retries before the packet is dropped (0 = infinite)
+	MaxRetries int // retries before the packet is dropped (0 = infinite)
 }
 
-// DefaultConfig mirrors the FPGA platform: tile-to-tile latency of "dozens
-// of nanoseconds" with a 128-bit 100 MHz NoC link (1.6 GB/s).
-func DefaultConfig() Config {
-	return Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-		RetryDelay:   200 * sim.Nanosecond,
-		MaxRetries:   0,
-	}
-}
+// DefaultConfig returns unbounded retries: the platform never drops a
+// packet for good.
+func DefaultConfig() Config { return Config{} }
 
 // Network is the NoC instance. Construct with New.
 type Network struct {
@@ -82,7 +81,6 @@ type Network struct {
 	nTiles    int
 	latBase   []sim.Time // [src*nTiles+dst] hop latency (no serialization)
 	routerTab []int      // [tile] router, mirrors StarMesh.RouterOf
-	psPerByte int64      // serialization ps/byte when exact, else 0 (division)
 
 	// routerFree[r] is the earliest time router r can accept the next
 	// packet; it models serialization contention at the router.
@@ -148,14 +146,8 @@ func New(eng *sim.Engine, topo StarMesh, cfg Config) *Network {
 	for s := 0; s < tiles; s++ {
 		n.routerTab[s] = topo.RouterOf(TileID(s))
 		for d := 0; d < tiles; d++ {
-			n.latBase[s*tiles+d] = sim.Time(topo.Hops(TileID(s), TileID(d))) * cfg.HopLatency
+			n.latBase[s*tiles+d] = sim.Time(topo.Hops(TileID(s), TileID(d))) * perHopLatency
 		}
-	}
-	if bps := cfg.BandwidthBps; bps > 0 && int64(sim.Second)%bps == 0 {
-		// Exact picoseconds per byte (the default 1.6 GB/s link divides
-		// sim.Second evenly): serialization becomes a multiply instead of a
-		// 64-bit division per packet.
-		n.psPerByte = int64(sim.Second) / bps
 	}
 	return n
 }
@@ -184,13 +176,7 @@ func (n *Network) SetInjector(in *fault.Injector) { n.inj = in }
 //
 //m3v:noalloc
 func (n *Network) serialization(size int) sim.Time {
-	if n.psPerByte != 0 {
-		return sim.Time(int64(size) * n.psPerByte)
-	}
-	if n.cfg.BandwidthBps <= 0 {
-		return 0
-	}
-	return sim.Time(int64(size) * int64(sim.Second) / n.cfg.BandwidthBps)
+	return sim.Time(int64(size) * psPerByte)
 }
 
 // hopLatency reports the propagation share of a transfer: hops times the
@@ -272,7 +258,7 @@ func (n *Network) releaseInflight(fl *inflight) {
 
 // Send injects a packet and takes ownership of it. Delivery is scheduled
 // after the path latency plus any router contention; if the destination
-// rejects it, the packet is retransmitted after RetryDelay, up to MaxRetries
+// rejects it, the packet is retransmitted after retryDelay, up to MaxRetries
 // times. The packet is recycled once delivery completes; callers must not
 // touch it after Send.
 //
@@ -287,7 +273,7 @@ func (n *Network) Send(pkt *Packet) {
 		fl.sentAt = n.eng.Now()
 		fl.span = n.rec.BeginSpan(pkt.Flow, 0, trace.SpanNoCXfer,
 			int64(fl.sentAt), int(pkt.Dst), trace.CompNoC)
-		n.eng.After(n.cfg.HopLatency+n.serialization(pkt.Size), fl.fire)
+		n.eng.After(perHopLatency+n.serialization(pkt.Size), fl.fire)
 		return
 	}
 	fl.transmit()
@@ -391,7 +377,7 @@ func (fl *inflight) deliver() {
 		return
 	}
 	fl.attempt++
-	n.eng.After(n.cfg.RetryDelay, fl.retry)
+	n.eng.After(retryDelay, fl.retry)
 }
 
 // StarMesh is the paper's 2x2 star-mesh: four routers in a square, each with

@@ -50,10 +50,7 @@ func TestStarMeshHopsSymmetricProperty(t *testing.T) {
 
 func TestDeliveryLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, StarMesh{NumTiles: 12}, Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-	})
+	n := New(eng, StarMesh{NumTiles: 12}, DefaultConfig())
 	var deliveredAt sim.Time
 	n.Attach(1, HandlerFunc(func(pkt *Packet) bool {
 		deliveredAt = eng.Now()
@@ -131,10 +128,7 @@ func TestDropAfterMaxRetries(t *testing.T) {
 
 func TestRouterContentionSerializes(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, StarMesh{NumTiles: 12}, Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-	})
+	n := New(eng, StarMesh{NumTiles: 12}, DefaultConfig())
 	var arrivals []sim.Time
 	n.Attach(1, HandlerFunc(func(pkt *Packet) bool {
 		arrivals = append(arrivals, eng.Now())
@@ -174,10 +168,7 @@ func TestNoCPacketStampedAtTransmit(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := eng.Tracer()
 	rec.Enable()
-	n := New(eng, StarMesh{NumTiles: 12}, Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-	})
+	n := New(eng, StarMesh{NumTiles: 12}, DefaultConfig())
 	n.Attach(1, HandlerFunc(func(pkt *Packet) bool { return true }))
 	// Tiles 0 and 4 share ingress router 0: both transmit at t=0, the
 	// second queues behind the first's serialization time (100ns for 160
@@ -211,37 +202,23 @@ func TestNoCPacketStampedAtTransmit(t *testing.T) {
 
 // TestFastPathTablesMatchDynamic pins the precomputed latency/router tables
 // and the multiply-based serialization against StarMesh arithmetic done
-// here, over every (src, dst) pair and a spread of sizes — including a
-// bandwidth that does not divide sim.Second evenly, which must take the
-// division path.
+// here, over every (src, dst) pair and a spread of sizes: 15 ns per hop plus
+// the size at 1.6 GB/s.
 func TestFastPathTablesMatchDynamic(t *testing.T) {
 	eng := sim.NewEngine()
-	configs := []Config{
-		DefaultConfig(), // 1.6 GB/s divides sim.Second: multiply fast path
-		{HopLatency: 15 * sim.Nanosecond, BandwidthBps: 3_000_000_007}, // prime: division path
-		{HopLatency: 7 * sim.Nanosecond},                               // zero bandwidth: no serialization
-	}
-	for _, cfg := range configs {
-		topo := StarMesh{NumTiles: 12}
-		n := New(eng, topo, cfg)
-		if exact := cfg.BandwidthBps > 0 && int64(sim.Second)%cfg.BandwidthBps == 0; exact != (n.psPerByte != 0) {
-			t.Fatalf("cfg %+v: multiply path %v, want %v", cfg, n.psPerByte != 0, exact)
+	topo := StarMesh{NumTiles: 12}
+	n := New(eng, topo, DefaultConfig())
+	for src := 0; src < topo.NumTiles; src++ {
+		if got, want := n.routerOf(TileID(src)), topo.RouterOf(TileID(src)); got != want {
+			t.Errorf("routerOf(%d) = %d, want %d", src, got, want)
 		}
-		for src := 0; src < topo.NumTiles; src++ {
-			if got, want := n.routerOf(TileID(src)), topo.RouterOf(TileID(src)); got != want {
-				t.Errorf("routerOf(%d) = %d, want %d", src, got, want)
-			}
-			for dst := 0; dst < topo.NumTiles; dst++ {
-				for _, size := range []int{0, 1, 64, 113, 4096} {
-					got := n.Latency(TileID(src), TileID(dst), size)
-					want := sim.Time(topo.Hops(TileID(src), TileID(dst))) * cfg.HopLatency
-					if cfg.BandwidthBps > 0 {
-						want += sim.Time(int64(size) * int64(sim.Second) / cfg.BandwidthBps)
-					}
-					if got != want {
-						t.Errorf("cfg %+v: Latency(%d,%d,%d) = %v, want %v",
-							cfg, src, dst, size, got, want)
-					}
+		for dst := 0; dst < topo.NumTiles; dst++ {
+			for _, size := range []int{0, 1, 64, 113, 4096} {
+				got := n.Latency(TileID(src), TileID(dst), size)
+				want := sim.Time(topo.Hops(TileID(src), TileID(dst)))*15*sim.Nanosecond +
+					sim.Time(int64(size)*int64(sim.Second)/1_600_000_000)
+				if got != want {
+					t.Errorf("Latency(%d,%d,%d) = %v, want %v", src, dst, size, got, want)
 				}
 			}
 		}

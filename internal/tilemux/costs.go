@@ -2,30 +2,17 @@ package tilemux
 
 import "m3v/internal/sim"
 
-// Costs is TileMux's timing model, in cycles of the tile's core clock or
-// absolute time where noted. Calibrated together with dtu.Costs against the
-// paper's Figure 6: a tile-local no-op RPC (two interrupts, two context
+// TileMux's timing model, in cycles of the tile's core clock or absolute
+// time where noted. Calibrated together with the dtu command costs against
+// the paper's Figure 6: a tile-local no-op RPC (two interrupts, two context
 // switches, five vDTU commands) lands at ~5k cycles.
-type Costs struct {
-	TMCall    int64 // trap entry + dispatch + return (ecall path)
-	CtxSwitch int64 // register save/restore + address-space switch + SWITCH_ACT
-	Irq       int64 // interrupt entry + core-request fetch/ack
-	MuxMsg    int64 // handling one kernel/pager message inside TileMux
+const (
+	tmCallCycles    int64 = 220 // trap entry + dispatch + return (ecall path)
+	ctxSwitchCycles int64 = 640 // register save/restore + address-space switch + SWITCH_ACT
+	irqCycles       int64 = 300 // interrupt entry + core-request fetch/ack
+	muxMsgCycles    int64 = 350 // handling one kernel/pager message inside TileMux
 
-	PollInterval sim.Time // vDTU poll period while waiting with empty run queue
-	Timeslice    sim.Time // round-robin timeslice
-	ComputeChunk sim.Time // max uninterruptible compute quantum
-}
-
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		TMCall:       220,
-		CtxSwitch:    640,
-		Irq:          300,
-		MuxMsg:       350,
-		PollInterval: 1 * sim.Microsecond,
-		Timeslice:    1 * sim.Millisecond,
-		ComputeChunk: 100 * sim.Microsecond,
-	}
-}
+	pollInterval = 1 * sim.Microsecond   // vDTU poll period while waiting with empty run queue
+	timeslice    = 1 * sim.Millisecond   // round-robin timeslice
+	computeChunk = 100 * sim.Microsecond // max uninterruptible compute quantum
+)

@@ -35,7 +35,6 @@ type Mux struct {
 	clock sim.Clock
 	d     *dtu.DTU
 	eps   EPConfig
-	costs Costs
 
 	acts map[dtu.ActID]*Act
 	runq []*Act
@@ -88,7 +87,6 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *Mux {
 		clock:         clock,
 		d:             d,
 		eps:           eps,
-		costs:         DefaultCosts(),
 		acts:          make(map[dtu.ActID]*Act),
 		rec:           eng.Tracer(),
 		cCtxSwitches:  reg.Counter(pfx + "ctx_switches"),
@@ -135,9 +133,6 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *Mux {
 // SetInjector arms wakeup-stall injection on this multiplexer. A nil
 // injector restores prompt scheduler pokes.
 func (m *Mux) SetInjector(in *fault.Injector) { m.inj = in }
-
-// Costs returns the timing model for calibration by benches.
-func (m *Mux) Costs() *Costs { return &m.costs }
 
 // CtxSwitches reports the number of context switches performed.
 func (m *Mux) CtxSwitches() int64 { return m.cCtxSwitches.Value() }
@@ -330,7 +325,7 @@ func (m *Mux) release() {
 // again instead of staying blocked.
 func (m *Mux) switchTo(p *sim.Proc, next *Act, reason trace.SwitchReason) {
 	start := m.eng.Now()
-	p.Sleep(m.cy(m.costs.CtxSwitch))
+	p.Sleep(m.cy(ctxSwitchCycles))
 	nid, nmsgs := ActIdle, 0
 	if next != nil {
 		nid, nmsgs = next.ID, next.msgs
@@ -368,7 +363,7 @@ func (m *Mux) switchTo(p *sim.Proc, next *Act, reason trace.SwitchReason) {
 	if next != nil {
 		next.state = actRunning
 		next.preempt = false
-		next.sliceEnd = m.eng.Now() + m.costs.Timeslice
+		next.sliceEnd = m.eng.Now() + timeslice
 		m.schedulePreempt(next)
 		next.proc.Wake()
 	}
@@ -481,7 +476,7 @@ func (m *Mux) muxLoop(p *sim.Proc) {
 		if m.d.PendingCoreReqs() > 0 || m.d.HasUnread(m.eps.KernRgate) || m.d.HasUnread(m.eps.PfRgate) {
 			m.cIrqs.Inc()
 			m.rec.Irq(int64(m.eng.Now()), int(m.d.Tile()), int64(m.d.PendingCoreReqs()))
-			p.Sleep(m.cy(m.costs.Irq))
+			p.Sleep(m.cy(irqCycles))
 			m.asMux(p, func() {
 				m.handleMuxMsgs(p)
 			})
@@ -508,7 +503,7 @@ func (m *Mux) handleMuxMsgs(p *sim.Proc) {
 		if m.muxMsgs > 0 {
 			m.muxMsgs--
 		}
-		p.Sleep(m.cy(m.costs.MuxMsg))
+		p.Sleep(m.cy(muxMsgCycles))
 		resp := m.handleKernelReq(msg.Data)
 		if msg.ReplyEp >= 0 {
 			if err := m.d.Reply(p, m.eps.KernRgate, slot, resp, 0); err != nil {
@@ -526,7 +521,7 @@ func (m *Mux) handleMuxMsgs(p *sim.Proc) {
 		if m.muxMsgs > 0 {
 			m.muxMsgs--
 		}
-		p.Sleep(m.cy(m.costs.MuxMsg))
+		p.Sleep(m.cy(muxMsgCycles))
 		// The reply label carries the faulting activity's id.
 		if a := m.acts[dtu.ActID(msg.Label)]; a != nil && a.pfPending {
 			a.pfPending = false

@@ -52,8 +52,8 @@ func (a *Act) ComputeTime(d sim.Time) {
 	for d > 0 {
 		a.BeginOp()
 		chunk := d
-		if chunk > m.costs.ComputeChunk {
-			chunk = m.costs.ComputeChunk
+		if chunk > computeChunk {
+			chunk = computeChunk
 		}
 		if rem := a.sliceEnd - m.eng.Now(); rem > 0 && chunk > rem {
 			chunk = rem
@@ -62,7 +62,7 @@ func (a *Act) ComputeTime(d sim.Time) {
 		d -= chunk
 		if a.preempt && len(m.runq) > 0 {
 			// Timer interrupt: round-robin to the next ready activity.
-			p.Sleep(m.cy(m.costs.Irq))
+			p.Sleep(m.cy(irqCycles))
 			a.state = actReady
 			m.runq = append(m.runq, a)
 			next := m.popRun()
@@ -83,7 +83,7 @@ func (a *Act) WaitForMsg() {
 	m := a.mux
 	p := a.proc
 	a.BeginOp()
-	p.Sleep(m.cy(m.costs.TMCall))
+	p.Sleep(m.cy(tmCallCycles))
 	for {
 		if _, msgs := m.d.CurAct(); msgs+m.curExtra > 0 || a.ext > 0 {
 			a.EndOp()
@@ -102,7 +102,7 @@ func (a *Act) WaitForMsg() {
 		} else {
 			// No other ready activity: poll the vDTU.
 			a.EndOp()
-			p.Sleep(m.costs.PollInterval)
+			p.Sleep(pollInterval)
 			a.BeginOp()
 		}
 	}
@@ -113,7 +113,7 @@ func (a *Act) Yield() {
 	m := a.mux
 	p := a.proc
 	a.BeginOp()
-	p.Sleep(m.cy(m.costs.TMCall))
+	p.Sleep(m.cy(tmCallCycles))
 	next := m.popRun()
 	if next == nil {
 		a.EndOp()
@@ -135,7 +135,7 @@ func (a *Act) Exit(code int32) {
 	m := a.mux
 	p := a.proc
 	a.BeginOp()
-	p.Sleep(m.cy(m.costs.TMCall))
+	p.Sleep(m.cy(tmCallCycles))
 	a.ExitCode = code
 	a.state = actExited
 	a.BusyTime += m.eng.Now() - a.opStart
@@ -164,7 +164,7 @@ func (a *Act) FixTranslation(vaddr uint64, perm dtu.Perm) error {
 	m := a.mux
 	p := a.proc
 	a.BeginOp()
-	p.Sleep(m.cy(m.costs.TMCall))
+	p.Sleep(m.cy(tmCallCycles))
 	vpage := vaddr >> dtu.PageShift
 	if e, ok := a.pages[vpage]; ok && e.perm.Has(perm) {
 		m.d.InsertTLB(p, a.ID, vaddr, e.ppage<<dtu.PageShift, e.perm)
