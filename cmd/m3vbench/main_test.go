@@ -248,3 +248,29 @@ func TestRunFaultRateOne(t *testing.T) {
 		t.Errorf("run(-fault-rate 1) err = %v, want %q", err, want)
 	}
 }
+
+// TestRunSlocOutsideModule checks that sloc run where the module's sources
+// cannot be found is an error naming the experiment, not an empty table
+// with exit 0.
+func TestRunSlocOutsideModule(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	var out strings.Builder
+	err = run([]string{"-run", "sloc"}, &out)
+	if err == nil || !strings.HasPrefix(err.Error(), "sloc: ") {
+		t.Errorf("run(-run sloc) outside the module: err = %v, want a sloc error", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed %q, want nothing", out.String())
+	}
+}

@@ -91,7 +91,7 @@ type Experiment struct {
 func Experiments() []Experiment {
 	return []Experiment{
 		{ID: "table1", Title: "vDTU area accounting (structural model)", Run: static(Table1)},
-		{ID: "sloc", Title: "Software complexity (SLOC)", Run: static(SoftwareComplexity)},
+		{ID: "sloc", Title: "Software complexity (SLOC)", Run: sloc},
 		{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives", Run: fig6, Servable: serveFig6},
 		{ID: "fig7", Title: "File read/write throughput (MiB/s)", Run: fig7},
 		{ID: "fig8", Title: "UDP round-trip latency (us)", Run: fig8},
@@ -102,8 +102,8 @@ func Experiments() []Experiment {
 	}
 }
 
-// static adapts a driver that simulates nothing (table1, sloc) to the
-// registry signature.
+// static adapts table1's driver, which simulates nothing, to the registry
+// signature.
 func static(f func() *Result) func(Params, *sim.Canceler) (*Result, error) {
 	return func(Params, *sim.Canceler) (*Result, error) { return f(), nil }
 }

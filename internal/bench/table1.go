@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 
 	"m3v/internal/complexity"
+	"m3v/internal/sim"
 )
 
 // Table1 reproduces Table 1: the area accounting of the vDTU and the cost
@@ -28,24 +30,27 @@ func Table1() *Result {
 // controller (11.5k SLOC Rust in the paper) versus TileMux (1.7k SLOC).
 // We count the corresponding Go packages; the reproduced property is the
 // ratio — the tile-local multiplexer is an order of magnitude smaller than
-// the controller.
-func SoftwareComplexity() *Result {
-	r := &Result{ID: "sloc", Title: "Software complexity (SLOC)"}
+// the controller. It panics if the module's sources cannot be read.
+func SoftwareComplexity() *Result { return must(sloc(Params{}, nil)) }
+
+// sloc is the registry's driver for SoftwareComplexity. It counts the
+// module's source files, so it fails when they are not found (a binary run
+// outside the module).
+func sloc(Params, *sim.Canceler) (*Result, error) {
 	controller, err := complexity.SLOC("internal/kernel", "internal/cap", "internal/proto")
 	if err != nil {
-		r.Note("SLOC counting failed: %v", err)
-		return r
+		return nil, fmt.Errorf("counting source lines (run inside the module): %w", err)
 	}
 	tilemux, err := complexity.SLOC("internal/tilemux")
 	if err != nil {
-		r.Note("SLOC counting failed: %v", err)
-		return r
+		return nil, fmt.Errorf("counting source lines (run inside the module): %w", err)
 	}
+	r := &Result{ID: "sloc", Title: "Software complexity (SLOC)"}
 	r.Add("controller", float64(controller), "SLOC", 11500)
 	r.Add("TileMux", float64(tilemux), "SLOC", 1700)
 	if tilemux > 0 {
 		r.Add("controller/TileMux ratio", float64(controller)/float64(tilemux), "x", 6.8)
 	}
 	r.Note("paper: controller 11.5k SLOC Rust (900 unsafe), TileMux 1.7k (50 unsafe); NOVA ~9k C++")
-	return r
+	return r, nil
 }

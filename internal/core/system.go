@@ -99,7 +99,7 @@ func New(cfg Config) *System {
 
 	// Controller.
 	ctrlTile := s.Tiles[ctrl]
-	s.Kern = kernel.New(eng, ctrlTile.DTU, cfg.Tiles[ctrl].Clock)
+	s.Kern = kernel.New(eng, ctrlTile.DTU, cfg.Tiles[ctrl].Clock, s.rootExited)
 	mustEp(ctrlTile.DTU.ConfigureLocal(kernel.EpSyscall, dtu.RecvEP(dtu.ActInvalid, 64, 512)))
 	mustEp(ctrlTile.DTU.ConfigureLocal(kernel.EpNotify, dtu.RecvEP(dtu.ActInvalid, 16, 64)))
 	mustEp(ctrlTile.DTU.ConfigureLocal(kernel.EpMuxReply, dtu.RecvEP(dtu.ActInvalid, 1, 256)))
@@ -169,17 +169,20 @@ func New(cfg Config) *System {
 		eng.StartSampling(cfg.SampleInterval)
 	}
 
-	s.Kern.OnActExit = func(id uint32, code int32) {
-		if h := s.rootHandles[id]; h != nil && !h.done {
-			h.done = true
-			h.code = code
-			s.pendingRoots--
-			if s.pendingRoots == 0 {
-				s.Eng.Stop()
-			}
+	return s
+}
+
+// rootExited marks a root activity done and stops the simulation once every
+// root has exited.
+func (s *System) rootExited(id uint32, code int32) {
+	if h := s.rootHandles[id]; h != nil && !h.done {
+		h.done = true
+		h.code = code
+		s.pendingRoots--
+		if s.pendingRoots == 0 {
+			s.Eng.Stop()
 		}
 	}
-	return s
 }
 
 func mustEp(err error) {

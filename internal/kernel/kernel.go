@@ -93,40 +93,10 @@ type Kernel struct {
 
 	bindings map[*cap.Capability]binding
 
-	// OnActExit, if set, is invoked when an exit notification arrives
-	// (used by the platform to observe completion).
-	OnActExit func(id uint32, code int32)
-
-	// Ext, if set, handles syscalls the base kernel does not know. The M³x
-	// baseline uses it for the slow-path Forward call.
-	Ext func(p *sim.Proc, caller *ActEntry, op proto.Op, r *proto.Reader, slot int) (resp []byte, deferred, handled bool)
-
-	// OnEpConfigured, if set, observes every endpoint the kernel writes
-	// (the M³x driver mirrors the per-tile endpoint tables from it).
-	OnEpConfigured func(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint)
-
-	// ConfigureVia, if set, may take over an endpoint configuration. The
-	// M³x driver redirects configurations for non-running activities into
-	// their saved DTU state instead of the live tile.
-	ConfigureVia func(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (handled bool, err error)
-
-	// PostSyscall, if set, runs after each syscall reply. The M³x driver
-	// performs the remote context switches queued by Forward here, after
-	// the caller got its answer.
-	PostSyscall func(p *sim.Proc)
-
-	// OnActStarting, if set, runs right before an activity is started. The
-	// M³x driver restores the activity's saved DTU state if its tile is
-	// about to run it for the first time.
-	OnActStarting func(p *sim.Proc, act *ActEntry)
-
-	// ReplyFallback, if set, handles syscall replies whose recipient is not
-	// running (M³x: the reply is injected into the saved DTU state).
-	ReplyFallback func(msg *dtu.Message, resp []byte) bool
-
-	// OnIdle, if set, runs whenever the controller is about to idle. The
-	// M³x driver performs its time-slice rotations here.
-	OnIdle func(p *sim.Proc)
+	// onExit observes every activity exit (the platform uses it to detect
+	// completion); remote is the M³x extension, local{} on M³v.
+	onExit func(id uint32, code int32)
+	remote Remote
 
 	// rec is the engine's structured event recorder; cSyscalls is the
 	// registry counter behind the Syscalls accessor.
@@ -134,13 +104,57 @@ type Kernel struct {
 	cSyscalls *trace.Counter
 }
 
-// New creates a controller bound to the given (non-virtualized) DTU. The
-// caller must configure EpSyscall/EpNotify/EpMuxReply on d before running.
-func New(eng *sim.Engine, d *dtu.DTU, clock sim.Clock) *Kernel {
+// Remote is everything the M³x baseline (internal/m3x) adds to the
+// controller: remote multiplexing over saved DTU state and the slow-path
+// Forward syscall. M³v's default, local{}, adds nothing.
+type Remote interface {
+	// Syscall handles a syscall the base kernel does not know (M³x:
+	// Forward); handled false answers EInvalid.
+	Syscall(p *sim.Proc, caller *ActEntry, op proto.Op, r *proto.Reader, slot int) (resp []byte, deferred, handled bool)
+	// Configure may take over an endpoint configuration (M³x: for a
+	// non-running activity, into its saved DTU state).
+	Configure(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (handled bool, err error)
+	// Configured observes every endpoint the kernel wrote to a tile.
+	Configured(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint)
+	// AfterSyscall runs after each syscall reply (M³x: the remote context
+	// switches Forward queued, once the caller got its answer).
+	AfterSyscall(p *sim.Proc)
+	// Starting runs right before an activity is started.
+	Starting(p *sim.Proc, act *ActEntry)
+	// ReplyFallback delivers a syscall reply whose recipient is not running
+	// and reports whether it could.
+	ReplyFallback(msg *dtu.Message, resp []byte) bool
+	// Idle runs whenever the controller is about to idle (M³x: time-slice
+	// rotations).
+	Idle(p *sim.Proc)
+}
+
+// local is the M³v controller's Remote: activities are multiplexed on their
+// tiles, so the controller has nothing to add.
+type local struct{}
+
+func (local) Syscall(*sim.Proc, *ActEntry, proto.Op, *proto.Reader, int) ([]byte, bool, bool) {
+	return nil, false, false
+}
+func (local) Configure(*sim.Proc, noc.TileID, dtu.EpID, dtu.Endpoint) (bool, error) {
+	return false, nil
+}
+func (local) Configured(noc.TileID, dtu.EpID, dtu.Endpoint) {}
+func (local) AfterSyscall(*sim.Proc)                        {}
+func (local) Starting(*sim.Proc, *ActEntry)                 {}
+func (local) ReplyFallback(*dtu.Message, []byte) bool       { return false }
+func (local) Idle(*sim.Proc)                                {}
+
+// New creates a controller bound to the given (non-virtualized) DTU; onExit
+// observes every activity exit. The caller must configure
+// EpSyscall/EpNotify/EpMuxReply on d before running.
+func New(eng *sim.Engine, d *dtu.DTU, clock sim.Clock, onExit func(id uint32, code int32)) *Kernel {
 	k := &Kernel{
 		eng:       eng,
 		d:         d,
 		clock:     clock,
+		onExit:    onExit,
+		remote:    local{},
 		acts:      make(map[uint32]*ActEntry),
 		nextAct:   1,
 		tiles:     make(map[noc.TileID]*TileEntry),
@@ -160,6 +174,9 @@ func New(eng *sim.Engine, d *dtu.DTU, clock sim.Clock) *Kernel {
 	k.proc = eng.Spawn("kernel", k.loop)
 	return k
 }
+
+// SetRemote installs the M³x extension.
+func (k *Kernel) SetRemote(r Remote) { k.remote = r }
 
 // Syscalls reports the number of handled system calls.
 func (k *Kernel) Syscalls() int64 { return k.cSyscalls.Value() }
@@ -235,9 +252,7 @@ func (k *Kernel) loop(p *sim.Proc) {
 				continue // reply comes later (e.g. ActivityWait)
 			}
 			k.reply(p, slot, msg, resp)
-			if k.PostSyscall != nil {
-				k.PostSyscall(p)
-			}
+			k.remote.AfterSyscall(p)
 		}
 		for k.d.HasUnread(EpNotify) {
 			progress = true
@@ -250,9 +265,7 @@ func (k *Kernel) loop(p *sim.Proc) {
 			_ = k.d.Ack(p, EpNotify, slot)
 		}
 		if !progress {
-			if k.OnIdle != nil {
-				k.OnIdle(p)
-			}
+			k.remote.Idle(p)
 			p.Park()
 		}
 	}
@@ -265,7 +278,7 @@ func (k *Kernel) reply(p *sim.Proc, slot int, msg *dtu.Message, resp []byte) {
 	if err == nil {
 		return
 	}
-	if errors.Is(err, dtu.ErrNoRecipient) && k.ReplyFallback != nil && k.ReplyFallback(msg, resp) {
+	if errors.Is(err, dtu.ErrNoRecipient) && k.remote.ReplyFallback(msg, resp) {
 		return
 	}
 	panic(fmt.Sprintf("kernel: syscall reply failed: %v", err))
@@ -282,19 +295,21 @@ func (k *Kernel) handleNotify(p *sim.Proc, data []byte) {
 	}
 	id := uint32(r.U16())
 	code := int32(r.U32())
-	act := k.acts[id]
-	if act == nil {
-		return
+	if act := k.acts[id]; act != nil {
+		k.exited(p, act, code)
 	}
+}
+
+// exited records an activity's exit, answers its ActivityWait callers and
+// tells the platform.
+func (k *Kernel) exited(p *sim.Proc, act *ActEntry, code int32) {
 	act.Exited = true
 	act.ExitCode = code
 	for _, w := range act.waiters {
 		k.reply(p, w.slot, w.msg, proto.Resp(proto.EOK, uint64(uint32(code))))
 	}
 	act.waiters = nil
-	if k.OnActExit != nil {
-		k.OnActExit(id, code)
-	}
+	k.onExit(act.ID, code)
 }
 
 // MuxRequest sends a request to a tile's multiplexer and waits for the

@@ -1,0 +1,139 @@
+package kernel_test
+
+import (
+	"reflect"
+	"testing"
+
+	"m3v/internal/activity"
+	"m3v/internal/core"
+	"m3v/internal/dtu"
+	"m3v/internal/kernel"
+	"m3v/internal/noc"
+	"m3v/internal/proto"
+	"m3v/internal/sim"
+)
+
+// recRemote is a kernel.Remote that records what the controller reports
+// and answers OpForward itself; everything else behaves as on M³v.
+type recRemote struct {
+	configured map[noc.TileID]map[dtu.EpID]dtu.Endpoint
+	starting   []uint32
+	syscalls   []proto.Op
+}
+
+func (r *recRemote) Syscall(_ *sim.Proc, _ *kernel.ActEntry, op proto.Op, _ *proto.Reader, _ int) ([]byte, bool, bool) {
+	r.syscalls = append(r.syscalls, op)
+	if op != proto.OpForward {
+		return nil, false, false
+	}
+	return proto.Resp(proto.EOK, 42), false, true
+}
+
+func (r *recRemote) Configure(*sim.Proc, noc.TileID, dtu.EpID, dtu.Endpoint) (bool, error) {
+	return false, nil
+}
+
+func (r *recRemote) Configured(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) {
+	if r.configured[tile] == nil {
+		r.configured[tile] = make(map[dtu.EpID]dtu.Endpoint)
+	}
+	r.configured[tile][ep] = conf
+}
+
+func (r *recRemote) AfterSyscall(*sim.Proc) {}
+
+func (r *recRemote) Starting(_ *sim.Proc, act *kernel.ActEntry) {
+	r.starting = append(r.starting, act.ID)
+}
+
+func (r *recRemote) ReplyFallback(*dtu.Message, []byte) bool { return false }
+
+func (r *recRemote) Idle(*sim.Proc) {}
+
+// forward issues an OpForward syscall and returns its answer.
+func forward(t *testing.T, a *activity.Activity) (proto.ErrCode, uint64) {
+	code, r, err := a.Syscall(proto.NewWriter(proto.OpForward).U8(0).U64(0).Done())
+	if err != nil {
+		t.Errorf("forward syscall: %v", err)
+		return code, 0
+	}
+	if code != proto.EOK {
+		return code, 0
+	}
+	return code, r.U64()
+}
+
+// TestRemoteSeesControllerEvents boots an M³v system with a recording
+// Remote: it must see each created activity's syscall gates being
+// configured, each start once, and every syscall the base kernel does not
+// know (OpForward).
+func TestRemoteSeesControllerEvents(t *testing.T) {
+	sys := core.New(core.FPGAConfig())
+	defer sys.Shutdown()
+	rec := &recRemote{configured: make(map[noc.TileID]map[dtu.EpID]dtu.Endpoint)}
+	sys.Kern.SetRemote(rec)
+	procs := sys.Cfg.ProcessingTiles()
+
+	var childID uint32
+	var fwdCode proto.ErrCode
+	var fwdVal uint64
+	root := sys.SpawnRoot(procs[0], "root", nil, func(a *activity.Activity) {
+		ref, err := a.Spawn(core.TileSels(a)[procs[1]], procs[1], "child", nil,
+			func(*activity.Activity) {})
+		if err != nil {
+			t.Errorf("spawn: %v", err)
+			return
+		}
+		childID = ref.ID
+		if _, err := a.SysWait(ref.ActSel); err != nil {
+			t.Errorf("wait: %v", err)
+		}
+		fwdCode, fwdVal = forward(t, a)
+	})
+	sys.Run(10 * sim.Second)
+	if !root.Done() {
+		t.Fatal("root did not finish")
+	}
+
+	ctrl := sys.Kern.DTU().Tile()
+	for _, id := range []uint32{root.ID, childID} {
+		act := sys.Kern.Act(id)
+		eps := rec.configured[act.Tile]
+		sg, ok := eps[act.SyscallSgate]
+		if !ok || sg.Kind != dtu.EpSend || sg.Act != act.Local ||
+			sg.TgtTile != ctrl || sg.TgtEp != kernel.EpSyscall || sg.Label != uint64(id) {
+			t.Errorf("act %d syscall send gate %d: Configured saw %+v (%v)", id, act.SyscallSgate, sg, ok)
+		}
+		rg, ok := eps[act.SyscallRgate]
+		if !ok || rg.Kind != dtu.EpReceive || rg.Act != act.Local || rg.Slots != 1 {
+			t.Errorf("act %d syscall receive gate %d: Configured saw %+v (%v)", id, act.SyscallRgate, rg, ok)
+		}
+	}
+	if want := []uint32{root.ID, childID}; !reflect.DeepEqual(rec.starting, want) {
+		t.Errorf("Starting ran for %v, want once each for %v", rec.starting, want)
+	}
+	if want := []proto.Op{proto.OpForward}; !reflect.DeepEqual(rec.syscalls, want) {
+		t.Errorf("Remote.Syscall saw %v, want %v", rec.syscalls, want)
+	}
+	if fwdCode != proto.EOK || fwdVal != 42 {
+		t.Errorf("forward answered %v %d, want the Remote's EOK 42", fwdCode, fwdVal)
+	}
+}
+
+// TestLocalRejectsForward checks that plain M³v, with no Remote installed,
+// answers the M³x-only OpForward syscall with EInvalid.
+func TestLocalRejectsForward(t *testing.T) {
+	sys := core.New(core.FPGAConfig())
+	defer sys.Shutdown()
+	var code proto.ErrCode
+	root := sys.SpawnRoot(sys.Cfg.ProcessingTiles()[0], "root", nil, func(a *activity.Activity) {
+		code, _ = forward(t, a)
+	})
+	sys.Run(10 * sim.Second)
+	if !root.Done() {
+		t.Fatal("root did not finish")
+	}
+	if code != proto.EInvalid {
+		t.Errorf("forward on M³v answered %v, want EInvalid", code)
+	}
+}

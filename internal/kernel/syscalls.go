@@ -261,15 +261,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 					return proto.Resp(code), false
 				}
 			}
-			act.Exited = true
-			act.ExitCode = -1
-			for _, w := range act.waiters {
-				k.reply(p, w.slot, w.msg, proto.Resp(proto.EOK, uint64(uint32(act.ExitCode))))
-			}
-			act.waiters = nil
-			if k.OnActExit != nil {
-				k.OnActExit(act.ID, act.ExitCode)
-			}
+			k.exited(p, act, -1)
 		}
 		return proto.Resp(proto.EOK), false
 
@@ -312,10 +304,8 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		return proto.Resp(proto.EOK), false
 
 	default:
-		if k.Ext != nil {
-			if resp, deferred, handled := k.Ext(p, caller, op, r, slot); handled {
-				return resp, deferred
-			}
+		if resp, deferred, handled := k.remote.Syscall(p, caller, op, r, slot); handled {
+			return resp, deferred
 		}
 		return proto.Resp(proto.EInvalid), false
 	}
@@ -385,10 +375,8 @@ func (k *Kernel) activate(p *sim.Proc, caller *ActEntry, sel cap.Sel, hint dtu.E
 // configure installs an endpoint, locally for the controller's own tile and
 // via the external interface otherwise.
 func (k *Kernel) configure(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) error {
-	if k.ConfigureVia != nil {
-		if handled, err := k.ConfigureVia(p, tile, ep, conf); handled {
-			return err
-		}
+	if handled, err := k.remote.Configure(p, tile, ep, conf); handled {
+		return err
 	}
 	var err error
 	if tile == k.d.Tile() {
@@ -396,8 +384,8 @@ func (k *Kernel) configure(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.E
 	} else {
 		err = k.d.ConfigureRemote(p, tile, ep, conf)
 	}
-	if err == nil && k.OnEpConfigured != nil {
-		k.OnEpConfigured(tile, ep, conf)
+	if err == nil {
+		k.remote.Configured(tile, ep, conf)
 	}
 	return err
 }
@@ -448,9 +436,7 @@ func (k *Kernel) StartActivity(p *sim.Proc, act *ActEntry) error {
 	if te.MuxSgate < 0 {
 		return nil
 	}
-	if k.OnActStarting != nil {
-		k.OnActStarting(p, act)
-	}
+	k.remote.Starting(p, act)
 	req := proto.NewWriter(proto.OpMuxStartAct).U16(uint16(act.Local)).Done()
 	code, _ := k.muxRequest(p, te, req)
 	return code.Err()

@@ -24,8 +24,8 @@ const (
 	quantum = 2 * sim.Millisecond
 )
 
-// Driver is the controller-side half of M³x multiplexing. It hooks into the
-// base kernel: it mirrors every endpoint configuration, redirects
+// Driver is the controller-side half of M³x multiplexing, installed as the
+// kernel's Remote: it mirrors every endpoint configuration, redirects
 // configurations for non-running activities into their saved DTU state,
 // handles the slow-path Forward syscall, and performs remote context
 // switches (stop -> save EPs -> restore EPs -> resume), all serialized in
@@ -73,7 +73,7 @@ type pendingSwitch struct {
 	flow uint64
 }
 
-// NewDriver wires an M³x driver into the kernel.
+// NewDriver installs an M³x driver as the kernel's Remote.
 func NewDriver(eng *sim.Engine, k *kernel.Kernel) *Driver {
 	d := &Driver{
 		k:       k,
@@ -85,13 +85,7 @@ func NewDriver(eng *sim.Engine, k *kernel.Kernel) *Driver {
 		started: make(map[noc.TileID][]uint32),
 		rec:     eng.Tracer(),
 	}
-	k.OnEpConfigured = d.onEpConfigured
-	k.ConfigureVia = d.configureVia
-	k.Ext = d.handleSyscall
-	k.PostSyscall = d.postSyscall
-	k.OnActStarting = d.onActStarting
-	k.ReplyFallback = d.replyFallback
-	k.OnIdle = d.onIdle
+	k.SetRemote(d)
 	d.armTick()
 	return d
 }
@@ -104,9 +98,9 @@ func (d *Driver) armTick() {
 	})
 }
 
-// onIdle rotates multiplexed tiles round robin when a time-slice tick is
+// Idle rotates multiplexed tiles round robin when a time-slice tick is
 // due. This is the controller-driven preemption of M³x.
-func (d *Driver) onIdle(p *sim.Proc) {
+func (d *Driver) Idle(p *sim.Proc) {
 	if !d.tickDue {
 		return
 	}
@@ -138,9 +132,9 @@ func (d *Driver) onIdle(p *sim.Proc) {
 	}
 }
 
-// replyFallback injects a syscall reply into the saved DTU state of a
+// ReplyFallback injects a syscall reply into the saved DTU state of a
 // stopped caller and restores the piggybacked send credit.
-func (d *Driver) replyFallback(msg *dtu.Message, resp []byte) bool {
+func (d *Driver) ReplyFallback(msg *dtu.Message, resp []byte) bool {
 	owner := uint32(msg.SndAct)
 	rg := d.savedEp(owner, msg.ReplyEp)
 	if rg == nil {
@@ -173,10 +167,10 @@ func (d *Driver) replyFallback(msg *dtu.Message, resp []byte) bool {
 	return true
 }
 
-// onActStarting records the activity for rotation, admits the first started
+// Starting records the activity for rotation, admits the first started
 // activity of a tile as its current one, and pushes its saved endpoint state
 // (configured while it was not running) onto the tile.
-func (d *Driver) onActStarting(p *sim.Proc, act *kernel.ActEntry) {
+func (d *Driver) Starting(p *sim.Proc, act *kernel.ActEntry) {
 	if _, seen := d.started[act.Tile]; !seen {
 		d.tileOrder = append(d.tileOrder, act.Tile)
 	}
@@ -217,13 +211,14 @@ func (d *Driver) tileMirror(tile noc.TileID) map[dtu.EpID]dtu.Endpoint {
 	return m
 }
 
-func (d *Driver) onEpConfigured(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) {
+// Configured mirrors an endpoint the kernel wrote.
+func (d *Driver) Configured(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) {
 	d.tileMirror(tile)[ep] = conf
 }
 
-// configureVia redirects endpoint configurations for activities that are not
+// Configure redirects endpoint configurations for activities that are not
 // current on their (multiplexed) tile into their saved state.
-func (d *Driver) configureVia(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (bool, error) {
+func (d *Driver) Configure(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (bool, error) {
 	act := uint32(conf.Act)
 	if conf.Act == dtu.ActInvalid || conf.Act == dtu.ActTileMux {
 		return false, nil // controller/mux endpoints always live
@@ -267,10 +262,10 @@ func (d *Driver) savedEp(act uint32, ep dtu.EpID) *dtu.Endpoint {
 	return nil
 }
 
-// handleSyscall implements the Forward slow-path syscall (paper §2.2: "the
+// Syscall implements the Forward slow-path syscall (paper §2.2: "the
 // slow path forwards the message to the recipient via the controller, which
 // first schedules the recipient and delivers the message afterwards").
-func (d *Driver) handleSyscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *proto.Reader, slot int) ([]byte, bool, bool) {
+func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *proto.Reader, slot int) ([]byte, bool, bool) {
 	if op != proto.OpForward {
 		return nil, false, false
 	}
@@ -375,8 +370,8 @@ func (d *Driver) deliverSlow(p *sim.Proc, tile noc.TileID, ep dtu.EpID, msg dtu.
 	return proto.Resp(proto.EOK, 0)
 }
 
-// postSyscall executes queued context switches.
-func (d *Driver) postSyscall(p *sim.Proc) {
+// AfterSyscall executes queued context switches.
+func (d *Driver) AfterSyscall(p *sim.Proc) {
 	for len(d.pending) > 0 {
 		sw := d.pending[0]
 		d.pending = d.pending[1:]

@@ -13,6 +13,7 @@ import (
 	"m3v/internal/dtu"
 	"m3v/internal/proto"
 	"m3v/internal/sim"
+	"m3v/internal/tilemux"
 )
 
 // RCTMux's timing model, in core cycles of the tile or absolute time where
@@ -43,22 +44,16 @@ type RCTMux struct {
 	acts map[dtu.ActID]*Act
 	cur  *Act
 
-	// Core token (one execution context at a time), as in TileMux.
-	coreBusy   bool
-	coreQ      sim.WaitQueue
-	muxWaiting bool
+	// Core is the core token, shared with TileMux.
+	tilemux.Core
 
 	proc *sim.Proc
 
 	// stopReq is set while the controller waits for the current activity to
 	// reach an operation boundary.
 	stopReq   bool
-	stopDone  func(p *sim.Proc) // invoked (in mux proc context) once stopped
 	stopSlot  int
 	stopValid bool
-
-	// Stops counts honoured stop requests, for tests.
-	Stops int64
 }
 
 // Act is one activity's tile-side state and its activity.Exec
@@ -121,32 +116,6 @@ func (m *RCTMux) maybeRun(a *Act) {
 	}
 }
 
-// --- core token -------------------------------------------------------------
-
-func (m *RCTMux) acquire(p *sim.Proc, isMux bool) {
-	for m.coreBusy || (!isMux && m.muxWaiting) {
-		if isMux {
-			m.muxWaiting = true
-			p.Park()
-		} else {
-			m.coreQ.Wait(p)
-		}
-	}
-	if isMux {
-		m.muxWaiting = false
-	}
-	m.coreBusy = true
-}
-
-func (m *RCTMux) release() {
-	m.coreBusy = false
-	if m.muxWaiting {
-		m.proc.Wake()
-		return
-	}
-	m.coreQ.WakeOne()
-}
-
 // waitRun parks the activity until it is current, honouring stop requests at
 // the boundary.
 func (m *RCTMux) waitRun(a *Act) {
@@ -158,7 +127,6 @@ func (m *RCTMux) waitRun(a *Act) {
 			// Honour the controller's stop: step aside and signal.
 			m.stopReq = false
 			m.cur = nil
-			m.Stops++
 			m.proc.Wake()
 		}
 		a.proc.Park()
@@ -173,7 +141,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 			p.Park()
 			continue
 		}
-		m.acquire(p, true)
+		m.Acquire(p, true)
 		// A pending stop completed (the activity parked)?
 		if m.stopValid && m.cur == nil && !m.stopReq {
 			m.stopValid = false
@@ -196,7 +164,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 				panic(fmt.Sprintf("m3x: reply failed: %v", err))
 			}
 		}
-		m.release()
+		m.Release(m.eng.Now())
 	}
 }
 
@@ -268,7 +236,7 @@ func (m *RCTMux) handleKernelReq(p *sim.Proc, data []byte, slot int) ([]byte, bo
 func (a *Act) BeginOp() {
 	m := a.mux
 	m.waitRun(a)
-	m.acquire(a.proc, false)
+	m.Acquire(a.proc, false)
 	a.opStart = m.eng.Now()
 }
 
@@ -276,7 +244,7 @@ func (a *Act) BeginOp() {
 func (a *Act) EndOp() {
 	m := a.mux
 	a.BusyTime += m.eng.Now() - a.opStart
-	m.release()
+	m.Release(m.eng.Now())
 }
 
 // Proc returns the activity's process.
@@ -337,7 +305,7 @@ func (a *Act) Exit(code int32) {
 	}
 	m.cur = nil
 	a.BusyTime += m.eng.Now() - a.opStart
-	m.release()
+	m.Release(m.eng.Now())
 	m.proc.Wake() // let RCTMux pick another local activity if one is ready
 }
 

@@ -40,16 +40,11 @@ type Mux struct {
 	runq []*Act
 	cur  *Act
 
-	// Core token: exactly one execution context (the current activity or
-	// TileMux itself) advances core time. TileMux has priority.
-	coreBusy   bool
-	coreQ      sim.WaitQueue
-	muxWaiting bool
-	// busyStart stamps the current core-token hold; acquire/release bracket
-	// all core time, so summing the holds yields the tile's busy time (the
-	// utilization numerator). The sampler's probe flushes the in-progress
-	// hold so long computations don't show up as idle-then-spike.
-	busyStart sim.Time
+	// Core is the core token. Its holds bracket all core time, so summing
+	// them yields the tile's busy time (the utilization numerator). The
+	// sampler's probe flushes the in-progress hold so long computations
+	// don't show up as idle-then-spike.
+	Core
 
 	muxProc *sim.Proc
 	// wake pokes the scheduler; cached once so stall injection can defer
@@ -112,7 +107,7 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *Mux {
 			}
 		}
 		gPending.Set(int64(pending))
-		if m.coreBusy {
+		if m.busy {
 			now := m.eng.Now()
 			m.cBusyPs.Add(int64(now - m.busyStart))
 			m.busyStart = now
@@ -274,6 +269,15 @@ func (m *Mux) makeReady(a *Act) {
 	m.muxProc.Wake()
 }
 
+// wakeBlocked is the lost-wakeup rule of paper §4.2: the caller saw
+// something pending for a, so if a is blocked in WaitForMsg, the
+// check-and-block would lose that wakeup and a becomes ready again.
+func (m *Mux) wakeBlocked(a *Act) {
+	if a.wantMsg && a.state == actBlocked {
+		m.makeReady(a)
+	}
+}
+
 func (m *Mux) popRun() *Act {
 	for len(m.runq) > 0 {
 		a := m.runq[0]
@@ -285,36 +289,8 @@ func (m *Mux) popRun() *Act {
 	return nil
 }
 
-// --- core token -----------------------------------------------------------
-
-// acquire takes the core token. TileMux (isMux) has priority over activity
-// contexts, modelling interrupts preempting user code at operation
-// boundaries.
-func (m *Mux) acquire(p *sim.Proc, isMux bool) {
-	for m.coreBusy || (!isMux && m.muxWaiting) {
-		if isMux {
-			m.muxWaiting = true
-			p.Park()
-		} else {
-			m.coreQ.Wait(p)
-		}
-	}
-	if isMux {
-		m.muxWaiting = false
-	}
-	m.coreBusy = true
-	m.busyStart = p.Now()
-}
-
-func (m *Mux) release() {
-	m.coreBusy = false
-	m.cBusyPs.Add(int64(m.eng.Now() - m.busyStart))
-	if m.muxWaiting {
-		m.muxProc.Wake()
-		return
-	}
-	m.coreQ.WakeOne()
-}
+// release frees the core token and accounts the hold as busy time.
+func (m *Mux) release() { m.cBusyPs.Add(int64(m.Release(m.eng.Now()))) }
 
 // --- switching ------------------------------------------------------------
 
@@ -350,13 +326,8 @@ func (m *Mux) switchTo(p *sim.Proc, next *Act, reason trace.SwitchReason) {
 	m.curExtra = 0
 	if oa := m.acts[old]; oa != nil {
 		oa.msgs = oldMsgs
-		if oa.wantMsg && oldMsgs > 0 {
-			// The check-and-block would lose this wakeup: revert to ready.
-			oa.wantMsg = false
-			if oa.state == actBlocked {
-				oa.state = actCreated // makeReady requires a non-ready state
-				m.makeReady(oa)
-			}
+		if oldMsgs > 0 {
+			m.wakeBlocked(oa)
 		}
 	}
 	m.cur = next
@@ -411,12 +382,8 @@ func (m *Mux) asMux(p *sim.Proc, fn func()) {
 	m.drainCoreReqs(p, old, &oldMsgs)
 	_, mm := m.d.SwitchAct(p, old, oldMsgs)
 	m.muxMsgs = mm
-	if oa := m.acts[old]; oa != nil && oa.wantMsg && oldMsgs > 0 {
-		oa.wantMsg = false
-		if oa.state == actBlocked {
-			oa.state = actCreated
-			m.makeReady(oa)
-		}
+	if oa := m.acts[old]; oa != nil && oldMsgs > 0 {
+		m.wakeBlocked(oa)
 	}
 }
 
@@ -445,9 +412,7 @@ func (m *Mux) drainCoreReqs(p *sim.Proc, curID dtu.ActID, curMsgs *int) {
 					// switch to this activity as its wakeup.
 					a.wakeFlow = flow
 				}
-				if a.state == actBlocked && a.wantMsg {
-					m.makeReady(a)
-				}
+				m.wakeBlocked(a)
 			}
 		}
 	}
@@ -472,7 +437,7 @@ func (m *Mux) muxLoop(p *sim.Proc) {
 			p.Park()
 			continue
 		}
-		m.acquire(p, true)
+		m.Acquire(p, true)
 		if m.d.PendingCoreReqs() > 0 || m.d.HasUnread(m.eps.KernRgate) || m.d.HasUnread(m.eps.PfRgate) {
 			m.cIrqs.Inc()
 			m.rec.Irq(int64(m.eng.Now()), int(m.d.Tile()), int64(m.d.PendingCoreReqs()))
@@ -526,7 +491,6 @@ func (m *Mux) handleMuxMsgs(p *sim.Proc) {
 		if a := m.acts[dtu.ActID(msg.Label)]; a != nil && a.pfPending {
 			a.pfPending = false
 			if a.state == actFaulting {
-				a.state = actCreated
 				m.makeReady(a)
 			}
 		}

@@ -27,7 +27,7 @@ var ErrSegfault = errors.New("tilemux: segmentation fault")
 func (a *Act) BeginOp() {
 	m := a.mux
 	m.ensureRunning(a)
-	m.acquire(a.proc, false)
+	m.Acquire(a.proc, false)
 	a.opStart = m.eng.Now()
 }
 
@@ -214,9 +214,7 @@ func (m *Mux) RaiseExternal(id dtu.ActID) {
 		return
 	}
 	a.ext++
-	if a.state == actBlocked && a.wantMsg {
-		m.makeReady(a)
-	}
+	m.wakeBlocked(a)
 }
 
 // TakeExternal consumes one pending external event, reporting whether one
