@@ -42,99 +42,42 @@ import (
 )
 
 // Run applies the analyzer to each fixture package (named by import path
-// under <testdata>/src) and verifies the diagnostics against the fixtures'
-// want comments. All packages of one call share the analyzer's Store, so
-// module-wide properties (metricname uniqueness) can be exercised across
-// fixture packages. After the per-package passes the analyzer's module
-// pass (if any) runs over all loaded fixtures, mirroring the driver:
-// module diagnostics are attributed to the fixture file containing their
-// position and filtered through that fixture's ignore directives. Stale
-// directives — ones that suppressed nothing across the whole run — are
-// reported too, so fixtures can pin the audit.
+// under <testdata>/src) through the m3vlint driver, analysis.Run, and
+// verifies the findings against the fixtures' want comments. The driver
+// does everything a real run does: the per-package passes share the
+// analyzer's Store (so module-wide properties such as metricname
+// uniqueness can be exercised across fixture packages), the module pass
+// runs over all loaded fixtures, ignore directives filter both, malformed
+// directives surface as "m3vlint" findings, and stale directives — ones
+// that suppressed nothing across the whole run — are reported too, so
+// fixtures can pin the audit.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	ld, err := newLoader(testdata)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	store := map[string]interface{}{}
-	type unitState struct {
-		path  string
-		pkg   *fixturePkg
-		dirs  *analysis.Directives
-		diags []analysis.Diagnostic
-	}
-	var states []*unitState
 	var units []*analysis.Unit
-	byFile := map[string]*unitState{}
+	var files []*ast.File
 	for _, path := range paths {
 		pkg, err := ld.load(path)
 		if err != nil {
 			t.Fatalf("analysistest: %v", err)
 		}
-		st := &unitState{path: path, pkg: pkg, dirs: analysis.ParseDirectives(ld.fset, pkg.files)}
-		for _, f := range pkg.files {
-			byFile[ld.fset.Position(f.Pos()).Filename] = st
-		}
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      ld.fset,
-			Files:     pkg.files,
-			Pkg:       pkg.types,
-			TypesInfo: pkg.info,
-			Store:     store,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("analysistest: %s: %s: %v", a.Name, path, err)
-		}
-		st.diags = st.dirs.Filter(a.Name, diags)
-		states = append(states, st)
 		units = append(units, &analysis.Unit{
 			Path: path, Fset: ld.fset, Files: pkg.files, Pkg: pkg.types, Info: pkg.info,
 		})
+		files = append(files, pkg.files...)
 	}
-	if a.RunModule != nil {
-		var mdiags []analysis.Diagnostic
-		mp := &analysis.ModulePass{
-			Analyzer: a,
-			Fset:     ld.fset,
-			Units:    units,
-			Store:    store,
-			Report:   func(d analysis.Diagnostic) { mdiags = append(mdiags, d) },
-			Suppressed: func(pos token.Pos) bool {
-				if st := byFile[ld.fset.Position(pos).Filename]; st != nil {
-					return st.dirs.Suppressed(a.Name, pos)
-				}
-				return false
-			},
-		}
-		if _, err := a.RunModule(mp); err != nil {
-			t.Fatalf("analysistest: %s: module pass: %v", a.Name, err)
-		}
-		for _, d := range mdiags {
-			st := byFile[ld.fset.Position(d.Pos).Filename]
-			if st == nil {
-				t.Errorf("analysistest: %s: module diagnostic outside the loaded fixtures at %s: %s",
-					a.Name, ld.fset.Position(d.Pos), d.Message)
-				continue
-			}
-			if st.dirs.Suppressed(a.Name, d.Pos) {
-				continue
-			}
-			st.diags = append(st.diags, d)
-		}
+	findings, err := analysis.Run(units, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
 	}
-	for _, st := range states {
-		diags := append(st.diags, analysis.CheckDirectives(ld.fset, st.pkg.files)...)
-		diags = append(diags, st.dirs.Unused()...)
-		check(t, ld.fset, st.pkg.files, st.path, diags)
-	}
+	check(t, ld.fset, files, findings)
 }
 
-// check matches diagnostics against want expectations.
-func check(t *testing.T, fset *token.FileSet, files []*ast.File, path string, diags []analysis.Diagnostic) {
+// check matches findings against want expectations by file and line.
+func check(t *testing.T, fset *token.FileSet, files []*ast.File, findings []analysis.Finding) {
 	t.Helper()
 	type expectation struct {
 		file string
@@ -165,23 +108,22 @@ func check(t *testing.T, fset *token.FileSet, files []*ast.File, path string, di
 			}
 		}
 	}
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+	for _, f := range findings {
 		matched := false
 		for _, w := range wants {
-			if !w.met && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
+			if !w.met && w.file == f.Pos.Filename && w.line == f.Pos.Line && w.re.MatchString(f.Message) {
 				w.met = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", path, pos.Filename, pos.Line, d.Message)
+			t.Errorf("unexpected diagnostic at %s:%d: %s", f.Pos.Filename, f.Pos.Line, f.Message)
 		}
 	}
 	for _, w := range wants {
 		if !w.met {
-			t.Errorf("%s: no diagnostic at %s:%d matching %q", path, w.file, w.line, w.raw)
+			t.Errorf("no diagnostic at %s:%d matching %q", w.file, w.line, w.raw)
 		}
 	}
 }

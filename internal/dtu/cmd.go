@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the state of the DTU's blocking round trips: SEND, REPLY,
-// SendRaw, READ, WRITE and the four external requests all send one request
+// SendRaw, READ, WRITE and the three external requests all send one request
 // packet and park the issuing process until the answer comes back. Each
 // round trip runs on a cmd taken from its DTU's free list. The request
 // packet's payload is the *cmd itself; the serving DTU writes its result
@@ -27,13 +27,12 @@ import (
 type cmdOp uint8
 
 const (
-	opMsg        cmdOp = iota // SEND, REPLY, SendRaw: store msg at ep
-	opRead                    // READ: n bytes at off of a memory tile
-	opWrite                   // WRITE: buf at off of a memory tile
-	opConfig                  // ConfigureRemote: install conf at ep
-	opInvalidate              // InvalidateRemote: clear ep
-	opReadEps                 // ReadEpsRemote: copy endpoints into eps
-	opWriteEps                // WriteEpsRemote: install confs
+	opMsg      cmdOp = iota // SEND, REPLY, SendRaw: store msg at ep
+	opRead                  // READ: n bytes at off of a memory tile
+	opWrite                 // WRITE: buf at off of a memory tile
+	opConfig                // ConfigureRemote: install conf at ep
+	opReadEps               // ReadEpsRemote: copy endpoints into eps
+	opWriteEps              // WriteEpsRemote: install confs
 )
 
 // cmd is one round trip in flight. Only the fields of its op are used.
@@ -44,7 +43,7 @@ type cmd struct {
 	size int        // request bytes on the wire
 
 	// Request operands.
-	ep           EpID       // opMsg: receive endpoint; opConfig, opInvalidate: target
+	ep           EpID       // opMsg: receive endpoint; opConfig: target
 	msg          Message    // opMsg
 	crdRet       EpID       // opMsg: piggybacked credit return, or -1
 	off          uint64     // opRead, opWrite: offset within the memory tile
@@ -180,8 +179,6 @@ func (d *DTU) serve(c *cmd) bool {
 		delay = d.mem.AccessDelay(len(c.buf))
 	case opConfig:
 		c.err = d.ConfigureLocal(c.ep, c.conf)
-	case opInvalidate:
-		c.err = d.InvalidateLocal(c.ep)
 	case opReadEps:
 		// The part of [first, first+count) inside the register file,
 		// snapshotted now; a window that misses it reads nothing.

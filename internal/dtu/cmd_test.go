@@ -61,7 +61,6 @@ func TestMessagePathAllocs(t *testing.T) {
 	}{
 		{"Send-Fetch-Reply-Fetch-Ack", 4, rpc},
 		{"ConfigureRemote", 0, func(p *sim.Proc) { must(r.d0.ConfigureRemote(p, 1, 5, conf)) }},
-		{"InvalidateRemote", 0, func(p *sim.Proc) { must(r.d0.InvalidateRemote(p, 1, 5)) }},
 		{"WriteEpsRemote", 0, func(p *sim.Proc) { must(r.d0.WriteEpsRemote(p, 1, confs)) }},
 		{"ReadEpsRemote", 0, func(p *sim.Proc) {
 			eps, err := r.d0.ReadEpsRemote(p, 1, 30, 2, buf)

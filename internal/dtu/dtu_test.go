@@ -418,7 +418,8 @@ func TestExternalRemoteConfiguration(t *testing.T) {
 		if got.Kind != EpSend || got.Label != 0xABC || got.Credits != 3 {
 			t.Errorf("remote EP = %+v", got)
 		}
-		if err := r.d0.InvalidateRemote(p, 1, 5); err != nil {
+		// The zero endpoint is the invalidation.
+		if err := r.d0.ConfigureRemote(p, 1, 5, Endpoint{}); err != nil {
 			t.Fatalf("remote invalidate: %v", err)
 		}
 		if got := r.d1.Ep(5); got.Kind != EpInvalid {

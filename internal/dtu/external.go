@@ -9,7 +9,10 @@ import (
 // controller (paper §3.4). Only the controller holds the ability to send
 // external requests, which is what makes communication-channel establishment
 // a controller privilege. The controller configures its own DTU directly
-// (ConfigureLocal) and remote DTUs via NoC requests (ConfigureRemote).
+// (ConfigureLocal) and remote DTUs via NoC requests (ConfigureRemote). The
+// zero Endpoint is the invalidation: configuring it clears the endpoint,
+// dropping any messages a receive endpoint buffered, and in-flight senders
+// see ErrNoRecipient.
 
 // extReqBytes approximates the wire size of one endpoint configuration.
 const extReqBytes = 32
@@ -27,16 +30,6 @@ func (d *DTU) ConfigureLocal(ep EpID, conf Endpoint) error {
 	return nil
 }
 
-// InvalidateLocal clears an endpoint on this DTU. Pending messages in a
-// receive endpoint are dropped; in-flight senders will see ErrNoRecipient.
-func (d *DTU) InvalidateLocal(ep EpID) error {
-	if ep < 0 || int(ep) >= NumEPs {
-		return ErrInvalidArgs
-	}
-	d.eps[ep] = Endpoint{}
-	return nil
-}
-
 // ConfigureRemote sends an external configuration request to the DTU on the
 // given tile and blocks until it is acknowledged. Must be called from the
 // controller's process. Like every external request, it fails with
@@ -44,15 +37,6 @@ func (d *DTU) InvalidateLocal(ep EpID) error {
 func (d *DTU) ConfigureRemote(p *sim.Proc, tile noc.TileID, ep EpID, conf Endpoint) error {
 	c := d.acquireCmd(opConfig, tile, extReqBytes)
 	c.ep, c.conf = ep, conf
-	err := c.await(p)
-	d.releaseCmd(c)
-	return err
-}
-
-// InvalidateRemote clears an endpoint on a remote DTU.
-func (d *DTU) InvalidateRemote(p *sim.Proc, tile noc.TileID, ep EpID) error {
-	c := d.acquireCmd(opInvalidate, tile, extReqBytes)
-	c.ep = ep
 	err := c.await(p)
 	d.releaseCmd(c)
 	return err

@@ -111,11 +111,10 @@ type Remote interface {
 	// Syscall handles a syscall the base kernel does not know (M³x:
 	// Forward); handled false answers EInvalid.
 	Syscall(p *sim.Proc, caller *ActEntry, op proto.Op, r *proto.Reader, slot int) (resp []byte, deferred, handled bool)
-	// Configure may take over an endpoint configuration (M³x: for a
-	// non-running activity, into its saved DTU state).
+	// Configure sees every endpoint write of the controller before it
+	// reaches the tile, a revocation as the zero Endpoint, and may take it
+	// over (M³x: for a non-running activity, into its saved DTU state).
 	Configure(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (handled bool, err error)
-	// Configured observes every endpoint the kernel wrote to a tile.
-	Configured(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint)
 	// AfterSyscall runs after each syscall reply (M³x: the remote context
 	// switches Forward queued, once the caller got its answer).
 	AfterSyscall(p *sim.Proc)
@@ -139,11 +138,10 @@ func (local) Syscall(*sim.Proc, *ActEntry, proto.Op, *proto.Reader, int) ([]byte
 func (local) Configure(*sim.Proc, noc.TileID, dtu.EpID, dtu.Endpoint) (bool, error) {
 	return false, nil
 }
-func (local) Configured(noc.TileID, dtu.EpID, dtu.Endpoint) {}
-func (local) AfterSyscall(*sim.Proc)                        {}
-func (local) Starting(*sim.Proc, *ActEntry)                 {}
-func (local) ReplyFallback(*dtu.Message, []byte) bool       { return false }
-func (local) Idle(*sim.Proc)                                {}
+func (local) AfterSyscall(*sim.Proc)                  {}
+func (local) Starting(*sim.Proc, *ActEntry)           {}
+func (local) ReplyFallback(*dtu.Message, []byte) bool { return false }
+func (local) Idle(*sim.Proc)                          {}
 
 // New creates a controller bound to the given (non-virtualized) DTU; onExit
 // observes every activity exit. The caller must configure

@@ -14,7 +14,8 @@ import (
 )
 
 // recRemote is a kernel.Remote that records what the controller reports
-// and answers OpForward itself; everything else behaves as on M³v.
+// (the last write per endpoint in configured) and answers OpForward
+// itself; everything else behaves as on M³v.
 type recRemote struct {
 	configured map[noc.TileID]map[dtu.EpID]dtu.Endpoint
 	starting   []uint32
@@ -29,15 +30,12 @@ func (r *recRemote) Syscall(_ *sim.Proc, _ *kernel.ActEntry, op proto.Op, _ *pro
 	return proto.Resp(proto.EOK, 42), false, true
 }
 
-func (r *recRemote) Configure(*sim.Proc, noc.TileID, dtu.EpID, dtu.Endpoint) (bool, error) {
-	return false, nil
-}
-
-func (r *recRemote) Configured(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) {
+func (r *recRemote) Configure(_ *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (bool, error) {
 	if r.configured[tile] == nil {
 		r.configured[tile] = make(map[dtu.EpID]dtu.Endpoint)
 	}
 	r.configured[tile][ep] = conf
+	return false, nil
 }
 
 func (r *recRemote) AfterSyscall(*sim.Proc) {}
@@ -65,8 +63,9 @@ func forward(t *testing.T, a *activity.Activity) (proto.ErrCode, uint64) {
 
 // TestRemoteSeesControllerEvents boots an M³v system with a recording
 // Remote: it must see each created activity's syscall gates being
-// configured, each start once, and every syscall the base kernel does not
-// know (OpForward).
+// configured, the revocation of an activated gate as the zero Endpoint at
+// that gate's tile and endpoint, each start once, and every syscall the
+// base kernel does not know (OpForward).
 func TestRemoteSeesControllerEvents(t *testing.T) {
 	sys := core.New(core.FPGAConfig())
 	defer sys.Shutdown()
@@ -77,7 +76,22 @@ func TestRemoteSeesControllerEvents(t *testing.T) {
 	var childID uint32
 	var fwdCode proto.ErrCode
 	var fwdVal uint64
+	var rgEp dtu.EpID
+	var activated dtu.Endpoint
 	root := sys.SpawnRoot(procs[0], "root", nil, func(a *activity.Activity) {
+		rgSel, err := a.SysCreateRGate(2, 64)
+		if err != nil {
+			t.Errorf("create rgate: %v", err)
+			return
+		}
+		if rgEp, err = a.SysActivate(rgSel); err != nil {
+			t.Errorf("activate: %v", err)
+			return
+		}
+		activated = rec.configured[procs[0]][rgEp]
+		if err := a.SysRevoke(rgSel); err != nil {
+			t.Errorf("revoke: %v", err)
+		}
 		ref, err := a.Spawn(core.TileSels(a)[procs[1]], procs[1], "child", nil,
 			func(*activity.Activity) {})
 		if err != nil {
@@ -102,12 +116,19 @@ func TestRemoteSeesControllerEvents(t *testing.T) {
 		sg, ok := eps[act.SyscallSgate]
 		if !ok || sg.Kind != dtu.EpSend || sg.Act != act.Local ||
 			sg.TgtTile != ctrl || sg.TgtEp != kernel.EpSyscall || sg.Label != uint64(id) {
-			t.Errorf("act %d syscall send gate %d: Configured saw %+v (%v)", id, act.SyscallSgate, sg, ok)
+			t.Errorf("act %d syscall send gate %d: Configure saw %+v (%v)", id, act.SyscallSgate, sg, ok)
 		}
 		rg, ok := eps[act.SyscallRgate]
 		if !ok || rg.Kind != dtu.EpReceive || rg.Act != act.Local || rg.Slots != 1 {
-			t.Errorf("act %d syscall receive gate %d: Configured saw %+v (%v)", id, act.SyscallRgate, rg, ok)
+			t.Errorf("act %d syscall receive gate %d: Configure saw %+v (%v)", id, act.SyscallRgate, rg, ok)
 		}
+	}
+	if activated.Kind != dtu.EpReceive {
+		t.Errorf("activation reached Configure as %+v, want a receive endpoint", activated)
+	}
+	if got, ok := rec.configured[procs[0]][rgEp]; !ok || !reflect.DeepEqual(got, dtu.Endpoint{}) {
+		t.Errorf("revocation: Configure last saw %+v (%v) at tile %d ep %d, want the zero Endpoint",
+			got, ok, procs[0], rgEp)
 	}
 	if want := []uint32{root.ID, childID}; !reflect.DeepEqual(rec.starting, want) {
 		t.Errorf("Starting ran for %v, want once each for %v", rec.starting, want)

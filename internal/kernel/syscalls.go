@@ -135,7 +135,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		for _, rc := range c.Revoke() {
 			if b, ok := k.bindings[rc]; ok {
 				delete(k.bindings, rc)
-				if err := k.d.InvalidateRemote(p, b.tile, b.ep); err != nil {
+				if err := k.configure(p, b.tile, b.ep, dtu.Endpoint{}); err != nil {
 					panic("kernel: endpoint invalidation failed: " + err.Error())
 				}
 			}
@@ -372,22 +372,14 @@ func (k *Kernel) activate(p *sim.Proc, caller *ActEntry, sel cap.Sel, hint dtu.E
 	}
 }
 
-// configure installs an endpoint, locally for the controller's own tile and
-// via the external interface otherwise.
+// configure writes an endpoint on a user tile through the external
+// interface; the zero Endpoint invalidates it. It is the controller's only
+// endpoint write, so the Remote sees every one.
 func (k *Kernel) configure(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) error {
 	if handled, err := k.remote.Configure(p, tile, ep, conf); handled {
 		return err
 	}
-	var err error
-	if tile == k.d.Tile() {
-		err = k.d.ConfigureLocal(ep, conf)
-	} else {
-		err = k.d.ConfigureRemote(p, tile, ep, conf)
-	}
-	if err == nil {
-		k.remote.Configured(tile, ep, conf)
-	}
-	return err
+	return k.d.ConfigureRemote(p, tile, ep, conf)
 }
 
 // CreateActivity builds an activity on a tile: kernel records, TileMux

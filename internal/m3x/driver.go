@@ -25,8 +25,8 @@ const (
 )
 
 // Driver is the controller-side half of M³x multiplexing, installed as the
-// kernel's Remote: it mirrors every endpoint configuration, redirects
-// configurations for non-running activities into their saved DTU state,
+// kernel's Remote: it records every endpoint write in its route table,
+// redirects writes for non-running activities into their saved DTU state,
 // handles the slow-path Forward syscall, and performs remote context
 // switches (stop -> save EPs -> restore EPs -> resume), all serialized in
 // the single-threaded controller — the bottleneck Figure 9 measures.
@@ -40,14 +40,16 @@ type Driver struct {
 	// truncates the activity's set to length 0, so the next save refills
 	// the same backing array.
 	saved map[uint32][]dtu.EpConf
-	// mirror is the controller's copy of every endpoint configuration it
-	// ever issued (routing metadata for the slow path).
-	mirror map[noc.TileID]map[dtu.EpID]dtu.Endpoint
+	// routes records what the controller wrote where: the routing metadata
+	// of every configured endpoint, for the slow path.
+	routes map[tileEp]route
 	// pending are context switches queued during syscall handling, executed
 	// after the caller got its reply.
 	pending []pendingSwitch
 	// live and invalidate are performSwitch's scratch: the endpoints read
-	// back from the stopped activity's tile and the ones to clear there.
+	// back from the stopped activity's tile (cleared once saved, so no
+	// endpoint outlives the save outside the saved sets) and the ones to
+	// clear there.
 	live       []dtu.Endpoint
 	invalidate []dtu.EpConf
 
@@ -63,6 +65,23 @@ type Driver struct {
 	// Forwards and Switches count slow-path events, for reports.
 	Forwards int64
 	Switches int64
+}
+
+// tileEp names one endpoint of one tile.
+type tileEp struct {
+	tile noc.TileID
+	ep   dtu.EpID
+}
+
+// route is the controller's record of one configured endpoint: its kind,
+// owner and, for a send endpoint, label and target. It holds no receive
+// buffer, so it never aliases the messages stored on a tile.
+type route struct {
+	kind    dtu.EpKind
+	act     dtu.ActID
+	label   uint64
+	tgtTile noc.TileID
+	tgtEp   dtu.EpID
 }
 
 type pendingSwitch struct {
@@ -81,7 +100,7 @@ func NewDriver(eng *sim.Engine, k *kernel.Kernel) *Driver {
 		eng:     eng,
 		current: make(map[noc.TileID]uint32),
 		saved:   make(map[uint32][]dtu.EpConf),
-		mirror:  make(map[noc.TileID]map[dtu.EpID]dtu.Endpoint),
+		routes:  make(map[tileEp]route),
 		started: make(map[noc.TileID][]uint32),
 		rec:     eng.Tracer(),
 	}
@@ -135,29 +154,19 @@ func (d *Driver) Idle(p *sim.Proc) {
 // ReplyFallback injects a syscall reply into the saved DTU state of a
 // stopped caller and restores the piggybacked send credit.
 func (d *Driver) ReplyFallback(msg *dtu.Message, resp []byte) bool {
-	owner := uint32(msg.SndAct)
-	rg := d.savedEp(owner, msg.ReplyEp)
-	if rg == nil {
-		return false
-	}
 	// The controller's failed Reply command minted the reply's flow; the
 	// injected message keeps it so the recipient's fetch still links up.
 	flow := d.k.DTU().LastFlow()
-	ok := rg.InjectMessage(dtu.Message{
+	reply := dtu.Message{
 		Label:   msg.ReplyLabel,
 		SndTile: d.k.DTU().Tile(),
 		ReplyEp: -1,
 		CrdEp:   -1,
 		Flow:    flow,
 		Data:    resp,
-	})
-	if !ok {
-		return false
 	}
-	if msg.CrdEp >= 0 {
-		if sg := d.savedEp(owner, msg.CrdEp); sg != nil && sg.Credits < sg.MaxCredits {
-			sg.Credits++
-		}
+	if d.injectSaved(uint32(msg.SndAct), msg.ReplyEp, reply, msg.CrdEp) != proto.EOK {
+		return false
 	}
 	// Saved-state injection is controller-mediated delivery: mark the reply
 	// flow slow so it resolves to a verdict.
@@ -165,6 +174,25 @@ func (d *Driver) ReplyFallback(msg *dtu.Message, resp []byte) bool {
 	d.rec.EmitSpan(flow, 0, trace.SpanKernForward, now, now,
 		int(d.k.DTU().Tile()), trace.CompKernel, trace.PathSlow, 1, 1)
 	return true
+}
+
+// injectSaved stores msg in the saved receive endpoint ep of the stopped
+// activity owner and returns the piggybacked credit crdEp (if >= 0) to
+// its saved send gate.
+func (d *Driver) injectSaved(owner uint32, ep dtu.EpID, msg dtu.Message, crdEp dtu.EpID) proto.ErrCode {
+	rg := d.savedEp(owner, ep)
+	if rg == nil {
+		return proto.ENotFound
+	}
+	if !rg.InjectMessage(msg) {
+		return proto.ENoSpace // saved buffer full: retry later
+	}
+	if crdEp >= 0 {
+		if sg := d.savedEp(owner, crdEp); sg != nil && sg.Credits < sg.MaxCredits {
+			sg.Credits++
+		}
+	}
+	return proto.EOK
 }
 
 // Starting records the activity for rotation, admits the first started
@@ -202,37 +230,29 @@ func extOK(err error) {
 	}
 }
 
-func (d *Driver) tileMirror(tile noc.TileID) map[dtu.EpID]dtu.Endpoint {
-	m := d.mirror[tile]
-	if m == nil {
-		m = make(map[dtu.EpID]dtu.Endpoint)
-		d.mirror[tile] = m
-	}
-	return m
-}
-
-// Configured mirrors an endpoint the kernel wrote.
-func (d *Driver) Configured(tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) {
-	d.tileMirror(tile)[ep] = conf
-}
-
-// Configure redirects endpoint configurations for activities that are not
-// current on their (multiplexed) tile into their saved state.
+// Configure records every endpoint write in the route table and redirects
+// a write for an activity that is not current on its tile into its saved
+// state. An invalidation (the zero Endpoint) takes its owner from the
+// recorded route and drops the route.
 func (d *Driver) Configure(p *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (bool, error) {
-	act := uint32(conf.Act)
-	if conf.Act == dtu.ActInvalid || conf.Act == dtu.ActTileMux {
-		return false, nil // controller/mux endpoints always live
+	key := tileEp{tile, ep}
+	owner := conf.Act
+	if conf.Kind == dtu.EpInvalid {
+		r, ok := d.routes[key]
+		if !ok {
+			return false, nil // already cleared: nobody's saved state holds it
+		}
+		owner = r.act
+		delete(d.routes, key)
+	} else {
+		d.routes[key] = route{kind: conf.Kind, act: conf.Act,
+			label: conf.Label, tgtTile: conf.TgtTile, tgtEp: conf.TgtEp}
 	}
-	te := d.k.Tile(tile)
-	if te == nil || te.MuxSgate < 0 {
-		return false, nil // not a multiplexed user tile
-	}
-	if d.current[tile] == act {
-		return false, nil // live configuration
+	if owner == dtu.ActInvalid || owner == dtu.ActTileMux || d.current[tile] == uint32(owner) {
+		return false, nil // controller/mux endpoints and the running activity's are live
 	}
 	// The activity is not running: configure into its saved DTU state.
-	d.tileMirror(tile)[ep] = conf
-	d.setSaved(act, ep, conf)
+	d.setSaved(uint32(owner), ep, conf)
 	return true, nil
 }
 
@@ -278,61 +298,40 @@ func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *p
 	d.Forwards++
 	start := d.eng.Now()
 	p.Sleep(d.clk.Cycles(forwardCycles))
+	// Both legs decode into one message; they differ in how it is routed.
+	msg := dtu.Message{SndTile: caller.Tile, SndAct: caller.Local, ReplyEp: -1, CrdEp: -1, Flow: flow}
+	var tile noc.TileID
+	var ep dtu.EpID
+	crdEp, leg := dtu.EpID(-1), int64(0)
 	if mode == 0 {
 		// Request leg: routed through the sender's send gate.
-		ep := dtu.EpID(r.U32())
-		replyEp := dtu.EpID(int32(r.U32()))
-		replyLabel := r.U64()
-		data := r.BytesField()
+		sgEp := dtu.EpID(r.U32())
+		msg.ReplyEp = dtu.EpID(int32(r.U32()))
+		msg.ReplyLabel = r.U64()
+		msg.Data = r.BytesField()
+		sg, ok := d.routes[tileEp{caller.Tile, sgEp}]
+		if r.Err() != nil || !ok || sg.kind != dtu.EpSend {
+			return proto.Resp(proto.EInvalid), false, true
+		}
+		msg.Label, tile, ep = sg.label, sg.tgtTile, sg.tgtEp
+	} else {
+		// Reply leg: routed by the original message's reply coordinates.
+		tile = noc.TileID(r.U32())
+		ep = dtu.EpID(r.U32())
+		msg.Label = r.U64()
+		crdEp = dtu.EpID(int32(r.U32()))
+		msg.Data = r.BytesField()
+		leg = 1
 		if r.Err() != nil {
 			return proto.Resp(proto.EInvalid), false, true
 		}
-		sg, ok := d.tileMirror(caller.Tile)[ep]
-		if !ok || sg.Kind != dtu.EpSend {
-			return proto.Resp(proto.EInvalid), false, true
-		}
-		msg := dtu.Message{
-			Label:      sg.Label,
-			SndTile:    caller.Tile,
-			SndAct:     caller.Local,
-			ReplyEp:    replyEp,
-			CrdEp:      -1,
-			ReplyLabel: replyLabel,
-			Flow:       flow,
-			Data:       data,
-		}
-		span := d.rec.BeginSpan(flow, 0, trace.SpanKernForward,
-			int64(start), int(d.k.DTU().Tile()), trace.CompKernel)
-		queued := len(d.pending)
-		resp := d.deliverSlow(p, sg.TgtTile, sg.TgtEp, msg, -1)
-		d.rec.EndSpanArgs(span, int64(d.eng.Now()), trace.PathSlow,
-			0, int64(len(d.pending)-queued))
-		return resp, false, true
-	}
-	// Reply leg: routed by the original message's reply coordinates.
-	tile := noc.TileID(r.U32())
-	ep := dtu.EpID(r.U32())
-	label := r.U64()
-	crdEp := dtu.EpID(int32(r.U32()))
-	data := r.BytesField()
-	if r.Err() != nil {
-		return proto.Resp(proto.EInvalid), false, true
-	}
-	msg := dtu.Message{
-		Label:   label,
-		SndTile: caller.Tile,
-		SndAct:  caller.Local,
-		ReplyEp: -1,
-		CrdEp:   -1,
-		Flow:    flow,
-		Data:    data,
 	}
 	span := d.rec.BeginSpan(flow, 0, trace.SpanKernForward,
 		int64(start), int(d.k.DTU().Tile()), trace.CompKernel)
 	queued := len(d.pending)
 	resp := d.deliverSlow(p, tile, ep, msg, crdEp)
 	d.rec.EndSpanArgs(span, int64(d.eng.Now()), trace.PathSlow,
-		1, int64(len(d.pending)-queued))
+		leg, int64(len(d.pending)-queued))
 	return resp, false, true
 }
 
@@ -341,11 +340,11 @@ func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *p
 // afterwards). crdEp, if >= 0, is a send-gate credit of the *recipient* to
 // restore (the piggybacked credit of a replied-to request).
 func (d *Driver) deliverSlow(p *sim.Proc, tile noc.TileID, ep dtu.EpID, msg dtu.Message, crdEp dtu.EpID) []byte {
-	rg, ok := d.tileMirror(tile)[ep]
-	if !ok || rg.Kind != dtu.EpReceive {
+	rt, ok := d.routes[tileEp{tile, ep}]
+	if !ok || rt.kind != dtu.EpReceive {
 		return proto.Resp(proto.ENotFound)
 	}
-	owner := uint32(rg.Act)
+	owner := uint32(rt.act)
 	if d.current[tile] == owner {
 		// The recipient runs: the controller delivers the message itself.
 		if err := d.k.DTU().SendRaw(p, tile, ep, msg, crdEp); err != nil {
@@ -353,17 +352,8 @@ func (d *Driver) deliverSlow(p *sim.Proc, tile noc.TileID, ep dtu.EpID, msg dtu.
 		}
 		return proto.Resp(proto.EOK, 0)
 	}
-	saved := d.savedEp(owner, ep)
-	if saved == nil {
-		return proto.Resp(proto.ENotFound)
-	}
-	if !saved.InjectMessage(msg) {
-		return proto.Resp(proto.ENoSpace) // saved buffer full: retry later
-	}
-	if crdEp >= 0 {
-		if sg := d.savedEp(owner, crdEp); sg != nil && sg.Credits < sg.MaxCredits {
-			sg.Credits++
-		}
+	if code := d.injectSaved(owner, ep, msg, crdEp); code != proto.EOK {
+		return proto.Resp(code)
 	}
 	// Schedule the recipient after the caller got its reply.
 	d.pending = append(d.pending, pendingSwitch{tile: tile, act: owner, flow: msg.Flow})
@@ -414,6 +404,7 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 						d.invalidate = append(d.invalidate, dtu.EpConf{Ep: epID})
 					}
 				}
+				clear(live)
 				if len(d.invalidate) > 0 {
 					extOK(k.DTU().WriteEpsRemote(p, tile, d.invalidate))
 				}

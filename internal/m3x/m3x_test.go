@@ -2,6 +2,7 @@ package m3x_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"m3v/internal/activity"
@@ -245,5 +246,96 @@ func TestM3xSavedStateReuse(t *testing.T) {
 	}
 	if drv.Forwards != 12 || drv.Switches != 13 {
 		t.Errorf("forwards %d, switches %d; want 12 and 13", drv.Forwards, drv.Switches)
+	}
+}
+
+// TestM3xRevokeReachesSavedState revokes a send gate while its owner is
+// switched out. The revocation must reach the owner's saved DTU state, so
+// the restore at its next switch-in cannot bring the gate back: the
+// victim's second send on it fails with ErrUnknownEp.
+func TestM3xRevokeReachesSavedState(t *testing.T) {
+	sys := core.New(core.Gem5Config(2).WithM3x())
+	defer sys.Shutdown()
+	procs := sys.Cfg.ProcessingTiles()
+	workTile := procs[1]
+	var (
+		sgSel              cap.Sel  // the victim's copy of the root's send gate
+		sgEp               dtu.EpID // where the victim activated it
+		delegated, revoked bool
+		done               bool // the victim tried its second send
+		firstErr, lastErr  error
+	)
+	victim := func(a *activity.Activity) {
+		for !delegated {
+			a.Compute(1000)
+		}
+		ep, err := a.SysActivate(sgSel)
+		must(t, err)
+		sgEp = ep
+		firstErr = a.Send(ep, []byte("first"), 0, -1, 0)
+		for !revoked {
+			a.Compute(1000)
+		}
+		lastErr = a.Send(ep, []byte("second"), 0, -1, 0)
+		done = true
+	}
+	spinner := func(a *activity.Activity) {
+		for !done {
+			a.Compute(1000)
+		}
+	}
+	root := sys.SpawnRoot(procs[0], "root", nil, func(a *activity.Activity) {
+		rgSel, err := a.SysCreateRGate(2, 64)
+		must(t, err)
+		rgEp, err := a.SysActivate(rgSel)
+		must(t, err)
+		sel, err := a.SysCreateSGate(rgSel, 0x5A, 2)
+		must(t, err)
+		tiles := core.TileSels(a)
+		vic, err := a.Spawn(tiles[workTile], workTile, "victim", nil, victim)
+		must(t, err)
+		_, err = a.Spawn(tiles[workTile], workTile, "spinner", nil, spinner)
+		must(t, err)
+		sgSel, err = a.SysDelegate(vic.ID, sel)
+		must(t, err)
+		delegated = true
+		// Fetch the first message before the next syscall: RCTMux's
+		// WaitForMsg returns at once while any gate holds an unread
+		// message, so the syscall's reply wait would spin in place.
+		slot, _ := a.Recv(rgEp)
+		a.AckMsg(rgEp, slot)
+		for sys.Driver.SavedEp(vic.ID, sgEp) == nil {
+			a.Compute(1000) // until a rotation switched the victim out
+		}
+		must(t, a.SysRevoke(sel))
+		revoked = true
+		for !done {
+			a.Compute(1000)
+		}
+		if slot, _, ok := a.TryRecv(rgEp); ok {
+			a.AckMsg(rgEp, slot) // the second message, if the gate came back
+		}
+		// The root exits without waiting for the children: once the
+		// victim exits, no rotation switches the saved spinner back in.
+	})
+	sys.Run(10 * sim.Second)
+	if !root.Done() {
+		t.Fatal("did not finish")
+	}
+	if firstErr != nil {
+		t.Fatalf("first send: %v", firstErr)
+	}
+	if !errors.Is(lastErr, dtu.ErrUnknownEp) {
+		t.Errorf("send after revocation: err = %v, want %v (the restore brought the revoked gate back)",
+			lastErr, dtu.ErrUnknownEp)
+	}
+}
+
+// must ends the test on err; inside a simulated process, t.Fatal ends the
+// goroutine that runs the engine.
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("unexpected error: %v", err)
 	}
 }
