@@ -170,6 +170,7 @@ const (
 // An ignoreDirective is one parsed //m3vlint:ignore comment.
 type ignoreDirective struct {
 	pos    token.Pos
+	file   string
 	line   int
 	names  []string
 	reason string
@@ -186,7 +187,8 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
 			}
 			rest := strings.TrimPrefix(text, IgnorePrefix)
 			fields := strings.Fields(rest)
-			d := ignoreDirective{pos: c.Pos(), line: fset.Position(c.Pos()).Line}
+			at := fset.Position(c.Pos())
+			d := ignoreDirective{pos: c.Pos(), file: at.Filename, line: at.Line}
 			if len(fields) > 0 {
 				d.names = strings.Split(fields[0], ",")
 				d.reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0]))
@@ -197,8 +199,8 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
 	return out
 }
 
-func (d *ignoreDirective) covers(name string, line int) bool {
-	if line != d.line && line != d.line+1 {
+func (d *ignoreDirective) covers(name string, at token.Position) bool {
+	if at.Filename != d.file || at.Line != d.line && at.Line != d.line+1 {
 		return false
 	}
 	for _, n := range d.names {
@@ -236,9 +238,9 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 // Suppressed reports whether a directive for the named analyzer covers pos,
 // marking the first match as used.
 func (d *Directives) Suppressed(name string, pos token.Pos) bool {
-	line := d.fset.Position(pos).Line
+	at := d.fset.Position(pos)
 	for i := range d.dirs {
-		if d.dirs[i].covers(name, line) {
+		if d.dirs[i].covers(name, at) {
 			d.used[i] = true
 			return true
 		}

@@ -45,6 +45,37 @@ func f() {
 	}
 }
 
+// TestFilterMatchesDirectiveFile pins that a directive covers lines of its
+// own file only: a finding on the same line number of another file of the
+// package stays, and the directive that covers nothing there is stale.
+func TestFilterMatchesDirectiveFile(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, src := range []struct{ name, body string }{
+		{"a.go", "package p\n\n//m3vlint:ignore noalloc audited growth\nvar a = 1\n"},
+		{"b.go", "package p\n\n\nvar b = 2\n"},
+	} {
+		f, err := parser.ParseFile(fset, src.name, src.body, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	line4 := func(f *ast.File) Diagnostic {
+		return Diagnostic{Pos: fset.File(f.Pos()).LineStart(4), Message: "x"}
+	}
+	d := ParseDirectives(fset, files)
+	if kept := d.Filter("noalloc", []Diagnostic{line4(files[1])}); len(kept) != 1 {
+		t.Fatal("a.go's directive suppressed a finding in b.go")
+	}
+	if len(d.Unused()) != 1 {
+		t.Fatal("a directive matched only by another file's finding must stay stale")
+	}
+	if kept := d.Filter("noalloc", []Diagnostic{line4(files[0])}); len(kept) != 0 {
+		t.Fatal("a.go's directive must suppress the finding below it")
+	}
+}
+
 func TestCheckDirectivesRequiresReason(t *testing.T) {
 	fset, files := parse(t, `package p
 

@@ -320,8 +320,15 @@ func (k *Kernel) MuxRequest(p *sim.Proc, tile noc.TileID, req []byte) (proto.Err
 	return k.muxRequest(p, te, req)
 }
 
-// muxRequest sends a request to a tile's multiplexer and waits for the
-// reply. The controller is blocked meanwhile — it is single-threaded.
+// PollIdle reports whether muxRequest's poll is still waiting: no reply to
+// a multiplexer request is unread.
+//
+//m3v:noalloc
+func (k *Kernel) PollIdle() bool { return !k.d.HasUnread(EpMuxReply) }
+
+// muxRequest sends a request to a tile's multiplexer and polls every
+// microsecond for the reply. The controller is blocked meanwhile — it is
+// single-threaded.
 func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) (proto.ErrCode, *proto.Reader) {
 	if te.MuxSgate < 0 {
 		return proto.ENoTile, nil
@@ -330,8 +337,8 @@ func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) (proto.ErrCo
 	if err != nil {
 		panic(fmt.Sprintf("kernel: mux request to tile %d failed: %v", te.ID, err))
 	}
-	for !k.d.HasUnread(EpMuxReply) {
-		p.Sleep(sim.Microsecond)
+	if k.PollIdle() {
+		p.Poll(sim.Microsecond, k)
 	}
 	slot, msg, err := k.d.Fetch(p, EpMuxReply)
 	if err != nil {

@@ -271,9 +271,11 @@ func (a *Act) ComputeTime(d sim.Time) {
 	}
 }
 
-// WaitForMsg polls the DTU until the activity has unread messages. On M³x
-// there is no core-request interrupt: a stopped activity simply stays
-// stopped until the controller resumes it, and a running one polls.
+// WaitForMsg polls the DTU every pollInterval until the activity has unread
+// messages; between checks that would do nothing (PollIdle) the activity
+// stays off its coroutine. On M³x there is no core-request interrupt: a
+// stopped activity simply stays stopped until the controller resumes it,
+// and a running one polls.
 func (a *Act) WaitForMsg() {
 	m := a.mux
 	for {
@@ -283,8 +285,19 @@ func (a *Act) WaitForMsg() {
 		if msgs > 0 {
 			return
 		}
-		a.proc.Sleep(pollInterval)
+		a.proc.Poll(pollInterval, a)
 	}
+}
+
+// PollIdle reports whether one more iteration of WaitForMsg's poll would
+// be a no-op: the activity is current with no controller stop pending, the
+// core token is free with nobody waiting, and no message is unread.
+//
+//m3v:noalloc
+func (a *Act) PollIdle() bool {
+	m := a.mux
+	_, msgs := m.d.CurAct()
+	return m.cur == a && !m.stopReq && m.Free() && msgs == 0
 }
 
 // Yield is a no-op hint on M³x: scheduling is remote.

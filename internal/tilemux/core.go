@@ -37,6 +37,12 @@ func (c *Core) Acquire(p *sim.Proc, isMux bool) {
 	c.busyStart = p.Now()
 }
 
+// Free reports whether the token is free and nobody waits for it, so that
+// an Acquire/Release pair would change nothing.
+//
+//m3v:noalloc
+func (c *Core) Free() bool { return !c.busy && c.muxWaiter == nil && c.q.Len() == 0 }
+
 // Release frees the token at now, wakes the next holder, and returns how
 // long the token was held.
 //

@@ -435,3 +435,66 @@ func TestYieldRoundRobin(t *testing.T) {
 		}
 	}
 }
+
+// driveToken puts the core token into a state through real Acquire calls:
+// "held" leaves it held by another process; "mux" leaves it released to a
+// multiplexer that has not run yet; "queued" leaves it released to one of
+// two queued activities, so the other one still waits in the queue.
+func driveToken(eng *sim.Engine, c *Core, state string) {
+	eng.Spawn("holder", func(p *sim.Proc) { c.Acquire(p, false) })
+	eng.RunUntil(eng.Now())
+	switch state {
+	case "held":
+		return
+	case "mux":
+		eng.Spawn("mux", func(p *sim.Proc) { c.Acquire(p, true) })
+	case "queued":
+		for i := 0; i < 2; i++ {
+			eng.Spawn("waiter", func(p *sim.Proc) { c.Acquire(p, false) })
+		}
+	}
+	eng.RunUntil(eng.Now())
+	c.Release(eng.Now())
+}
+
+// TestPollIdle pins WaitForMsg's poll predicate: it holds in the quiescent
+// state of a lone polling activity and fails in every state where the next
+// poll iteration (BeginOp, check, EndOp) would do work.
+func TestPollIdle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(r *muxRig, a *Act)
+		idle bool
+	}{
+		{"quiescent", func(*muxRig, *Act) {}, true},
+		{"token held", func(r *muxRig, _ *Act) { driveToken(r.eng, &r.mux.Core, "held") }, false},
+		{"mux waiting", func(r *muxRig, _ *Act) { driveToken(r.eng, &r.mux.Core, "mux") }, false},
+		{"activity queued", func(r *muxRig, _ *Act) { driveToken(r.eng, &r.mux.Core, "queued") }, false},
+		{"ready activity", func(r *muxRig, _ *Act) {
+			b := r.mux.CreateAct(2, "other")
+			b.state = actReady
+			r.mux.runq = append(r.mux.runq, b)
+		}, false},
+		{"external event", func(_ *muxRig, a *Act) { a.ext = 1 }, false},
+		{"folded message", func(r *muxRig, _ *Act) { r.mux.curExtra = 1 }, false},
+		{"unread message", func(r *muxRig, a *Act) { r.d.ResetCur(a.ID, 1) }, false},
+		{"not current", func(r *muxRig, _ *Act) { r.mux.cur = nil }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newMuxRig(t)
+			a := r.spawnAct(1, "waiter", func(a *Act) {
+				for {
+					a.WaitForMsg()
+				}
+			})
+			r.run(20 * sim.Microsecond)
+			if r.mux.cur != a || !a.PollIdle() {
+				t.Fatal("a lone activity in WaitForMsg is not polling idle")
+			}
+			tc.set(r, a)
+			if got := a.PollIdle(); got != tc.idle {
+				t.Errorf("PollIdle = %v, want %v", got, tc.idle)
+			}
+		})
+	}
+}

@@ -77,8 +77,9 @@ func (a *Act) ComputeTime(d sim.Time) {
 
 // WaitForMsg blocks until the activity has unread messages (TMCall "wait").
 // If other activities are ready, TileMux blocks the caller and switches;
-// otherwise the vDTU is polled (paper §3.7). The atomic SWITCH_ACT return
-// value closes the lost-wakeup window.
+// otherwise the vDTU is polled every pollInterval (paper §3.7) until a
+// check would do work (PollIdle). The atomic SWITCH_ACT return value closes
+// the lost-wakeup window.
 func (a *Act) WaitForMsg() {
 	m := a.mux
 	p := a.proc
@@ -102,10 +103,22 @@ func (a *Act) WaitForMsg() {
 		} else {
 			// No other ready activity: poll the vDTU.
 			a.EndOp()
-			p.Sleep(pollInterval)
+			p.Poll(pollInterval, a)
 			a.BeginOp()
 		}
 	}
+}
+
+// PollIdle reports whether one more iteration of WaitForMsg's poll would
+// be a no-op: the activity is current, the core token is free with nobody
+// waiting, no activity is ready, and no message or external event is
+// pending. Each term is a condition a message-driven wait must wake on.
+//
+//m3v:noalloc
+func (a *Act) PollIdle() bool {
+	m := a.mux
+	_, msgs := m.d.CurAct()
+	return m.cur == a && m.Free() && len(m.runq) == 0 && a.ext == 0 && msgs+m.curExtra == 0
 }
 
 // Yield gives up the core voluntarily (TMCall "yield").
