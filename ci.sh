@@ -53,9 +53,8 @@ go test -race -count=1 -run 'TestAutoRegisterConcurrent' ./internal/trace
 echo "== bench smoke =="
 # One iteration of the engine hot-path benchmarks (the alloc guards run as
 # regular tests) and of the fastest figure benchmark. ProcSleep records the
-# Sleep fast path (popSelf) against a forced miss; ProcPoll records a
-# handler-context poll check against the Sleep loop's check.
-go test -run '^$' -bench 'EngineSchedule|EnginePingPong|ProcSleep|ProcPoll' -benchtime 1x ./internal/sim
+# Sleep fast path (popSelf) against a forced miss.
+go test -run '^$' -bench 'EngineSchedule|EnginePingPong|ProcSleep' -benchtime 1x ./internal/sim
 go test -run '^$' -bench 'Fig9FindOneTile' -benchtime 1x .
 
 echo "== perf smoke =="

@@ -26,8 +26,9 @@ type Exec interface {
 	// Compute charges core cycles; ComputeTime charges a duration.
 	Compute(cycles int64)
 	ComputeTime(d sim.Time)
-	// WaitForMsg blocks until the activity has unread messages.
-	WaitForMsg()
+	// WaitForMsg blocks until the receive gate rg holds an unread message;
+	// rg < 0 waits for any unread message or external event instead.
+	WaitForMsg(rg dtu.EpID)
 	// Yield gives up the core voluntarily.
 	Yield()
 	// Exit reports program termination.
@@ -197,7 +198,7 @@ func (a *Activity) Recv(rg dtu.EpID) (int, *dtu.Message) {
 		if slot, msg, ok := a.TryRecv(rg); ok {
 			return slot, msg
 		}
-		a.X.WaitForMsg()
+		a.X.WaitForMsg(rg)
 	}
 }
 

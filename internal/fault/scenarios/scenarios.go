@@ -59,10 +59,26 @@ func (o Outcome) Conserved() bool {
 	return o.Sends == o.Delivered+o.Dropped && o.DupInjected == o.DupDiscarded
 }
 
-// fill populates the counter fields from a finished system.
+// settleSteps bounds how long settle runs a finished system on, in 1 µs
+// steps: far longer than any packet's NoC latency plus retry backoff.
+const settleSteps = 1000
+
+// settle runs a finished system on until no packet is on the wire. The last
+// root's exit stops the engine at once, and a packet still in flight then is
+// neither delivered nor dropped yet, so conservation is checked at
+// quiescence rather than at that instant.
+func settle(sys *core.System) {
+	for i := 0; i < settleSteps && sys.Net.InFlight() > 0; i++ {
+		sys.Run(sim.Microsecond)
+	}
+}
+
+// fill populates the counter fields from a finished system, once its NoC
+// settled.
 func (o *Outcome) fill(sys *core.System) {
 	rec := sys.Eng.Tracer()
 	o.SimTime = sys.Eng.Now()
+	settle(sys)
 	o.EventHash = rec.Hash()
 	o.SpanHash = rec.SpanHash()
 	o.Delivered = sys.Net.Delivered()

@@ -54,7 +54,7 @@ const (
 type TileEntry struct {
 	ID noc.TileID
 	// MuxSgate is the controller-side endpoint for requests to this tile's
-	// TileMux (or RCTMux on M³x). Negative if the tile has no multiplexer.
+	// TileMux (or RCTMux on M³x).
 	MuxSgate dtu.EpID
 	// NextEp allocates user endpoints on the tile.
 	NextEp dtu.EpID
@@ -76,6 +76,9 @@ type Kernel struct {
 	d     *dtu.DTU
 	clock sim.Clock
 	proc  *sim.Proc
+	// muxReplies holds the processes waiting in muxRequest: the controller
+	// itself or a boot process creating a root activity.
+	muxReplies sim.WaitQueue
 
 	acts    map[uint32]*ActEntry
 	nextAct uint32
@@ -168,6 +171,7 @@ func New(eng *sim.Engine, d *dtu.DTU, clock sim.Clock, onExit func(id uint32, co
 		if k.proc != nil {
 			k.proc.Wake()
 		}
+		k.muxReplies.WakeAll()
 	}
 	k.proc = eng.Spawn("kernel", k.loop)
 	return k
@@ -190,7 +194,7 @@ func (k *Kernel) Proc() *sim.Proc { return k.proc }
 func (k *Kernel) DTU() *dtu.DTU { return k.d }
 
 // RegisterTile tells the kernel about a user tile and the endpoint of the
-// controller's send gate towards that tile's multiplexer (-1 if none).
+// controller's send gate towards that tile's multiplexer.
 func (k *Kernel) RegisterTile(id noc.TileID, muxSgate dtu.EpID) *TileEntry {
 	te := &TileEntry{ID: id, MuxSgate: muxSgate, NextEp: UserEpFirst}
 	k.tiles[id] = te
@@ -264,7 +268,11 @@ func (k *Kernel) loop(p *sim.Proc) {
 		}
 		if !progress {
 			k.remote.Idle(p)
-			p.Park()
+			// A mux request inside Idle parks too, and may have taken the
+			// wake-up of a syscall or notification that arrived meanwhile.
+			if !k.d.HasUnread(EpSyscall) && !k.d.HasUnread(EpNotify) {
+				p.Park()
+			}
 		}
 	}
 }
@@ -320,25 +328,16 @@ func (k *Kernel) MuxRequest(p *sim.Proc, tile noc.TileID, req []byte) (proto.Err
 	return k.muxRequest(p, te, req)
 }
 
-// PollIdle reports whether muxRequest's poll is still waiting: no reply to
-// a multiplexer request is unread.
-//
-//m3v:noalloc
-func (k *Kernel) PollIdle() bool { return !k.d.HasUnread(EpMuxReply) }
-
-// muxRequest sends a request to a tile's multiplexer and polls every
-// microsecond for the reply. The controller is blocked meanwhile — it is
+// muxRequest sends a request to a tile's multiplexer and waits for the
+// reply to arrive. The controller is blocked meanwhile — it is
 // single-threaded.
 func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) (proto.ErrCode, *proto.Reader) {
-	if te.MuxSgate < 0 {
-		return proto.ENoTile, nil
-	}
 	err := k.d.Send(p, dtu.SendArgs{Ep: te.MuxSgate, Data: req, ReplyEp: EpMuxReply})
 	if err != nil {
 		panic(fmt.Sprintf("kernel: mux request to tile %d failed: %v", te.ID, err))
 	}
-	if k.PollIdle() {
-		p.Poll(sim.Microsecond, k)
+	for !k.d.HasUnread(EpMuxReply) {
+		k.muxReplies.Wait(p)
 	}
 	slot, msg, err := k.d.Fetch(p, EpMuxReply)
 	if err != nil {

@@ -254,8 +254,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		}
 		act := ac.Obj.(*ActObj).Entry
 		if !act.Exited {
-			te := k.tiles[act.Tile]
-			if te != nil && te.MuxSgate >= 0 {
+			if te := k.tiles[act.Tile]; te != nil {
 				req := proto.NewWriter(proto.OpMuxKillAct).U16(uint16(act.Local)).Done()
 				if code, _ := k.muxRequest(p, te, req); code != proto.EOK {
 					return proto.Resp(code), false
@@ -286,7 +285,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 			return proto.Resp(proto.EInvalid), false
 		}
 		te := k.tiles[act.Tile]
-		if te == nil || te.MuxSgate < 0 {
+		if te == nil {
 			return proto.Resp(proto.ENoTile), false
 		}
 		// TileMux's send gate towards the pager, tagged with TileMux's own
@@ -400,11 +399,9 @@ func (k *Kernel) CreateActivity(p *sim.Proc, tile noc.TileID, name string) (*Act
 		Caps:  cap.NewTable(name),
 	}
 	k.acts[id] = act
-	if te.MuxSgate >= 0 {
-		req := proto.NewWriter(proto.OpMuxCreateAct).U16(uint16(act.Local)).Str(name).Done()
-		if code, _ := k.muxRequest(p, te, req); code != proto.EOK {
-			return nil, code.Err()
-		}
+	req := proto.NewWriter(proto.OpMuxCreateAct).U16(uint16(act.Local)).Str(name).Done()
+	if code, _ := k.muxRequest(p, te, req); code != proto.EOK {
+		return nil, code.Err()
 	}
 	// Standard endpoints: a send gate for system calls and a receive gate
 	// for their replies.
@@ -425,9 +422,6 @@ func (k *Kernel) CreateActivity(p *sim.Proc, tile noc.TileID, name string) (*Act
 // StartActivity marks an activity runnable.
 func (k *Kernel) StartActivity(p *sim.Proc, act *ActEntry) error {
 	te := k.tiles[act.Tile]
-	if te.MuxSgate < 0 {
-		return nil
-	}
 	k.remote.Starting(p, act)
 	req := proto.NewWriter(proto.OpMuxStartAct).U16(uint16(act.Local)).Done()
 	code, _ := k.muxRequest(p, te, req)

@@ -24,7 +24,6 @@ const (
 	resumeCycles    int64 = 250 // resuming an activity (restore regs + return)
 	yieldCycles     int64 = 100 // the Yield hint, which only costs the call (scheduling is remote)
 
-	pollInterval = sim.Microsecond       // DTU poll interval while waiting for messages
 	computeChunk = 100 * sim.Microsecond // max compute between controller-stop checks
 )
 
@@ -88,6 +87,7 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *RCTMux {
 		if act == dtu.ActTileMux {
 			m.proc.Wake()
 		}
+		m.Idle.WakeAll()
 	}
 	m.proc = eng.Spawn(fmt.Sprintf("rctmux@%d", d.Tile()), m.loop)
 	return m
@@ -165,6 +165,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 			}
 		}
 		m.Release(m.eng.Now())
+		m.Idle.WakeAll() // a stop, kill or switch may concern the idle activity
 	}
 }
 
@@ -271,33 +272,26 @@ func (a *Act) ComputeTime(d sim.Time) {
 	}
 }
 
-// WaitForMsg polls the DTU every pollInterval until the activity has unread
-// messages; between checks that would do nothing (PollIdle) the activity
-// stays off its coroutine. On M³x there is no core-request interrupt: a
-// stopped activity simply stays stopped until the controller resumes it,
-// and a running one polls.
-func (a *Act) WaitForMsg() {
+// WaitForMsg blocks until the receive gate rg holds an unread message or,
+// for rg < 0, until the activity has any unread message. On M³x there is
+// no core-request interrupt: a stopped activity simply stays stopped until
+// the controller resumes it, and a running one idles until a message
+// arrives or an RCTMux pass (a controller stop or kill) concerns it.
+func (a *Act) WaitForMsg(rg dtu.EpID) {
 	m := a.mux
 	for {
 		a.BeginOp()
 		_, msgs := m.d.CurAct()
 		a.EndOp()
-		if msgs > 0 {
+		if rg < 0 && msgs > 0 || rg >= 0 && m.d.HasUnread(rg) {
 			return
 		}
-		a.proc.Poll(pollInterval, a)
+		// Only while current and not asked to stop: a stop set after
+		// BeginOp passed waitRun is honoured by the next BeginOp.
+		if m.cur == a && !m.stopReq {
+			m.Idle.Wait(a.proc)
+		}
 	}
-}
-
-// PollIdle reports whether one more iteration of WaitForMsg's poll would
-// be a no-op: the activity is current with no controller stop pending, the
-// core token is free with nobody waiting, and no message is unread.
-//
-//m3v:noalloc
-func (a *Act) PollIdle() bool {
-	m := a.mux
-	_, msgs := m.d.CurAct()
-	return m.cur == a && !m.stopReq && m.Free() && msgs == 0
 }
 
 // Yield is a no-op hint on M³x: scheduling is remote.

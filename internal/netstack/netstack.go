@@ -112,7 +112,7 @@ func Program(cfg Config) activity.Program {
 			if ext != nil && ext.TakeExternal() {
 				continue // NIC interrupt: poll again
 			}
-			a.X.WaitForMsg()
+			a.X.WaitForMsg(-1)
 			if ext != nil {
 				ext.TakeExternal()
 			}

@@ -161,6 +161,9 @@ func (n *Network) Nacked() int64 { return n.cNacked.Value() }
 // Dropped reports the number of packets dropped after exhausting retries.
 func (n *Network) Dropped() int64 { return n.cDropped.Value() }
 
+// InFlight reports the packets on the wire, queued retries included.
+func (n *Network) InFlight() int64 { return n.gInflight.Value() }
+
 // Bytes reports the total bytes of all delivered packets.
 func (n *Network) Bytes() int64 { return n.cBytes.Value() }
 

@@ -97,52 +97,6 @@ func BenchmarkProcSleep(b *testing.B) {
 	}
 }
 
-// pollCount is a Poller that finds work once its shared budget of checks
-// is used up.
-type pollCount int
-
-func (c *pollCount) PollIdle() bool {
-	*c--
-	return *c > 0
-}
-
-// BenchmarkProcPoll measures one idle poll check, the unit of every
-// multiplexer and controller wait. Two processes poll in lockstep, so each
-// one's check is queued behind the other's at the same instant and is never
-// consumed inline. In "handler" they wait with Poll, whose checks run as
-// handler-context events; in "sleep" with the equivalent Sleep loop, where
-// every check switches into the process and back out.
-func BenchmarkProcPoll(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		poll bool
-	}{{"handler", true}, {"sleep", false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			e := NewEngine()
-			left := pollCount(b.N)
-			for i := 0; i < 2; i++ {
-				e.Spawn("poller", func(p *Proc) {
-					if tc.poll {
-						p.Poll(Nanosecond, &left)
-						return
-					}
-					for {
-						p.Sleep(Nanosecond)
-						if !left.PollIdle() {
-							return
-						}
-					}
-				})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run()
-			b.StopTimer()
-			e.Shutdown()
-		})
-	}
-}
-
 // TestSchedulePathAllocFree pins the event queue's alloc guard: once the
 // heap and the same-time ring are warm, At/After plus dispatch allocate
 // nothing. Every batch refills and drains both, so reused capacity (not
@@ -166,30 +120,23 @@ func TestSchedulePathAllocFree(t *testing.T) {
 	}
 }
 
-// TestSleepWakeAllocFree verifies the cached resume/wake/poll closures: a
-// process's Sleep, the Park/Wake hand-off and a Poll schedule without
-// allocating.
+// TestSleepWakeAllocFree verifies the cached resume/wake closures: a
+// process's Sleep and the Park/Wake hand-off schedule without allocating.
 func TestSleepWakeAllocFree(t *testing.T) {
 	e := NewEngine()
 	defer e.Shutdown()
 	var worker *Proc
-	var left pollCount
 	worker = e.Spawn("worker", func(p *Proc) {
 		for {
 			p.Sleep(Nanosecond)
 			p.Park()
-			p.Poll(Nanosecond, &left)
 		}
 	})
 	cycle := func() {
-		// One Sleep expiry plus one Wake per run, then a Poll of three
-		// checks: the first runs in handler context and consumes the other
-		// two inline, and the third finds work and resumes the worker.
+		// One Sleep expiry plus one Wake per run.
 		e.RunUntil(e.Now() + Nanosecond)
 		worker.Wake()
-		left = 3
 		e.RunUntil(e.Now())
-		e.RunUntil(e.Now() + 3*Nanosecond)
 	}
 	for i := 0; i < 8; i++ {
 		cycle() // warm up

@@ -420,13 +420,10 @@ func (e *Engine) flush(executed int64) {
 // coroutine achieves identically, and dispatch order is untouched because
 // only the true minimum is ever consumed. A dead engine never takes the fast
 // path, so a Sleep during Shutdown's unwind yields and is unwound in turn.
-// Proc.Poll uses it the same way for its next check, whose event would only
-// run the check that the caller runs inline instead.
 //
 // Called from process context, where the dispatch loop is suspended in
-// resume on the same thread of control, or from a poll check in handler
-// context, where the loop is inside the check's callback. Either way nothing
-// else runs, so the caller may mutate the queue and clock directly.
+// resume on the same thread of control, so nothing else runs and the caller
+// may mutate the queue and clock directly.
 //
 //m3v:noalloc
 func (e *Engine) popSelf(seq uint64) bool {

@@ -12,7 +12,7 @@ import (
 
 // Proc is a simulation process: a coroutine whose execution is interleaved
 // deterministically with the event loop. A process runs only between the
-// engine's resume and its next call to Sleep, Poll, Park, or return.
+// engine's resume and its next call to Sleep, Park, or return.
 //
 // Methods on Proc must be called from the process itself (process context).
 // Wake must be called from handler context or another process's context via
@@ -26,11 +26,6 @@ type Proc struct {
 	interrupted bool // Wake arrived while the process was not parked
 	idx         int  // position in the engine's procs list
 
-	// poller and pollEvery describe the Poll in progress, read by the
-	// handler-context check pollFn.
-	poller    Poller
-	pollEvery Time
-
 	// next and stop drive the process's iter.Pull coroutine; yieldFn is the
 	// coroutine's yield, captured when it starts. resume switches in with
 	// next, yield switches back out, and Shutdown unwinds with stop.
@@ -38,13 +33,11 @@ type Proc struct {
 	stop    func()
 	yieldFn func(struct{}) bool
 
-	// resumeFn, wakeFn and pollFn are the closures Sleep, Wake and Poll
-	// schedule. They are built once at Spawn so the blocking hot paths
-	// (every Sleep, every Park/Wake hand-off, every poll check) schedule
-	// without allocating.
+	// resumeFn and wakeFn are the closures Sleep and Wake schedule. They
+	// are built once at Spawn so the blocking hot paths (every Sleep, every
+	// Park/Wake hand-off) schedule without allocating.
 	resumeFn func()
 	wakeFn   func()
-	pollFn   func()
 }
 
 // Spawn creates a process executing fn and schedules its start at the current
@@ -64,7 +57,6 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, idx: len(e.procs)}
 	p.resumeFn = func() { e.resume(p) }
 	p.wakeFn = p.completeWake
-	p.pollFn = p.pollCheck
 	e.procs = append(e.procs, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yieldFn = yield
@@ -152,66 +144,6 @@ func (p *Proc) Sleep(d Time) {
 	p.yield()
 }
 
-// Poller is the condition a polling process waits on (see Poll).
-type Poller interface {
-	// PollIdle reports whether the waiter's next check would find nothing
-	// to do. It may run in handler context, so it must not block.
-	PollIdle() bool
-}
-
-// Poll suspends the process until a check of w, made every d, finds work.
-// It is exactly the loop
-//
-//	for { p.Sleep(d); if !w.PollIdle() { return } }
-//
-// with the same events at the same times and sequence numbers, but each
-// check runs as an event in handler context: a check that finds w idle
-// schedules the next one without switching into the process, and only the
-// check that finds work resumes it. Like Sleep, a check that is the next
-// eligible event is consumed inline (popSelf), by the process or by the
-// previous check.
-//
-//m3v:noalloc
-//m3v:simctx
-func (p *Proc) Poll(d Time, w Poller) {
-	p.poller, p.pollEvery = w, d
-	if !p.pollInline() {
-		p.yield()
-	}
-	p.poller = nil
-}
-
-// pollInline schedules the next check and, while it is the next eligible
-// event, consumes it inline and checks. It reports true once a check found
-// work, false when the scheduled check is left to the dispatch loop.
-//
-//m3v:noalloc
-func (p *Proc) pollInline() bool {
-	e := p.e
-	for {
-		e.At(e.now+p.pollEvery, p.pollFn)
-		if !e.popSelf(e.seq) {
-			return false
-		}
-		//m3vlint:ignore noalloc audited dispatch slot: the three PollIdle implementations only read model state
-		if !p.poller.PollIdle() {
-			return true
-		}
-	}
-}
-
-// pollCheck is the queued half of Poll, cached in pollFn: one check of the
-// poller in handler context, resuming the process once it finds work.
-//
-//m3v:noalloc
-func (p *Proc) pollCheck() {
-	//m3vlint:ignore noalloc audited dispatch slot: the three PollIdle implementations only read model state
-	if p.poller.PollIdle() && !p.pollInline() {
-		return
-	}
-	p.e.resume(p)
-}
-
 // Park suspends the process until another component calls Wake. If a Wake
 // already arrived while the process was running (an "interrupt"), Park
 // returns immediately and consumes it; this closes the lost-wakeup window.
@@ -273,10 +205,13 @@ type WaitQueue struct {
 	procs []*Proc
 }
 
-// Wait appends the calling process to the queue and parks it.
+// Wait appends the calling process to the queue and parks it. A Park that
+// returns early, on a Wake that arrived while the process was running,
+// leaves no stale entry behind to swallow a later WakeOne.
 func (q *WaitQueue) Wait(p *Proc) {
 	q.procs = append(q.procs, p)
 	p.Park()
+	q.Remove(p)
 }
 
 // WakeOne wakes the process at the head of the queue, if any, and reports

@@ -14,6 +14,9 @@ type Core struct {
 	muxWaiter *sim.Proc
 	// busyStart stamps the current hold.
 	busyStart sim.Time
+	// Idle holds the current activity while its wait for messages finds
+	// nothing to do; the multiplexer wakes it when that may have changed.
+	Idle sim.WaitQueue
 }
 
 // Acquire takes the token for p, parking until it is free. isMux marks the
@@ -36,12 +39,6 @@ func (c *Core) Acquire(p *sim.Proc, isMux bool) {
 	c.busy = true
 	c.busyStart = p.Now()
 }
-
-// Free reports whether the token is free and nobody waits for it, so that
-// an Acquire/Release pair would change nothing.
-//
-//m3v:noalloc
-func (c *Core) Free() bool { return !c.busy && c.muxWaiter == nil && c.q.Len() == 0 }
 
 // Release frees the token at now, wakes the next holder, and returns how
 // long the token was held.

@@ -12,7 +12,6 @@ const (
 	irqCycles       int64 = 300 // interrupt entry + core-request fetch/ack
 	muxMsgCycles    int64 = 350 // handling one kernel/pager message inside TileMux
 
-	pollInterval = 1 * sim.Microsecond   // vDTU poll period while waiting with empty run queue
 	timeslice    = 1 * sim.Millisecond   // round-robin timeslice
 	computeChunk = 100 * sim.Microsecond // max uninterruptible compute quantum
 )

@@ -54,9 +54,6 @@ type Mux struct {
 	inj *fault.Injector
 	// muxMsgs is the saved unread count of TileMux's own activity id.
 	muxMsgs int
-	// curExtra counts messages that arrived for the now-current activity
-	// while it was briefly not current; folded into the next switch.
-	curExtra int
 
 	// rec is the engine's structured event recorder; the named counters
 	// below live in its always-on metrics registry.
@@ -119,6 +116,7 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *Mux {
 		if act == dtu.ActTileMux {
 			m.muxProc.Wake()
 		}
+		m.Idle.WakeAll()
 	}
 	m.muxProc = eng.Spawn(fmt.Sprintf("tilemux@%d", d.Tile()), m.muxLoop)
 	m.wake = func() { m.muxProc.Wake() }
@@ -245,6 +243,7 @@ func (m *Mux) KillAct(id dtu.ActID) {
 	if m.cur == a {
 		m.cur = nil
 		m.muxProc.Wake() // dispatch a successor once the core frees up
+		m.Idle.WakeAll() // an idle victim parks for good
 	}
 	m.d.TLB().InvalidateAct(id)
 }
@@ -259,6 +258,7 @@ func (m *Mux) makeReady(a *Act) {
 	a.state = actReady
 	a.wantMsg = false
 	m.runq = append(m.runq, a)
+	m.Idle.WakeAll()
 	// Injected stall: the activity is on the run queue, but the scheduler
 	// poke is deferred — the wakeup happens late, never lost, so liveness
 	// shifts by the stall time only.
@@ -322,8 +322,6 @@ func (m *Mux) switchTo(p *sim.Proc, next *Act, reason trace.SwitchReason) {
 			int(m.d.Tile()), trace.CompTileMux, trace.PathNone, int64(old), int64(nid))
 		next.wakeFlow = 0
 	}
-	oldMsgs += m.curExtra
-	m.curExtra = 0
 	if oa := m.acts[old]; oa != nil {
 		oa.msgs = oldMsgs
 		if oldMsgs > 0 {

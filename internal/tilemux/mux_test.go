@@ -173,7 +173,7 @@ func TestLocalPingPongThroughVDTU(t *testing.T) {
 					a.EndOp()
 					break
 				}
-				a.WaitForMsg()
+				a.WaitForMsg(18)
 			}
 		}
 		a.Exit(0)
@@ -181,7 +181,7 @@ func TestLocalPingPongThroughVDTU(t *testing.T) {
 	r.spawnAct(2, "server", func(a *Act) {
 		for i := 0; i < rounds; i++ {
 			for !r.d.HasUnread(17) {
-				a.WaitForMsg()
+				a.WaitForMsg(17)
 			}
 			a.BeginOp()
 			slot, m, err := r.d.Fetch(a.Proc(), 17)
@@ -213,15 +213,15 @@ func TestLocalPingPongThroughVDTU(t *testing.T) {
 }
 
 func TestWaitPollsWhenAlone(t *testing.T) {
-	// A single activity waiting for a remote message polls the vDTU instead
-	// of blocking (paper §3.7).
+	// A single activity waiting for a remote message idles on the core
+	// instead of blocking (paper §3.7).
 	r := newMuxRig(t)
 	must(r.d.ConfigureLocal(16, dtu.RecvEP(1, 2, 64)))
 	must(r.kd.ConfigureLocal(10, dtu.SendEP(dtu.ActInvalid, 0, 16, 0xAB, 1, 64)))
 	var recvAt sim.Time
 	r.spawnAct(1, "waiter", func(a *Act) {
 		for !r.d.HasUnread(16) {
-			a.WaitForMsg()
+			a.WaitForMsg(16)
 		}
 		a.BeginOp()
 		slot, _, err := r.d.Fetch(a.Proc(), 16)
@@ -241,14 +241,14 @@ func TestWaitPollsWhenAlone(t *testing.T) {
 	if recvAt == 0 {
 		t.Fatal("message never received")
 	}
-	// Poll mode: latency after arrival is bounded by the poll interval plus
+	// The arrival wakes the idle waiter: latency after arrival is the
 	// command costs, far below a timeslice.
 	if recvAt > 600*sim.Microsecond {
-		t.Errorf("received at %v, want < 600us (poll latency)", recvAt)
+		t.Errorf("received at %v, want < 600us", recvAt)
 	}
 	if r.mux.CtxSwitches() != 1 {
 		// Exactly the initial dispatch from idle; none during the wait.
-		t.Errorf("ctx switches = %d, want 1 (polling, not blocking)", r.mux.CtxSwitches())
+		t.Errorf("ctx switches = %d, want 1 (idling, not blocking)", r.mux.CtxSwitches())
 	}
 }
 
@@ -436,65 +436,210 @@ func TestYieldRoundRobin(t *testing.T) {
 	}
 }
 
-// driveToken puts the core token into a state through real Acquire calls:
-// "held" leaves it held by another process; "mux" leaves it released to a
-// multiplexer that has not run yet; "queued" leaves it released to one of
-// two queued activities, so the other one still waits in the queue.
-func driveToken(eng *sim.Engine, c *Core, state string) {
-	eng.Spawn("holder", func(p *sim.Proc) { c.Acquire(p, false) })
-	eng.RunUntil(eng.Now())
-	switch state {
-	case "held":
-		return
-	case "mux":
-		eng.Spawn("mux", func(p *sim.Proc) { c.Acquire(p, true) })
-	case "queued":
-		for i := 0; i < 2; i++ {
-			eng.Spawn("waiter", func(p *sim.Proc) { c.Acquire(p, false) })
-		}
-	}
-	eng.RunUntil(eng.Now())
-	c.Release(eng.Now())
+// wakeRow is one wake source of an idle WaitForMsg. The waiter, activity 1,
+// waits on rg while no other activity is ready; at T a test process runs
+// trigger. The waiter acts on the wake by returning from WaitForMsg or, with
+// switches set, by switching to activity 2. want, if set, is when that must
+// happen for trigger time T; folded requires the waiter's message to arrive
+// inside asMux.
+type wakeRow struct {
+	name     string
+	rg       dtu.EpID
+	switches bool
+	folded   bool
+	setup    func(r *muxRig, w *wakeRun)
+	trigger  func(r *muxRig, p *sim.Proc)
+	want     func(w *wakeRun, T sim.Time) sim.Time
 }
 
-// TestPollIdle pins WaitForMsg's poll predicate: it holds in the quiescent
-// state of a lone polling activity and fails in every state where the next
-// poll iteration (BeginOp, check, EndOp) would do work.
-func TestPollIdle(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		set  func(r *muxRig, a *Act)
-		idle bool
-	}{
-		{"quiescent", func(*muxRig, *Act) {}, true},
-		{"token held", func(r *muxRig, _ *Act) { driveToken(r.eng, &r.mux.Core, "held") }, false},
-		{"mux waiting", func(r *muxRig, _ *Act) { driveToken(r.eng, &r.mux.Core, "mux") }, false},
-		{"activity queued", func(r *muxRig, _ *Act) { driveToken(r.eng, &r.mux.Core, "queued") }, false},
-		{"ready activity", func(r *muxRig, _ *Act) {
-			b := r.mux.CreateAct(2, "other")
-			b.state = actReady
-			r.mux.runq = append(r.mux.runq, b)
-		}, false},
-		{"external event", func(_ *muxRig, a *Act) { a.ext = 1 }, false},
-		{"folded message", func(r *muxRig, _ *Act) { r.mux.curExtra = 1 }, false},
-		{"unread message", func(r *muxRig, a *Act) { r.d.ResetCur(a.ID, 1) }, false},
-		{"not current", func(r *muxRig, _ *Act) { r.mux.cur = nil }, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newMuxRig(t)
-			a := r.spawnAct(1, "waiter", func(a *Act) {
-				for {
-					a.WaitForMsg()
+// wakeRun is what one run of a wake row observes.
+type wakeRun struct {
+	arrived  sim.Time // OnMsgArrived for the waiter (0 = none)
+	folded   bool     // the waiter's message arrived while CUR_ACT was TileMux
+	returned sim.Time // the waiter's WaitForMsg returned (0 = never)
+	started  sim.Time // activity 2 first held the core (0 = never)
+}
+
+// epSender is a send gate on tile 2 towards the waiter's receive gate 16.
+const epSender dtu.EpID = 10
+
+// senderDTU attaches a plain DTU to tile 2 with a send gate to the waiter.
+func senderDTU(r *muxRig) *dtu.DTU {
+	d := dtu.New(r.eng, r.net, 2, sim.MHz(100), false)
+	must(d.ConfigureLocal(epSender, dtu.SendEP(dtu.ActInvalid, 0, 16, 0x51, 1, 64)))
+	return d
+}
+
+// runWake runs row tc with its trigger at T.
+func runWake(t *testing.T, tc wakeRow, T sim.Time) wakeRun {
+	t.Helper()
+	r := newMuxRig(t)
+	var w wakeRun
+	must(r.d.ConfigureLocal(16, dtu.RecvEP(1, 2, 64)))
+	arrived := r.d.OnMsgArrived
+	r.d.OnMsgArrived = func(act dtu.ActID) {
+		if act == 1 && w.arrived == 0 {
+			w.arrived = r.eng.Now()
+			cur, _ := r.d.CurAct()
+			w.folded = cur == dtu.ActTileMux
+		}
+		arrived(act)
+	}
+	r.spawnAct(1, "waiter", func(a *Act) {
+		a.WaitForMsg(tc.rg)
+		w.returned = a.Proc().Now()
+	})
+	if tc.setup != nil {
+		tc.setup(r, &w)
+	}
+	r.eng.Spawn("trigger", func(p *sim.Proc) {
+		p.Sleep(T)
+		if r.mux.Idle.Len() != 1 {
+			t.Errorf("%d processes idle before the trigger, want the waiter alone", r.mux.Idle.Len())
+		}
+		tc.trigger(r, p)
+	})
+	r.run(T + 200*sim.Microsecond)
+	return w
+}
+
+// TestIdleWakeSources pins every wake source of an idle WaitForMsg: the
+// waiter acts on it at the trigger's sim time plus the modelled costs of
+// what it does next, whatever the trigger's offset within a microsecond.
+func TestIdleWakeSources(t *testing.T) {
+	switchCost := sim.MHz(80).Cycles(ctxSwitchCycles + 60) // + SWITCH_ACT's privileged access
+	sendAt := func(delay sim.Time) func(*muxRig, *sim.Proc) {
+		return func(r *muxRig, _ *sim.Proc) {
+			d := senderDTU(r)
+			r.eng.Spawn("sender", func(p *sim.Proc) {
+				p.Sleep(delay)
+				if err := d.Send(p, dtu.SendArgs{Ep: epSender, Data: []byte("m"), ReplyEp: -1}); err != nil {
+					t.Errorf("send: %v", err)
 				}
 			})
-			r.run(20 * sim.Microsecond)
-			if r.mux.cur != a || !a.PollIdle() {
-				t.Fatal("a lone activity in WaitForMsg is not polling idle")
-			}
-			tc.set(r, a)
-			if got := a.PollIdle(); got != tc.idle {
-				t.Errorf("PollIdle = %v, want %v", got, tc.idle)
+		}
+	}
+	for _, tc := range []wakeRow{
+		{
+			// A message for the current activity: its arrival is the wake.
+			name:    "message",
+			rg:      16,
+			trigger: sendAt(0),
+			want:    func(w *wakeRun, _ sim.Time) sim.Time { return w.arrived },
+		},
+		{
+			name:    "RaiseExternal",
+			rg:      -1,
+			trigger: func(r *muxRig, _ *sim.Proc) { r.mux.RaiseExternal(1) },
+			want:    func(_ *wakeRun, T sim.Time) sim.Time { return T },
+		},
+		{
+			// makeReady: the waiter switches to the newly ready activity.
+			name:     "makeReady",
+			rg:       16,
+			switches: true,
+			setup: func(r *muxRig, w *wakeRun) {
+				r.mux.CreateAct(2, "other")
+				r.eng.Spawn("other", func(p *sim.Proc) {
+					b := r.mux.Attach(2, p)
+					b.BeginOp()
+					w.started = p.Now()
+					b.EndOp()
+				})
+			},
+			trigger: func(r *muxRig, _ *sim.Proc) { r.mux.StartAct(2) },
+			want:    func(_ *wakeRun, T sim.Time) sim.Time { return T + switchCost },
+		},
+		{
+			// A message that arrives while TileMux handles a controller
+			// request is folded into CUR_ACT by asMux's core-request drain;
+			// the waiter sees it once TileMux releases the core.
+			name:   "asMux drain",
+			rg:     16,
+			folded: true,
+			trigger: func(r *muxRig, p *sim.Proc) {
+				sendAt(6*sim.Microsecond)(r, p)
+				req := proto.NewWriter(proto.OpMuxCreateAct).U16(9).Str("x").Done()
+				if err := r.kd.Send(p, dtu.SendArgs{Ep: kEpMuxSgate, Data: req, ReplyEp: kEpMuxReply}); err != nil {
+					t.Errorf("send to mux: %v", err)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cost sim.Time
+			for i, off := range []sim.Time{0, 250 * sim.Nanosecond, 730 * sim.Nanosecond} {
+				T := 50*sim.Microsecond + off
+				w := runWake(t, tc, T)
+				got := w.returned
+				if tc.switches {
+					got = w.started
+				}
+				if got == 0 {
+					t.Fatalf("T=%v: the waiter never acted on the wake", T)
+				}
+				if tc.folded && !w.folded {
+					t.Fatalf("T=%v: the message did not arrive inside asMux", T)
+				}
+				if tc.want != nil {
+					if want := tc.want(&w, T); got != want {
+						t.Errorf("T=%v: acted at %v, want %v", T, got, want)
+					}
+				}
+				if i == 0 {
+					cost = got - T
+				} else if got-T != cost {
+					t.Errorf("T=%v: acted %v after the trigger, %v at offset 0: the wake-up depends on the trigger's phase", T, got-T, cost)
+				}
 			}
 		})
+	}
+}
+
+// TestIdleWakeOnKill pins the KillAct wake: a killed idle waiter leaves the
+// idle queue at once and never returns from WaitForMsg, and a successor
+// dispatched on the same core is woken by its own message at arrival.
+func TestIdleWakeOnKill(t *testing.T) {
+	const T = 50 * sim.Microsecond
+	r := newMuxRig(t)
+	must(r.d.ConfigureLocal(16, dtu.RecvEP(2, 2, 64)))
+	var killedBack, back sim.Time
+	r.spawnAct(1, "victim", func(a *Act) {
+		a.WaitForMsg(-1)
+		killedBack = a.Proc().Now()
+	})
+	r.mux.CreateAct(2, "successor")
+	r.eng.Spawn("successor", func(p *sim.Proc) {
+		b := r.mux.Attach(2, p)
+		b.WaitForMsg(16)
+		back = p.Now()
+	})
+	var arrived sim.Time
+	onArrived := r.d.OnMsgArrived
+	r.d.OnMsgArrived = func(act dtu.ActID) {
+		if act == 2 {
+			arrived = r.eng.Now()
+		}
+		onArrived(act)
+	}
+	r.eng.Spawn("trigger", func(p *sim.Proc) {
+		p.Sleep(T)
+		r.mux.KillAct(1)
+		if n := r.mux.Idle.Len(); n != 0 {
+			t.Errorf("%d processes left idle after the kill, want 0", n)
+		}
+		r.mux.StartAct(2)
+		d := senderDTU(r)
+		p.Sleep(100 * sim.Microsecond)
+		if err := d.Send(p, dtu.SendArgs{Ep: epSender, Data: []byte("m"), ReplyEp: -1}); err != nil {
+			t.Errorf("send: %v", err)
+		}
+	})
+	r.run(T + 500*sim.Microsecond)
+	if killedBack != 0 {
+		t.Errorf("the killed waiter returned from WaitForMsg at %v", killedBack)
+	}
+	if back == 0 || back != arrived {
+		t.Errorf("successor returned at %v, want its message's arrival %v", back, arrived)
 	}
 }

@@ -75,18 +75,20 @@ func (a *Act) ComputeTime(d sim.Time) {
 	}
 }
 
-// WaitForMsg blocks until the activity has unread messages (TMCall "wait").
-// If other activities are ready, TileMux blocks the caller and switches;
-// otherwise the vDTU is polled every pollInterval (paper §3.7) until a
-// check would do work (PollIdle). The atomic SWITCH_ACT return value closes
+// WaitForMsg blocks until the receive gate rg holds an unread message or,
+// for rg < 0, until the activity has any unread message or external event
+// (TMCall "wait"). If other activities are ready, TileMux blocks the caller
+// and switches; otherwise the caller idles on the core until a message
+// arrives, an activity becomes ready, an external event is raised or the
+// caller is killed (paper §3.7). The atomic SWITCH_ACT return value closes
 // the lost-wakeup window.
-func (a *Act) WaitForMsg() {
+func (a *Act) WaitForMsg(rg dtu.EpID) {
 	m := a.mux
 	p := a.proc
 	a.BeginOp()
 	p.Sleep(m.cy(tmCallCycles))
 	for {
-		if _, msgs := m.d.CurAct(); msgs+m.curExtra > 0 || a.ext > 0 {
+		if _, msgs := m.d.CurAct(); rg < 0 && msgs+a.ext > 0 || rg >= 0 && m.d.HasUnread(rg) {
 			a.EndOp()
 			return
 		}
@@ -101,24 +103,12 @@ func (a *Act) WaitForMsg() {
 			a.BeginOp() // parks until we are dispatched again
 			a.wantMsg = false
 		} else {
-			// No other ready activity: poll the vDTU.
+			// No other ready activity: idle until something changes.
 			a.EndOp()
-			p.Poll(pollInterval, a)
+			m.Idle.Wait(p)
 			a.BeginOp()
 		}
 	}
-}
-
-// PollIdle reports whether one more iteration of WaitForMsg's poll would
-// be a no-op: the activity is current, the core token is free with nobody
-// waiting, no activity is ready, and no message or external event is
-// pending. Each term is a condition a message-driven wait must wake on.
-//
-//m3v:noalloc
-func (a *Act) PollIdle() bool {
-	m := a.mux
-	_, msgs := m.d.CurAct()
-	return m.cur == a && m.Free() && len(m.runq) == 0 && a.ext == 0 && msgs+m.curExtra == 0
 }
 
 // Yield gives up the core voluntarily (TMCall "yield").
@@ -228,6 +218,7 @@ func (m *Mux) RaiseExternal(id dtu.ActID) {
 	}
 	a.ext++
 	m.wakeBlocked(a)
+	m.Idle.WakeAll()
 }
 
 // TakeExternal consumes one pending external event, reporting whether one
