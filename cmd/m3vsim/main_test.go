@@ -139,11 +139,11 @@ func TestRunTraceHashPinned(t *testing.T) {
 		want string
 	}{
 		{[]string{"-rounds", "5", "-trace-hash"},
-			"trace-hash: 0x46aea6c6eb3316a9 span-hash: 0x6a0c6ee9f1cbc5cd"},
+			"trace-hash: 0x7349d7c96eb6974b span-hash: 0x49c7a18dbd9c47e9"},
 		{[]string{"-rounds", "5", "-shared", "-trace-hash"},
-			"trace-hash: 0xf1aac9d9194d6672 span-hash: 0x4100d9a235da5bee"},
+			"trace-hash: 0x119a1eb100574115 span-hash: 0xcec869dbc3985505"},
 		{[]string{"-rounds", "5", "-fault-seed", "42", "-fault-rate", "0.05", "-trace-hash"},
-			"trace-hash: 0x43de44c79f7c4ae0 span-hash: 0x7f6aba99b6dcbd74"},
+			"trace-hash: 0xda95fcad8255c23b span-hash: 0x46dc1a54252a714a"},
 	}
 	for _, c := range cases {
 		var out strings.Builder
