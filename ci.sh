@@ -71,7 +71,7 @@ go test -run 'TestMessagePathAllocs' -count=1 -v ./internal/dtu/ \
     | grep -q '^--- PASS: TestMessagePathAllocs'
 
 echo "== m3vtrace smoke =="
-# End-to-end flow tracing gate: a small Figure-6-style run dumps its span
+# End-to-end flow tracing gate: a small run of Figure 6's pair dumps its span
 # streams, m3vtrace -check verifies well-formedness (every begin has an
 # end, children enclosed by parents, every completed message resolves to
 # exactly one fast/slow verdict), and the report must parse segments. The

@@ -1,6 +1,6 @@
-// m3vsim boots the simulated M³v platform, runs a demonstration workload
-// (two activities exchanging RPCs across tiles, then sharing a tile), and
-// dumps platform statistics — a smoke test for the whole stack.
+// m3vsim boots the simulated M³v platform, runs Figure 6's no-op RPC pair
+// (internal/rpcpair) across tiles or, with -shared, on one tile, and dumps
+// platform statistics — a smoke test for the whole stack.
 //
 //	m3vsim -rounds 100 -shared -trace out.json -metrics
 //	m3vsim -rounds 10 -fault-seed 42 -fault-rate 0.05 -trace-hash
@@ -14,13 +14,9 @@ import (
 
 	"m3v"
 	"m3v/internal/cliflags"
+	"m3v/internal/rpcpair"
 	"m3v/internal/trace"
 )
-
-type share struct {
-	sgateSel m3v.Sel
-	ready    bool
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -75,33 +71,9 @@ func run(args []string, out io.Writer) error {
 	if *shared {
 		serverTile = clientTile
 	}
-	sh := &share{}
-
-	var perRPC m3v.Time
+	pair := &rpcpair.Pair{Server: serverTile, Calls: *rounds}
 	sys.SpawnRoot(clientTile, "client", nil, func(a *m3v.Activity) {
-		tiles := m3v.TileSels(a)
-		_, err := a.Spawn(tiles[serverTile], serverTile, "server",
-			map[string]interface{}{"share": sh, "client": a.ID, "rounds": *rounds}, server)
-		if err != nil {
-			panic(fmt.Errorf("spawn: %w", err))
-		}
-		for !sh.ready {
-			a.Compute(1000)
-			a.Yield()
-		}
-		sgEp, err := a.SysActivate(sh.sgateSel)
-		if err != nil {
-			panic(fmt.Errorf("activate: %w", err))
-		}
-		rgSel, _ := a.SysCreateRGate(1, 64)
-		rgEp, _ := a.SysActivate(rgSel)
-		start := a.Now()
-		for i := 0; i < *rounds; i++ {
-			if _, err := a.Call(sgEp, rgEp, []byte{byte(i)}); err != nil {
-				panic(fmt.Errorf("call %d: %w", i, err))
-			}
-		}
-		perRPC = (a.Now() - start) / m3v.Time(*rounds)
+		pair.Client(a, m3v.TileSels(a))
 	})
 	// A failing model panics, as do the client and server processes; the
 	// panic surfaces from sys.Run and becomes the run's error.
@@ -121,7 +93,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "platform: %s, %d processing tiles\n", sys.Cfg.Name, len(procs))
 	fmt.Fprintf(out, "mode:     %s\n", mode)
 	fmt.Fprintf(out, "rounds:   %d no-op RPCs\n", *rounds)
-	fmt.Fprintf(out, "per RPC:  %v\n", perRPC)
+	fmt.Fprintf(out, "per RPC:  %v\n", pair.PerCall(0))
 	fmt.Fprintf(out, "sim time: %v\n", end)
 	fmt.Fprintf(out, "kernel syscalls: %d\n", sys.Kern.Syscalls())
 	for _, tile := range procs {
@@ -140,34 +112,4 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "trace-hash: %#x span-hash: %#x\n", rec.Hash(), rec.SpanHash())
 	}
 	return obs.Export(out, []*trace.Recorder{rec})
-}
-
-func server(a *m3v.Activity) {
-	sh := a.Env["share"].(*share)
-	client := a.Env["client"].(uint32)
-	rounds := a.Env["rounds"].(int)
-	rgSel, err := a.SysCreateRGate(2, 64)
-	if err != nil {
-		panic(err)
-	}
-	rgEp, err := a.SysActivate(rgSel)
-	if err != nil {
-		panic(err)
-	}
-	sgSel, err := a.SysCreateSGate(rgSel, 0, 1)
-	if err != nil {
-		panic(err)
-	}
-	delegated, err := a.SysDelegate(client, sgSel)
-	if err != nil {
-		panic(err)
-	}
-	sh.sgateSel = delegated
-	sh.ready = true
-	for i := 0; i < rounds; i++ {
-		slot, msg := a.Recv(rgEp)
-		if err := a.ReplyMsg(rgEp, slot, msg, []byte{1}, 0); err != nil {
-			panic(err)
-		}
-	}
 }

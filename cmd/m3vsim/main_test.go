@@ -130,9 +130,9 @@ func TestRunChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunTraceHashPinned pins the event and span hashes of three runs
-// (cross-tile, tile-local, fault-injected), so the end-to-end dispatch
-// order cannot drift.
+// TestRunTraceHashPinned pins the event and span hashes of four runs
+// (cross-tile, tile-local, fault-injected, and tile-local on the gem5
+// platform), so the end-to-end dispatch order cannot drift.
 func TestRunTraceHashPinned(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -144,6 +144,8 @@ func TestRunTraceHashPinned(t *testing.T) {
 			"trace-hash: 0x119a1eb100574115 span-hash: 0xcec869dbc3985505"},
 		{[]string{"-rounds", "5", "-fault-seed", "42", "-fault-rate", "0.05", "-trace-hash"},
 			"trace-hash: 0xda95fcad8255c23b span-hash: 0x46dc1a54252a714a"},
+		{[]string{"-rounds", "5", "-gem5", "-shared", "-trace-hash"},
+			"trace-hash: 0x8d96fc86602eb05e span-hash: 0x712d9c9a69cebd02"},
 	}
 	for _, c := range cases {
 		var out strings.Builder

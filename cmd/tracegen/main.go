@@ -59,15 +59,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *summary {
 		return 0
 	}
-	names := []string{"open", "create", "read", "write", "close", "stat", "readdir", "unlink", "mkdir", "compute"}
 	for _, op := range ops {
 		switch {
 		case op.Kind == traces.OpCompute:
 			fmt.Fprintf(stdout, "compute %d\n", op.Cycles)
 		case op.Size > 0:
-			fmt.Fprintf(stdout, "%-8s %s %d\n", names[op.Kind], op.Path, op.Size)
+			fmt.Fprintf(stdout, "%-8s %s %d\n", op.Kind, op.Path, op.Size)
 		default:
-			fmt.Fprintf(stdout, "%-8s %s\n", names[op.Kind], op.Path)
+			fmt.Fprintf(stdout, "%-8s %s\n", op.Kind, op.Path)
 		}
 	}
 	return 0

@@ -2,21 +2,13 @@ package bench
 
 import (
 	"errors"
-	"fmt"
 
 	"m3v/internal/activity"
-	"m3v/internal/cap"
 	"m3v/internal/core"
 	"m3v/internal/linuxos"
-	"m3v/internal/noc"
+	"m3v/internal/rpcpair"
 	"m3v/internal/sim"
 )
-
-// rpcShare coordinates the RPC benchmark programs.
-type rpcShare struct {
-	sgateSel cap.Sel
-	ready    bool
-}
 
 // fig6Rounds is the number of timed RPCs or primitives per Figure 6 point
 // (paper §6.2: 1000 runs with a warm system; we use fewer repetitions since
@@ -28,80 +20,25 @@ const fig6Rounds = 100
 func measureM3vRPC(p Params, c *sim.Canceler, sameTile bool, rounds int) sim.Time {
 	sys := p.boot(core.FPGAConfig(), c)
 	defer sys.Shutdown()
+	return measureRPCOn(sys, sameTile, rounds)
+}
+
+// measureRPCOn runs Figure 6's pair on a booted FPGA system (the ablation
+// arms DTU mediation before calling it) between the first two BOOM cores,
+// or on the first one if sameTile is set. Call 0 is the warmup; the result
+// is 0 if the run ended early.
+func measureRPCOn(sys *core.System, sameTile bool, rounds int) sim.Time {
 	procs := sys.Cfg.ProcessingTiles()
 	clientTile := procs[1] // first BOOM core
-	serverTile := procs[2]
+	pair := &rpcpair.Pair{Server: procs[2], Calls: rounds + 1}
 	if sameTile {
-		serverTile = clientTile
+		pair.Server = clientTile
 	}
-	return measureRPCOn(sys, clientTile, serverTile, rounds)
-}
-
-// measureRPCOn runs the RPC measurement on a prebuilt system (the ablation
-// arms DTU mediation before calling it).
-func measureRPCOn(sys *core.System, clientTile, serverTile noc.TileID, rounds int) sim.Time {
-	share := &rpcShare{}
-	var total sim.Time
 	sys.SpawnRoot(clientTile, "client", nil, func(a *activity.Activity) {
-		tiles := core.TileSels(a)
-		_, err := a.Spawn(tiles[serverTile], serverTile, "server",
-			map[string]interface{}{"share": share, "rounds": rounds}, rpcEchoServer)
-		if err != nil {
-			panic(err)
-		}
-		for !share.ready {
-			a.Compute(1000)
-			a.Yield()
-		}
-		sgEp, err := a.SysActivate(share.sgateSel)
-		if err != nil {
-			panic(err)
-		}
-		rgSel, _ := a.SysCreateRGate(1, 64)
-		rgEp, _ := a.SysActivate(rgSel)
-		if _, err := a.Call(sgEp, rgEp, []byte{0}); err != nil { // warmup
-			panic(err)
-		}
-		start := a.Now()
-		for i := 0; i < rounds; i++ {
-			if _, err := a.Call(sgEp, rgEp, []byte{1}); err != nil {
-				panic(err)
-			}
-		}
-		total = a.Now() - start
+		pair.Client(a, core.TileSels(a))
 	})
 	sys.Run(60 * sim.Second)
-	return total / sim.Time(rounds)
-}
-
-// rpcEchoServer answers rounds+1 no-op requests (one warmup).
-func rpcEchoServer(a *activity.Activity) {
-	share := a.Env["share"].(*rpcShare)
-	rounds := a.Env["rounds"].(int)
-	rgSel, err := a.SysCreateRGate(1, 64)
-	if err != nil {
-		panic(err)
-	}
-	rgEp, err := a.SysActivate(rgSel)
-	if err != nil {
-		panic(err)
-	}
-	sgSel, err := a.SysCreateSGate(rgSel, 0, 1)
-	if err != nil {
-		panic(err)
-	}
-	delegated, err := a.SysDelegate(1, sgSel) // the root is activity 1
-	if err != nil {
-		panic(err)
-	}
-	share.sgateSel = delegated
-	share.ready = true
-	for i := 0; i < rounds+1; i++ {
-		slot, msg := a.Recv(rgEp)
-		if err := a.ReplyMsg(rgEp, slot, msg, []byte{2}, 0); err != nil {
-			panic(fmt.Sprintf("rpc server reply: %v", err))
-		}
-	}
+	return pair.PerCall(1)
 }
 
 // measureLinuxSyscall times no-op system calls on the Linux model.

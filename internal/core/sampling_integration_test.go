@@ -4,53 +4,16 @@ import (
 	"strings"
 	"testing"
 
-	"m3v/internal/activity"
 	"m3v/internal/sim"
 )
 
-// runSampledRPC is runTracedRPC with a sampling interval (0 for off): it
-// boots a system, runs n tile-local no-op RPCs, and returns the system for
-// inspection.
+// runSampledRPC is runTracedRPC's tile-local run with a sampling interval
+// (0 for off).
 func runSampledRPC(t *testing.T, every sim.Time, n int) *System {
 	t.Helper()
 	cfg := FPGAConfig()
 	cfg.SampleInterval = every
-	sys := New(cfg)
-	sys.Eng.Tracer().Enable()
-	procs := sys.Cfg.ProcessingTiles()
-	tile := procs[1]
-	share := &chanInfo{}
-	root := sys.SpawnRoot(tile, "client", nil, func(a *activity.Activity) {
-		tiles := TileSels(a)
-		_, err := a.Spawn(tiles[tile], tile, "server",
-			map[string]interface{}{"share": share, "rounds": n}, rpcServer)
-		if err != nil {
-			t.Errorf("spawn: %v", err)
-			return
-		}
-		for !share.ready {
-			a.Compute(1000)
-			a.Yield()
-		}
-		sgEp, err := a.SysActivate(share.sgateSel)
-		if err != nil {
-			t.Errorf("activate: %v", err)
-			return
-		}
-		rgSel, _ := a.SysCreateRGate(1, 64)
-		rgEp, _ := a.SysActivate(rgSel)
-		for i := 0; i < n+1; i++ {
-			if _, err := a.Call(sgEp, rgEp, []byte{byte(i)}); err != nil {
-				t.Errorf("call %d: %v", i, err)
-				return
-			}
-		}
-	})
-	sys.Run(30 * sim.Second)
-	if !root.Done() {
-		t.Fatal("workload did not finish")
-	}
-	return sys
+	return runTracedRPC(t, cfg, true, n)
 }
 
 // TestSamplingDisabledBitIdentical pins the zero-cost-when-disabled
@@ -59,7 +22,7 @@ func runSampledRPC(t *testing.T, every sim.Time, n int) *System {
 // path — run twice, the hashes must match, and they must match a run that
 // never mentions sampling at all (runTracedRPC).
 func TestSamplingDisabledBitIdentical(t *testing.T) {
-	plain := runTracedRPC(t, true, 10)
+	plain := runTracedRPC(t, FPGAConfig(), true, 10)
 	defer plain.Shutdown()
 	off := runSampledRPC(t, 0, 10)
 	defer off.Shutdown()

@@ -5,49 +5,26 @@ import (
 	"testing"
 
 	"m3v/internal/activity"
+	"m3v/internal/rpcpair"
 	"m3v/internal/sim"
 	"m3v/internal/trace"
 )
 
-// runTracedRPC boots a system with event tracing enabled, runs n no-op RPCs
-// (tile-local when sameTile is set), and returns the system for inspection.
-// The caller owns the shutdown.
-func runTracedRPC(t *testing.T, sameTile bool, n int) *System {
+// runTracedRPC boots cfg with event tracing enabled, runs Figure 6's pair
+// for n calls after a warmup call (tile-local when sameTile is set), and
+// returns the system for inspection. The caller owns the shutdown.
+func runTracedRPC(t *testing.T, cfg Config, sameTile bool, n int) *System {
 	t.Helper()
-	sys := New(FPGAConfig())
+	sys := New(cfg)
 	sys.Eng.Tracer().Enable()
 	procs := sys.Cfg.ProcessingTiles()
 	clientTile := procs[1]
-	serverTile := procs[2]
+	pair := &rpcpair.Pair{Server: procs[2], Calls: n + 1}
 	if sameTile {
-		serverTile = clientTile
+		pair.Server = clientTile
 	}
-	share := &chanInfo{}
 	root := sys.SpawnRoot(clientTile, "client", nil, func(a *activity.Activity) {
-		tiles := TileSels(a)
-		_, err := a.Spawn(tiles[serverTile], serverTile, "server",
-			map[string]interface{}{"share": share, "rounds": n}, rpcServer)
-		if err != nil {
-			t.Errorf("spawn: %v", err)
-			return
-		}
-		for !share.ready {
-			a.Compute(1000)
-			a.Yield()
-		}
-		sgEp, err := a.SysActivate(share.sgateSel)
-		if err != nil {
-			t.Errorf("activate: %v", err)
-			return
-		}
-		rgSel, _ := a.SysCreateRGate(1, 64)
-		rgEp, _ := a.SysActivate(rgSel)
-		for i := 0; i < n+1; i++ { // +1 matches rpcServer's warmup round
-			if _, err := a.Call(sgEp, rgEp, []byte{byte(i)}); err != nil {
-				t.Errorf("call %d: %v", i, err)
-				return
-			}
-		}
+		pair.Client(a, TileSels(a))
 	})
 	sys.Run(30 * sim.Second)
 	if !root.Done() {
@@ -62,7 +39,7 @@ func runTracedRPC(t *testing.T, sameTile bool, n int) *System {
 // down to every recorded event.
 func TestTraceHashDeterminism(t *testing.T) {
 	hash := func(sameTile bool) (uint64, int) {
-		sys := runTracedRPC(t, sameTile, 10)
+		sys := runTracedRPC(t, FPGAConfig(), sameTile, 10)
 		defer sys.Shutdown()
 		rec := sys.Eng.Tracer()
 		return rec.Hash(), len(rec.Events())
@@ -86,7 +63,7 @@ func TestTraceHashDeterminism(t *testing.T) {
 // must appear as a ctx_switch event with that destination. The workload is
 // tile-local so that core requests and TileMux switches are exercised.
 func TestCountersReconcileWithTrace(t *testing.T) {
-	sys := runTracedRPC(t, true, 20)
+	sys := runTracedRPC(t, FPGAConfig(), true, 20)
 	defer sys.Shutdown()
 	rec := sys.Eng.Tracer()
 
@@ -154,7 +131,7 @@ func TestCountersReconcileWithTrace(t *testing.T) {
 // flow IDs, same begin/end stamps — and therefore identical hashes.
 func TestSpanHashDeterminism(t *testing.T) {
 	hash := func(sameTile bool) (uint64, int) {
-		sys := runTracedRPC(t, sameTile, 10)
+		sys := runTracedRPC(t, FPGAConfig(), sameTile, 10)
 		defer sys.Shutdown()
 		rec := sys.Eng.Tracer()
 		return rec.SpanHash(), len(rec.Spans())
@@ -177,7 +154,7 @@ func TestSpanHashDeterminism(t *testing.T) {
 // descheduled activities resolve fast (vDTU store + core request, no kernel
 // involvement), and the switch-triggering spans appear.
 func TestSpanFastPathVerdicts(t *testing.T) {
-	sys := runTracedRPC(t, true, 10)
+	sys := runTracedRPC(t, FPGAConfig(), true, 10)
 	defer sys.Shutdown()
 	rec := sys.Eng.Tracer()
 

@@ -11,58 +11,20 @@ import (
 	"m3v/internal/cap"
 	"m3v/internal/core"
 	"m3v/internal/dtu"
+	"m3v/internal/rpcpair"
 	"m3v/internal/sim"
 	"m3v/internal/trace"
 )
 
-// share coordinates test programs at the model level.
-type share struct {
-	rootSgateSel cap.Sel // server's sgate, delegated to the root
-	cliSgateSel  cap.Sel // then delegated to the client
-	ready        bool
-	replies      int
-	// running, if set, is called by the server after it fetched a request
-	// and by the client after it got a reply, with the endpoints in use.
-	running func(a *activity.Activity, eps ...dtu.EpID)
-}
-
-// runColocated starts a server and a client of rounds RPCs on one M³x tile
-// (the Figure 9 situation at unit level), runs the system and fails the
-// test unless every activity finished.
-func runColocated(t *testing.T, sys *core.System, sh *share, rounds int) {
+// runColocated runs the co-located pair (the Figure 9 situation at unit
+// level) on sys's second processing tile, with the root on the first, and
+// fails the test unless every activity finished.
+func runColocated(t *testing.T, sys *core.System, pair *rpcpair.Colocated) {
 	t.Helper()
 	procs := sys.Cfg.ProcessingTiles()
-	rootTile, workTile := procs[0], procs[1]
-	root := sys.SpawnRoot(rootTile, "root", nil, func(a *activity.Activity) {
-		tiles := core.TileSels(a)
-		srvRef, err := a.Spawn(tiles[workTile], workTile, "server",
-			map[string]interface{}{"share": sh, "rounds": rounds, "root": a.ID}, m3xServer)
-		if err != nil {
-			t.Errorf("spawn server: %v", err)
-			return
-		}
-		for !sh.ready {
-			a.Compute(1000)
-			a.Yield()
-		}
-		cliRef, err := a.Spawn(tiles[workTile], workTile, "client",
-			map[string]interface{}{"share": sh, "rounds": rounds}, m3xClient)
-		if err != nil {
-			t.Errorf("spawn client: %v", err)
-			return
-		}
-		sel, err := a.SysDelegate(cliRef.ID, sh.rootSgateSel)
-		if err != nil {
-			t.Errorf("delegate to client: %v", err)
-			return
-		}
-		sh.cliSgateSel = sel
-		if _, err := a.SysWait(cliRef.ActSel); err != nil {
-			t.Errorf("wait client: %v", err)
-		}
-		if _, err := a.SysWait(srvRef.ActSel); err != nil {
-			t.Errorf("wait server: %v", err)
-		}
+	pair.Tile = procs[1]
+	root := sys.SpawnRoot(procs[0], "root", nil, func(a *activity.Activity) {
+		pair.Root(a, core.TileSels(a))
 	})
 	sys.Run(120 * sim.Second)
 	if !root.Done() {
@@ -77,83 +39,17 @@ func runColocated(t *testing.T, sys *core.System, sh *share, rounds int) {
 func TestM3xSameTileSlowPathRPC(t *testing.T) {
 	sys := core.New(core.Gem5Config(2).WithM3x())
 	defer sys.Shutdown()
-	sh := &share{}
 	const rounds = 4
-	runColocated(t, sys, sh, rounds)
-	if sh.replies != rounds {
-		t.Errorf("replies = %d, want %d", sh.replies, rounds)
+	pair := &rpcpair.Colocated{Calls: rounds}
+	runColocated(t, sys, pair)
+	if pair.Replies != rounds {
+		t.Errorf("replies = %d, want %d", pair.Replies, rounds)
 	}
 	if sys.Driver.Forwards < int64(rounds) {
 		t.Errorf("forwards = %d, want >= %d (slow path per RPC leg)", sys.Driver.Forwards, rounds)
 	}
 	if sys.Driver.Switches < int64(rounds) {
 		t.Errorf("remote switches = %d, want >= %d", sys.Driver.Switches, rounds)
-	}
-}
-
-func m3xServer(a *activity.Activity) {
-	sh := a.Env["share"].(*share)
-	rounds := a.Env["rounds"].(int)
-	rootID := a.Env["root"].(uint32)
-	rgSel, err := a.SysCreateRGate(4, 128)
-	if err != nil {
-		panic(err)
-	}
-	rgEp, err := a.SysActivate(rgSel)
-	if err != nil {
-		panic(err)
-	}
-	sgSel, err := a.SysCreateSGate(rgSel, 0xAB, 2)
-	if err != nil {
-		panic(err)
-	}
-	rootSel, err := a.SysDelegate(rootID, sgSel)
-	if err != nil {
-		panic(err)
-	}
-	sh.rootSgateSel = rootSel
-	sh.ready = true
-	for i := 0; i < rounds; i++ {
-		slot, msg := a.Recv(rgEp)
-		if sh.running != nil {
-			sh.running(a, rgEp)
-		}
-		if err := a.ReplyMsg(rgEp, slot, msg, append([]byte("re:"), msg.Data...), 0); err != nil {
-			panic(err)
-		}
-	}
-}
-
-func m3xClient(a *activity.Activity) {
-	sh := a.Env["share"].(*share)
-	rounds := a.Env["rounds"].(int)
-	for sh.cliSgateSel == 0 {
-		a.Compute(1000)
-		a.Yield()
-	}
-	rgSel, err := a.SysCreateRGate(2, 128)
-	if err != nil {
-		panic(err)
-	}
-	rgEp, err := a.SysActivate(rgSel)
-	if err != nil {
-		panic(err)
-	}
-	sgEp, err := a.SysActivate(sh.cliSgateSel)
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < rounds; i++ {
-		resp, err := a.Call(sgEp, rgEp, []byte{byte(i)})
-		if err != nil {
-			panic(err)
-		}
-		if sh.running != nil {
-			sh.running(a, rgEp, sgEp)
-		}
-		if len(resp) == 4 && resp[3] == byte(i) {
-			sh.replies++
-		}
 	}
 }
 
@@ -166,9 +62,8 @@ func TestM3xSlowPathSpans(t *testing.T) {
 	sys := core.New(core.Gem5Config(2).WithM3x())
 	defer sys.Shutdown()
 	sys.Eng.Tracer().Enable()
-	sh := &share{}
 	const rounds = 4
-	runColocated(t, sys, sh, rounds)
+	runColocated(t, sys, &rpcpair.Colocated{Calls: rounds})
 
 	rec := sys.Eng.Tracer()
 	var buf bytes.Buffer
@@ -224,7 +119,8 @@ func TestM3xSavedStateReuse(t *testing.T) {
 	defer sys.Shutdown()
 	drv := sys.Driver
 	reused := 0 // checks that found the set's backing array kept
-	sh := &share{running: func(a *activity.Activity, eps ...dtu.EpID) {
+	const rounds = 6
+	pair := &rpcpair.Colocated{Calls: rounds, Running: func(a *activity.Activity, eps ...dtu.EpID) {
 		n, c := drv.SavedSet(a.ID)
 		if n != 0 {
 			t.Errorf("%s runs with %d saved endpoints", a.Name, n)
@@ -238,10 +134,9 @@ func TestM3xSavedStateReuse(t *testing.T) {
 			}
 		}
 	}}
-	const rounds = 6
-	runColocated(t, sys, sh, rounds)
-	if sh.replies != rounds {
-		t.Errorf("replies = %d, want %d", sh.replies, rounds)
+	runColocated(t, sys, pair)
+	if pair.Replies != rounds {
+		t.Errorf("replies = %d, want %d", pair.Replies, rounds)
 	}
 	if reused == 0 {
 		t.Error("no restore kept the saved set's backing array")

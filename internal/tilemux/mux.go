@@ -168,9 +168,6 @@ func (m *Mux) DTU() *dtu.DTU { return m.d }
 // Clock returns the tile's core clock.
 func (m *Mux) Clock() sim.Clock { return m.clock }
 
-// Current returns the currently running activity, or nil.
-func (m *Mux) Current() *Act { return m.cur }
-
 // cy converts core cycles to time.
 func (m *Mux) cy(n int64) sim.Time { return m.clock.Cycles(n) }
 

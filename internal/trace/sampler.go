@@ -155,28 +155,33 @@ func (s *Sampler) Series() []*Series {
 // seriesSchema identifies the telemetry series file format.
 const seriesSchema = "m3vseries/v1"
 
-// seriesFile is the on-disk shape of a telemetry export: one run per traced
-// recorder, each with its sampled series and end-of-run histogram quantiles.
-type seriesFile struct {
-	Schema     string      `json:"schema"`
-	IntervalPs int64       `json:"interval_ps"`
-	Runs       []seriesRun `json:"runs"`
+// SeriesFile is a telemetry export (schema "m3vseries/v1"), as written by
+// WriteSeries and read back by ReadSeries for report tools: one run per
+// traced recorder, each with its sampled series and end-of-run histogram
+// quantiles.
+type SeriesFile struct {
+	Schema     string          `json:"schema"`
+	IntervalPs int64           `json:"interval_ps"`
+	Runs       []SeriesRunData `json:"runs"`
 }
 
-type seriesRun struct {
-	Name       string         `json:"name,omitempty"`
-	Series     []seriesRecord `json:"series"`
-	Histograms []histRecord   `json:"histograms,omitempty"`
+// SeriesRunData is one run's series and histogram summaries.
+type SeriesRunData struct {
+	Name       string       `json:"name,omitempty"`
+	Series     []SeriesData `json:"series"`
+	Histograms []HistData   `json:"histograms,omitempty"`
 }
 
-type seriesRecord struct {
+// SeriesData is one exported timeline.
+type SeriesData struct {
 	Name string  `json:"name"`
 	Kind string  `json:"kind"`
 	TPs  []int64 `json:"t_ps"`
 	V    []int64 `json:"v"`
 }
 
-type histRecord struct {
+// HistData is one exported histogram summary with its quantiles.
+type HistData struct {
 	Name   string `json:"name"`
 	Count  int64  `json:"count"`
 	Sum    int64  `json:"sum"`
@@ -193,15 +198,15 @@ type histRecord struct {
 // a sampler contribute their histograms only; the interval is taken from the
 // first sampler found.
 func WriteSeries(w io.Writer, recs []*Recorder) error {
-	f := seriesFile{Schema: seriesSchema}
+	f := SeriesFile{Schema: seriesSchema}
 	for _, r := range recs {
-		var run seriesRun
+		var run SeriesRunData
 		if sp := r.Sampler(); sp != nil {
 			if f.IntervalPs == 0 {
 				f.IntervalPs = sp.Interval()
 			}
 			for _, sr := range sp.Series() {
-				rec := seriesRecord{
+				rec := SeriesData{
 					Name: sr.name,
 					Kind: sr.kind.String(),
 					TPs:  make([]int64, 0, sr.Len()),
@@ -219,7 +224,7 @@ func WriteSeries(w io.Writer, recs []*Recorder) error {
 			if h.Count() == 0 {
 				continue
 			}
-			run.Histograms = append(run.Histograms, histRecord{
+			run.Histograms = append(run.Histograms, HistData{
 				Name:   h.Name(),
 				Count:  h.Count(),
 				Sum:    h.Sum(),
@@ -238,60 +243,21 @@ func WriteSeries(w io.Writer, recs []*Recorder) error {
 	return enc.Encode(&f)
 }
 
-// SeriesFile is the parsed form of a telemetry export, as read back by
-// ReadSeries for report tools.
-type SeriesFile struct {
-	IntervalPs int64
-	Runs       []SeriesRunData
-}
-
-// SeriesRunData is one run's series and histogram summaries.
-type SeriesRunData struct {
-	Name       string
-	Series     []SeriesData
-	Histograms []HistData
-}
-
-// SeriesData is one exported timeline.
-type SeriesData struct {
-	Name string
-	Kind string
-	TPs  []int64
-	V    []int64
-}
-
-// HistData is one exported histogram summary with its quantiles.
-type HistData struct {
-	Name                        string
-	Count, Sum, Min, Max        int64
-	P50Ps, P90Ps, P99Ps, P999Ps int64
-}
-
 // ReadSeries parses a document written by WriteSeries.
 func ReadSeries(r io.Reader) (*SeriesFile, error) {
-	var f seriesFile
+	var f SeriesFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("parse series file: %w", err)
 	}
 	if f.Schema != seriesSchema {
 		return nil, fmt.Errorf("unsupported series schema %q (want %q)", f.Schema, seriesSchema)
 	}
-	out := &SeriesFile{IntervalPs: f.IntervalPs}
 	for _, run := range f.Runs {
-		rd := SeriesRunData{Name: run.Name}
 		for _, sr := range run.Series {
 			if len(sr.TPs) != len(sr.V) {
 				return nil, fmt.Errorf("series %q: %d timestamps vs %d values", sr.Name, len(sr.TPs), len(sr.V))
 			}
-			rd.Series = append(rd.Series, SeriesData(sr))
 		}
-		for _, h := range run.Histograms {
-			rd.Histograms = append(rd.Histograms, HistData{
-				Name: h.Name, Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-				P50Ps: h.P50Ps, P90Ps: h.P90Ps, P99Ps: h.P99Ps, P999Ps: h.P999Ps,
-			})
-		}
-		out.Runs = append(out.Runs, rd)
 	}
-	return out, nil
+	return &f, nil
 }

@@ -161,16 +161,19 @@ func Replay(ops []Op, tgt Target) error {
 			tgt.Compute(op.Cycles)
 		}
 		if err != nil {
-			return fmt.Errorf("traces: %s %s: %w", kindName(op.Kind), op.Path, err)
+			return fmt.Errorf("traces: %s %s: %w", op.Kind, op.Path, err)
 		}
 	}
 	return nil
 }
 
-func kindName(k OpKind) string {
-	names := []string{"open", "create", "read", "write", "close", "stat", "readdir", "unlink", "mkdir", "compute"}
-	if int(k) < len(names) {
-		return names[k]
+// opNames are the OpKind names, in constant order.
+var opNames = [...]string{"open", "create", "read", "write", "close", "stat", "readdir", "unlink", "mkdir", "compute"}
+
+// String returns the operation's name, "?" for an unknown kind.
+func (k OpKind) String() string {
+	if int(k) < len(opNames) {
+		return opNames[k]
 	}
 	return "?"
 }
