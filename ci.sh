@@ -52,10 +52,11 @@ go test -race -count=1 -run 'TestAutoRegisterConcurrent' ./internal/trace
 
 echo "== bench smoke =="
 # One iteration of the engine hot-path benchmarks (the alloc guards run as
-# regular tests) and of the fastest figure benchmark. ProcSleep records the
-# Sleep fast path (popSelf) against a forced miss.
+# regular tests), of the fastest figure benchmark and of Figure 10, the
+# data path (DTU READs into caller buffers, YCSB runs replayed per mix).
+# ProcSleep records the Sleep fast path (popSelf) against a forced miss.
 go test -run '^$' -bench 'EngineSchedule|EnginePingPong|ProcSleep' -benchtime 1x ./internal/sim
-go test -run '^$' -bench 'Fig9FindOneTile' -benchtime 1x .
+go test -run '^$' -bench 'Fig9FindOneTile|Fig10Cloud' -benchtime 1x .
 
 echo "== perf smoke =="
 # Allocation gates: every sim microbenchmark runs once and the
@@ -66,7 +67,8 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim/
 go test -run 'TestSchedulePathAllocFree' -count=1 -v ./internal/sim/ \
     | grep -q '^--- PASS: TestSchedulePathAllocFree'
 # DTU round-trip alloc guard: a warm RPC allocates only its two payload
-# copies and two fetched Messages, the external requests nothing.
+# copies and two fetched Messages; READ and WRITE of a page and the
+# external requests allocate nothing.
 go test -run 'TestMessagePathAllocs' -count=1 -v ./internal/dtu/ \
     | grep -q '^--- PASS: TestMessagePathAllocs'
 

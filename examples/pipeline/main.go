@@ -162,8 +162,8 @@ func pushComplex(a *m3v.Activity, sg, mem m3v.EpID, rg m3v.EpID, data []complex1
 // pullComplex waits for a notification, reads the signal, and replies.
 func pullComplex(a *m3v.Activity, rg, mem m3v.EpID) []complex128 {
 	slot, msg := a.Recv(rg)
-	buf, err := a.ReadMem(mem, 0, signalLen*16, 0)
-	if err != nil {
+	buf := make([]byte, signalLen*16)
+	if err := a.ReadMem(mem, 0, buf, 0); err != nil {
 		log.Fatal(err)
 	}
 	out := make([]complex128, signalLen)

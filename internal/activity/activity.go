@@ -241,45 +241,32 @@ func (a *Activity) Call(sg, rg dtu.EpID, req []byte) ([]byte, error) {
 	return data, nil
 }
 
-// ReadMem reads n bytes from a memory gate, page by page.
-func (a *Activity) ReadMem(ep dtu.EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
-	if n > 0 && n <= dtu.PageSize {
-		// One DTU read, whose reply is already a fresh slice of n bytes.
-		return a.readPage(ep, off, n, vaddr)
-	}
-	out := make([]byte, 0, n)
-	for n > 0 {
-		chunk := n
-		if chunk > dtu.PageSize {
-			chunk = dtu.PageSize
+// ReadMem fills dst from a memory gate at offset off, page by page.
+func (a *Activity) ReadMem(ep dtu.EpID, off uint64, dst []byte, vaddr uint64) error {
+	for len(dst) > 0 {
+		chunk := min(len(dst), dtu.PageSize)
+		if err := a.readPage(ep, off, dst[:chunk], vaddr); err != nil {
+			return err
 		}
-		data, err := a.readPage(ep, off, chunk, vaddr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
 		off += uint64(chunk)
-		n -= chunk
+		dst = dst[chunk:]
 	}
-	return out, nil
+	return nil
 }
 
 // readPage issues one DTU read of at most a page, resolving TLB misses.
-func (a *Activity) readPage(ep dtu.EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
+func (a *Activity) readPage(ep dtu.EpID, off uint64, dst []byte, vaddr uint64) error {
 	for {
 		a.X.BeginOp()
-		data, err := a.D.Read(a.Proc(), ep, off, n, vaddr)
+		err := a.D.ReadInto(a.Proc(), ep, off, dst, vaddr)
 		a.X.EndOp()
 		if errors.Is(err, dtu.ErrTLBMiss) {
 			if ferr := a.X.FixTranslation(vaddr, dtu.PermW); ferr != nil {
-				return nil, ferr
+				return ferr
 			}
 			continue
 		}
-		if err != nil {
-			return nil, err
-		}
-		return data, nil
+		return err
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"m3v/internal/ycsb"
 )
 
-func ycsbReadHeavy() ycsb.Mix { return ycsb.ReadHeavy }
-
 func TestFig6Shape(t *testing.T) {
 	r := Fig6()
 	t.Log("\n" + r.String())
@@ -148,9 +146,10 @@ func TestVoiceAssistantShape(t *testing.T) {
 
 func TestFig10ReadHeavyShape(t *testing.T) {
 	// One mix end-to-end (the full figure runs in the harness).
-	iso := m3vCloud(Params{}, nil, ycsbReadHeavy(), false)
-	sh := m3vCloud(Params{}, nil, ycsbReadHeavy(), true)
-	lx := linuxCloud(nil, ycsbReadHeavy())
+	runs := cloudRuns(ycsb.ReadHeavy)
+	iso := m3vCloud(Params{}, nil, runs, false)
+	sh := m3vCloud(Params{}, nil, runs, true)
+	lx := linuxCloud(nil, runs)
 	t.Logf("read-heavy: iso=%v shared=%v linux=%v", iso.total, sh.total, lx.total)
 	if iso.total <= 0 || sh.total <= 0 || lx.total <= 0 {
 		t.Fatal("missing measurements")
@@ -205,8 +204,9 @@ func TestFig10ScanAnomaly(t *testing.T) {
 	// Paper §6.5.2: "Linux performs worse than M3v (shared) for scans" —
 	// the application loses its cache state on every system call, while
 	// M3v handles block reads through the vDTU without context switches.
-	sh := m3vCloud(Params{}, nil, ycsb.ScanHeavy, true)
-	lx := linuxCloud(nil, ycsb.ScanHeavy)
+	runs := cloudRuns(ycsb.ScanHeavy)
+	sh := m3vCloud(Params{}, nil, runs, true)
+	lx := linuxCloud(nil, runs)
 	t.Logf("scan-heavy: shared=%v linux=%v", sh.total, lx.total)
 	if lx.total <= sh.total {
 		t.Errorf("Linux (%v) should be slower than M3v shared (%v) on scans", lx.total, sh.total)

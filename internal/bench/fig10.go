@@ -30,6 +30,27 @@ type cloudTimes struct {
 	total, user, system sim.Time
 }
 
+// ycsbRuns is one mix's generated workloads, replayed by every
+// configuration: the warmup runs, then the timed runs.
+type ycsbRuns struct {
+	warmup, timed []*ycsb.Workload
+}
+
+// cloudRuns generates the warmup and timed runs of one mix.
+func cloudRuns(mix ycsb.Mix) ycsbRuns {
+	gen := func(seed int64) *ycsb.Workload {
+		return ycsb.Generate(ycsb.Config{Records: fig10Records, Ops: fig10Ops, Seed: seed, Mix: mix})
+	}
+	var r ycsbRuns
+	for i := 0; i < fig10Warmup; i++ {
+		r.warmup = append(r.warmup, gen(int64(i)))
+	}
+	for i := 0; i < fig10Runs; i++ {
+		r.timed = append(r.timed, gen(int64(100+i)))
+	}
+	return r
+}
+
 // runYCSB executes one YCSB run against a database.
 func runYCSB(db *kvs.DB, w *ycsb.Workload, send func([]byte)) error {
 	for _, op := range w.Load {
@@ -66,9 +87,9 @@ func runYCSB(db *kvs.DB, w *ycsb.Workload, send func([]byte)) error {
 	return nil
 }
 
-// m3vCloud measures one workload mix on M³v. shared puts the database, the
+// m3vCloud measures one mix's runs on M³v. shared puts the database, the
 // file system, the network stack, and the pager on one BOOM core.
-func m3vCloud(p Params, c *sim.Canceler, mix ycsb.Mix, shared bool) cloudTimes {
+func m3vCloud(p Params, c *sim.Canceler, runs ycsbRuns, shared bool) cloudTimes {
 	sys := p.boot(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
@@ -137,10 +158,7 @@ func m3vCloud(p Params, c *sim.Canceler, mix ycsb.Mix, shared bool) cloudTimes {
 		busyFS := func() sim.Time { return sys.Muxes[fsTile].Act(fsRef.LocalID()).Busy() }
 		busyNet := func() sim.Time { return sys.Muxes[netTile].Act(netRef.LocalID()).Busy() }
 
-		oneRun := func(seed int64) (sim.Time, sim.Time) {
-			w := ycsb.Generate(ycsb.Config{
-				Records: fig10Records, Ops: fig10Ops, Seed: seed, Mix: mix,
-			})
+		oneRun := func(w *ycsb.Workload) (sim.Time, sim.Time) {
 			// The database reads the requests ahead of time from a file
 			// (paper §6.5.2), then executes them.
 			reqFile, err := fsc.Open("/requests", m3fs.FlagR|m3fs.FlagW|m3fs.FlagCreate|m3fs.FlagTrunc)
@@ -169,11 +187,11 @@ func m3vCloud(p Params, c *sim.Canceler, mix ycsb.Mix, shared bool) cloudTimes {
 			}
 			return a.Now() - t0, busyFS() + busyNet() - sys0
 		}
-		for i := 0; i < fig10Warmup; i++ {
-			oneRun(int64(i))
+		for _, w := range runs.warmup {
+			oneRun(w)
 		}
-		for i := 0; i < fig10Runs; i++ {
-			total, system := oneRun(int64(100 + i))
+		for _, w := range runs.timed {
+			total, system := oneRun(w)
 			out.total += total
 			out.system += system
 		}
@@ -185,9 +203,9 @@ func m3vCloud(p Params, c *sim.Canceler, mix ycsb.Mix, shared bool) cloudTimes {
 	return out
 }
 
-// linuxCloud measures one workload mix on the Linux model (file system and
+// linuxCloud measures one mix's runs on the Linux model (file system and
 // network stack run in the kernel: their time is system time).
-func linuxCloud(c *sim.Canceler, mix ycsb.Mix) cloudTimes {
+func linuxCloud(c *sim.Canceler, runs ycsbRuns) cloudTimes {
 	eng := linuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
@@ -211,10 +229,7 @@ func linuxCloud(c *sim.Canceler, mix ycsb.Mix) cloudTimes {
 				}
 			}
 		}
-		oneRun := func(seed int64) (sim.Time, sim.Time, sim.Time) {
-			w := ycsb.Generate(ycsb.Config{
-				Records: fig10Records, Ops: fig10Ops, Seed: seed, Mix: mix,
-			})
+		oneRun := func(w *ycsb.Workload) (sim.Time, sim.Time, sim.Time) {
 			fd := p.Create("/requests")
 			p.Write(fd, make([]byte, 16*(fig10Records+fig10Ops)))
 			p.Close(fd)
@@ -239,11 +254,11 @@ func linuxCloud(c *sim.Canceler, mix ycsb.Mix) cloudTimes {
 			u1, s1 := p.Rusage()
 			return p.Now() - t0, u1 - u0, s1 - s0
 		}
-		for i := 0; i < fig10Warmup; i++ {
-			oneRun(int64(i))
+		for _, w := range runs.warmup {
+			oneRun(w)
 		}
-		for i := 0; i < fig10Runs; i++ {
-			total, user, system := oneRun(int64(100 + i))
+		for _, w := range runs.timed {
+			total, user, system := oneRun(w)
 			out.total += total
 			out.user += user
 			out.system += system
@@ -258,27 +273,19 @@ func linuxCloud(c *sim.Canceler, mix ycsb.Mix) cloudTimes {
 
 // Fig10 reproduces Figure 10: the cloud service under YCSB workloads, M³v
 // isolated/shared vs Linux, runtime split into user and system time. Each
-// (mix, system) configuration is an independent simulation; the sweep fans
-// out across the worker pool.
+// mix is one point of the sweep, fanned out across the worker pool: its
+// runs are generated once and replayed by three independent simulations.
 func Fig10() *Result { return must(fig10(Params{}, nil)) }
 
 func fig10(p Params, c *sim.Canceler) (*Result, error) {
 	r := &Result{ID: "fig10", Title: "Cloud service (YCSB on LSM store), runtime per run"}
 	// Three configurations per mix: M3v isolated, M3v shared, Linux.
-	const perMix = 3
-	times := runPoints(len(ycsb.Mixes)*perMix, func(i int) cloudTimes {
-		mx := ycsb.Mixes[i/perMix]
-		switch i % perMix {
-		case 0:
-			return m3vCloud(p, c, mx.Mix, false)
-		case 1:
-			return m3vCloud(p, c, mx.Mix, true)
-		default:
-			return linuxCloud(c, mx.Mix)
-		}
+	times := runPoints(len(ycsb.Mixes), func(i int) [3]cloudTimes {
+		runs := cloudRuns(ycsb.Mixes[i].Mix)
+		return [3]cloudTimes{m3vCloud(p, c, runs, false), m3vCloud(p, c, runs, true), linuxCloud(c, runs)}
 	})
 	for mi, mx := range ycsb.Mixes {
-		iso, sh, lx := times[mi*perMix], times[mi*perMix+1], times[mi*perMix+2]
+		iso, sh, lx := times[mi][0], times[mi][1], times[mi][2]
 		r.Add(fmt.Sprintf("%s M3v isolated total", mx.Name), iso.total.Millis(), "ms", 0)
 		r.Add(fmt.Sprintf("%s M3v shared total", mx.Name), sh.total.Millis(), "ms", 0)
 		r.Add(fmt.Sprintf("%s Linux total", mx.Name), lx.total.Millis(), "ms", 0)

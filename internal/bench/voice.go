@@ -195,11 +195,11 @@ func compressorProg(a *activity.Activity) {
 	share.ready = true
 
 	buf := a.Alloc(segSamples * 2) // demand-paged working buffer
+	pcm := make([]byte, segSamples*2)
 	for rep := 0; rep < reps; rep++ {
 		slot, msg := a.Recv(rgEp)
 		// Pull the PCM segment through the vDTU.
-		pcm, err := a.ReadMem(memEp, 0, segSamples*2, buf)
-		if err != nil {
+		if err := a.ReadMem(memEp, 0, pcm, buf); err != nil {
 			panic(err)
 		}
 		samples := make([]int16, segSamples)

@@ -21,14 +21,15 @@ import (
 // request that is dropped for good never reaches the server, and the
 // server's OnMsgArrived callback is scheduled before its response at the
 // same delay, so it always runs first. A released cmd is therefore never
-// referenced by a pending event or packet.
+// referenced by a pending event or packet. A READ's bytes travel back in
+// the cmd's pooled buf and reach the caller's buffer only on success.
 
 // cmdOp is the kind of request a cmd carries.
 type cmdOp uint8
 
 const (
 	opMsg      cmdOp = iota // SEND, REPLY, SendRaw: store msg at ep
-	opRead                  // READ: n bytes at off of a memory tile
+	opRead                  // READ: len(buf) bytes at off of a memory tile
 	opWrite                 // WRITE: buf at off of a memory tile
 	opConfig                // ConfigureRemote: install conf at ep
 	opReadEps               // ReadEpsRemote: copy endpoints into eps
@@ -47,8 +48,7 @@ type cmd struct {
 	msg          Message    // opMsg
 	crdRet       EpID       // opMsg: piggybacked credit return, or -1
 	off          uint64     // opRead, opWrite: offset within the memory tile
-	n            int        // opRead: bytes to read
-	buf          []byte     // opWrite: payload snapshot, capacity reused across commands
+	buf          []byte     // opRead: the bytes read; opWrite: the payload; capacity reused
 	conf         Endpoint   // opConfig
 	first, count int        // opReadEps: requested window
 	eps          []Endpoint // opReadEps: the caller's result buffer
@@ -62,7 +62,6 @@ type cmd struct {
 	resp   bool
 
 	// Completion: the result, the parked issuer and its wake-up condition.
-	data []byte // opRead: the bytes read
 	err  error
 	p    *sim.Proc
 	done bool
@@ -167,14 +166,9 @@ func (d *DTU) serve(c *cmd) bool {
 	switch c.op {
 	case opMsg:
 		return d.deliverMsg(c)
-	case opRead:
+	case opRead, opWrite:
 		if d.mem == nil {
-			panic(fmt.Sprintf("dtu: tile %d got memory read but has no DRAM", d.tile))
-		}
-		delay = d.mem.AccessDelay(c.n)
-	case opWrite:
-		if d.mem == nil {
-			panic(fmt.Sprintf("dtu: tile %d got memory write but has no DRAM", d.tile))
+			panic(fmt.Sprintf("dtu: tile %d got a memory access but has no DRAM", d.tile))
 		}
 		delay = d.mem.AccessDelay(len(c.buf))
 	case opConfig:
@@ -203,8 +197,8 @@ func (c *cmd) respond() {
 	size := headerBytes
 	switch c.op {
 	case opRead:
-		c.data = r.mem.ReadAt(c.off, c.n)
-		size += len(c.data)
+		r.mem.ReadAt(c.off, c.buf)
+		size += len(c.buf)
 	case opWrite:
 		r.mem.WriteAt(c.off, c.buf)
 	case opReadEps:

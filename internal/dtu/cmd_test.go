@@ -2,6 +2,7 @@ package dtu
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"m3v/internal/fault"
@@ -12,13 +13,14 @@ import (
 
 // TestMessagePathAllocs guards the allocation-free round trips. One
 // process drives both tiles of a warm rig through an RPC (Send, Fetch,
-// Reply, Fetch, Ack) and through each external request. An RPC may
-// allocate only its two payload copies and the two fetched Messages; the
-// external requests, with ReadEpsRemote reading into a caller buffer,
-// allocate nothing.
+// Reply, Fetch, Ack), a page READ and WRITE, and each external request. An
+// RPC may allocate only its two payload copies and the two fetched
+// Messages; the memory commands and the external requests, with ReadInto
+// and ReadEpsRemote filling caller buffers, allocate nothing.
 func TestMessagePathAllocs(t *testing.T) {
 	r := newRig(t, true)
 	setupChannel(r, actB, 4)
+	must(r.d0.ConfigureLocal(8, MemEP(actA, 2, 0, 1<<16, PermRW)))
 	r.d1.OnMsgArrived = func(ActID) {}
 	req, resp := []byte("ping"), []byte("pong")
 
@@ -54,12 +56,15 @@ func TestMessagePathAllocs(t *testing.T) {
 	conf := SendEP(actB, 0, 7, 0xABC, 3, 128)
 	confs := []EpConf{{Ep: 30, Conf: conf}, {Ep: 31, Conf: conf}}
 	buf := make([]Endpoint, 0, 2)
+	page := make([]byte, PageSize)
 	cases := []struct {
 		name string
 		max  float64
 		op   func(p *sim.Proc)
 	}{
 		{"Send-Fetch-Reply-Fetch-Ack", 4, rpc},
+		{"Write", 0, func(p *sim.Proc) { must(r.d0.Write(p, 8, PageSize, page, 0)) }},
+		{"ReadInto", 0, func(p *sim.Proc) { must(r.d0.ReadInto(p, 8, PageSize, page, 0)) }},
 		{"ConfigureRemote", 0, func(p *sim.Proc) { must(r.d0.ConfigureRemote(p, 1, 5, conf)) }},
 		{"WriteEpsRemote", 0, func(p *sim.Proc) { must(r.d0.WriteEpsRemote(p, 1, confs)) }},
 		{"ReadEpsRemote", 0, func(p *sim.Proc) {
@@ -179,7 +184,8 @@ func TestPooledCommandsUnderFaults(t *testing.T) {
 					return d0.Write(p, 8, off, []byte{byte(i), 0xA5}, 0)
 				})
 				issue(i, []error{nil, ErrXferTimeout}, func() error {
-					data, err := d0.Read(p, 8, off, 2, 0)
+					data := make([]byte, 2)
+					err := d0.ReadInto(p, 8, off, data, 0)
 					if err == nil && werr == nil && !bytes.Equal(data, []byte{byte(i), 0xA5}) {
 						t.Errorf("read back %x after writing %x", data, []byte{byte(i), 0xA5})
 					}
@@ -284,5 +290,57 @@ func TestPooledCommandsUnderFaults(t *testing.T) {
 	}
 	if l1.errs[ErrNoRecipient] == 0 || l1.errs[nil] == 0 {
 		t.Errorf("results %v lack ErrNoRecipient or successes", l1.errs)
+	}
+}
+
+// TestFailedReadLeavesDst pins ReadInto's contract that dst changes only
+// when the command succeeds: neither a READ refused by the endpoint checks
+// nor one whose request or response the NoC drops for good (at most one
+// try per packet under injected faults) may write into the caller's buffer.
+func TestFailedReadLeavesDst(t *testing.T) {
+	eng := sim.NewEngine()
+	defer eng.Shutdown()
+	cfg := noc.DefaultConfig()
+	cfg.MaxRetries = 1
+	net := noc.New(eng, noc.StarMesh{NumTiles: 4}, cfg)
+	d0 := New(eng, net, 0, sim.MHz(80), false)
+	dram := mem.New(eng, mem.DefaultConfig(1<<20))
+	NewMemory(eng, net, 2, dram)
+	net.SetInjector(fault.New(eng, fault.Config{Seed: 3, Rate: 0.3}))
+	d0.SetCurAct(actA)
+	must(d0.ConfigureLocal(8, MemEP(actA, 2, 0, PageSize, PermRW)))
+	must(d0.ConfigureLocal(9, MemEP(actA, 2, 0, PageSize, PermW)))
+	stored := bytes.Repeat([]byte{0x5A}, 64)
+	dram.WriteAt(0, stored)
+
+	untouched := bytes.Repeat([]byte{0xEE}, 64)
+	results := map[error]int{}
+	eng.Spawn("reader", func(p *sim.Proc) {
+		for _, ep := range []EpID{9, 8} { // write-only, then out of bounds
+			dst := bytes.Clone(untouched)
+			off := uint64(0)
+			if ep == 8 {
+				off = PageSize - 32
+			}
+			if err := d0.ReadInto(p, ep, off, dst, 0); !errors.Is(err, ErrNoPerm) || !bytes.Equal(dst, untouched) {
+				t.Errorf("refused read on ep %d = (%x, %v), want ErrNoPerm and dst untouched", ep, dst, err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			dst := bytes.Clone(untouched)
+			err := d0.ReadInto(p, 8, 0, dst, 0)
+			results[err]++
+			want := stored
+			if err != nil {
+				want = untouched
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("read %d returned %v and left dst %x, want %x", i, err, dst, want)
+			}
+		}
+	})
+	eng.RunUntil(10 * sim.Second)
+	if results[nil] == 0 || results[ErrXferTimeout] == 0 || len(results) != 2 {
+		t.Errorf("results %v, want successes and ErrXferTimeout only", results)
 	}
 }

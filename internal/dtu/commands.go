@@ -2,6 +2,7 @@ package dtu
 
 import (
 	"errors"
+	"slices"
 
 	"m3v/internal/noc"
 	"m3v/internal/sim"
@@ -296,46 +297,59 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 	return nil
 }
 
-// Read executes the READ command: a DMA read of n bytes from offset off of
-// the memory endpoint's region. The local buffer (vaddr) and the region
-// window are both limited to a single page per command. A request or
+// ReadInto executes the READ command: a DMA read of len(dst) bytes from
+// offset off of the memory endpoint's region into dst. The local buffer
+// (vaddr) and the region window are both limited to a single page per
+// command. dst is written only if the command succeeds. A request or
 // response the NoC drops for good fails the command with ErrXferTimeout.
-func (d *DTU) Read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
+func (d *DTU) ReadInto(p *sim.Proc, ep EpID, off uint64, dst []byte, vaddr uint64) error {
 	start := d.eng.Now()
-	data, err := d.read(p, ep, off, n, vaddr)
-	d.traceCmd(start, trace.CmdRead, ep, n, err)
-	return data, err
+	err := d.read(p, ep, off, dst, vaddr)
+	d.traceCmd(start, trace.CmdRead, ep, len(dst), err)
+	return err
 }
 
-func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
+// Read is ReadInto into a fresh buffer of n >= 0 bytes.
+func (d *DTU) Read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
+	buf := make([]byte, n)
+	if err := d.ReadInto(p, ep, off, buf, vaddr); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, dst []byte, vaddr uint64) error {
 	d.charge(p, xferCycles+d.mediation)
 	e, err := d.epFor(ep, EpMemory)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n < 0 || n > PageSize {
-		return nil, ErrInvalidArgs
+	n := len(dst)
+	if n > PageSize {
+		return ErrInvalidArgs
 	}
 	if !e.MemPerm.Has(PermR) {
-		return nil, ErrNoPerm
+		return ErrNoPerm
 	}
-	if off+uint64(n) > e.MemSize {
-		return nil, ErrNoPerm
+	if off > e.MemSize || uint64(n) > e.MemSize-off {
+		return ErrNoPerm
 	}
 	if err := d.translate(vaddr, n, PermW); err != nil {
-		return nil, err
+		return err
 	}
 	c := d.acquireCmd(opRead, e.MemTile, headerBytes)
-	c.off, c.n = e.MemBase+off, n
+	c.off, c.buf = e.MemBase+off, slices.Grow(c.buf, n)[:n]
 	err = c.await(p)
-	data := c.data
+	if err == nil {
+		copy(dst, c.buf)
+	}
 	d.releaseCmd(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.m.reads.Inc()
 	p.Sleep(xferTime(n))
-	return data, nil
+	return nil
 }
 
 // Write executes the WRITE command: a DMA write into the memory endpoint's
@@ -359,7 +373,7 @@ func (d *DTU) write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64)
 	if !e.MemPerm.Has(PermW) {
 		return ErrNoPerm
 	}
-	if off+uint64(len(data)) > e.MemSize {
+	if off > e.MemSize || uint64(len(data)) > e.MemSize-off {
 		return ErrNoPerm
 	}
 	if err := d.translate(vaddr, len(data), PermR); err != nil {

@@ -233,7 +233,7 @@ func (d *DTU) CheckPMP(addr uint64, n int, perm Perm) (noc.TileID, uint64, error
 		if e.Kind != EpMemory || !e.MemPerm.Has(perm) {
 			continue
 		}
-		if addr >= e.MemBase && addr+uint64(n) <= e.MemBase+e.MemSize {
+		if off := addr - e.MemBase; addr >= e.MemBase && off <= e.MemSize && uint64(n) <= e.MemSize-off {
 			return e.MemTile, addr, nil
 		}
 	}

@@ -291,8 +291,8 @@ func TestMemoryEndpointReadWrite(t *testing.T) {
 		if err := r.d0.Write(p, 8, 0x100, data, 0); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		got, err := r.d0.Read(p, 8, 0x100, len(data), 0)
-		if err != nil {
+		got := make([]byte, len(data))
+		if err := r.d0.ReadInto(p, 8, 0x100, got, 0); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		if !bytes.Equal(got, data) {
@@ -300,7 +300,8 @@ func TestMemoryEndpointReadWrite(t *testing.T) {
 		}
 	})
 	// The bytes must be at DRAM offset MemBase+0x100.
-	if got := r.dram.ReadAt(0x1100, 4); !bytes.Equal(got, []byte("pers")) {
+	got := make([]byte, 4)
+	if r.dram.ReadAt(0x1100, got); !bytes.Equal(got, []byte("pers")) {
 		t.Errorf("dram content = %q, want pers", got)
 	}
 }
@@ -313,13 +314,38 @@ func TestMemoryEndpointBoundsAndPerms(t *testing.T) {
 		if err := r.d0.Write(p, 8, 0, []byte("x"), 0); !errors.Is(err, ErrNoPerm) {
 			t.Errorf("write to read-only EP err = %v, want ErrNoPerm", err)
 		}
-		if _, err := r.d0.Read(p, 8, 0x1FFF, 2, 0); !errors.Is(err, ErrNoPerm) {
+		if err := r.d0.ReadInto(p, 8, 0x1FFF, make([]byte, 2), 0); !errors.Is(err, ErrNoPerm) {
 			t.Errorf("out-of-bounds read err = %v, want ErrNoPerm", err)
 		}
-		if _, err := r.d0.Read(p, 8, 0, 100, 0); err != nil {
+		if err := r.d0.ReadInto(p, 8, 0, make([]byte, 100), 0); err != nil {
 			t.Errorf("legal read: %v", err)
 		}
 	})
+}
+
+// TestMemoryBoundsWrap pins the region check against uint64 wrap-around:
+// an offset near 2^64 plus the access size wraps to a small number, which
+// must not let a READ or WRITE reach the DRAM just below the region.
+func TestMemoryBoundsWrap(t *testing.T) {
+	r := newRig(t, true)
+	r.d0.SetCurAct(actA)
+	must(r.d0.ConfigureLocal(8, MemEP(actA, 2, 0x1000, 0x2000, PermRW)))
+	outside := []byte("outside!")
+	r.dram.WriteAt(0xff8, outside)
+	off := ^uint64(0) - 7 // MemBase+off wraps to 0xff8
+	r.run(func(p *sim.Proc) {
+		dst := make([]byte, 8)
+		if err := r.d0.ReadInto(p, 8, off, dst, 0); !errors.Is(err, ErrNoPerm) {
+			t.Errorf("wrapping read = (%q, %v), want ErrNoPerm", dst, err)
+		}
+		if err := r.d0.Write(p, 8, off, []byte("breached"), 0); !errors.Is(err, ErrNoPerm) {
+			t.Errorf("wrapping write err = %v, want ErrNoPerm", err)
+		}
+	})
+	got := make([]byte, 8)
+	if r.dram.ReadAt(0xff8, got); !bytes.Equal(got, outside) {
+		t.Errorf("DRAM below the region = %q, want %q", got, outside)
+	}
 }
 
 func TestCheckPMP(t *testing.T) {
@@ -337,6 +363,10 @@ func TestCheckPMP(t *testing.T) {
 	}
 	if _, _, err := r.d0.CheckPMP(0x40000, 64, PermR); !errors.Is(err, ErrNoPerm) {
 		t.Errorf("PMP outside any region err = %v, want ErrNoPerm", err)
+	}
+	// addr+n wraps around to 0x20, inside EP0's region.
+	if _, _, err := r.d0.CheckPMP(^uint64(0)-31, 64, PermR); !errors.Is(err, ErrNoPerm) {
+		t.Errorf("PMP access wrapping past 2^64 err = %v, want ErrNoPerm", err)
 	}
 }
 
@@ -544,10 +574,7 @@ func mediationTimes(t *testing.T, m int64) map[string]sim.Time {
 		})
 		timed("ack", func() error { return r.d0.Ack(p, 11, slot) })
 		timed("write", func() error { return r.d0.Write(p, 8, 0, []byte("data"), 0) })
-		timed("read", func() error {
-			_, err := r.d0.Read(p, 8, 0, 4, 0)
-			return err
-		})
+		timed("read", func() error { return r.d0.ReadInto(p, 8, 0, make([]byte, 4), 0) })
 		timed("switch_act", func() error {
 			r.d0.SwitchAct(p, actA, 0)
 			return nil

@@ -1,6 +1,7 @@
 package dtu
 
 import (
+	"bytes"
 	"testing"
 
 	"m3v/internal/fault"
@@ -31,6 +32,23 @@ func errCodeOf(err error) uint64 {
 	return 0x100 + uint64(errCode(err))
 }
 
+// The fuzz rig's memory endpoint covers [memBase, memBase+memSize) of DRAM.
+const (
+	memBase = 0x1000
+	memSize = 0x2000
+	guard   = 0xEE // the DRAM bytes just outside the region
+)
+
+// memOff maps a memory command's 5-bit operand to an endpoint offset: below
+// 16, 8-byte steps inside the region; from 16 on, the 16 offsets just below
+// 2^64, where off+len wraps around for the last ones.
+func memOff(arg int) uint64 {
+	if arg < 16 {
+		return uint64(arg) * 8
+	}
+	return -uint64(32 - arg)
+}
+
 // FuzzDTUCommands drives arbitrary DTU command sequences decoded from the
 // fuzz input against a two-tile rig (plain DTUs, both recipients running)
 // plus a memory tile, with an optional fault injector armed:
@@ -41,12 +59,17 @@ func errCodeOf(err error) uint64 {
 //     (oversized messages, empty fetches, exhausted credits) and recover
 //     transparently from injected transfer faults;
 //   - determinism: replaying the input on a fresh rig reproduces the exact
-//     command results and message flow.
+//     command results and message flow;
+//   - isolation: no READ or WRITE reaches DRAM outside the memory
+//     endpoint's region, not even at offsets near 2^64 whose end wraps
+//     around: the bytes outside never change, and a READ never returns
+//     them.
 //
 // Input layout: byte 0 arms the fault injector (rate + seed) and, in its top
 // two bits, bounds the NoC's retries per packet (0 = unbounded), so packets
 // can be dropped for good and commands must time out instead of wedging;
-// every further byte is one command (3-bit opcode, 5 bits of operand).
+// every further byte is one command (3-bit opcode, 5 bits of operand); see
+// memOff for the offsets of the memory commands.
 func FuzzDTUCommands(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x01, 0x02, 0x03, 0x04})             // one of each, no faults
@@ -58,6 +81,8 @@ func FuzzDTUCommands(f *testing.F) {
 	// RPCs whose replies are never drained: the echo's REPLY is NACKed until
 	// the engine stops.
 	f.Add([]byte("000000"))
+	// Reads and writes just below 2^64, some wrapping past it.
+	f.Add([]byte{0x00, 0xFC, 0xF4, 0x84, 0xFB, 0xF3, 0x83})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 96 {
@@ -75,6 +100,18 @@ func FuzzDTUCommands(f *testing.F) {
 			d1 := New(eng, net, 1, sim.MHz(80), false)
 			dram := mem.New(eng, mem.DefaultConfig(1<<20))
 			NewMemory(eng, net, 2, dram)
+			// Guard bytes on both sides of the region. The driver only
+			// writes bytes below 0x60, so a READ that returns a guard byte
+			// has read outside the region.
+			dram.WriteAt(memBase-PageSize, bytes.Repeat([]byte{guard}, PageSize))
+			dram.WriteAt(memBase+memSize, bytes.Repeat([]byte{guard}, PageSize))
+			outside := func() []byte {
+				b := make([]byte, dram.Size()-memSize)
+				dram.ReadAt(0, b[:memBase])
+				dram.ReadAt(memBase+memSize, b[memBase:])
+				return b
+			}
+			before := outside()
 
 			if len(data) > 0 {
 				if rate := float64(data[0]&0x07) / 40; rate > 0 {
@@ -89,7 +126,7 @@ func FuzzDTUCommands(f *testing.F) {
 			d1.SetCurAct(actB)
 			must(d0.ConfigureLocal(10, SendEP(actA, 1, 20, 0x1234, 4, 256)))
 			must(d0.ConfigureLocal(11, RecvEP(actA, 4, 256)))
-			must(d0.ConfigureLocal(8, MemEP(actA, 2, 0x1000, 0x2000, PermRW)))
+			must(d0.ConfigureLocal(8, MemEP(actA, 2, memBase, memSize, PermRW)))
 			must(d1.ConfigureLocal(20, RecvEP(actB, 4, 256)))
 
 			var hash uint64
@@ -114,9 +151,13 @@ func FuzzDTUCommands(f *testing.F) {
 							}
 						}
 					case 3: // DRAM write through the memory endpoint
-						err = d0.Write(p, 8, uint64(arg)*8, []byte{byte(i), byte(arg)}, 0)
+						err = d0.Write(p, 8, memOff(arg), []byte{byte(i), byte(arg)}, 0)
 					case 4: // DRAM read back
-						_, err = d0.Read(p, 8, uint64(arg)*8, 2, 0)
+						got := make([]byte, 2)
+						err = d0.ReadInto(p, 8, memOff(arg), got, 0)
+						if err == nil && bytes.IndexByte(got, guard) >= 0 {
+							t.Errorf("read at %#x returned guard bytes %x", memOff(arg), got)
+						}
 					case 5: // let the responder catch up
 						p.Sleep(sim.Time(arg+1) * 10 * sim.Microsecond)
 					case 6: // oversized message: must fail, not wedge
@@ -154,6 +195,9 @@ func FuzzDTUCommands(f *testing.F) {
 			eng.RunUntil(5 * sim.Second)
 			if !done {
 				t.Fatal("a command never returned")
+			}
+			if !bytes.Equal(outside(), before) {
+				t.Fatal("DRAM outside the memory endpoint's region changed")
 			}
 			hash = fnvFold(hash, uint64(net.Delivered())<<32|uint64(net.Nacked())<<8|uint64(net.Dropped()))
 			hash = fnvFold(hash, uint64(eng.Now()))

@@ -224,3 +224,39 @@ func TestSyscallDuringIdleRequest(t *testing.T) {
 		t.Errorf("second syscall took %v, want it handled as soon as the idle request returned", took)
 	}
 }
+
+// TestMapPagesBounds pins OpMapPages' window check against uint64
+// wrap-around: physOff plus the mapped size must stay within the memory
+// capability, and an offset near 2^64 whose end wraps around to 0 must not
+// map the DRAM outside it.
+func TestMapPagesBounds(t *testing.T) {
+	sys := core.New(core.FPGAConfig())
+	defer sys.Shutdown()
+	got := map[uint64]proto.ErrCode{}
+	root := sys.SpawnRoot(sys.Cfg.ProcessingTiles()[0], "root", nil, func(a *activity.Activity) {
+		sel, err := a.SysCreateMGate(2*dtu.PageSize, dtu.PermRW)
+		if err != nil {
+			t.Errorf("create mgate: %v", err)
+			return
+		}
+		for _, off := range []uint64{dtu.PageSize, 2 * dtu.PageSize, ^uint64(dtu.PageSize - 1)} {
+			got[off], _, err = a.Syscall(proto.NewWriter(proto.OpMapPages).
+				U32(a.ID).U64(0x100000).U32(uint32(sel)).U64(off).U32(1).U8(uint8(dtu.PermRW)).Done())
+			if err != nil {
+				t.Errorf("map at %#x: %v", off, err)
+			}
+		}
+	})
+	sys.Run(10 * sim.Second)
+	if !root.Done() {
+		t.Fatal("root did not finish")
+	}
+	want := map[uint64]proto.ErrCode{
+		dtu.PageSize:              proto.EOK,
+		2 * dtu.PageSize:          proto.EPermDenied, // one page past the end
+		^uint64(dtu.PageSize - 1): proto.EPermDenied, // physOff+PageSize wraps to 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("OpMapPages answered %v, want %v", got, want)
+	}
+}

@@ -226,7 +226,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		if err != nil {
 			return proto.Resp(proto.ENoSuchCap), false
 		}
-		if physOff+uint64(pages)*dtu.PageSize > mc.Size {
+		if n := uint64(pages) * dtu.PageSize; physOff > mc.Size || n > mc.Size-physOff {
 			return proto.Resp(proto.EPermDenied), false
 		}
 		tgt := k.acts[target]

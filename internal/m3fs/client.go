@@ -230,11 +230,9 @@ func (f *File) Read(buf []byte) (int, error) {
 	if rem := f.inLen - f.inOff; n > rem {
 		n = rem
 	}
-	data, err := f.c.a.ReadMem(f.c.epIn, f.inOff, int(n), 0)
-	if err != nil {
+	if err := f.c.a.ReadMem(f.c.epIn, f.inOff, buf[:n], 0); err != nil {
 		return 0, err
 	}
-	copy(buf, data)
 	f.c.copyCost(int(n))
 	f.inOff += n
 	return int(n), nil

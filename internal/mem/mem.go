@@ -69,29 +69,29 @@ func (m *Memory) AccessDelay(n int) sim.Time {
 	return done - now
 }
 
-// ReadAt copies n bytes at offset off into a fresh slice. Untouched memory
-// reads as zeros. It panics if the range is out of bounds: callers (the
-// DTU's PMP) must have validated it.
-func (m *Memory) ReadAt(off uint64, n int) []byte {
-	if err := m.check(off, n); err != nil {
+// ReadAt fills dst with the bytes at offset off. Untouched memory reads as
+// zeros, so dst may be a reused buffer. It panics if the range is out of
+// bounds: callers (the DTU's PMP) must have validated it.
+func (m *Memory) ReadAt(off uint64, dst []byte) {
+	if err := m.check(off, len(dst)); err != nil {
 		panic(err)
 	}
 	m.Reads++
-	out := make([]byte, n)
 	pos := 0
-	for pos < n {
+	for pos < len(dst) {
 		ci := (off + uint64(pos)) >> chunkBits
 		co := (off + uint64(pos)) & (1<<chunkBits - 1)
 		span := int(1<<chunkBits - co)
-		if span > n-pos {
-			span = n - pos
+		if span > len(dst)-pos {
+			span = len(dst) - pos
 		}
 		if c := m.chunks[ci]; c != nil {
-			copy(out[pos:pos+span], c[co:])
+			copy(dst[pos:pos+span], c[co:])
+		} else {
+			clear(dst[pos : pos+span])
 		}
 		pos += span
 	}
-	return out
 }
 
 // WriteAt stores b at offset off. It panics if the range is out of bounds.
@@ -119,7 +119,7 @@ func (m *Memory) WriteAt(off uint64, b []byte) {
 }
 
 func (m *Memory) check(off uint64, n int) error {
-	if n < 0 || off > m.size || uint64(n) > m.size-off {
+	if off > m.size || uint64(n) > m.size-off {
 		return fmt.Errorf("mem: access [%#x,+%d) out of bounds (size %#x)", off, n, m.size)
 	}
 	return nil

@@ -14,7 +14,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	m := New(eng, DefaultConfig(1<<20))
 	data := []byte("hello, dram")
 	m.WriteAt(4096, data)
-	got := m.ReadAt(4096, len(data))
+	got := make([]byte, len(data))
+	m.ReadAt(4096, got)
 	if !bytes.Equal(got, data) {
 		t.Errorf("read back %q, want %q", got, data)
 	}
@@ -32,7 +33,7 @@ func TestOutOfBoundsPanics(t *testing.T) {
 	}{
 		{4096, 1},
 		{4000, 200},
-		{0, -1},
+		{4095, 2},
 		{1 << 40, 1},
 	} {
 		func() {
@@ -41,8 +42,32 @@ func TestOutOfBoundsPanics(t *testing.T) {
 					t.Errorf("access off=%d n=%d did not panic", c.off, c.n)
 				}
 			}()
-			m.ReadAt(c.off, c.n)
+			m.ReadAt(c.off, make([]byte, c.n))
 		}()
+	}
+}
+
+// TestReadZeroesReusedBuffer reads into a dirty buffer across a written
+// chunk and one that was never written: every byte not stored must come
+// back as zero, not as the buffer's old contents.
+func TestReadZeroesReusedBuffer(t *testing.T) {
+	eng := sim.NewEngine()
+	m := New(eng, DefaultConfig(1<<20))
+	m.WriteAt(1<<chunkBits-1, []byte("xy")) // last byte of chunk 0, first of chunk 1
+	dirty := func() []byte { return bytes.Repeat([]byte{0xEE}, 8) }
+	for _, c := range []struct {
+		off  uint64
+		want []byte
+	}{
+		{1<<chunkBits - 4, []byte{0, 0, 0, 'x', 'y', 0, 0, 0}},
+		{2<<chunkBits - 4, make([]byte, 8)}, // end of chunk 1, chunk 2 never written
+		{5 << chunkBits, make([]byte, 8)},   // no chunk at all
+	} {
+		got := dirty()
+		m.ReadAt(c.off, got)
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("ReadAt(%#x) into a dirty buffer = %x, want %x", c.off, got, c.want)
+		}
 	}
 }
 
