@@ -12,7 +12,8 @@ echo "== go vet =="
 go vet ./...
 
 echo "== m3vlint =="
-# Project-specific invariants: determinism (detmap, walltime), hot-path
+# Project-specific invariants: determinism (detmap over every package whose
+# code runs inside a simulation, analysis.DeterministicPkgs; walltime), hot-path
 # allocation discipline including transitive call chains (noalloc), the
 # non-blocking simulation context (simblock), span begin/end balance
 # (spanleak), and metric/span naming (metricname, spanname). Any diagnostic

@@ -37,8 +37,6 @@ type Exec interface {
 	FixTranslation(vaddr uint64, perm dtu.Perm) error
 	// Proc is the activity's simulation process.
 	Proc() *sim.Proc
-	// Busy reports accumulated core time.
-	Busy() sim.Time
 }
 
 // Program is the code of an activity.
@@ -78,12 +76,6 @@ type Activity struct {
 
 	// Loader starts children (nil for leaf activities).
 	Loader Loader
-
-	// SlowSend, if set, handles dtu.ErrNoRecipient (the M³x slow path). On
-	// M³v it stays nil: the vDTU always delivers.
-	SlowSend func(a *Activity, args dtu.SendArgs) error
-	// SlowReply handles dtu.ErrNoRecipient on the reply leg (M³x only).
-	SlowReply func(a *Activity, orig *dtu.Message, data []byte) error
 
 	// Env carries model-level parameters from the spawner (workload
 	// configuration, capability selectors handed down, result channels).
@@ -170,8 +162,11 @@ func (a *Activity) SendBounded(ep dtu.EpID, data []byte, vaddr uint64, replyEp d
 			a.X.BeginOp()
 			a.Proc().Sleep(sim.Microsecond)
 			a.X.EndOp()
-		case errors.Is(err, dtu.ErrNoRecipient) && a.SlowSend != nil:
-			return a.SlowSend(a, args)
+		case errors.Is(err, dtu.ErrNoRecipient) && !a.D.Virtualized():
+			// A plain DTU (M³x) rejects messages for a switched-out
+			// recipient: forward through the controller. On the vDTU the
+			// error means there is no receive endpoint.
+			return a.sysForward(args)
 		default:
 			return err
 		}
@@ -215,8 +210,8 @@ func (a *Activity) ReplyMsg(rg dtu.EpID, slot int, orig *dtu.Message, data []byt
 			if ferr := a.X.FixTranslation(vaddr, dtu.PermR); ferr != nil {
 				return ferr
 			}
-		case errors.Is(err, dtu.ErrNoRecipient) && a.SlowReply != nil && orig != nil:
-			return a.SlowReply(a, orig, data)
+		case errors.Is(err, dtu.ErrNoRecipient) && !a.D.Virtualized() && orig != nil:
+			return a.sysForwardReply(orig, data)
 		default:
 			return err
 		}

@@ -186,6 +186,58 @@ func (a *Activity) SysSetPager(actSel, sessSel cap.Sel) error {
 		U32(uint32(actSel)).U32(uint32(sessSel)).Done())
 }
 
+// forwardRetryMax bounds the resends of a Forward syscall whose delivery
+// failed transiently before the sender gives up and surfaces the error.
+const forwardRetryMax = 12
+
+// sysForward is the M³x slow path for the request leg: a message the plain
+// DTU could not deliver (the recipient is switched out) travels to the
+// controller, which delivers it or stores it in the recipient's saved state
+// and schedules the recipient (paper §2.2).
+func (a *Activity) sysForward(args dtu.SendArgs) error {
+	return a.forwardSyscall(proto.NewWriter(proto.OpForward).
+		U8(0).
+		U64(a.D.LastFlow()).
+		U32(uint32(args.Ep)).
+		U32(uint32(int32(args.ReplyEp))).
+		U64(args.ReplyLabel).
+		Bytes(args.Data).
+		Done())
+}
+
+// sysForwardReply is the M³x slow path for the reply leg, routed by the
+// original message's reply coordinates.
+func (a *Activity) sysForwardReply(orig *dtu.Message, data []byte) error {
+	return a.forwardSyscall(proto.NewWriter(proto.OpForward).
+		U8(1).
+		U64(a.D.LastFlow()).
+		U32(uint32(orig.SndTile)).
+		U32(uint32(orig.ReplyEp)).
+		U64(orig.ReplyLabel).
+		U32(uint32(int32(orig.CrdEp))).
+		Bytes(data).
+		Done())
+}
+
+// forwardSyscall issues one OpForward request, resending on transient
+// delivery failures: ENoSpace (the recipient's saved buffer is full —
+// "retry later") and EUnreachable (the controller's direct delivery leg
+// was dropped on the NoC). The backoff doubles per attempt by burning
+// core cycles, so a dropped forward leg recovers in bounded sim-time
+// instead of surfacing an error to the workload.
+func (a *Activity) forwardSyscall(req []byte) error {
+	for attempt := 0; ; attempt++ {
+		code, _, err := a.Syscall(req)
+		if err != nil {
+			return err
+		}
+		if (code != proto.ENoSpace && code != proto.EUnreachable) || attempt >= forwardRetryMax {
+			return code.Err()
+		}
+		a.Compute(1000 << uint(min(attempt, 6)))
+	}
+}
+
 // Spawn creates, loads, and starts a child activity running prog.
 func (a *Activity) Spawn(tileSel cap.Sel, tile noc.TileID, name string, env map[string]interface{}, prog Program) (ChildRef, error) {
 	ref, err := a.SysCreateActivity(tileSel, tile, name)

@@ -112,9 +112,10 @@ type Diagnostic struct {
 // --- deterministic-package policy -------------------------------------------
 
 // DeterministicPkgs lists the packages whose behaviour must be bit-identical
-// across runs: the discrete-event substrate, the hardware and OS model, the
-// M³x baseline, and the experiment drivers whose tables the serial/parallel
-// equivalence gate compares byte for byte.
+// across runs: every package whose code runs inside a simulation (the
+// discrete-event substrate, the hardware and OS model, the M³x baseline,
+// the activity runtime and the workloads on it) and the experiment drivers
+// whose tables the serial/parallel equivalence gate compares byte for byte.
 var DeterministicPkgs = []string{
 	"m3v/internal/sim",
 	"m3v/internal/tilemux",
@@ -123,6 +124,23 @@ var DeterministicPkgs = []string{
 	"m3v/internal/noc",
 	"m3v/internal/m3x",
 	"m3v/internal/bench",
+	"m3v/internal/activity",
+	"m3v/internal/core",
+	"m3v/internal/cap",
+	"m3v/internal/proto",
+	"m3v/internal/mem",
+	"m3v/internal/nic",
+	"m3v/internal/m3fs",
+	"m3v/internal/kvs",
+	"m3v/internal/netstack",
+	"m3v/internal/vm",
+	"m3v/internal/rpcpair",
+	"m3v/internal/fault",
+	"m3v/internal/linuxos",
+	"m3v/internal/ycsb",
+	"m3v/internal/traces",
+	"m3v/internal/flac",
+	"m3v/internal/audio",
 }
 
 // IsDeterministic reports whether the import path names a package with the

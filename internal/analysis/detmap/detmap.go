@@ -22,16 +22,17 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `forbid order-sensitive map iteration in deterministic packages
 
 Map iteration order varies between runs. In the packages that must produce
-bit-identical results (internal/sim, tilemux, kernel, dtu, noc, m3x,
-bench), every 'for range' over a map is flagged unless its body is provably
-order-insensitive:
+bit-identical results (analysis.DeterministicPkgs: every package whose code
+runs inside a simulation, and bench), every 'for range' over a map is
+flagged unless its body is provably order-insensitive:
 
   - commutative accumulation only (x++, x--, x += e, x |= e, ... with a
     call-free right-hand side),
   - writes into another map keyed by the range key (out[k] = pure-expr),
   - delete(m2, k) keyed by the range key,
   - a bare key/value collect (s = append(s, k)) whose slice is sorted by
-    the statement immediately following the loop.
+    the statement immediately following the loop, in the same block or
+    case clause.
 
 Anything else must iterate a sorted or insertion-ordered slice instead, or
 carry a '//m3vlint:ignore detmap <reason>' directive.`,
@@ -207,7 +208,8 @@ func pure(e ast.Expr) bool {
 
 // collectThenSort recognizes the canonical deterministic-iteration idiom:
 // the body only appends the range key (or value) to a slice, and the
-// statement directly after the loop sorts that slice.
+// statement directly after the loop (in the same block or case clause)
+// sorts that slice.
 func collectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node) bool {
 	if len(rs.Body.List) != 1 {
 		return false
@@ -251,19 +253,22 @@ func collectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node) b
 	if !matchesVar {
 		return false
 	}
-	// Find the statement following the loop in the enclosing block.
+	// Find the statement following the loop in its enclosing statement
+	// list: a block, or the body of a switch or select case.
+	var list []ast.Stmt
+	switch parent := stack[len(stack)-2].(type) {
+	case *ast.BlockStmt:
+		list = parent.List
+	case *ast.CaseClause:
+		list = parent.Body
+	case *ast.CommClause:
+		list = parent.Body
+	}
 	var next ast.Stmt
-	for i := len(stack) - 2; i >= 0; i-- {
-		blk, ok := stack[i].(*ast.BlockStmt)
-		if !ok {
-			continue
+	for j, s := range list {
+		if s == ast.Stmt(rs) && j+1 < len(list) {
+			next = list[j+1]
 		}
-		for j, s := range blk.List {
-			if s == ast.Stmt(rs) && j+1 < len(blk.List) {
-				next = blk.List[j+1]
-			}
-		}
-		break
 	}
 	es, ok := next.(*ast.ExprStmt)
 	if !ok {

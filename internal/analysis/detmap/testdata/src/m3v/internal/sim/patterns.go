@@ -59,6 +59,24 @@ func collectSorted(m map[string]int64) []string {
 	return keys
 }
 
+// collectSortedInCase: the same idiom inside a switch case clause, whose
+// statements live in the clause body rather than a block.
+func collectSortedInCase(m map[string]int64, op int) []string {
+	var keys []string
+	switch op {
+	case 0:
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+	case 1:
+		for k := range m { // want `range over map in deterministic package`
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // collectUnsorted is flagged: the slice keeps the random iteration order.
 func collectUnsorted(m map[string]int64) []string {
 	var keys []string

@@ -17,13 +17,6 @@ import (
 	"m3v/internal/trace"
 )
 
-// TileMux endpoint layout on processing tiles (0-3 are the PMP endpoints).
-const (
-	EpMuxKernRgate dtu.EpID = 4
-	EpMuxKernSgate dtu.EpID = 5
-	EpMuxPfRgate   dtu.EpID = 6
-)
-
 // tileMuxDRAM is the per-tile DRAM region reserved for TileMux (paper §4.3:
 // "the first endpoint is predefined by the controller to a per-tile region
 // in DRAM for TileMux").
@@ -114,26 +107,19 @@ func New(cfg Config) *System {
 	nextCtrlEp := dtu.EpID(8)
 	for _, id := range cfg.ProcessingTiles() {
 		t := s.Tiles[id]
-		mustEp(t.DTU.ConfigureLocal(EpMuxKernRgate, dtu.RecvEP(dtu.ActTileMux, 4, 256)))
-		mustEp(t.DTU.ConfigureLocal(EpMuxKernSgate,
+		mustEp(t.DTU.ConfigureLocal(tilemux.EpKernRgate, dtu.RecvEP(dtu.ActTileMux, 4, 256)))
+		mustEp(t.DTU.ConfigureLocal(tilemux.EpKernSgate,
 			dtu.SendEP(dtu.ActTileMux, ctrl, kernel.EpNotify, 0, 2, 64)))
 		muxSgate := nextCtrlEp
 		nextCtrlEp++
 		mustEp(ctrlTile.DTU.ConfigureLocal(muxSgate,
-			dtu.SendEP(dtu.ActInvalid, id, EpMuxKernRgate, 0, 1, 256)))
+			dtu.SendEP(dtu.ActInvalid, id, tilemux.EpKernRgate, 0, 1, 256)))
 		s.Kern.RegisterTile(id, muxSgate)
 		if cfg.BaselineM3x {
-			s.RCTs[id] = m3x.New(eng, t.Spec.Clock, t.DTU, m3x.EPConfig{
-				KernRgate: EpMuxKernRgate,
-				KernSgate: EpMuxKernSgate,
-			})
+			s.RCTs[id] = m3x.New(eng, t.Spec.Clock, t.DTU)
 		} else {
-			mustEp(t.DTU.ConfigureLocal(EpMuxPfRgate, dtu.RecvEP(dtu.ActTileMux, 8, 64)))
-			s.Muxes[id] = tilemux.New(eng, t.Spec.Clock, t.DTU, tilemux.EPConfig{
-				KernRgate: EpMuxKernRgate,
-				KernSgate: EpMuxKernSgate,
-				PfRgate:   EpMuxPfRgate,
-			})
+			mustEp(t.DTU.ConfigureLocal(tilemux.EpPfRgate, dtu.RecvEP(dtu.ActTileMux, 8, 64)))
+			s.Muxes[id] = tilemux.New(eng, t.Spec.Clock, t.DTU)
 		}
 		// PMP endpoint 0: the per-tile TileMux region in DRAM.
 		mt, off, err := s.Kern.AllocDRAM(tileMuxDRAM)
@@ -204,7 +190,7 @@ func (s *System) Load(ref activity.ChildRef, name string, prog activity.Program)
 			if rct == nil {
 				panic(fmt.Sprintf("core: no RCTMux on tile %d", ref.Tile))
 			}
-			x = rct.AttachExec(dtu.ActID(ref.ID), p)
+			x = rct.Attach(dtu.ActID(ref.ID), p)
 		} else {
 			mux := s.Muxes[ref.Tile]
 			if mux == nil {
@@ -223,10 +209,6 @@ func (s *System) Load(ref activity.ChildRef, name string, prog activity.Program)
 			SysRgate: ref.SysRgate,
 			Loader:   s,
 			Env:      map[string]interface{}{},
-		}
-		if s.Cfg.BaselineM3x {
-			a.SlowSend = m3x.SlowSend
-			a.SlowReply = m3x.SlowReply
 		}
 		prog(a)
 		a.Exit(0)

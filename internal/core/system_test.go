@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"m3v/internal/activity"
@@ -285,4 +286,34 @@ func echoService(a *activity.Activity) {
 	a.Serve(rgEp, func(msg *dtu.Message) ([]byte, bool) {
 		return append(append([]byte{}, msg.Data...), []byte("/echoed")...), true
 	})
+}
+
+// TestM3vNoRecipientSkipsForward pins the slow-path selection of the
+// activity runtime: on the vDTU, dtu.ErrNoRecipient means the target is not
+// a receive endpoint, so Send returns it to the caller instead of issuing
+// the OpForward syscall that a plain DTU (M³x) falls back to.
+func TestM3vNoRecipientSkipsForward(t *testing.T) {
+	sys := New(FPGAConfig())
+	defer sys.Shutdown()
+	procs := sys.Cfg.ProcessingTiles()
+	const sgEp, tgtEp dtu.EpID = dtu.NumEPs - 1, dtu.NumEPs - 2
+
+	root := sys.SpawnRoot(procs[0], "sender", nil, func(a *activity.Activity) {
+		// The target endpoint on the other tile was never configured.
+		if err := a.D.ConfigureLocal(sgEp, dtu.SendEP(a.Local, procs[1], tgtEp, 0, 1, 64)); err != nil {
+			t.Errorf("configure send gate: %v", err)
+			return
+		}
+		before := sys.Kern.Syscalls()
+		if err := a.Send(sgEp, []byte("x"), 0, -1, 0); !errors.Is(err, dtu.ErrNoRecipient) {
+			t.Errorf("send err = %v, want %v", err, dtu.ErrNoRecipient)
+		}
+		if n := sys.Kern.Syscalls() - before; n != 0 {
+			t.Errorf("send issued %d syscalls, want 0 (no OpForward on M³v)", n)
+		}
+	})
+	sys.Run(10 * sim.Second)
+	if !root.Done() {
+		t.Fatal("root did not finish")
+	}
 }

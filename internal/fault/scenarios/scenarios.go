@@ -130,9 +130,10 @@ func RunRPC(shared bool, rounds int, fc fault.Config) Outcome {
 
 // RunM3xForward runs the fig9-shaped M³x co-location under faults: a client
 // and a server share one tile on the M³x baseline, so every RPC leg hits
-// dtu.ErrNoRecipient and takes the controller forward slow path (SlowSend →
-// kernel.forward → remote switch). Dropped or delayed forward legs must be
-// recovered by the retry machinery for the run to complete.
+// dtu.ErrNoRecipient and takes the controller forward slow path (the
+// runtime's OpForward syscall → kernel.forward → remote switch). Dropped or
+// delayed forward legs must be recovered by the retry machinery for the run
+// to complete.
 func RunM3xForward(rounds int, fc fault.Config) Outcome {
 	cfg := core.Gem5Config(2).WithM3x()
 	cfg.Fault = fc

@@ -190,13 +190,12 @@ func (db *DB) probe(name, key string) (string, bool, error) {
 func (db *DB) Scan(start string, limit int) ([][2]string, error) {
 	// One sorted run per source, newest first: the memtable, then L0 and L1
 	// tables. Keys are unique within a run.
-	var mem run
+	var keys []string
 	for k := range db.mem {
-		if k >= start {
-			mem.keys = append(mem.keys, k)
-		}
+		keys = append(keys, k)
 	}
-	sort.Strings(mem.keys)
+	sort.Strings(keys)
+	mem := run{keys: keys[sort.SearchStrings(keys, start):]}
 	mem.vals = make([]string, len(mem.keys))
 	for i, k := range mem.keys {
 		mem.vals[i] = db.mem[k]
@@ -301,17 +300,18 @@ func (db *DB) compact() error {
 		total += len(t.keys)
 	}
 	db.compute(int64(total) * costCompactEntry)
-	keys := make([]string, 0, len(merged))
+	all := make([]string, 0, len(merged))
 	for k := range merged {
-		if merged[k] == tombstone {
-			continue // compaction to the last level drops tombstones
-		}
-		keys = append(keys, k)
+		all = append(all, k)
 	}
-	sort.Strings(keys)
-	vals := make([]string, len(keys))
-	for i, k := range keys {
-		vals[i] = merged[k]
+	sort.Strings(all)
+	keys := all[:0]
+	vals := make([]string, 0, len(all))
+	for _, k := range all {
+		if v := merged[k]; v != tombstone { // compaction to the last level drops tombstones
+			keys = append(keys, k)
+			vals = append(vals, v)
+		}
 	}
 	name := fmt.Sprintf("/sst-%06d.l1", db.nextSeq)
 	db.nextSeq++
@@ -351,7 +351,11 @@ func (db *DB) writeTable(name string, keys, vals []string) error {
 	for _, k := range keys {
 		filter.Add(k)
 	}
-	var buf []byte
+	size := 8 + len(filter)
+	for i := range keys {
+		size += 8 + len(keys[i]) + len(vals[i])
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(filter)))
 	buf = append(buf, filter...)

@@ -37,8 +37,6 @@ const (
 	seekCycles           int64 = 200
 	closeCycles          int64 = 400
 	statCycles           int64 = 900
-	readDirCycles        int64 = 1400
-	dirEntryCycles       int64 = 40 // per name returned by ReadDir
 	unlinkCycles         int64 = 1800
 
 	udpSendCycles int64 = 2600 // protocol processing + driver, send side
@@ -296,18 +294,6 @@ func (p *Proc) Stat(path string) int {
 func (p *Proc) Unlink(path string) {
 	p.syscall(unlinkCycles)
 	delete(p.m.files, path)
-}
-
-// ReadDir models a getdents call over the directory prefix.
-func (p *Proc) ReadDir(prefix string) []string {
-	var names []string
-	for path := range p.m.files {
-		if len(path) >= len(prefix) && path[:len(prefix)] == prefix {
-			names = append(names, path)
-		}
-	}
-	p.syscall(readDirCycles + int64(len(names))*dirEntryCycles)
-	return names
 }
 
 // --- UDP --------------------------------------------------------------------

@@ -3,7 +3,6 @@ package m3x
 import (
 	"fmt"
 
-	"m3v/internal/activity"
 	"m3v/internal/dtu"
 	"m3v/internal/kernel"
 	"m3v/internal/noc"
@@ -422,57 +421,4 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 	d.current[tile] = to
 	d.rec.EmitSpan(flow, 0, trace.SpanKernSwitch, int64(start), int64(d.eng.Now()),
 		int(d.k.DTU().Tile()), trace.CompKernel, trace.PathNone, int64(tile), int64(to))
-}
-
-// forwardRetryMax bounds the resends of a Forward syscall whose delivery
-// failed transiently before the sender gives up and surfaces the error.
-const forwardRetryMax = 12
-
-// forwardSyscall issues one OpForward request, resending on transient
-// delivery failures: ENoSpace (the recipient's saved buffer is full —
-// "retry later") and EUnreachable (the controller's direct delivery leg
-// was dropped on the NoC). The backoff doubles per attempt by burning
-// core cycles, so a dropped forward leg recovers in bounded sim-time
-// instead of surfacing an error to the workload.
-func forwardSyscall(a *activity.Activity, req []byte) error {
-	for attempt := 0; ; attempt++ {
-		code, _, err := a.Syscall(req)
-		if err != nil {
-			return err
-		}
-		if (code != proto.ENoSpace && code != proto.EUnreachable) || attempt >= forwardRetryMax {
-			return code.Err()
-		}
-		a.Compute(1000 << uint(min(attempt, 6)))
-	}
-}
-
-// SlowSend is the activity-side slow path for the request leg: on
-// ErrNoRecipient the sender forwards the message through the controller
-// (install as Activity.SlowSend).
-func SlowSend(a *activity.Activity, args dtu.SendArgs) error {
-	req := proto.NewWriter(proto.OpForward).
-		U8(0).
-		U64(a.D.LastFlow()).
-		U32(uint32(args.Ep)).
-		U32(uint32(int32(args.ReplyEp))).
-		U64(args.ReplyLabel).
-		Bytes(args.Data).
-		Done()
-	return forwardSyscall(a, req)
-}
-
-// SlowReply is the activity-side slow path for the reply leg (install as
-// Activity.SlowReply).
-func SlowReply(a *activity.Activity, orig *dtu.Message, data []byte) error {
-	req := proto.NewWriter(proto.OpForward).
-		U8(1).
-		U64(a.D.LastFlow()).
-		U32(uint32(orig.SndTile)).
-		U32(uint32(orig.ReplyEp)).
-		U64(orig.ReplyLabel).
-		U32(uint32(int32(orig.CrdEp))).
-		Bytes(data).
-		Done()
-	return forwardSyscall(a, req)
 }

@@ -27,18 +27,11 @@ const (
 	computeChunk = 100 * sim.Microsecond // max compute between controller-stop checks
 )
 
-// EPConfig names RCTMux's endpoints (configured at boot).
-type EPConfig struct {
-	KernRgate dtu.EpID
-	KernSgate dtu.EpID
-}
-
 // RCTMux is the per-tile remote-controlled multiplexer.
 type RCTMux struct {
 	eng   *sim.Engine
 	clock sim.Clock
 	d     *dtu.DTU
-	eps   EPConfig
 
 	acts map[dtu.ActID]*Act
 	cur  *Act
@@ -65,13 +58,10 @@ type Act struct {
 	proc    *sim.Proc
 	started bool
 	exited  bool
-
-	opStart  sim.Time
-	BusyTime sim.Time
 }
 
 // New creates an RCTMux bound to a (non-virtualized) DTU.
-func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *RCTMux {
+func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU) *RCTMux {
 	if d.Virtualized() {
 		panic("m3x: RCTMux runs on plain DTUs")
 	}
@@ -79,7 +69,6 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *RCTMux {
 		eng:   eng,
 		clock: clock,
 		d:     d,
-		eps:   eps,
 		acts:  make(map[dtu.ActID]*Act),
 	}
 	d.SetCurAct(dtu.ActInvalid)
@@ -95,8 +84,8 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *RCTMux {
 
 func (m *RCTMux) cy(n int64) sim.Time { return m.clock.Cycles(n) }
 
-// AttachExec binds an activity's program process (loader interface).
-func (m *RCTMux) AttachExec(id dtu.ActID, p *sim.Proc) *Act {
+// Attach binds an activity's program process (loader interface).
+func (m *RCTMux) Attach(id dtu.ActID, p *sim.Proc) *Act {
 	a := m.acts[id]
 	if a == nil {
 		panic(fmt.Sprintf("m3x: attach to unknown activity %d", id))
@@ -146,12 +135,12 @@ func (m *RCTMux) loop(p *sim.Proc) {
 		if m.stopValid && m.cur == nil && !m.stopReq {
 			m.stopValid = false
 			p.Sleep(m.cy(stopCycles))
-			if err := m.d.Reply(p, m.eps.KernRgate, m.stopSlot, proto.Resp(proto.EOK), 0); err != nil {
+			if err := m.d.Reply(p, tilemux.EpKernRgate, m.stopSlot, proto.Resp(proto.EOK), 0); err != nil {
 				panic(fmt.Sprintf("m3x: stop reply failed: %v", err))
 			}
 		}
-		for m.d.HasUnread(m.eps.KernRgate) {
-			slot, msg, err := m.d.Fetch(p, m.eps.KernRgate)
+		for m.d.HasUnread(tilemux.EpKernRgate) {
+			slot, msg, err := m.d.Fetch(p, tilemux.EpKernRgate)
 			if err != nil {
 				break
 			}
@@ -160,7 +149,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 			if deferred {
 				continue
 			}
-			if err := m.d.Reply(p, m.eps.KernRgate, slot, resp, 0); err != nil {
+			if err := m.d.Reply(p, tilemux.EpKernRgate, slot, resp, 0); err != nil {
 				panic(fmt.Sprintf("m3x: reply failed: %v", err))
 			}
 		}
@@ -170,7 +159,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 }
 
 func (m *RCTMux) hasWork() bool {
-	if m.d.HasUnread(m.eps.KernRgate) {
+	if m.d.HasUnread(tilemux.EpKernRgate) {
 		return true
 	}
 	return m.stopValid && m.cur == nil && !m.stopReq
@@ -238,21 +227,16 @@ func (a *Act) BeginOp() {
 	m := a.mux
 	m.waitRun(a)
 	m.Acquire(a.proc, false)
-	a.opStart = m.eng.Now()
 }
 
 // EndOp releases the core.
 func (a *Act) EndOp() {
 	m := a.mux
-	a.BusyTime += m.eng.Now() - a.opStart
 	m.Release(m.eng.Now())
 }
 
 // Proc returns the activity's process.
 func (a *Act) Proc() *sim.Proc { return a.proc }
-
-// Busy reports accumulated core time.
-func (a *Act) Busy() sim.Time { return a.BusyTime }
 
 // Compute charges core cycles, honouring controller stops at chunk
 // boundaries.
@@ -307,11 +291,10 @@ func (a *Act) Exit(code int32) {
 	a.BeginOp()
 	a.exited = true
 	msg := proto.NewWriter(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
-	if err := m.d.Send(a.proc, dtu.SendArgs{Ep: m.eps.KernSgate, Data: msg, ReplyEp: -1}); err != nil {
+	if err := m.d.Send(a.proc, dtu.SendArgs{Ep: tilemux.EpKernSgate, Data: msg, ReplyEp: -1}); err != nil {
 		panic(fmt.Sprintf("m3x: exit notify failed: %v", err))
 	}
 	m.cur = nil
-	a.BusyTime += m.eng.Now() - a.opStart
 	m.Release(m.eng.Now())
 	m.proc.Wake() // let RCTMux pick another local activity if one is ready
 }

@@ -7,6 +7,7 @@ import (
 	"m3v/internal/noc"
 	"m3v/internal/proto"
 	"m3v/internal/sim"
+	"m3v/internal/tilemux"
 )
 
 // rctRig is one RCTMux tile (0) with a lone activity waiting on receive
@@ -19,11 +20,10 @@ type rctRig struct {
 }
 
 const (
-	rigKernRgate dtu.EpID = 4
-	rigWaitGate  dtu.EpID = 16
-	rigMuxSgate  dtu.EpID = 8 // controller -> RCTMux
-	rigMuxReply  dtu.EpID = 9
-	rigSgate     dtu.EpID = 10 // sender -> waiter
+	rigWaitGate dtu.EpID = 16
+	rigMuxSgate dtu.EpID = 8 // controller -> RCTMux
+	rigMuxReply dtu.EpID = 9
+	rigSgate    dtu.EpID = 10 // sender -> waiter
 )
 
 // newRctRig builds the rig; the waiter records when WaitForMsg returns.
@@ -39,9 +39,9 @@ func newRctRig(t *testing.T, returned *sim.Time) *rctRig {
 		sd:  dtu.New(eng, net, 2, sim.MHz(100), false),
 	}
 	for _, err := range []error{
-		d.ConfigureLocal(rigKernRgate, dtu.RecvEP(dtu.ActTileMux, 4, 256)),
+		d.ConfigureLocal(tilemux.EpKernRgate, dtu.RecvEP(dtu.ActTileMux, 4, 256)),
 		d.ConfigureLocal(rigWaitGate, dtu.RecvEP(1, 2, 64)),
-		r.kd.ConfigureLocal(rigMuxSgate, dtu.SendEP(dtu.ActInvalid, 0, rigKernRgate, 0, 1, 256)),
+		r.kd.ConfigureLocal(rigMuxSgate, dtu.SendEP(dtu.ActInvalid, 0, tilemux.EpKernRgate, 0, 1, 256)),
 		r.kd.ConfigureLocal(rigMuxReply, dtu.RecvEP(dtu.ActInvalid, 1, 256)),
 		r.sd.ConfigureLocal(rigSgate, dtu.SendEP(dtu.ActInvalid, 0, rigWaitGate, 0x51, 1, 64)),
 	} {
@@ -49,11 +49,11 @@ func newRctRig(t *testing.T, returned *sim.Time) *rctRig {
 			t.Fatal(err)
 		}
 	}
-	r.m = New(eng, sim.MHz(80), d, EPConfig{KernRgate: rigKernRgate, KernSgate: 5})
+	r.m = New(eng, sim.MHz(80), d)
 	r.a = &Act{ID: 1, Name: "waiter", mux: r.m, started: true}
 	r.m.acts[r.a.ID] = r.a
 	eng.Spawn("waiter", func(p *sim.Proc) {
-		r.m.AttachExec(r.a.ID, p)
+		r.m.Attach(r.a.ID, p)
 		r.a.WaitForMsg(rigWaitGate)
 		*returned = p.Now()
 	})

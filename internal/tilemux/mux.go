@@ -17,24 +17,24 @@ import (
 	"m3v/internal/trace"
 )
 
-// EPConfig names the endpoints TileMux itself uses. The controller
-// configures them at boot; TileMux only knows their ids.
-type EPConfig struct {
-	// KernRgate receives requests from the controller (create/start/kill
+// The endpoints the multiplexer itself uses on its tile (0-3 are the PMP
+// endpoints). The controller configures them at boot; RCTMux, the M³x
+// baseline's multiplexer, uses the first two as well.
+const (
+	// EpKernRgate receives requests from the controller (create/start/kill
 	// activity, map pages). Owned by ActTileMux.
-	KernRgate dtu.EpID
-	// KernSgate sends notifications (activity exits) to the controller.
-	KernSgate dtu.EpID
-	// PfRgate receives pager replies to page-fault requests.
-	PfRgate dtu.EpID
-}
+	EpKernRgate dtu.EpID = 4
+	// EpKernSgate sends notifications (activity exits) to the controller.
+	EpKernSgate dtu.EpID = 5
+	// EpPfRgate receives pager replies to page-fault requests.
+	EpPfRgate dtu.EpID = 6
+)
 
 // Mux is one TileMux instance.
 type Mux struct {
 	eng   *sim.Engine
 	clock sim.Clock
 	d     *dtu.DTU
-	eps   EPConfig
 
 	acts map[dtu.ActID]*Act
 	runq []*Act
@@ -68,7 +68,7 @@ type Mux struct {
 
 // New creates a TileMux for the given vDTU, wires its interrupt handlers,
 // and starts its housekeeping process. The vDTU must be virtualized.
-func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *Mux {
+func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU) *Mux {
 	if !d.Virtualized() {
 		panic("tilemux: requires a virtualized DTU")
 	}
@@ -78,7 +78,6 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU, eps EPConfig) *Mux {
 		eng:           eng,
 		clock:         clock,
 		d:             d,
-		eps:           eps,
 		acts:          make(map[dtu.ActID]*Act),
 		rec:           eng.Tracer(),
 		cCtxSwitches:  reg.Counter(pfx + "ctx_switches"),
@@ -418,7 +417,7 @@ func (m *Mux) hasWork() bool {
 	if m.d.PendingCoreReqs() > 0 {
 		return true
 	}
-	if m.d.HasUnread(m.eps.KernRgate) || m.d.HasUnread(m.eps.PfRgate) {
+	if m.d.HasUnread(EpKernRgate) || m.d.HasUnread(EpPfRgate) {
 		return true
 	}
 	return m.cur == nil && len(m.runq) > 0
@@ -433,7 +432,7 @@ func (m *Mux) muxLoop(p *sim.Proc) {
 			continue
 		}
 		m.Acquire(p, true)
-		if m.d.PendingCoreReqs() > 0 || m.d.HasUnread(m.eps.KernRgate) || m.d.HasUnread(m.eps.PfRgate) {
+		if m.d.PendingCoreReqs() > 0 || m.d.HasUnread(EpKernRgate) || m.d.HasUnread(EpPfRgate) {
 			m.cIrqs.Inc()
 			m.rec.Irq(int64(m.eng.Now()), int(m.d.Tile()), int64(m.d.PendingCoreReqs()))
 			p.Sleep(m.cy(irqCycles))
@@ -455,8 +454,8 @@ func (m *Mux) muxLoop(p *sim.Proc) {
 func (m *Mux) handleMuxMsgs(p *sim.Proc) {
 	// Core requests are drained by asMux on exit; here we consume the
 	// message payloads on TileMux's rgates.
-	for m.d.HasUnread(m.eps.KernRgate) {
-		slot, msg, err := m.d.Fetch(p, m.eps.KernRgate)
+	for m.d.HasUnread(EpKernRgate) {
+		slot, msg, err := m.d.Fetch(p, EpKernRgate)
 		if err != nil {
 			break
 		}
@@ -466,15 +465,15 @@ func (m *Mux) handleMuxMsgs(p *sim.Proc) {
 		p.Sleep(m.cy(muxMsgCycles))
 		resp := m.handleKernelReq(msg.Data)
 		if msg.ReplyEp >= 0 {
-			if err := m.d.Reply(p, m.eps.KernRgate, slot, resp, 0); err != nil {
+			if err := m.d.Reply(p, EpKernRgate, slot, resp, 0); err != nil {
 				panic(fmt.Sprintf("tilemux: reply to kernel failed: %v", err))
 			}
 		} else {
-			_ = m.d.Ack(p, m.eps.KernRgate, slot)
+			_ = m.d.Ack(p, EpKernRgate, slot)
 		}
 	}
-	for m.d.HasUnread(m.eps.PfRgate) {
-		slot, msg, err := m.d.Fetch(p, m.eps.PfRgate)
+	for m.d.HasUnread(EpPfRgate) {
+		slot, msg, err := m.d.Fetch(p, EpPfRgate)
 		if err != nil {
 			break
 		}
@@ -489,7 +488,7 @@ func (m *Mux) handleMuxMsgs(p *sim.Proc) {
 				m.makeReady(a)
 			}
 		}
-		_ = m.d.Ack(p, m.eps.PfRgate, slot)
+		_ = m.d.Ack(p, EpPfRgate, slot)
 	}
 }
 

@@ -22,10 +22,6 @@ type muxRig struct {
 }
 
 const (
-	epKernRgate dtu.EpID = 4
-	epKernSgate dtu.EpID = 5
-	epPfRgate   dtu.EpID = 6
-
 	kEpNotifyRgate dtu.EpID = 2
 	kEpMuxSgate    dtu.EpID = 8
 	kEpMuxReply    dtu.EpID = 9
@@ -42,16 +38,14 @@ func newMuxRig(t *testing.T) *muxRig {
 		kd:  dtu.New(eng, net, 1, sim.MHz(100), false),
 	}
 	// TileMux endpoints on tile 0.
-	must(r.d.ConfigureLocal(epKernRgate, dtu.RecvEP(dtu.ActTileMux, 4, 128)))
-	must(r.d.ConfigureLocal(epKernSgate, dtu.SendEP(dtu.ActTileMux, 1, kEpNotifyRgate, 0, 2, 64)))
-	must(r.d.ConfigureLocal(epPfRgate, dtu.RecvEP(dtu.ActTileMux, 4, 64)))
+	must(r.d.ConfigureLocal(EpKernRgate, dtu.RecvEP(dtu.ActTileMux, 4, 128)))
+	must(r.d.ConfigureLocal(EpKernSgate, dtu.SendEP(dtu.ActTileMux, 1, kEpNotifyRgate, 0, 2, 64)))
+	must(r.d.ConfigureLocal(EpPfRgate, dtu.RecvEP(dtu.ActTileMux, 4, 64)))
 	// Kernel endpoints on tile 1.
 	must(r.kd.ConfigureLocal(kEpNotifyRgate, dtu.RecvEP(dtu.ActInvalid, 8, 64)))
-	must(r.kd.ConfigureLocal(kEpMuxSgate, dtu.SendEP(dtu.ActInvalid, 0, epKernRgate, 0, 2, 128)))
+	must(r.kd.ConfigureLocal(kEpMuxSgate, dtu.SendEP(dtu.ActInvalid, 0, EpKernRgate, 0, 2, 128)))
 	must(r.kd.ConfigureLocal(kEpMuxReply, dtu.RecvEP(dtu.ActInvalid, 2, 64)))
-	r.mux = New(eng, sim.MHz(80), r.d, EPConfig{
-		KernRgate: epKernRgate, KernSgate: epKernSgate, PfRgate: epPfRgate,
-	})
+	r.mux = New(eng, sim.MHz(80), r.d)
 	t.Cleanup(func() { eng.Shutdown() })
 	return r
 }

@@ -144,15 +144,13 @@ func (a *Act) Exit(code int32) {
 	a.BusyTime += m.eng.Now() - a.opStart
 	m.rec.ActExit(int64(m.eng.Now()), int(m.d.Tile()), int64(a.ID), int64(code))
 	// Notify the controller through TileMux's own send endpoint.
-	if m.eps.KernSgate >= 0 {
-		m.asMux(p, func() {
-			msg := proto.NewWriter(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
-			err := m.d.Send(p, dtu.SendArgs{Ep: m.eps.KernSgate, Data: msg, ReplyEp: -1})
-			if err != nil && !errors.Is(err, dtu.ErrNoCredits) {
-				panic(fmt.Sprintf("tilemux: exit notification failed: %v", err))
-			}
-		})
-	}
+	m.asMux(p, func() {
+		msg := proto.NewWriter(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
+		err := m.d.Send(p, dtu.SendArgs{Ep: EpKernSgate, Data: msg, ReplyEp: -1})
+		if err != nil && !errors.Is(err, dtu.ErrNoCredits) {
+			panic(fmt.Sprintf("tilemux: exit notification failed: %v", err))
+		}
+	})
 	next := m.popRun()
 	m.switchTo(p, next, trace.SwitchExit)
 	m.release()
@@ -188,7 +186,7 @@ func (a *Act) FixTranslation(vaddr uint64, perm dtu.Perm) error {
 			U16(uint16(a.ID)).U64(vaddr).U8(uint8(perm)).Done()
 		err := m.d.Send(p, dtu.SendArgs{
 			Ep: a.pagerEp, Data: msg,
-			ReplyEp: m.eps.PfRgate, ReplyLabel: uint64(a.ID),
+			ReplyEp: EpPfRgate, ReplyLabel: uint64(a.ID),
 		})
 		if err != nil {
 			panic(fmt.Sprintf("tilemux: page-fault send failed: %v", err))
