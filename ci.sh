@@ -40,6 +40,8 @@ echo "== perfbench module =="
 (cd perfbench && go vet ./... && go test -short ./...)
 
 echo "== fuzz seeds =="
+# FuzzEngineOrdering and FuzzProcHandoff (internal/sim) check dispatch order
+# and the direct process hand-off against reference schedulers.
 # FuzzReadFlows (internal/trace) and FuzzReadSeries (cmd/m3vstat) feed the
 # flow and series file readers and everything m3vtrace/m3vstat run on them.
 go test -run '^Fuzz' ./internal/sim ./internal/noc ./internal/dtu ./internal/serve \
@@ -55,7 +57,8 @@ echo "== bench smoke =="
 # One iteration of the engine hot-path benchmarks (the alloc guards run as
 # regular tests), of the fastest figure benchmark and of Figure 10, the
 # data path (DTU READs into caller buffers, YCSB runs replayed per mix).
-# ProcSleep records the Sleep fast path (popSelf) against a forced miss.
+# ProcSleep records the Sleep fast path (the sleeper's own resume is the
+# next event) against a forced miss.
 go test -run '^$' -bench 'EngineSchedule|EnginePingPong|ProcSleep' -benchtime 1x ./internal/sim
 go test -run '^$' -bench 'Fig9FindOneTile|Fig10Cloud' -benchtime 1x .
 
@@ -63,10 +66,14 @@ echo "== perf smoke =="
 # Allocation gates: every sim microbenchmark runs once and the
 # event queue's alloc guard must hold (once the 4-ary heap and the same-time
 # ring are warm, scheduling and dispatch allocate nothing). Dispatch order
-# is gated by FuzzEngineOrdering (fuzz seeds).
+# is gated by FuzzEngineOrdering (fuzz seeds). The switch-count guard
+# holds the direct process hand-off to one coroutine entry per ping-pong
+# round and two per round of a three-process ring.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim/
 go test -run 'TestSchedulePathAllocFree' -count=1 -v ./internal/sim/ \
     | grep -q '^--- PASS: TestSchedulePathAllocFree'
+go test -run 'TestHandoffSwitchCount' -count=1 -v ./internal/sim/ \
+    | grep -q '^--- PASS: TestHandoffSwitchCount'
 # DTU round-trip alloc guard: a warm RPC allocates only its two payload
 # copies and two fetched Messages; READ and WRITE of a page and the
 # external requests allocate nothing.
@@ -175,6 +182,7 @@ go test -count=1 -run 'ParallelSerialEquivalence' ./internal/bench
 if [ -n "${FUZZTIME:-}" ]; then
     echo "== fuzzing (${FUZZTIME}) =="
     go test -fuzz FuzzEngineOrdering -fuzztime "$FUZZTIME" ./internal/sim
+    go test -fuzz FuzzProcHandoff -fuzztime "$FUZZTIME" ./internal/sim
     go test -fuzz FuzzNoCArbitration -fuzztime "$FUZZTIME" ./internal/noc
     go test -fuzz FuzzDTUCommands -fuzztime "$FUZZTIME" ./internal/dtu
     go test -fuzz FuzzCanonicalize -fuzztime "$FUZZTIME" ./internal/serve

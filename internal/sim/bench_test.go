@@ -38,8 +38,9 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEnginePingPong measures the process hand-off path: two processes
-// waking each other through Park/Wake, four scheduled events per round trip
-// (wake completion and resume for each side).
+// waking each other through Park/Wake, two scheduled wake completions per
+// round trip. Each parking side dispatches the other's wake and switches
+// into it, or straight back down to it (see Engine.dispatch).
 func BenchmarkEnginePingPong(b *testing.B) {
 	e := NewEngine()
 	var ping, pong *Proc
@@ -66,12 +67,12 @@ func BenchmarkEnginePingPong(b *testing.B) {
 }
 
 // BenchmarkProcSleep measures one Sleep in both of its paths. In "fast" a
-// lone process sleeps, so its resume is always the next event and popSelf
-// consumes it inline without leaving the coroutine. In "miss" two processes
-// sleep in lockstep: each one's resume is queued behind the other's
-// co-scheduled resume at the same instant, so every Sleep switches out to
-// the dispatch loop and back. The gap between the two is what the fast path
-// saves per Sleep.
+// lone process sleeps, so its resume is always the next event and Sleep
+// consumes it on the spot without entering the dispatch loop. In "miss" two
+// processes sleep in lockstep: each one's resume is queued behind the
+// other's co-scheduled resume at the same instant, so every Sleep dispatches
+// the other's resume and switches into it, or back down to it. The gap
+// between the two is what the fast path saves per Sleep.
 func BenchmarkProcSleep(b *testing.B) {
 	for _, tc := range []struct {
 		name  string

@@ -209,23 +209,6 @@ func (q *queue) popLimit(limit Time) (event, int) {
 	return q.pop(ring), popOK
 }
 
-// popSeq pops and discards the minimum event iff it is exactly the event
-// with the given seq and its timestamp is <= limit. This backs the Sleep
-// self-resume fast path (see Engine.popSelf and Proc.Sleep): the caller
-// knows the event's fn is its own cached resume closure, so the event need
-// not be returned.
-//
-//m3v:noalloc
-func (q *queue) popSeq(seq uint64, limit Time) (Time, bool) {
-	m, ring := q.min()
-	if m == nil || m.seq != seq || m.at > limit {
-		return 0, false
-	}
-	at := m.at
-	q.pop(ring)
-	return at, true
-}
-
 // totalExecuted counts events executed by every engine in the process. The
 // bench harness reads it around experiments to report scheduler throughput
 // (events_executed / events_per_sec in the m3vbench report); atomic
@@ -246,9 +229,11 @@ func TotalEventsExecuted() uint64 { return totalExecuted.Load() }
 //     engine's resume and the process's next blocking call.
 //
 // The engine guarantees that at most one of these is active at any moment:
-// a process runs on an iter.Pull coroutine that the dispatch loop switches
-// into and that switches straight back, without the Go scheduler, so the
-// whole simulation advances as one thread of control.
+// a process runs on an iter.Pull coroutine, and coroutine switches bypass
+// the Go scheduler, so the whole simulation advances as one thread of
+// control. A process that blocks dispatches events itself, on its own
+// coroutine, and hands control straight to the process an event resumes
+// (see dispatch), so most hand-offs are one switch in and one back.
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -269,6 +254,16 @@ type Engine struct {
 	running   bool
 	limit     Time  // bound of the active dispatch loop (MaxTime for Run)
 	inlined   int64 // events consumed by the Sleep fast path since last flush
+
+	// handoff is the process the event just dispatched resumed; its
+	// dispatcher acts on it as soon as the event returns. dispatched counts
+	// the events of the active run, published when RunUntil returns.
+	// panicked holds a panic a process dispatcher recovered, for RunUntil
+	// to raise again. entries counts coroutine entries (tests read it).
+	handoff    *Proc
+	dispatched int64
+	panicked   any
+	entries    uint64
 
 	rec    *trace.Recorder
 	evExec *trace.Counter
@@ -362,22 +357,84 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.enter()
 	defer e.leave()
 	e.limit = limit
-	var executed int64
+	e.dispatch(nil)
+	if r := e.panicked; r != nil {
+		e.panicked = nil
+		panic(r)
+	}
+	e.flush(e.dispatched)
+	return e.now
+}
+
+// dispatch is the event loop. Its dispatcher is self, a process blocked in
+// Sleep or Park, or nil for the RunUntil caller. It pops events in (at, seq)
+// order until the run is stopped, the queue is empty or the next event lies
+// beyond the limit, and after each event acts on the hand-off the event
+// recorded (resume):
+//
+//   - a process that is not on the hand-off stack is entered on the spot,
+//     with one coroutine switch; when it blocks it dispatches in turn, and
+//     when it finishes or switches back the loop carries on;
+//   - for self, or for a process further down the stack, dispatch returns:
+//     self continues, or its caller switches back down to that process.
+//
+// So the stack holds the RunUntil caller and the processes entered above
+// it, each blocked in its own dispatch call, and every process is on it at
+// most once. When the loop ends, each dispatcher returns and switches back
+// down in turn, and RunUntil returns. Events run in exactly the order the
+// RunUntil caller alone would run them: the same queue, the same limit and
+// stop checks, and a resumed process runs as soon as its resume event
+// returns, before any later event.
+//
+// A panic inside a process that a process dispatcher entered, or inside an
+// event it dispatched, is recovered there (catch) and raised again by
+// RunUntil, so it leaves Run with its original value while the dispatcher
+// stays blocked. At the RunUntil caller the panic simply propagates.
+//
+//m3v:noalloc
+func (e *Engine) dispatch(self *Proc) {
+	defer e.catch(self)
 	for !e.stopped.Load() {
-		ev, st := e.q.popLimit(limit)
+		ev, st := e.q.popLimit(e.limit)
 		if st != popOK {
-			if st == popBeyond && limit > e.now {
-				e.now = limit
+			if st == popBeyond && e.limit > e.now {
+				e.now = e.limit
 			}
-			break
+			return
 		}
 		e.now = ev.at
-		executed++
+		e.dispatched++
 		//m3vlint:ignore noalloc audited dispatch slot: event callbacks are cached closures checked at their schedule sites
 		ev.fn()
+		for h := e.handoff; h != nil; h = e.handoff {
+			if h == self || h.entered {
+				return
+			}
+			e.handoff = nil
+			e.entries++
+			h.entered = true
+			//m3vlint:ignore noalloc coroutine switch: iter.Pull's next swaps stacks with the parked process and allocates nothing (TestSleepWakeAllocFree)
+			h.next()
+			h.entered = false
+		}
 	}
-	e.flush(executed)
-	return e.now
+}
+
+// catch is dispatch's deferred recover for process dispatchers: it keeps a
+// panic from unwinding the dispatcher's own process, records it for
+// RunUntil and stops the run, so every dispatcher switches back down. The
+// RunUntil caller does not recover, which keeps the panic's stack trace.
+//
+//m3v:noalloc
+func (e *Engine) catch(self *Proc) {
+	if self == nil {
+		return
+	}
+	if r := recover(); r != nil {
+		e.panicked = r
+		e.handoff = nil
+		e.stopped.Store(true)
+	}
 }
 
 //m3v:noalloc
@@ -386,6 +443,7 @@ func (e *Engine) enter() {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
+	e.dispatched = 0
 	// A fresh loop clears a one-shot Stop but honors a sticky Cancel, even
 	// one that raced the start of this run.
 	e.stopped.Store(e.cancelled.Load())
@@ -394,11 +452,12 @@ func (e *Engine) enter() {
 //m3v:noalloc
 func (e *Engine) leave() { e.running = false }
 
-// flush publishes the dispatch loop's event count: once into the engine's
-// metrics registry and once into the process-wide throughput total. Batched
-// at loop exit instead of per event so the hot loop touches no counters.
-// Events consumed by the Sleep fast path (popSelf) are folded in here, so
-// events_executed counts them exactly as if the loop had dispatched them.
+// flush publishes a run's event count: once into the engine's metrics
+// registry and once into the process-wide throughput total. Batched at
+// RunUntil's return instead of per event so the hot loop touches no
+// counters. Events consumed by the Sleep fast path are folded in here too,
+// and sample ticks flush those alone (flush(0)), so events_executed counts
+// them exactly as if a loop had dispatched them.
 //
 //m3v:noalloc
 func (e *Engine) flush(executed int64) {
@@ -408,35 +467,6 @@ func (e *Engine) flush(executed int64) {
 		e.evExec.Add(executed)
 		totalExecuted.Add(uint64(executed))
 	}
-}
-
-// popSelf is the Sleep self-resume fast path. The calling process has just
-// scheduled its own resume as event seq; if that event is the queue's next
-// eligible event (true (at, seq) minimum, within the active loop's bound,
-// and the loop was not stopped), consume it inline and advance the clock —
-// the coroutine switch out to the engine and back is skipped entirely. This
-// is exact, not an approximation: the resume event's only effect is to
-// transfer control back to the sleeping process, which staying on its
-// coroutine achieves identically, and dispatch order is untouched because
-// only the true minimum is ever consumed. A dead engine never takes the fast
-// path, so a Sleep during Shutdown's unwind yields and is unwound in turn.
-//
-// Called from process context, where the dispatch loop is suspended in
-// resume on the same thread of control, so nothing else runs and the caller
-// may mutate the queue and clock directly.
-//
-//m3v:noalloc
-func (e *Engine) popSelf(seq uint64) bool {
-	if e.dead || e.stopped.Load() {
-		return false
-	}
-	at, ok := e.q.popSeq(seq, e.limit)
-	if !ok {
-		return false
-	}
-	e.now = at
-	e.inlined++
-	return true
 }
 
 // StartSampling arms sim-time telemetry: a trace.Sampler over the engine's
@@ -488,8 +518,8 @@ func (e *Engine) StartSampling(every Time) *trace.Sampler {
 			return // StopSampling won over an already-queued tick
 		}
 		// Publish Sleep-fast-path events consumed since the last flush so the
-		// events_executed series sees them; loop-dispatched events still batch
-		// until the dispatch loop exits (deliberate — the hot loop touches no
+		// events_executed series sees them; dispatched events still batch
+		// until RunUntil returns (deliberate — the hot loop touches no
 		// counters).
 		e.flush(0)
 		e.sampler.Sample(int64(e.now))

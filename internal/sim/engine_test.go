@@ -484,48 +484,86 @@ func TestShutdownDeferBlocksAgain(t *testing.T) {
 
 type procPanic struct{ code int }
 
-// TestProcPanicSurfacesFromRun: a model panic inside a process leaves Run
-// with its original value; the panicking process is finished and no longer
-// live, and a later Shutdown still unwinds the others.
+// TestProcPanicSurfacesFromRun: a model panic leaves Run with its original
+// value, wherever it is raised: in a process the RunUntil caller entered, in
+// a process that a blocked process entered while dispatching, or in an
+// event a blocked process dispatched. A panicking process is finished and no
+// longer live; a dispatcher that recovered the panic stays live and parked,
+// and a later Shutdown unwinds it.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
-	e := NewEngine()
-	unwound := 0
-	e.Spawn("bystander", func(p *Proc) {
-		defer func() { unwound++ }()
-		p.Park()
-	})
-	bad := e.Spawn("bad", func(p *Proc) {
-		p.Sleep(Nanosecond)
-		panic(procPanic{42})
-	})
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		e.Run()
-	}()
-	if got != (procPanic{42}) {
-		t.Fatalf("Run panicked with %#v, want procPanic{42}", got)
-	}
-	if !bad.Done() {
-		t.Error("panicking process not marked done")
-	}
-	if e.Live() != 1 {
-		t.Errorf("live = %d, want 1 (the bystander)", e.Live())
-	}
-	if e.Now() != Nanosecond {
-		t.Errorf("Now = %v, want 1ns", e.Now())
-	}
-	e.Shutdown()
-	if unwound != 1 || e.Live() != 0 {
-		t.Errorf("after Shutdown: bystander unwound %d times, live %d; want 1, 0", unwound, e.Live())
+	for _, tc := range []struct {
+		name          string
+		procDies      bool // the panic is raised in process context
+		withBystander bool // a parked process dispatches when the panic comes
+	}{
+		{"process entered by Run", true, false},
+		{"process entered by a dispatcher", true, true},
+		{"event dispatched by a process", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			unwound := 0
+			var bystander *Proc
+			if tc.withBystander {
+				bystander = e.Spawn("bystander", func(p *Proc) {
+					defer func() { unwound++ }()
+					p.Park()
+				})
+			}
+			var bad *Proc
+			if tc.procDies {
+				bad = e.Spawn("bad", func(p *Proc) {
+					p.Sleep(Nanosecond)
+					panic(procPanic{42})
+				})
+			} else {
+				e.At(Nanosecond, func() { panic(procPanic{42}) })
+			}
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				e.Run()
+			}()
+			if got != (procPanic{42}) {
+				t.Fatalf("Run panicked with %#v, want procPanic{42}", got)
+			}
+			live := 0
+			if bad != nil && !bad.Done() {
+				t.Error("panicking process not marked done")
+			}
+			if bystander != nil {
+				live = 1
+				if bystander.Done() || !bystander.parked || bystander.entered {
+					t.Errorf("dispatcher done %v, parked %v, on the hand-off stack %v; want false, true, false",
+						bystander.Done(), bystander.parked, bystander.entered)
+				}
+			}
+			if e.Live() != live {
+				t.Errorf("live = %d, want %d", e.Live(), live)
+			}
+			if e.Now() != Nanosecond {
+				t.Errorf("Now = %v, want 1ns", e.Now())
+			}
+			e.Shutdown()
+			if unwound != live || e.Live() != 0 {
+				t.Errorf("after Shutdown: dispatcher unwound %d times, live %d; want %d, 0", unwound, e.Live(), live)
+			}
+		})
 	}
 }
 
 // TestProcGoexitEndsRun: runtime.Goexit inside a process (t.Fatal in a test
-// process) ends the goroutine that called Run, with the process done.
+// process) ends the goroutine that called Run, with the process done. The
+// processes dispatching below it on the hand-off stack end with it: here
+// "dispatcher" is parked and dispatching when it enters "quitter".
 func TestProcGoexitEndsRun(t *testing.T) {
 	e := NewEngine()
-	p := e.Spawn("quitter", func(p *Proc) {
+	unwound := 0
+	d := e.Spawn("dispatcher", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Park()
+	})
+	q := e.Spawn("quitter", func(p *Proc) {
 		p.Sleep(Nanosecond)
 		runtime.Goexit()
 	})
@@ -540,8 +578,9 @@ func TestProcGoexitEndsRun(t *testing.T) {
 	if returned {
 		t.Error("Run returned normally after runtime.Goexit in a process")
 	}
-	if !p.Done() || e.Live() != 0 {
-		t.Errorf("done = %v, live = %d; want true, 0", p.Done(), e.Live())
+	if !q.Done() || !d.Done() || unwound != 1 || e.Live() != 0 {
+		t.Errorf("quitter done %v, dispatcher done %v (defers ran %d times), live %d; want true, true, 1, 0",
+			q.Done(), d.Done(), unwound, e.Live())
 	}
 	e.Shutdown() // Run's goroutine left the engine idle, not running
 }

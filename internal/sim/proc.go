@@ -24,11 +24,12 @@ type Proc struct {
 	wakePending bool // a wake event is already queued
 	done        bool
 	interrupted bool // Wake arrived while the process was not parked
+	entered     bool // on the hand-off stack: switched into, not yet back
 	idx         int  // position in the engine's procs list
 
 	// next and stop drive the process's iter.Pull coroutine; yieldFn is the
-	// coroutine's yield, captured when it starts. resume switches in with
-	// next, yield switches back out, and Shutdown unwinds with stop.
+	// coroutine's yield, captured when it starts. A dispatcher switches in
+	// with next, yield switches back out, and Shutdown unwinds with stop.
 	next    func() (struct{}, bool)
 	stop    func()
 	yieldFn func(struct{}) bool
@@ -43,11 +44,14 @@ type Proc struct {
 // Spawn creates a process executing fn and schedules its start at the current
 // time. fn runs in process context.
 //
-// A panic in fn leaves the Run or RunUntil call that resumed the process
-// with the original value, and runtime.Goexit in fn (t.Fatal in a test
-// process) ends the goroutine that called Run, as iter.Pull propagates both.
-// Either way the process is finished first: Done reports true and Live no
-// longer counts it.
+// A panic in fn leaves the active Run or RunUntil call with the original
+// value; a process that was dispatching events when it entered this one
+// recovers the panic, stays blocked, and RunUntil raises it again.
+// runtime.Goexit in fn (t.Fatal in a test process) ends the goroutine that
+// called Run, as iter.Pull propagates it through every coroutine below: the
+// processes dispatching below this one on the hand-off stack (see
+// Engine.dispatch) end with it. Either way each ended process is finished
+// first: Done reports true and Live no longer counts it.
 //
 //m3v:simctx
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
@@ -91,25 +95,45 @@ func (e *Engine) unregister(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// resume switches to p's coroutine and returns when p yields or finishes.
-// It must run in handler context.
+// resume hands control to p: the dispatcher of the event that called it
+// switches to p as soon as the event returns (see Engine.dispatch). It must
+// run in handler context, and each event resumes at most one process.
 //
 //m3v:noalloc
 func (e *Engine) resume(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: resume of finished process %q", p.name))
 	}
-	//m3vlint:ignore noalloc coroutine switch: iter.Pull's next swaps stacks with the parked process and allocates nothing (TestSleepWakeAllocFree)
-	p.next()
+	e.handoff = p
 }
 
-// yield switches back to the engine and returns when the process is resumed.
-// Shutdown's stop makes the coroutine's yield report false; the process then
-// unwinds with shutdownError, recovered by Spawn's wrapper.
+// block suspends the process until an event resumes it. Until then it
+// dispatches events itself; it switches back down the hand-off stack when
+// the resumed process lies below it or when the run ends, and returns when
+// a dispatcher switches back into it. A dead engine dispatches nothing: a
+// process blocking during Shutdown's unwind yields and is unwound in turn.
+//
+//m3v:noalloc
+func (p *Proc) block() {
+	e := p.e
+	if !e.dead {
+		e.dispatch(p)
+		if e.handoff == p {
+			e.handoff = nil
+			return
+		}
+	}
+	p.yield()
+}
+
+// yield switches back down to the dispatcher that entered the process and
+// returns when a dispatcher switches into it again. Shutdown's stop makes
+// the coroutine's yield report false; the process then unwinds with
+// shutdownError, recovered by Spawn's wrapper.
 //
 //m3v:noalloc
 func (p *Proc) yield() {
-	//m3vlint:ignore noalloc coroutine switch: iter.Pull's yield swaps stacks back to resume and allocates nothing (TestSleepWakeAllocFree)
+	//m3vlint:ignore noalloc coroutine switch: iter.Pull's yield swaps stacks back to the dispatcher and allocates nothing (TestSleepWakeAllocFree)
 	if !p.yieldFn(struct{}{}) {
 		panic(shutdownError{})
 	}
@@ -129,19 +153,24 @@ func (p *Proc) Now() Time { return p.e.now }
 //
 // Fast path: if the resume just scheduled is the next eligible event — no
 // other component has anything to do before this process continues — the
-// process consumes it inline (popSelf) and keeps running, skipping the
-// coroutine switch out to the engine and back. On the fig9 workload most
-// DTU command charges hit this path.
+// process consumes it on the spot and keeps running: a dispatch loop would
+// pop it first and hand control straight back. On the fig9 workload most
+// DTU command charges hit this path. The event counts in inlined, which
+// sample ticks flush too, unlike the events a loop dispatches: the sampled
+// sim.events_executed series depends on that split.
 //
 //m3v:noalloc
 //m3v:simctx
 func (p *Proc) Sleep(d Time) {
 	e := p.e
 	e.At(e.now+d, p.resumeFn)
-	if e.popSelf(e.seq) {
+	if m, ring := e.q.min(); m.seq == e.seq && m.at <= e.limit && !e.stopped.Load() && !e.dead {
+		e.now = m.at
+		e.q.pop(ring)
+		e.inlined++
 		return
 	}
-	p.yield()
+	p.block()
 }
 
 // Park suspends the process until another component calls Wake. If a Wake
@@ -156,7 +185,7 @@ func (p *Proc) Park() {
 		return
 	}
 	p.parked = true
-	p.yield()
+	p.block()
 }
 
 // Wake schedules the process to resume at the current time. It may be called

@@ -10,8 +10,8 @@ import (
 // is due first), zero-length sleeps (the same-time ring), and a far sleep.
 // The observable timeline (the clock after every Sleep) must be exactly the
 // arithmetic of the sleeps, and events_executed must count inlined resumes
-// as if the loop had dispatched them. The queue half of the fast path
-// (popSeq) is pinned directly in TestQueuePopSeq.
+// as if the loop had dispatched them. FuzzProcHandoff checks the fast path
+// against a reference scheduler, across processes and RunUntil limits.
 func TestSleepFastPathEquivalence(t *testing.T) {
 	e := NewEngine()
 	defer e.Shutdown()
@@ -78,8 +78,8 @@ func TestSleepFastPathRespectsRunUntilLimit(t *testing.T) {
 }
 
 // TestSleepFastPathAfterStop pins the Stop guard: once Stop is called, a
-// Sleep must hand control back to the engine (whose loop then exits) instead
-// of consuming its own resume inline and running past the stop.
+// Sleep must neither consume its own resume inline nor dispatch it, but
+// switch back down to the RunUntil caller, whose loop then exits.
 func TestSleepFastPathAfterStop(t *testing.T) {
 	e := NewEngine()
 	defer e.Shutdown()
