@@ -86,22 +86,28 @@ echo "== m3vtrace smoke =="
 # end, children enclosed by parents, every completed message resolves to
 # exactly one fast/slow verdict), and the report must parse segments. The
 # fig9 one-tile run covers the M3x slow path, so both verdicts are checked.
+# Each tool writes its report to a file first: the shell has no pipefail, so
+# piping a failing tool into grep -q would hide its exit status.
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
 go run ./cmd/m3vsim -rounds 10 -shared -flows "$TRACE_TMP/fig6.json" > /dev/null
 go run ./cmd/m3vtrace -check "$TRACE_TMP/fig6.json"
 go run ./cmd/m3vtrace -perfetto "$TRACE_TMP/fig6-perfetto.json" \
-    "$TRACE_TMP/fig6.json" | grep -q 'dtu.send'
+    "$TRACE_TMP/fig6.json" > "$TRACE_TMP/fig6-perfetto.txt"
+grep -q 'dtu.send' "$TRACE_TMP/fig6-perfetto.txt"
 grep -q '"ph":"s"' "$TRACE_TMP/fig6-perfetto.json"   # flow arrows present
-go run ./cmd/m3vtrace "$TRACE_TMP/fig6.json" | grep -Eq '[1-9][0-9]* fast'
+go run ./cmd/m3vtrace "$TRACE_TMP/fig6.json" > "$TRACE_TMP/fig6-report.txt"
+grep -Eq '[1-9][0-9]* fast' "$TRACE_TMP/fig6-report.txt"
 # The same run also exports a sampled series of its four systems, so the
 # shared writer and m3vstat are exercised on multi-run input.
 go run ./cmd/m3vbench -run fig9 -fig9-tiles 1 -flows "$TRACE_TMP/fig9.json" \
     -sample-interval 1us -series "$TRACE_TMP/fig9-series.json" > /dev/null
 go run ./cmd/m3vtrace -check "$TRACE_TMP/fig9.json"
-go run ./cmd/m3vtrace "$TRACE_TMP/fig9.json" | grep -Eq '[1-9][0-9]* slow,'
-go run ./cmd/m3vtrace "$TRACE_TMP/fig9.json" | grep -q 'kernel.forward'
-go run ./cmd/m3vstat "$TRACE_TMP/fig9-series.json" | grep -q 'utilization'
+go run ./cmd/m3vtrace "$TRACE_TMP/fig9.json" > "$TRACE_TMP/fig9-report.txt"
+grep -Eq '[1-9][0-9]* slow,' "$TRACE_TMP/fig9-report.txt"
+grep -q 'kernel.forward' "$TRACE_TMP/fig9-report.txt"
+go run ./cmd/m3vstat "$TRACE_TMP/fig9-series.json" > "$TRACE_TMP/fig9-stat.txt"
+grep -q 'utilization' "$TRACE_TMP/fig9-stat.txt"
 
 echo "== chaos smoke =="
 # Deterministic fault injection gate: two chaos runs with the same seed

@@ -50,6 +50,10 @@ type Mux struct {
 	// wake pokes the scheduler; cached once so stall injection can defer
 	// the poke without allocating a closure per wakeup.
 	wake func()
+	// check is the tile's one preemption timer, cached like wake; armed
+	// reports whether it is queued (at most once per tile).
+	check func()
+	armed bool
 	// inj injects wakeup stalls. Nil (the default) means prompt pokes.
 	inj *fault.Injector
 	// muxMsgs is the saved unread count of TileMux's own activity id.
@@ -119,6 +123,7 @@ func New(eng *sim.Engine, clock sim.Clock, d *dtu.DTU) *Mux {
 	}
 	m.muxProc = eng.Spawn(fmt.Sprintf("tilemux@%d", d.Tile()), m.muxLoop)
 	m.wake = func() { m.muxProc.Wake() }
+	m.check = m.checkSlice
 	return m
 }
 
@@ -277,7 +282,9 @@ func (m *Mux) wakeBlocked(a *Act) {
 func (m *Mux) popRun() *Act {
 	for len(m.runq) > 0 {
 		a := m.runq[0]
-		m.runq = m.runq[1:]
+		// Shift in place: re-slicing would creep through the array, and
+		// the next append would reallocate it on almost every switch.
+		m.runq = append(m.runq[:0], m.runq[1:]...)
 		if !a.killed && a.state == actReady {
 			return a
 		}
@@ -329,18 +336,26 @@ func (m *Mux) switchTo(p *sim.Proc, next *Act, reason trace.SwitchReason) {
 		next.state = actRunning
 		next.preempt = false
 		next.sliceEnd = m.eng.Now() + timeslice
-		m.schedulePreempt(next)
+		if !m.armed {
+			m.armed = true
+			m.eng.At(next.sliceEnd, m.check)
+		}
 		next.proc.Wake()
 	}
 }
 
-func (m *Mux) schedulePreempt(a *Act) {
-	end := a.sliceEnd
-	m.eng.At(end, func() {
-		if m.cur == a && a.sliceEnd == end && len(m.runq) > 0 {
-			a.preempt = true
-		}
-	})
+// checkSlice is the preemption timer. Slice ends only move later, so the
+// one queued check re-arms at the current slice's end until that end is
+// reached. There it disarms and marks the activity for preemption if
+// others are ready; an idle tile disarms it too. The next switch re-arms it.
+func (m *Mux) checkSlice() {
+	a := m.cur
+	m.armed = a != nil && a.sliceEnd > m.eng.Now()
+	if m.armed {
+		m.eng.At(a.sliceEnd, m.check)
+	} else if a != nil && len(m.runq) > 0 {
+		a.preempt = true
+	}
 }
 
 // ensureRunning parks the calling activity process until it is current.
@@ -412,16 +427,13 @@ func (m *Mux) drainCoreReqs(p *sim.Proc, curID dtu.ActID, curMsgs *int) {
 	}
 }
 
-// hasWork reports whether muxLoop has anything to do.
-func (m *Mux) hasWork() bool {
-	if m.d.PendingCoreReqs() > 0 {
-		return true
-	}
-	if m.d.HasUnread(EpKernRgate) || m.d.HasUnread(EpPfRgate) {
-		return true
-	}
-	return m.cur == nil && len(m.runq) > 0
+// hasIrq reports whether a core request or a message to TileMux is pending.
+func (m *Mux) hasIrq() bool {
+	return m.d.PendingCoreReqs() > 0 || m.d.HasUnread(EpKernRgate) || m.d.HasUnread(EpPfRgate)
 }
+
+// hasWork reports whether muxLoop has anything to do.
+func (m *Mux) hasWork() bool { return m.hasIrq() || m.cur == nil && len(m.runq) > 0 }
 
 // muxLoop is TileMux's housekeeping process: it runs on core-request
 // interrupts and kernel messages, and dispatches when the core is idle.
@@ -432,7 +444,7 @@ func (m *Mux) muxLoop(p *sim.Proc) {
 			continue
 		}
 		m.Acquire(p, true)
-		if m.d.PendingCoreReqs() > 0 || m.d.HasUnread(EpKernRgate) || m.d.HasUnread(EpPfRgate) {
+		if m.hasIrq() {
 			m.cIrqs.Inc()
 			m.rec.Irq(int64(m.eng.Now()), int(m.d.Tile()), int64(m.d.PendingCoreReqs()))
 			p.Sleep(m.cy(irqCycles))

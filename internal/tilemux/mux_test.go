@@ -637,3 +637,107 @@ func TestIdleWakeOnKill(t *testing.T) {
 		t.Errorf("successor returned at %v, want its message's arrival %v", back, arrived)
 	}
 }
+
+// TestPreemptAfterFastRedispatch pins the slice end of an activity that is
+// dispatched again less than a compute chunk after an earlier dispatch: A
+// yields, B yields twice, then A computes 3 ms. A's last chunk, clipped to
+// its slice end, is queued before the preemption check re-armed for that
+// slice, yet A must still give up the core at the slice end. A 100 µs late
+// preemption would hand B the core at 1.144 and 2.268 ms.
+func TestPreemptAfterFastRedispatch(t *testing.T) {
+	r := newMuxRig(t)
+	r.spawnAct(1, "a", func(a *Act) {
+		a.Yield()
+		a.ComputeTime(3 * sim.Millisecond)
+		a.Exit(0)
+	})
+	var back []sim.Time
+	r.spawnAct(2, "b", func(b *Act) {
+		for i := 0; i < 2; i++ {
+			b.Yield()
+			back = append(back, b.Proc().Now())
+		}
+		b.Exit(0)
+	})
+	r.run(10 * sim.Millisecond)
+	want := []sim.Time{1044250 * sim.Nanosecond, 2068250 * sim.Nanosecond}
+	if len(back) != len(want) || back[0] != want[0] || back[1] != want[1] {
+		t.Errorf("B got the core back at %d ps, want %d ps", back, want)
+	}
+}
+
+// TestOnePreemptTimer checks that a tile queues at most one preemption
+// check however often it switches, and that a switch allocates nothing.
+func TestOnePreemptTimer(t *testing.T) {
+	r := newMuxRig(t)
+	maxPending := 0
+	for id := dtu.ActID(1); id <= 2; id++ {
+		r.spawnAct(id, "y", func(a *Act) {
+			for {
+				a.Yield()
+				maxPending = max(maxPending, r.eng.Pending())
+			}
+		})
+	}
+	r.run(2 * sim.Millisecond)
+	// Per yield: the timer, plus the other activity's pending wakeup.
+	if n := r.mux.CtxSwitches(); n < 100 || maxPending > 2 {
+		t.Errorf("%d switches left up to %d events queued, want at most 2", n, maxPending)
+	}
+	before := r.mux.CtxSwitches()
+	allocs := testing.AllocsPerRun(10, func() { r.run(r.eng.Now() + 100*sim.Microsecond) })
+	if r.mux.CtxSwitches() == before || allocs != 0 {
+		t.Errorf("yield round trips allocated %v times per 100 µs, want 0", allocs)
+	}
+}
+
+// TestPreemptTimerDisarms lets the preemption check fire on a tile whose
+// current activity was killed or exited. It must disarm and leave nothing
+// queued; the next dispatch re-arms it, so B is preempted at its slice end
+// and C first runs 1 ms (plus interrupt and switch) after B did.
+func TestPreemptTimerDisarms(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(r *muxRig, a *Act)
+	}{
+		{"kill", func(r *muxRig, a *Act) {
+			r.eng.At(500*sim.Microsecond, func() { r.mux.KillAct(a.ID) })
+			a.ComputeTime(5 * sim.Millisecond)
+		}},
+		{"idle", func(r *muxRig, a *Act) {
+			a.ComputeTime(200 * sim.Microsecond)
+			a.Exit(0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newMuxRig(t)
+			r.spawnAct(1, "a", func(a *Act) { tc.run(r, a) })
+			r.run(1500 * sim.Microsecond)
+			if r.mux.armed || r.mux.cur != nil || r.eng.Pending() != 0 {
+				t.Fatalf("idle tile: armed=%v cur=%v pending=%d, want a disarmed, empty queue",
+					r.mux.armed, r.mux.cur, r.eng.Pending())
+			}
+			var cStart sim.Time
+			for id := dtu.ActID(2); id <= 3; id++ {
+				r.mux.CreateAct(id, "w")
+				r.eng.Spawn("w", func(p *sim.Proc) {
+					a := r.mux.Attach(id, p)
+					if id == 2 {
+						a.ComputeTime(3 * sim.Millisecond)
+					} else {
+						a.Compute(1)
+						cStart = p.Now()
+					}
+					a.Exit(0)
+				})
+			}
+			armed := false
+			r.eng.At(2*sim.Millisecond, func() { r.mux.StartAct(2); r.mux.StartAct(3) })
+			r.eng.At(2500*sim.Microsecond, func() { armed = r.mux.armed })
+			r.run(10 * sim.Millisecond)
+			if !armed || cStart != 3021262500*sim.Picosecond {
+				t.Errorf("armed=%v, C first ran at %d ps; want armed and 3021262500 ps", armed, cStart)
+			}
+		})
+	}
+}

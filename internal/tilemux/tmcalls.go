@@ -60,8 +60,10 @@ func (a *Act) ComputeTime(d sim.Time) {
 		}
 		p.Sleep(chunk)
 		d -= chunk
-		if a.preempt && len(m.runq) > 0 {
-			// Timer interrupt: round-robin to the next ready activity.
+		if (a.preempt || m.eng.Now() == a.sliceEnd) && len(m.runq) > 0 {
+			// Timer interrupt: round-robin to the next ready activity. A
+			// chunk clipped to the slice end may wake before the check
+			// that was re-armed for it, so the slice end counts as well.
 			p.Sleep(m.cy(irqCycles))
 			a.state = actReady
 			m.runq = append(m.runq, a)
