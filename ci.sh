@@ -135,6 +135,11 @@ go run ./cmd/m3vsim -rounds 10 -shared -sample-interval 100ns \
     -series "$TRACE_TMP/fig6-series.json" \
     -trace "$TRACE_TMP/fig6-sampled.json" > /dev/null
 grep -q '"ph":"C"' "$TRACE_TMP/fig6-sampled.json"   # counter tracks present
+# The same kind of run decoded with encoding/json: one slice per recorded
+# span, one s/f arrow pair per flow of two or more spans, and a name for
+# every process and lane the file uses.
+go test -count=1 -run 'TestRunTraceChrome' -v ./cmd/m3vsim/ \
+    | grep -q '^--- PASS: TestRunTraceChrome'
 go run ./cmd/m3vstat "$TRACE_TMP/fig6-series.json" > "$TRACE_TMP/fig6-stat.txt"
 grep -q 'utilization' "$TRACE_TMP/fig6-stat.txt"
 grep -q 'switch_time' "$TRACE_TMP/fig6-stat.txt"

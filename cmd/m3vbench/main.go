@@ -144,7 +144,7 @@ func run(args []string, out io.Writer) error {
 	// -parallel the registration order follows run completion, so exports
 	// are ordered by (run, timestamp) with run indices assigned in
 	// completion order rather than table order. The series and metrics
-	// exports need the recorders too (metrics only — the event stream stays
+	// exports need the recorders too (metrics only — the span stream stays
 	// off for them).
 	if o.obs.Collect() {
 		trace.ClearRegistered()

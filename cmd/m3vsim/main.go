@@ -34,7 +34,7 @@ func run(args []string, out io.Writer) error {
 	rounds := fs.Int("rounds", 50, "number of RPC rounds")
 	shared := fs.Bool("shared", false, "co-locate client and server on one tile")
 	gem5 := fs.Bool("gem5", false, "use the 3 GHz gem5-style platform instead of the FPGA layout")
-	traceHash := fs.Bool("trace-hash", false, "enable tracing and print the run's event and span hashes")
+	traceHash := fs.Bool("trace-hash", false, "enable tracing and print the run's trace hash")
 	obs := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -109,7 +109,7 @@ func run(args []string, out io.Writer) error {
 	}
 	rec := sys.Eng.Tracer()
 	if *traceHash {
-		fmt.Fprintf(out, "trace-hash: %#x span-hash: %#x\n", rec.Hash(), rec.SpanHash())
+		fmt.Fprintf(out, "trace-hash: %#x\n", rec.Hash())
 	}
 	return obs.Export(out, []*trace.Recorder{rec})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,6 +85,110 @@ func TestRunSampledSeries(t *testing.T) {
 	}
 }
 
+// TestRunTraceChrome decodes the -trace file of a sampled tile-local run
+// with encoding/json and checks it against the run's recorder: one slice
+// per span, name by name; one "s" and one "f" arrow step per flow of two or
+// more spans; and process and thread names for every pid and lane used,
+// counter tracks included.
+func TestRunTraceChrome(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	trace.ClearRegistered()
+	trace.SetAutoRegister(true, false)
+	var out strings.Builder
+	err := run([]string{"-rounds", "5", "-shared", "-sample-interval", "100ns", "-trace", path}, &out)
+	trace.SetAutoRegister(false, false)
+	recs := trace.Registered()
+	trace.ClearRegistered()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("%d recorders registered, want 1", len(recs))
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+			Tid  *int   `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("trace file is not valid JSON: %v", err)
+	}
+	type lane struct{ pid, tid int }
+	slices := map[string]int64{}
+	steps := map[string]int{}
+	procs, usedPids := map[int]bool{}, map[int]bool{}
+	threads, usedLanes := map[lane]bool{}, map[lane]bool{}
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "M" {
+			if ev.Name == "process_name" {
+				procs[ev.Pid] = true
+			} else if ev.Tid != nil {
+				threads[lane{ev.Pid, *ev.Tid}] = true
+			}
+			continue
+		}
+		switch ev.Ph {
+		case "X", "i":
+			slices[ev.Name]++
+		case "s", "t", "f", "C":
+			steps[ev.Ph]++
+		default:
+			t.Errorf("unexpected entry %+v", ev)
+		}
+		usedPids[ev.Pid] = true
+		if ev.Tid != nil {
+			usedLanes[lane{ev.Pid, *ev.Tid}] = true
+		}
+	}
+
+	records := map[string]int64{}
+	perFlow := map[uint64]int{}
+	for _, s := range recs[0].Spans() {
+		records[s.Name.String()]++
+		if s.Flow != 0 {
+			perFlow[s.Flow]++
+		}
+	}
+	if len(records) == 0 || len(slices) != len(records) {
+		t.Errorf("slice names %v, record names %v", slices, records)
+	}
+	for name, n := range records {
+		if slices[name] != n {
+			t.Errorf("%s: %d slices, %d records", name, slices[name], n)
+		}
+	}
+	arrows := 0
+	for _, n := range perFlow {
+		if n >= 2 {
+			arrows++
+		}
+	}
+	if arrows == 0 || steps["s"] != arrows || steps["f"] != arrows {
+		t.Errorf("arrow steps s=%d f=%d, want %d each (flows of two or more spans)",
+			steps["s"], steps["f"], arrows)
+	}
+	if steps["C"] == 0 {
+		t.Error("no counter tracks in a sampled run")
+	}
+	for pid := range usedPids {
+		if !procs[pid] {
+			t.Errorf("pid %d has no process_name", pid)
+		}
+	}
+	for l := range usedLanes {
+		if !threads[l] {
+			t.Errorf("pid %d tid %d has no thread_name", l.pid, l.tid)
+		}
+	}
+}
+
 // TestRunFaultRateOne checks that a model failure under injection is a
 // clean error, not a crash: at rate 1 the kernel's first mux request times
 // out, deterministically for the seed.
@@ -122,7 +227,7 @@ func TestRunChaosDeterminism(t *testing.T) {
 	if ha != hb {
 		t.Errorf("same seed, different hashes:\n%s\n%s", ha, hb)
 	}
-	if !strings.Contains(ha, "span-hash: 0x") {
+	if !strings.HasPrefix(ha, "trace-hash: 0x") {
 		t.Errorf("hash line malformed: %s", ha)
 	}
 	if !strings.Contains(a, "faults:   seed 42 rate 0.05:") {
@@ -130,7 +235,7 @@ func TestRunChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunTraceHashPinned pins the event and span hashes of four runs
+// TestRunTraceHashPinned pins the trace hashes of four runs
 // (cross-tile, tile-local, fault-injected, and tile-local on the gem5
 // platform), so the end-to-end dispatch order cannot drift.
 func TestRunTraceHashPinned(t *testing.T) {
@@ -139,13 +244,13 @@ func TestRunTraceHashPinned(t *testing.T) {
 		want string
 	}{
 		{[]string{"-rounds", "5", "-trace-hash"},
-			"trace-hash: 0x7349d7c96eb6974b span-hash: 0x49c7a18dbd9c47e9"},
+			"trace-hash: 0x94cb7b361b191b53"},
 		{[]string{"-rounds", "5", "-shared", "-trace-hash"},
-			"trace-hash: 0x119a1eb100574115 span-hash: 0xcec869dbc3985505"},
+			"trace-hash: 0x1492cffd38b5da15"},
 		{[]string{"-rounds", "5", "-fault-seed", "42", "-fault-rate", "0.05", "-trace-hash"},
-			"trace-hash: 0xda95fcad8255c23b span-hash: 0x46dc1a54252a714a"},
+			"trace-hash: 0xd7f4282db106768"},
 		{[]string{"-rounds", "5", "-gem5", "-shared", "-trace-hash"},
-			"trace-hash: 0x8d96fc86602eb05e span-hash: 0x712d9c9a69cebd02"},
+			"trace-hash: 0xf065fea9db7b09f0"},
 	}
 	for _, c := range cases {
 		var out strings.Builder

@@ -171,9 +171,9 @@ func TestFig10ParallelSerialEquivalence(t *testing.T) {
 }
 
 // TestParallelTraceHashDeterminism runs a sweep twice with trace collection
-// on and compares the per-run event-stream hashes as multisets: under
-// -parallel the registration order may differ, but the set of simulated
-// runs — each hashed over its full event stream — must not.
+// on and compares the per-run trace hashes as multisets: under -parallel
+// the registration order may differ, but the set of simulated runs — each
+// hashed over its full span stream — must not.
 func TestParallelTraceHashDeterminism(t *testing.T) {
 	defer SetParallelism(orig(t))
 	SetParallelism(8)

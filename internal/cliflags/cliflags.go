@@ -85,7 +85,7 @@ func (o *Options) Fault() fault.Config {
 // runs with; 0 (sampling off) without -sample-interval.
 func (o *Options) SampleInterval() sim.Time { return o.sampleEvery }
 
-// Events reports whether the runs must record their event and span streams.
+// Events reports whether the runs must record their span streams.
 func (o *Options) Events() bool { return o.Trace != "" || o.Flows != "" }
 
 // Collect reports whether any export needs the runs' recorders.
@@ -128,10 +128,10 @@ func Simulate(fn func() error) (err error) {
 // -series files, each with one report line on out, then the -metrics
 // summary of each run, and last the -memprofile heap profile.
 func (o *Options) Export(out io.Writer, recs []*trace.Recorder) error {
-	var events, spans, series int
+	var records, spans, series int
 	for _, r := range recs {
-		events += len(r.Events())
-		spans += len(r.Spans())
+		records += len(r.Spans())
+		spans += r.CountFlowSpans()
 		if sp := r.Sampler(); sp != nil {
 			series += len(sp.Series())
 		}
@@ -141,7 +141,7 @@ func (o *Options) Export(out io.Writer, recs []*trace.Recorder) error {
 		n                int
 		write            func(io.Writer, []*trace.Recorder) error
 	}{
-		{"trace", o.Trace, "events", events, trace.WriteChrome},
+		{"trace", o.Trace, "spans", records, trace.WriteChrome},
 		{"flows", o.Flows, "spans", spans, trace.WriteFlows},
 		{"series", o.Series, "series", series, trace.WriteSeries},
 	}

@@ -18,8 +18,7 @@ func runSampledRPC(t *testing.T, every sim.Time, n int) *System {
 
 // TestSamplingDisabledBitIdentical pins the zero-cost-when-disabled
 // contract: a system built with a zero SampleInterval arms no sampler and
-// produces exactly the event and span streams of the pre-telemetry code
-// path — run twice, the hashes must match, and they must match a run that
+// produces exactly the span stream of the pre-telemetry code path — run twice, the hashes must match, and they must match a run that
 // never mentions sampling at all (runTracedRPC).
 func TestSamplingDisabledBitIdentical(t *testing.T) {
 	plain := runTracedRPC(t, FPGAConfig(), true, 10)
@@ -30,18 +29,15 @@ func TestSamplingDisabledBitIdentical(t *testing.T) {
 		t.Fatal("zero SampleInterval armed a sampler")
 	}
 	pr, or := plain.Eng.Tracer(), off.Eng.Tracer()
-	if pr.Hash() != or.Hash() || len(pr.Events()) != len(or.Events()) {
-		t.Errorf("disabled-sampling trace diverges from plain: %d events/%#x vs %d events/%#x",
-			len(pr.Events()), pr.Hash(), len(or.Events()), or.Hash())
-	}
-	if pr.SpanHash() != or.SpanHash() {
-		t.Errorf("disabled-sampling span stream diverges: %#x vs %#x", pr.SpanHash(), or.SpanHash())
+	if pr.Hash() != or.Hash() || len(pr.Spans()) != len(or.Spans()) {
+		t.Errorf("disabled-sampling trace diverges from plain: %d spans/%#x vs %d spans/%#x",
+			len(pr.Spans()), pr.Hash(), len(or.Spans()), or.Hash())
 	}
 }
 
-// TestSamplingDoesNotPerturbTrace: sampler ticks emit no trace events and
-// no spans, so a fault-free run with sampling ON must produce the same
-// event and span hashes as one with sampling OFF — telemetry observes the
+// TestSamplingDoesNotPerturbTrace: sampler ticks emit no spans, so a
+// fault-free run with sampling ON must produce the same trace hash as one
+// with sampling OFF — telemetry observes the
 // simulation without changing it.
 func TestSamplingDoesNotPerturbTrace(t *testing.T) {
 	off := runSampledRPC(t, 0, 10)
@@ -49,12 +45,9 @@ func TestSamplingDoesNotPerturbTrace(t *testing.T) {
 	on := runSampledRPC(t, 100*sim.Nanosecond, 10)
 	defer on.Shutdown()
 	offR, onR := off.Eng.Tracer(), on.Eng.Tracer()
-	if offR.Hash() != onR.Hash() || len(offR.Events()) != len(onR.Events()) {
-		t.Errorf("sampling perturbed the event stream: %d events/%#x vs %d events/%#x",
-			len(offR.Events()), offR.Hash(), len(onR.Events()), onR.Hash())
-	}
-	if offR.SpanHash() != onR.SpanHash() {
-		t.Errorf("sampling perturbed the span stream: %#x vs %#x", offR.SpanHash(), onR.SpanHash())
+	if offR.Hash() != onR.Hash() || len(offR.Spans()) != len(onR.Spans()) {
+		t.Errorf("sampling perturbed the span stream: %d spans/%#x vs %d spans/%#x",
+			len(offR.Spans()), offR.Hash(), len(onR.Spans()), onR.Hash())
 	}
 }
 

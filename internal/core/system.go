@@ -270,8 +270,8 @@ func (s *System) WireNICIrq(dev *nic.Device, tile noc.TileID, actID uint32) {
 	}
 }
 
-// Tracer returns the platform's structured event recorder. The metrics
-// registry is always live; call Enable to also record the event stream.
+// Tracer returns the platform's span recorder. The metrics registry is
+// always live; call Enable to also record the span stream.
 func (s *System) Tracer() *trace.Recorder { return s.Eng.Tracer() }
 
 // Run drives the simulation until all roots exited or the limit is reached,

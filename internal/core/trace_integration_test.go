@@ -34,15 +34,16 @@ func runTracedRPC(t *testing.T, cfg Config, sameTile bool, n int) *System {
 }
 
 // TestTraceHashDeterminism runs the Figure-6 microbench workload twice and
-// requires the full event streams to hash identically: the trace layer must
-// not perturb the simulation, and the simulation must stay deterministic
-// down to every recorded event.
+// requires the span streams to hash identically: the trace layer must not
+// perturb the simulation, and the simulation must stay deterministic down
+// to every recorded span — same spans, same flow IDs (minted from the
+// engine-sequenced recorder), same begin/end stamps.
 func TestTraceHashDeterminism(t *testing.T) {
 	hash := func(sameTile bool) (uint64, int) {
 		sys := runTracedRPC(t, FPGAConfig(), sameTile, 10)
 		defer sys.Shutdown()
 		rec := sys.Eng.Tracer()
-		return rec.Hash(), len(rec.Events())
+		return rec.Hash(), len(rec.Spans())
 	}
 	for _, sameTile := range []bool{false, true} {
 		h1, n1 := hash(sameTile)
@@ -51,17 +52,53 @@ func TestTraceHashDeterminism(t *testing.T) {
 			t.Fatalf("sameTile=%v: trace is empty", sameTile)
 		}
 		if n1 != n2 || h1 != h2 {
-			t.Errorf("sameTile=%v: traces diverge: %d events/%#x vs %d events/%#x",
+			t.Errorf("sameTile=%v: traces diverge: %d spans/%#x vs %d spans/%#x",
 				sameTile, n1, h1, n2, h2)
 		}
 	}
 }
 
-// TestCountersReconcileWithTrace checks that the migrated registry counters
-// and the structured event stream agree: every DTU send/reply counted must
-// appear as a dtu_cmd event, and every context switch counted per target
-// must appear as a ctx_switch event with that destination. The workload is
-// tile-local so that core requests and TileMux switches are exercised.
+// TestSpanHashDeterminism is the span-by-span twin of
+// TestTraceHashDeterminism: running the same workload twice must produce
+// identical span streams — compared field by field, not only through the
+// hash — and equal streams must hash equally.
+func TestSpanHashDeterminism(t *testing.T) {
+	spans := func(sameTile bool) ([]trace.Span, uint64) {
+		sys := runTracedRPC(t, FPGAConfig(), sameTile, 10)
+		defer sys.Shutdown()
+		rec := sys.Eng.Tracer()
+		return append([]trace.Span(nil), rec.Spans()...), rec.Hash()
+	}
+	for _, sameTile := range []bool{false, true} {
+		s1, h1 := spans(sameTile)
+		s2, h2 := spans(sameTile)
+		if len(s1) == 0 {
+			t.Fatalf("sameTile=%v: span stream is empty", sameTile)
+		}
+		if len(s1) != len(s2) {
+			t.Fatalf("sameTile=%v: span streams diverge: %d vs %d spans",
+				sameTile, len(s1), len(s2))
+		}
+		for i := range s1 {
+			if s1[i] != s2[i] {
+				t.Fatalf("sameTile=%v: span %d diverges: %+v vs %+v",
+					sameTile, i, s1[i], s2[i])
+			}
+		}
+		if h1 != h2 {
+			t.Errorf("sameTile=%v: equal span streams hash differently: %#x vs %#x",
+				sameTile, h1, h2)
+		}
+	}
+}
+
+// TestCountersReconcileWithTrace checks that the registry counters and the
+// span stream agree: every DTU send/reply counted must appear as a
+// dtu.send/dtu.reply span, every context switch counted per target as a
+// tilemux.switch span with that destination, every delivered packet as a
+// delivered noc.xfer span, and every syscall as a kernel.syscall span. The
+// workload is tile-local so that core requests and TileMux switches are
+// exercised.
 func TestCountersReconcileWithTrace(t *testing.T) {
 	sys := runTracedRPC(t, FPGAConfig(), true, 20)
 	defer sys.Shutdown()
@@ -76,75 +113,56 @@ func TestCountersReconcileWithTrace(t *testing.T) {
 		cReplies += mux.DTU().Replies()
 	}
 
-	// Event totals: only commands that completed without error increment the
+	// Span totals: only commands that completed without error increment the
 	// per-command counters, and sends that fail in flight keep their count,
 	// so in this failure-free workload the two views must match exactly.
-	var eSends, eReplies int64
-	for _, ev := range rec.Events() {
-		if ev.Kind != trace.KindDTUCmd || ev.Arg3 != 0 {
-			continue
-		}
-		switch trace.DTUCmd(ev.Arg0) {
-		case trace.CmdSend:
-			eSends++
-		case trace.CmdReply:
-			eReplies++
+	var sSends, sReplies, sDelivered int64
+	for _, s := range rec.Spans() {
+		switch {
+		case s.Name == trace.SpanDTUSend && s.Arg1 == 0:
+			sSends++
+		case s.Name == trace.SpanDTUReply && s.Arg1 == 0:
+			sReplies++
+		case s.Name == trace.SpanNoCXfer && s.Arg1 == 1:
+			sDelivered++
 		}
 	}
 	if cSends == 0 || cReplies == 0 {
 		t.Fatal("workload produced no sends/replies")
 	}
-	if cSends != eSends {
-		t.Errorf("send counters = %d, trace events = %d", cSends, eSends)
+	if cSends != sSends {
+		t.Errorf("send counters = %d, trace spans = %d", cSends, sSends)
 	}
-	if cReplies != eReplies {
-		t.Errorf("reply counters = %d, trace events = %d", cReplies, eReplies)
+	if cReplies != sReplies {
+		t.Errorf("reply counters = %d, trace spans = %d", cReplies, sReplies)
+	}
+	if n := sys.Net.Delivered(); n == 0 || n != sDelivered {
+		t.Errorf("noc.delivered = %d, delivered noc.xfer spans = %d", n, sDelivered)
+	}
+	if n, s := sys.Kern.Syscalls(), rec.CountSpans(trace.SpanKernSyscall); n == 0 || n != s {
+		t.Errorf("kernel.syscalls = %d, kernel.syscall spans = %d", n, s)
 	}
 
-	// Per-destination context switches: registry snapshot vs event stream.
+	// Per-destination context switches: registry snapshot vs span stream.
 	for tile, mux := range sys.Muxes {
 		targets := mux.SwitchTargets()
 		var total int64
-		fromEvents := make(map[int64]int64)
-		for _, ev := range rec.Events() {
-			if ev.Kind == trace.KindCtxSwitch && int(ev.Tile) == int(tile) {
-				fromEvents[ev.Arg1]++
+		fromSpans := make(map[int64]int64)
+		for _, s := range rec.Spans() {
+			if s.Name == trace.SpanMuxSwitch && int(s.Tile) == int(tile) {
+				fromSpans[s.Arg1]++
 			}
 		}
 		for id, n := range targets {
 			total += n
-			if fromEvents[int64(id)] != n {
-				t.Errorf("tile %d: switches to act %d: counter=%d events=%d",
-					tile, id, n, fromEvents[int64(id)])
+			if fromSpans[int64(id)] != n {
+				t.Errorf("tile %d: switches to act %d: counter=%d spans=%d",
+					tile, id, n, fromSpans[int64(id)])
 			}
 		}
 		if total != mux.CtxSwitches() {
 			t.Errorf("tile %d: switch targets sum to %d, CtxSwitches = %d",
 				tile, total, mux.CtxSwitches())
-		}
-	}
-}
-
-// TestSpanHashDeterminism is the span-stream twin of TestTraceHashDeterminism:
-// flow IDs are minted from the engine-sequenced recorder, so running the same
-// workload twice must produce byte-identical span streams — same spans, same
-// flow IDs, same begin/end stamps — and therefore identical hashes.
-func TestSpanHashDeterminism(t *testing.T) {
-	hash := func(sameTile bool) (uint64, int) {
-		sys := runTracedRPC(t, FPGAConfig(), sameTile, 10)
-		defer sys.Shutdown()
-		rec := sys.Eng.Tracer()
-		return rec.SpanHash(), len(rec.Spans())
-	}
-	for _, sameTile := range []bool{false, true} {
-		h1, n1 := hash(sameTile)
-		h2, n2 := hash(sameTile)
-		if n1 == 0 {
-			t.Fatalf("sameTile=%v: span stream is empty", sameTile)
-		}
-		if n1 != n2 || h1 != h2 {
-			t.Errorf("sameTile=%v: span streams diverge: %d spans/%#x vs %d spans/%#x",
-				sameTile, n1, h1, n2, h2)
 		}
 	}
 }

@@ -47,10 +47,10 @@ func (d *DTU) Send(p *sim.Proc, a SendArgs) error {
 	for attempt := 0; d.retryTransient(p, err, flow, attempt); attempt++ {
 		err = d.send(p, a, flow)
 	}
+	d.m.cmdTime.Observe(int64(d.eng.Now() - start))
 	d.rec.EndSpanArgs(d.curSpan, int64(d.eng.Now()), trace.PathNone, int64(a.Ep), errCode(err))
 	d.curFlow, d.curSpan = 0, 0
 	d.lastFlow = flow
-	d.traceCmd(start, trace.CmdSend, a.Ep, len(a.Data), err)
 	return err
 }
 
@@ -112,10 +112,10 @@ func (d *DTU) Reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64) e
 	for attempt := 0; d.retryTransient(p, err, flow, attempt); attempt++ {
 		err = d.reply(p, ep, slot, data, vaddr, flow)
 	}
+	d.m.cmdTime.Observe(int64(d.eng.Now() - start))
 	d.rec.EndSpanArgs(d.curSpan, int64(d.eng.Now()), trace.PathNone, int64(ep), errCode(err))
 	d.curFlow, d.curSpan = 0, 0
 	d.lastFlow = flow
-	d.traceCmd(start, trace.CmdReply, ep, len(data), err)
 	return err
 }
 
@@ -226,16 +226,14 @@ func (d *DTU) issueMsg(p *sim.Proc, dst noc.TileID, ep EpID, msg Message, crdRet
 func (d *DTU) Fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 	start := d.eng.Now()
 	slot, m, err := d.fetch(p, ep)
+	// A consumed message is its flow's receive-side terminus. The span is a
+	// root of its own: the sender's command span may long be closed by now.
+	var flow uint64
 	bytes := 0
 	if m != nil {
-		bytes = len(m.Data)
-		// The flow's receive-side terminus: the recipient consumed the
-		// message. A root span of its own — the sender's command span may
-		// long be closed by now.
-		d.rec.EmitSpan(m.Flow, 0, trace.SpanDTUFetch, int64(start), int64(d.eng.Now()),
-			int(d.tile), trace.CompDTU, trace.PathNone, int64(ep), int64(bytes))
+		flow, bytes = m.Flow, len(m.Data)
 	}
-	d.traceCmd(start, trace.CmdFetch, ep, bytes, err)
+	d.traceCmd(start, flow, trace.SpanDTUFetch, ep, bytes, err)
 	return slot, m, err
 }
 
@@ -267,7 +265,7 @@ func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 func (d *DTU) Ack(p *sim.Proc, ep EpID, slot int) error {
 	start := d.eng.Now()
 	err := d.ack(p, ep, slot)
-	d.traceCmd(start, trace.CmdAck, ep, 0, err)
+	d.traceCmd(start, 0, trace.SpanDTUAck, ep, 0, err)
 	return err
 }
 
@@ -305,7 +303,7 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 func (d *DTU) ReadInto(p *sim.Proc, ep EpID, off uint64, dst []byte, vaddr uint64) error {
 	start := d.eng.Now()
 	err := d.read(p, ep, off, dst, vaddr)
-	d.traceCmd(start, trace.CmdRead, ep, len(dst), err)
+	d.traceCmd(start, 0, trace.SpanDTURead, ep, len(dst), err)
 	return err
 }
 
@@ -357,7 +355,7 @@ func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, dst []byte, vaddr uint64) e
 func (d *DTU) Write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64) error {
 	start := d.eng.Now()
 	err := d.write(p, ep, off, data, vaddr)
-	d.traceCmd(start, trace.CmdWrite, ep, len(data), err)
+	d.traceCmd(start, 0, trace.SpanDTUWrite, ep, len(data), err)
 	return err
 }
 

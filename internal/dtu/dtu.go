@@ -274,7 +274,7 @@ func (d *DTU) deliverMsg(c *cmd) bool {
 	now := int64(d.eng.Now())
 	if notPresent {
 		d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNoRecipient)
+			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNoRecipient, 0)
 		c.err = ErrNoRecipient // consumed; the error travels back explicitly
 		d.eng.After(procTime, c.respondFn)
 		return true
@@ -283,7 +283,7 @@ func (d *DTU) deliverMsg(c *cmd) bool {
 	if slot < 0 {
 		d.m.nacked.Inc()
 		d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNacked)
+			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNacked, 0)
 		return false // receive buffer full: NoC-level backpressure
 	}
 	if d.virt && e.Act != d.curAct && e.Act != ActInvalid && len(d.coreReqs) >= coreReqDepth {
@@ -291,7 +291,7 @@ func (d *DTU) deliverMsg(c *cmd) bool {
 		// (paper §3.8).
 		d.m.nacked.Inc()
 		d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNacked)
+			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNacked, 0)
 		return false
 	}
 	bit := uint64(1) << uint(slot)
@@ -302,7 +302,7 @@ func (d *DTU) deliverMsg(c *cmd) bool {
 	// fast-path mark. On M³x a controller-forwarded message also ends here,
 	// but its kernel.forward span marks the flow slow, and slow wins.
 	d.rec.EmitSpan(flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
-		trace.CompDTU, trace.PathFast, int64(c.ep), deliverStored)
+		trace.CompDTU, trace.PathFast, int64(c.ep), deliverStored, 0)
 	if c.crdRet >= 0 {
 		// Piggybacked credit return (a reply acknowledges the request).
 		d.returnCredits(c.crdRet)
@@ -341,8 +341,6 @@ func (d *DTU) pushCoreReq(act ActID, flow uint64) {
 	d.coreReqs = append(d.coreReqs, coreReq{act: act, flow: flow, span: span})
 	d.m.coreReqs.Inc()
 	d.m.coreReqDepth.Set(int64(len(d.coreReqs)))
-	d.rec.CoreReq(int64(d.eng.Now()), int(d.tile), trace.KindCoreReqRaise,
-		int64(act), int64(len(d.coreReqs)))
 	if wasEmpty {
 		d.injectIrq()
 	}

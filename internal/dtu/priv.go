@@ -35,7 +35,9 @@ func (d *DTU) InsertTLB(p *sim.Proc, act ActID, vaddr, paddr uint64, perm Perm) 
 	d.requirePriv()
 	d.charge(p, privCycles)
 	if vAct, vAddr, evicted := d.tlb.Insert(act, vaddr, paddr, perm); evicted {
-		d.rec.TLB(int64(d.eng.Now()), int(d.tile), trace.KindTLBEvict, int64(vAct), vAddr)
+		now := int64(d.eng.Now())
+		d.rec.EmitSpan(0, 0, trace.SpanDTUTLBEvict, now, now, int(d.tile),
+			trace.CompDTU, trace.PathNone, int64(vAct), int64(vAddr), 0)
 	}
 }
 
@@ -79,8 +81,6 @@ func (d *DTU) AckCoreReq(p *sim.Proc) {
 	d.coreReqs = d.coreReqs[1:]
 	d.m.coreReqDepth.Set(int64(len(d.coreReqs)))
 	d.rec.EndSpanArgs(cr.span, int64(d.eng.Now()), trace.PathNone,
-		int64(cr.act), int64(len(d.coreReqs)))
-	d.rec.CoreReq(int64(d.eng.Now()), int(d.tile), trace.KindCoreReqDrain,
 		int64(cr.act), int64(len(d.coreReqs)))
 	if len(d.coreReqs) > 0 {
 		d.injectIrq()

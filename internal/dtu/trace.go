@@ -6,8 +6,8 @@ import (
 )
 
 // This file carries the DTU's observability surface: registry-backed
-// counter accessors (the former exported counter fields) and the typed
-// trace events wrapped around the unprivileged command interface.
+// counter accessors (the former exported counter fields) and the trace
+// spans wrapped around the unprivileged command interface.
 
 // Sends reports the number of SEND commands that passed validation.
 func (d *DTU) Sends() int64 { return d.m.sends.Value() }
@@ -39,7 +39,7 @@ const (
 func (d *DTU) LastFlow() uint64 { return d.lastFlow }
 
 // errCode maps a command error to the stable small integer recorded in
-// trace events (0 = success). The codes are part of the trace format.
+// trace spans (0 = success). The codes are part of the trace format.
 func errCode(err error) int64 {
 	switch err {
 	case nil:
@@ -71,29 +71,28 @@ func errCode(err error) int64 {
 	}
 }
 
-// traceCmd records one finished unprivileged command: an event when the
-// stream is enabled, and the always-on duration histogram.
-func (d *DTU) traceCmd(start sim.Time, cmd trace.DTUCmd, ep EpID, bytes int, err error) {
-	dur := d.eng.Now() - start
-	d.m.cmdTime.Observe(int64(dur))
-	d.rec.DTUCmd(int64(start), int64(dur), int(d.tile), cmd, int64(ep), int64(bytes), errCode(err))
+// traceCmd records one finished unprivileged command: the always-on
+// duration histogram and, when the stream is enabled, a span on the given
+// flow (0 unless the command consumed a traced message).
+func (d *DTU) traceCmd(start sim.Time, flow uint64, name trace.SpanName, ep EpID, bytes int, err error) {
+	now := d.eng.Now()
+	d.m.cmdTime.Observe(int64(now - start))
+	d.rec.EmitSpan(flow, 0, name, int64(start), int64(now), int(d.tile),
+		trace.CompDTU, trace.PathNone, int64(ep), int64(bytes), errCode(err))
 }
 
-// traceTLB records the outcome of the single per-command TLB check, both as
-// a flat event and — when a SEND/REPLY flow is in flight — as an instant
-// child span of the command's root span.
+// traceTLB records the outcome of the single per-command TLB check as an
+// instant span: a child of the command's root span when a SEND/REPLY flow
+// is in flight, a flow-0 span otherwise.
 func (d *DTU) traceTLB(hit bool, vaddr uint64) {
 	if !d.rec.Enabled() {
 		return
 	}
-	kind := trace.KindTLBMiss
 	h := int64(0)
 	if hit {
-		kind = trace.KindTLBHit
 		h = 1
 	}
 	now := int64(d.eng.Now())
-	d.rec.TLB(now, int(d.tile), kind, int64(d.curAct), vaddr)
 	d.rec.EmitSpan(d.curFlow, d.curSpan, trace.SpanDTUTLB, now, now, int(d.tile),
-		trace.CompDTU, trace.PathNone, h, int64(vaddr))
+		trace.CompDTU, trace.PathNone, h, int64(vaddr), int64(d.curAct))
 }

@@ -172,7 +172,7 @@ func (in *Injector) Drop(flow uint64, tile, attempt int) (sim.Time, bool) {
 	d := in.backoff(attempt)
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultDrop, now, now+int64(d),
-		tile, trace.CompFault, trace.PathNone, int64(attempt), 0)
+		tile, trace.CompFault, trace.PathNone, int64(attempt), 0, 0)
 	return d, true
 }
 
@@ -185,7 +185,7 @@ func (in *Injector) TerminalDrop(flow uint64, tile, attempt int) {
 	}
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultDrop, now, now,
-		tile, trace.CompFault, trace.PathNone, int64(attempt), 1)
+		tile, trace.CompFault, trace.PathNone, int64(attempt), 1, 0)
 }
 
 // Delay decides whether to add extra wire latency to the current delivery
@@ -199,7 +199,7 @@ func (in *Injector) Delay(flow uint64, tile int) sim.Time {
 	d := noCDelayTime
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultDelay, now, now+int64(d),
-		tile, trace.CompFault, trace.PathNone, int64(d), 0)
+		tile, trace.CompFault, trace.PathNone, int64(d), 0, 0)
 	return d
 }
 
@@ -213,7 +213,7 @@ func (in *Injector) Dup(flow uint64, tile int) bool {
 	in.dups.Inc()
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultDup, now, now,
-		tile, trace.CompFault, trace.PathNone, 0, 0)
+		tile, trace.CompFault, trace.PathNone, 0, 0, 0)
 	return true
 }
 
@@ -238,7 +238,7 @@ func (in *Injector) FailCmd(flow uint64, tile, kind int) bool {
 	in.cmdFails.Inc()
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultCmdFail, now, now,
-		tile, trace.CompFault, trace.PathNone, int64(kind), 0)
+		tile, trace.CompFault, trace.PathNone, int64(kind), 0, 0)
 	return true
 }
 
@@ -265,7 +265,7 @@ func (in *Injector) EmitRetry(flow uint64, at, end int64, tile, attempt int) {
 		return
 	}
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultRetry, at, end,
-		tile, trace.CompFault, trace.PathNone, int64(attempt), 0)
+		tile, trace.CompFault, trace.PathNone, int64(attempt), 0, 0)
 }
 
 // Stall decides whether to defer a TileMux wakeup poke and returns the
@@ -278,7 +278,7 @@ func (in *Injector) Stall(flow uint64, tile int) (sim.Time, bool) {
 	d := muxStallTime
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultStall, now, now+int64(d),
-		tile, trace.CompFault, trace.PathNone, int64(d), 0)
+		tile, trace.CompFault, trace.PathNone, int64(d), 0, 0)
 	return d, true
 }
 

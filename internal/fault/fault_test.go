@@ -180,15 +180,24 @@ func TestCountersAndSpans(t *testing.T) {
 	}
 }
 
-func TestUntracedFlowEmitsNoSpans(t *testing.T) {
+// TestUntracedFlowFaultsRecordFlowZero: faults on a packet of no traced
+// message still count, and an enabled recorder keeps their spans on flow 0.
+func TestUntracedFlowFaultsRecordFlowZero(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Tracer().Enable()
 	in := New(eng, Config{Seed: 11, Rate: 1.0})
 	in.Drop(0, 0, 0)
 	in.Delay(0, 0)
 	in.Stall(0, 0)
-	if n := len(eng.Tracer().Spans()); n != 0 {
-		t.Fatalf("flow-0 faults recorded %d spans, want 0", n)
+	spans := eng.Tracer().Spans()
+	want := []trace.SpanName{trace.SpanFaultDrop, trace.SpanFaultDelay, trace.SpanFaultStall}
+	if len(spans) != len(want) {
+		t.Fatalf("flow-0 faults recorded %d spans, want %d", len(spans), len(want))
+	}
+	for i, s := range spans {
+		if s.Flow != 0 || s.Name != want[i] {
+			t.Errorf("span %d = %v on flow %d, want %v on flow 0", i, s.Name, s.Flow, want[i])
+		}
 	}
 	if in.NoCDrops() != 1 || in.NoCDelays() != 1 || in.MuxStalls() != 1 {
 		t.Fatal("flow-0 faults must still count")

@@ -2,13 +2,13 @@
 // runs the RPC workloads of internal/rpcpair (Figure 6's pair and its
 // co-located variant on M³x, which forces the forward slow path) under a
 // fault config and reports an Outcome with everything the harness assertions need —
-// completion, conservation counters, and the run's trace hashes.
+// completion, conservation counters, and the run's trace hash.
 //
 // The scenarios deliberately keep the NoC's MaxRetries at its default of 0
 // (unbounded): injected drops then always retransmit, so a correct recovery
 // path shows up as "all rounds served, sends == delivered" rather than as a
 // tolerated loss. Determinism is asserted by running the same scenario twice
-// with the same seed and comparing EventHash/SpanHash.
+// with the same seed and comparing Hash.
 package scenarios
 
 import (
@@ -26,10 +26,8 @@ type Outcome struct {
 	Completed bool
 	// SimTime is the simulated end time of the run.
 	SimTime sim.Time
-	// EventHash and SpanHash are the run's trace hashes; equal hashes mean
-	// bit-identical runs.
-	EventHash uint64
-	SpanHash  uint64
+	// Hash is the run's trace hash; equal hashes mean bit-identical runs.
+	Hash uint64
 
 	// NoC conservation: every packet offered to the NoC must end up either
 	// delivered or terminally dropped, and every injected ghost duplicate
@@ -79,8 +77,7 @@ func (o *Outcome) fill(sys *core.System) {
 	rec := sys.Eng.Tracer()
 	o.SimTime = sys.Eng.Now()
 	settle(sys)
-	o.EventHash = rec.Hash()
-	o.SpanHash = rec.SpanHash()
+	o.Hash = rec.Hash()
 	o.Delivered = sys.Net.Delivered()
 	o.Dropped = sys.Net.Dropped()
 	in := sys.Fault

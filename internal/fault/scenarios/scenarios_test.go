@@ -48,21 +48,20 @@ func TestRPCFaultsActuallyInjected(t *testing.T) {
 }
 
 // TestRPCDeterminism asserts the core determinism contract: the same seed
-// produces bit-identical runs (equal event and span hashes), and a different
+// produces bit-identical runs (equal trace hashes), and a different
 // seed produces a different schedule.
 func TestRPCDeterminism(t *testing.T) {
 	a := RunRPC(false, 15, fault.Config{Seed: 7, Rate: 0.05})
 	b := RunRPC(false, 15, fault.Config{Seed: 7, Rate: 0.05})
-	if a.EventHash != b.EventHash || a.SpanHash != b.SpanHash {
-		t.Errorf("same seed, different runs: %#x/%#x vs %#x/%#x",
-			a.EventHash, a.SpanHash, b.EventHash, b.SpanHash)
+	if a.Hash != b.Hash {
+		t.Errorf("same seed, different runs: %#x vs %#x", a.Hash, b.Hash)
 	}
 	if a.SimTime != b.SimTime {
 		t.Errorf("same seed, different end times: %v vs %v", a.SimTime, b.SimTime)
 	}
 	c := RunRPC(false, 15, fault.Config{Seed: 8, Rate: 0.05})
-	if c.EventHash == a.EventHash {
-		t.Errorf("different seeds produced identical event hashes %#x", a.EventHash)
+	if c.Hash == a.Hash {
+		t.Errorf("different seeds produced identical trace hashes %#x", a.Hash)
 	}
 }
 
@@ -73,9 +72,8 @@ func TestRPCDeterminism(t *testing.T) {
 func TestDisabledInjectionMatchesBaseline(t *testing.T) {
 	base := RunRPC(false, 10, fault.Config{})
 	zero := RunRPC(false, 10, fault.Config{Seed: 99, Rate: 0})
-	if base.EventHash != zero.EventHash || base.SpanHash != zero.SpanHash {
-		t.Errorf("rate-0 run differs from zero-config run: %#x/%#x vs %#x/%#x",
-			base.EventHash, base.SpanHash, zero.EventHash, zero.SpanHash)
+	if base.Hash != zero.Hash {
+		t.Errorf("rate-0 run differs from zero-config run: %#x vs %#x", base.Hash, zero.Hash)
 	}
 	if !base.Completed || !zero.Completed {
 		t.Error("baseline runs did not complete")
@@ -112,8 +110,7 @@ func TestM3xForwardSurvivesFaults(t *testing.T) {
 func TestM3xForwardDeterminism(t *testing.T) {
 	a := RunM3xForward(4, fault.Config{Seed: 11, Rate: 0.05})
 	b := RunM3xForward(4, fault.Config{Seed: 11, Rate: 0.05})
-	if a.EventHash != b.EventHash || a.SpanHash != b.SpanHash {
-		t.Errorf("same seed, different M3x runs: %#x/%#x vs %#x/%#x",
-			a.EventHash, a.SpanHash, b.EventHash, b.SpanHash)
+	if a.Hash != b.Hash {
+		t.Errorf("same seed, different M3x runs: %#x vs %#x", a.Hash, b.Hash)
 	}
 }

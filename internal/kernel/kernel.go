@@ -241,13 +241,11 @@ func (k *Kernel) loop(p *sim.Proc) {
 			resp, deferred := k.handleSyscall(p, caller, msg, slot)
 			if k.rec.Enabled() {
 				if op, _, err := proto.ParseOp(msg.Data); err == nil {
-					k.rec.Syscall(int64(start), int64(k.eng.Now()-start),
-						int(k.d.Tile()), int64(op), int64(msg.Label))
 					// The controller's handling window, on the syscall
 					// message's own flow.
 					k.rec.EmitSpan(msg.Flow, 0, trace.SpanKernSyscall,
 						int64(start), int64(k.eng.Now()), int(k.d.Tile()),
-						trace.CompKernel, trace.PathNone, int64(op), int64(msg.Label))
+						trace.CompKernel, trace.PathNone, int64(op), int64(msg.Label), 0)
 				}
 			}
 			if deferred {

@@ -145,7 +145,7 @@ func (d *Driver) Idle(p *sim.Proc) {
 			}
 		}
 		if next != cur {
-			d.performSwitch(p, tile, next, 0)
+			d.performSwitch(p, tile, next, 0, trace.SpanKernRotate)
 		}
 	}
 }
@@ -171,7 +171,7 @@ func (d *Driver) ReplyFallback(msg *dtu.Message, resp []byte) bool {
 	// flow slow so it resolves to a verdict.
 	now := int64(d.eng.Now())
 	d.rec.EmitSpan(flow, 0, trace.SpanKernForward, now, now,
-		int(d.k.DTU().Tile()), trace.CompKernel, trace.PathSlow, 1, 1)
+		int(d.k.DTU().Tile()), trace.CompKernel, trace.PathSlow, 1, 1, 0)
 	return true
 }
 
@@ -364,15 +364,15 @@ func (d *Driver) AfterSyscall(p *sim.Proc) {
 	for len(d.pending) > 0 {
 		sw := d.pending[0]
 		d.pending = d.pending[1:]
-		d.performSwitch(p, sw.tile, sw.act, sw.flow)
+		d.performSwitch(p, sw.tile, sw.act, sw.flow, trace.SpanKernSwitch)
 	}
 }
 
 // performSwitch runs the full M³x remote context switch: stop the current
 // activity, pull its DTU state over the NoC, push the target's saved state
 // back, and resume. Everything happens inline in the single controller
-// process.
-func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uint64) {
+// process. The switch is recorded as a span of the given name on flow.
+func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uint64, name trace.SpanName) {
 	cur := d.current[tile]
 	if cur == to {
 		return
@@ -419,6 +419,6 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 		panic(fmt.Sprintf("m3x: resume failed: %d", code))
 	}
 	d.current[tile] = to
-	d.rec.EmitSpan(flow, 0, trace.SpanKernSwitch, int64(start), int64(d.eng.Now()),
-		int(d.k.DTU().Tile()), trace.CompKernel, trace.PathNone, int64(tile), int64(to))
+	d.rec.EmitSpan(flow, 0, name, int64(start), int64(d.eng.Now()),
+		int(d.k.DTU().Tile()), trace.CompKernel, trace.PathNone, int64(tile), int64(to), 0)
 }

@@ -231,10 +231,8 @@ type inflight struct {
 	n       *Network
 	pkt     *Packet
 	attempt int
-	// sentAt is the transmit time of the current attempt: the packet's
-	// enqueue stamp, recorded before router queueing and path latency.
-	sentAt sim.Time
-	// span is the noc.xfer span of the current attempt (0 when untraced).
+	// span is the noc.xfer span of the current attempt (0 when untraced),
+	// begun at its transmit time, before router queueing and path latency.
 	span  trace.SpanRef
 	fire  func() // cached: fl.deliver
 	retry func() // cached: fl.transmit
@@ -244,7 +242,7 @@ func (n *Network) newInflight(pkt *Packet) *inflight {
 	if len(n.freeFlights) > 0 {
 		fl := n.freeFlights[len(n.freeFlights)-1]
 		n.freeFlights = n.freeFlights[:len(n.freeFlights)-1]
-		fl.pkt, fl.attempt, fl.sentAt, fl.span = pkt, 0, 0, 0
+		fl.pkt, fl.attempt, fl.span = pkt, 0, 0
 		return fl
 	}
 	fl := &inflight{n: n, pkt: pkt}
@@ -273,9 +271,8 @@ func (n *Network) Send(pkt *Packet) {
 	if pkt.Src == pkt.Dst {
 		// Tile-local loopback through the DTU: one hop worth of latency,
 		// no router involvement.
-		fl.sentAt = n.eng.Now()
 		fl.span = n.rec.BeginSpan(pkt.Flow, 0, trace.SpanNoCXfer,
-			int64(fl.sentAt), int(pkt.Dst), trace.CompNoC)
+			int64(n.eng.Now()), int(pkt.Dst), trace.CompNoC)
 		n.eng.After(perHopLatency+n.serialization(pkt.Size), fl.fire)
 		return
 	}
@@ -308,14 +305,13 @@ func (fl *inflight) transmit() {
 	}
 	n.routerFree[r] = start + ser
 	queueing := start - now
-	fl.sentAt = now
 	fl.span = n.rec.BeginSpan(pkt.Flow, 0, trace.SpanNoCXfer,
 		int64(now), int(pkt.Dst), trace.CompNoC)
 	if queueing > 0 {
 		// The router-contention share of the transfer, as an enclosed child.
 		n.rec.EmitSpan(pkt.Flow, fl.span, trace.SpanNoCQueue,
 			int64(now), int64(now+queueing), int(pkt.Dst), trace.CompNoC,
-			trace.PathNone, int64(r), 0)
+			trace.PathNone, int64(r), 0, 0)
 	}
 	if n.inj.Dup(pkt.Flow, int(pkt.Dst)) {
 		// Ghost duplicate: it books the ingress router a second time (real
@@ -354,25 +350,21 @@ func (fl *inflight) deliver() {
 	if h == nil {
 		panic(fmt.Sprintf("noc: no handler attached to tile %d", pkt.Dst))
 	}
-	// The packet event spans the attempt: stamped at its transmit (enqueue)
-	// time with the wire time as duration, not at the dequeue edge. (An
-	// earlier version stamped the enqueue event with the dequeue cycle,
-	// which mis-attributed queueing time; TestNoCPacketStampedAtTransmit
-	// pins the corrected stamping.)
+	// The noc.xfer span covers the attempt: begun at its transmit (enqueue)
+	// time and ended here, at the delivery edge. (An earlier version stamped
+	// the packet at the dequeue cycle, which mis-attributed queueing time;
+	// TestNoCPacketStampedAtTransmit pins the corrected stamping.)
 	now := n.eng.Now()
-	wire := int64(now - fl.sentAt)
 	if h.Deliver(pkt) {
 		n.cDelivered.Inc()
 		n.gInflight.Dec()
 		n.cBytes.Add(int64(pkt.Size))
-		n.rec.NoCPacket(int64(fl.sentAt), wire, int(pkt.Src), int(pkt.Dst), int64(pkt.Size), true)
 		n.rec.EndSpanArgs(fl.span, int64(now), trace.PathNone, int64(fl.attempt), 1)
 		n.releasePkt(pkt)
 		n.releaseInflight(fl)
 		return
 	}
 	n.cNacked.Inc()
-	n.rec.NoCPacket(int64(fl.sentAt), wire, int(pkt.Src), int(pkt.Dst), int64(pkt.Size), false)
 	n.rec.EndSpanArgs(fl.span, int64(now), trace.PathNone, int64(fl.attempt), 0)
 	fl.span = 0
 	if n.cfg.MaxRetries > 0 && fl.attempt+1 >= n.cfg.MaxRetries {

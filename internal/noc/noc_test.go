@@ -159,11 +159,12 @@ func TestMissingHandlerPanics(t *testing.T) {
 	eng.Run()
 }
 
-// TestNoCPacketStampedAtTransmit pins the event-stamp fix: the NoCPacket
-// event is stamped at the attempt's transmit (enqueue) time with the wire
-// time as duration, so At+Dur is the dequeue (delivery) edge. An earlier
-// version stamped the event at the dequeue cycle with zero duration, which
-// made router-queueing time invisible and mis-attributed the enqueue edge.
+// TestNoCPacketStampedAtTransmit pins the stamp fix: a packet's noc.xfer
+// span begins at the attempt's transmit (enqueue) time and ends at the
+// dequeue (delivery) edge. An earlier version stamped the packet at the
+// dequeue cycle with zero duration, which made router-queueing time
+// invisible and mis-attributed the enqueue edge. The packets carry no flow,
+// so this also pins that an enabled recorder keeps flow-0 spans.
 func TestNoCPacketStampedAtTransmit(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := eng.Tracer()
@@ -178,24 +179,27 @@ func TestNoCPacketStampedAtTransmit(t *testing.T) {
 	n.Send(&Packet{Src: 4, Dst: 1, Size: 160})
 	eng.Run()
 
-	var pkts []trace.Event
-	for _, ev := range rec.Events() {
-		if ev.Kind == trace.KindNoCPacket {
-			pkts = append(pkts, ev)
+	var pkts []trace.Span
+	for _, s := range rec.Spans() {
+		if s.Name == trace.SpanNoCXfer {
+			pkts = append(pkts, s)
 		}
 	}
 	if len(pkts) != 2 {
-		t.Fatalf("got %d NoCPacket events, want 2", len(pkts))
+		t.Fatalf("got %d noc.xfer spans, want 2", len(pkts))
 	}
 	ns := int64(sim.Nanosecond)
-	for i, want := range []struct{ at, dur int64 }{{0, 145 * ns}, {0, 245 * ns}} {
+	for i, want := range []struct{ at, end int64 }{{0, 145 * ns}, {0, 245 * ns}} {
 		if pkts[i].At != want.at {
 			t.Errorf("packet %d stamped at %d, want transmit time %d (not the dequeue edge)",
 				i, pkts[i].At, want.at)
 		}
-		if pkts[i].Dur != want.dur {
-			t.Errorf("packet %d duration %d, want %d so At+Dur is the delivery edge",
-				i, pkts[i].Dur, want.dur)
+		if pkts[i].End != want.end {
+			t.Errorf("packet %d ends at %d, want the delivery edge %d",
+				i, pkts[i].End, want.end)
+		}
+		if pkts[i].Flow != 0 || pkts[i].Tile != 1 || pkts[i].Arg1 != 1 {
+			t.Errorf("packet %d = %+v, want flow 0, tile 1, delivered", i, pkts[i])
 		}
 	}
 }

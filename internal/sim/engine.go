@@ -293,9 +293,9 @@ func (e *Engine) Now() Time { return e.now }
 //m3v:noalloc
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// Tracer returns the engine's structured event recorder (never nil). All
-// components built on this engine share it: the recorder's metrics registry
-// is always live, while the event stream is off until Tracer().Enable().
+// Tracer returns the engine's span recorder (never nil). All components
+// built on this engine share it: the recorder's metrics registry is always
+// live, while the span stream is off until Tracer().Enable().
 func (e *Engine) Tracer() *trace.Recorder { return e.rec }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -482,9 +482,9 @@ func (e *Engine) flush(executed int64) {
 //
 // The recurring tick keeps the queue non-empty: bound the run with RunUntil
 // (or Stop), as Engine.Run would spin on sampler ticks forever. Sampling
-// does not emit trace events or spans, but each tick consumes sequence
-// numbers, which shifts seeded fault schedules (see fault injection); event
-// streams of fault-free runs are unaffected.
+// does not emit spans, but each tick consumes sequence numbers, which
+// shifts seeded fault schedules (see fault injection); span streams of
+// fault-free runs are unaffected.
 //
 // Calling StartSampling again returns the existing sampler unchanged.
 func (e *Engine) StartSampling(every Time) *trace.Sampler {

@@ -297,6 +297,12 @@ func (m *Mux) release() { m.cBusyPs.Add(int64(m.Release(m.eng.Now()))) }
 
 // --- switching ------------------------------------------------------------
 
+// span records a TileMux span on this tile from at to now, on flow 0
+// unless it belongs to a message.
+func (m *Mux) span(flow uint64, name trace.SpanName, at sim.Time, a0, a1, a2 int64) {
+	m.rec.EmitSpan(flow, 0, name, int64(at), int64(m.eng.Now()), int(m.d.Tile()), trace.CompTileMux, trace.PathNone, a0, a1, a2)
+}
+
 // switchTo performs a context switch to next (nil = idle). The caller holds
 // the core token; p is the execution context paying for the switch. The
 // previous activity's CUR_ACT count is saved and — per the lost-wakeup rule
@@ -312,17 +318,15 @@ func (m *Mux) switchTo(p *sim.Proc, next *Act, reason trace.SwitchReason) {
 	old, oldMsgs := m.d.SwitchAct(p, nid, nmsgs)
 	// Count the switch only once it completed: a switch still sleeping when
 	// the engine stops must not leave the counters out of step with the
-	// per-target counts and the event stream.
+	// per-target counts and the span stream.
 	m.cCtxSwitches.Inc()
 	m.switchTarget(nid).Inc()
-	dur := int64(m.eng.Now() - start)
-	m.hSwitchTime.Observe(dur)
-	m.rec.CtxSwitch(int64(start), dur, int(m.d.Tile()), int64(old), int64(nid), reason)
+	m.hSwitchTime.Observe(int64(m.eng.Now() - start))
+	m.span(0, trace.SpanMuxSwitch, start, int64(old), int64(nid), int64(reason))
 	if next != nil && next.wakeFlow != 0 {
 		// This switch brings the recipient of a traced message onto the
 		// core: attribute it to that message's flow.
-		m.rec.EmitSpan(next.wakeFlow, 0, trace.SpanMuxWakeup, int64(start), int64(m.eng.Now()),
-			int(m.d.Tile()), trace.CompTileMux, trace.PathNone, int64(old), int64(nid))
+		m.span(next.wakeFlow, trace.SpanMuxWakeup, start, int64(old), int64(nid), 0)
 		next.wakeFlow = 0
 	}
 	if oa := m.acts[old]; oa != nil {
@@ -446,7 +450,7 @@ func (m *Mux) muxLoop(p *sim.Proc) {
 		m.Acquire(p, true)
 		if m.hasIrq() {
 			m.cIrqs.Inc()
-			m.rec.Irq(int64(m.eng.Now()), int(m.d.Tile()), int64(m.d.PendingCoreReqs()))
+			m.span(0, trace.SpanMuxIrq, m.eng.Now(), int64(m.d.PendingCoreReqs()), 0, 0)
 			p.Sleep(m.cy(irqCycles))
 			m.asMux(p, func() {
 				m.handleMuxMsgs(p)

@@ -144,7 +144,7 @@ func (a *Act) Exit(code int32) {
 	a.ExitCode = code
 	a.state = actExited
 	a.BusyTime += m.eng.Now() - a.opStart
-	m.rec.ActExit(int64(m.eng.Now()), int(m.d.Tile()), int64(a.ID), int64(code))
+	m.span(0, trace.SpanMuxActExit, m.eng.Now(), int64(a.ID), int64(code), 0)
 	// Notify the controller through TileMux's own send endpoint.
 	m.asMux(p, func() {
 		msg := proto.NewWriter(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
@@ -180,7 +180,7 @@ func (a *Act) FixTranslation(vaddr uint64, perm dtu.Perm) error {
 	}
 	// Major fault: ask the pager and block until the reply is processed.
 	m.cPageFaults.Inc()
-	m.rec.PageFault(int64(m.eng.Now()), int(m.d.Tile()), int64(a.ID), vaddr, int64(perm))
+	m.span(0, trace.SpanMuxPageFault, m.eng.Now(), int64(a.ID), int64(vaddr), int64(perm))
 	a.pfPending = true
 	a.state = actFaulting
 	m.asMux(p, func() {

@@ -1,283 +1,371 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
-// This file exports recorded event streams in the Chrome trace-event JSON
+// This file exports recorded span streams in the Chrome trace-event JSON
 // format, loadable in chrome://tracing and https://ui.perfetto.dev. Each
-// tile becomes a "process"; each component becomes a "thread" inside it, so
-// the timeline shows per-tile lanes for DTU commands, TileMux scheduling,
-// kernel activity, and NoC traffic.
-
-// chromeEvent is one entry of the traceEvents array.
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Cat  string                 `json:"cat,omitempty"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"` // microseconds
-	Dur  float64                `json:"dur,omitempty"`
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	S    string                 `json:"s,omitempty"`
-	ID   string                 `json:"id,omitempty"` // flow-event binding id
-	BP   string                 `json:"bp,omitempty"` // flow binding point
-	Args map[string]interface{} `json:"args,omitempty"`
-}
-
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// ps to chrome microseconds.
-func usOf(ps int64) float64 { return float64(ps) / 1e6 }
+// tile becomes a "process". Spans of flow 0 sit on one lane ("thread") per
+// component; the spans of traced messages sit on a "<comp> flows" lane per
+// component, and flow arrows connect each message's spans from the sending
+// DTU across the NoC to the receiving tile. Sampled series become counter
+// tracks.
+//
+// The writer streams: it appends each entry as compact JSON to a byte
+// buffer and hands the buffer to w whenever it fills, so its memory does
+// not grow with the output.
 
 // chromePidStride spaces the runs of one trace: recorder i's tiles appear
 // as processes i*chromePidStride + tile, and its global counter tracks on
 // the last pid of that window.
 const chromePidStride = 1000
 
-// WriteChrome writes the recorders' events, spans and sampled series (e.g.
-// one recorder per benchmarked System) into a single Chrome trace; recorder
+// flushBytes is the buffer size at which a streamWriter flushes to w.
+const flushBytes = 1 << 16
+
+// minFlowSlice is the duration (ps) a flow span's slice is clamped to: a
+// flow arrow only binds to a slice of nonzero duration.
+const minFlowSlice = 1000
+
+// WriteChrome writes the recorders' spans and sampled series (e.g. one
+// recorder per benchmarked System) into a single Chrome trace; recorder
 // i's tiles appear as processes i*1000 + tile.
 //
-// Events are ordered by (run, timestamp): each recorder's stream is written
-// in full before the next one's, and is internally time-ordered because a
-// recorder appends in simulated-time order. The run index is the recorder's
-// position in recs — with auto-registered recorders from a parallel sweep
-// that is completion order, not sweep-point order, so two traces of the
-// same experiment may list the same runs under different pids.
+// Entries are ordered by run: each recorder's spans are written in stream
+// order, then its flow arrows, then its counter tracks, before the next
+// recorder's. The run index is the recorder's position in recs — with
+// auto-registered recorders from a parallel sweep that is completion
+// order, not sweep-point order, so two traces of the same experiment may
+// list the same runs under different pids.
 func WriteChrome(w io.Writer, recs []*Recorder) error {
-	var out chromeFile
-	type lane struct{ pid, tid int }
-	seen := make(map[lane]bool)
-	name := func(pid, tid int, ri int, comp Component) {
-		l := lane{pid, tid}
-		if seen[l] {
-			return
-		}
-		seen[l] = true
-		proc := fmt.Sprintf("tile %d", pid%chromePidStride)
-		if len(recs) > 1 {
-			proc = fmt.Sprintf("sys%d tile %d", ri, pid%chromePidStride)
-		}
-		out.TraceEvents = append(out.TraceEvents,
-			chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-				Args: map[string]interface{}{"name": proc}},
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]interface{}{"name": comp.String()}},
-		)
-	}
+	cw := &chromeWriter{streamWriter: streamWriter{w: w}, multi: len(recs) > 1, named: map[[2]int]bool{}}
+	cw.buf = append(cw.buf, `{"traceEvents":[`...)
 	for ri, r := range recs {
-		for i := range r.Events() {
-			ev := &r.events[i]
-			pid := ri*chromePidStride + int(ev.Tile)
-			tid := int(ev.Comp) + 1 // tid 0 reserved for process metadata
-			name(pid, tid, ri, ev.Comp)
-			ce := chromeEvent{
-				Name: ev.Kind.String(),
-				Cat:  ev.Comp.String(),
-				Ts:   usOf(ev.At),
-				Pid:  pid,
-				Tid:  tid,
-				Args: chromeArgs(ev),
-			}
-			if ev.Dur > 0 {
-				ce.Ph = "X"
-				ce.Dur = usOf(ev.Dur)
-			} else {
-				ce.Ph = "i"
-				ce.S = "t" // thread-scoped instant
-			}
-			if ev.Kind == KindDTUCmd {
-				ce.Name = "dtu_" + DTUCmd(ev.Arg0).String()
-			}
-			out.TraceEvents = append(out.TraceEvents, ce)
-		}
-		writeChromeSpans(&out, r, ri, name)
-		writeChromeCounters(&out, r, ri)
+		cw.spans(ri, r.Spans())
+		cw.arrows(ri, r.Spans())
+		cw.counters(ri, r.Sampler())
 	}
-	out.DisplayTimeUnit = "ns"
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
+	cw.buf = append(cw.buf, "\n],\"displayTimeUnit\":\"ns\"}\n"...)
+	cw.flush()
+	return cw.err
 }
 
-// spanLaneName names the per-component span lane (below the event lanes).
-type spanLane struct{ pid, tid int }
+// streamWriter buffers JSON appended to buf and hands it to w in chunks of
+// about flushBytes, so a writer's memory does not grow with its output.
+type streamWriter struct {
+	w   io.Writer
+	buf []byte
+	err error // first write error; later flushes are dropped
+}
 
-// writeChromeSpans renders the recorder's causal spans as duration slices on
-// dedicated per-component lanes, then stitches each flow's spans together
-// with Perfetto flow events ("s"/"t"/"f") so the UI draws connected arrows
-// from the sending DTU across the NoC to the receiving tile.
-func writeChromeSpans(out *chromeFile, r *Recorder, ri int,
-	name func(pid, tid, ri int, comp Component)) {
-	spans := r.Spans()
-	if len(spans) == 0 {
+func (sw *streamWriter) flush() {
+	if sw.err == nil {
+		_, sw.err = sw.w.Write(sw.buf)
+	}
+	sw.buf = sw.buf[:0]
+}
+
+// next returns the buffer to append the next element to, flushing it first
+// once it is full.
+func (sw *streamWriter) next() []byte {
+	if len(sw.buf) >= flushBytes {
+		sw.flush()
+	}
+	return sw.buf
+}
+
+// chromeWriter is the state of one streaming WriteChrome pass.
+type chromeWriter struct {
+	streamWriter
+	n     int  // entries started
+	multi bool // more than one run: process names carry the run
+	// named holds the (pid, tid) lanes whose metadata is written; tid 0
+	// stands for the process itself. last caches the most recent lane
+	// (span lanes have tid >= 1, so the zero value matches none).
+	named map[[2]int]bool
+	last  [2]int
+}
+
+// entry starts the next element of the traceEvents array, one per line.
+func (cw *chromeWriter) entry() []byte {
+	b := cw.next()
+	if cw.n > 0 {
+		b = append(b, ',')
+	}
+	cw.n++
+	return append(b, "\n{"...)
+}
+
+// meta writes a process_name or thread_name metadata entry.
+func (cw *chromeWriter) meta(kind string, pid, tid int, name string) {
+	b := cw.entry()
+	b = append(b, `"name":`...)
+	b = appendString(b, kind)
+	b = appendLane(append(b, `,"ph":"M"`...), pid, tid)
+	b = append(b, `,"args":{"name":`...)
+	b = appendString(b, name)
+	cw.buf = append(b, "}}"...)
+}
+
+// process names process pid of run ri once.
+func (cw *chromeWriter) process(ri, pid int, name string) {
+	if cw.named[[2]int{pid, 0}] {
 		return
 	}
-	// Slices must have nonzero duration for flow arrows to bind; clamp
-	// instant spans to 1 ns.
-	const minDur = 0.001 // µs
-	laneSeen := make(map[spanLane]bool)
-	type anchor struct{ pid, tid int }
-	anchors := make([]anchor, len(spans))
-	byFlow := make(map[uint64][]int)
-	var flowOrder []uint64
+	cw.named[[2]int{pid, 0}] = true
+	if cw.multi {
+		name = "sys" + strconv.Itoa(ri) + " " + name
+	}
+	cw.meta("process_name", pid, 0, name)
+}
+
+// lane returns the pid of tile in run ri and names it and its lane tid
+// (component comp) once.
+func (cw *chromeWriter) lane(ri int, tile int32, tid int, comp Component) int {
+	pid := ri*chromePidStride + int(tile)
+	if key := [2]int{pid, tid}; key != cw.last {
+		cw.last = key
+		if !cw.named[key] {
+			cw.named[key] = true
+			cw.process(ri, pid, "tile "+strconv.Itoa(int(tile)))
+			name := comp.String()
+			if tid > int(numComponents) {
+				name += " flows"
+			}
+			cw.meta("thread_name", pid, tid, name)
+		}
+	}
+	return pid
+}
+
+// spanTid is the lane of a span: tid 0 is the process metadata, 1..7 the
+// component lanes of flow 0, and 8..14 the component lanes of flows.
+func spanTid(s *Span) int {
+	if s.Flow == 0 {
+		return 1 + int(s.Comp)
+	}
+	return 1 + int(numComponents) + int(s.Comp)
+}
+
+// spans writes one slice per span: flow-0 spans of zero length become
+// instants, flow spans are clamped to minFlowSlice so arrows bind.
+func (cw *chromeWriter) spans(ri int, spans []Span) {
 	for i := range spans {
 		s := &spans[i]
-		pid := ri*chromePidStride + int(s.Tile)
-		// Span lanes sit after the component event lanes (tid 0 is
-		// metadata, 1..numComponents are event lanes).
-		tid := 1 + int(numComponents) + int(s.Comp)
-		anchors[i] = anchor{pid, tid}
-		name(pid, 1+int(s.Comp), ri, s.Comp) // ensure the process is named
-		l := spanLane{pid, tid}
-		if !laneSeen[l] {
-			laneSeen[l] = true
-			out.TraceEvents = append(out.TraceEvents,
-				chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-					Args: map[string]interface{}{"name": s.Comp.String() + " flows"}})
+		tid := spanTid(s)
+		pid := cw.lane(ri, s.Tile, tid, s.Comp)
+		var dur uint64
+		if s.End > s.At {
+			dur = uint64(s.End) - uint64(s.At)
 		}
-		dur := usOf(s.Dur())
-		if dur < minDur {
-			dur = minDur
+		b := cw.entry()
+		b = append(b, `"name":`...)
+		b = appendString(b, s.Name.String())
+		b = append(b, `,"cat":`...)
+		b = appendString(b, s.Comp.String())
+		if s.Flow == 0 && dur == 0 {
+			b = append(b, `,"ph":"i","s":"t","ts":`...)
+			b = appendUs(b, s.At)
+		} else {
+			if s.Flow != 0 && dur < minFlowSlice {
+				dur = minFlowSlice
+			}
+			b = append(b, `,"ph":"X","ts":`...)
+			b = appendUs(b, s.At)
+			b = append(b, `,"dur":`...)
+			b = appendUsAbs(b, dur)
 		}
-		args := map[string]interface{}{
-			"flow": s.Flow, "arg0": s.Arg0, "arg1": s.Arg1,
+		b = appendLane(b, pid, tid)
+		b = append(b, `,"args":{`...)
+		open := len(b)
+		if s.Flow != 0 {
+			b = append(b, `"flow":`...)
+			b = strconv.AppendUint(b, s.Flow, 10)
 		}
+		b = appendArg(b, open, "arg0", s.Arg0)
+		b = appendArg(b, open, "arg1", s.Arg1)
+		b = appendArg(b, open, "arg2", s.Arg2)
 		if s.Path != PathNone {
-			args["path"] = s.Path.String()
+			b = appendKey(b, open, "path")
+			b = appendString(b, s.Path.String())
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: s.Name.String(), Cat: "span", Ph: "X",
-			Ts: usOf(s.At), Dur: dur, Pid: pid, Tid: tid, Args: args,
-		})
-		if len(byFlow[s.Flow]) == 0 {
-			flowOrder = append(flowOrder, s.Flow)
-		}
-		byFlow[s.Flow] = append(byFlow[s.Flow], i)
+		cw.buf = append(b, "}}"...)
 	}
-	// Flow arrows: one step per span, in causal (start-time) order. The
-	// first step is "s" (start), intermediates "t" (step), the last "f"
-	// (finish); bp "e" binds each step to the slice enclosing its
-	// timestamp. Flow ids are namespaced per run so merged traces don't
-	// cross-link.
-	for _, flow := range flowOrder {
-		idxs := byFlow[flow]
-		if len(idxs) < 2 {
-			continue // a single-span flow has no arrow to draw
+}
+
+// arrows stitches each flow's spans together with flow events in start-time
+// order: "s" at the first span, "t" at intermediates, "f" at the last; bp
+// "e" binds each later step to the slice enclosing its timestamp. Flow ids
+// are namespaced per run so merged traces don't cross-link, and a flow of
+// one span has no arrow.
+func (cw *chromeWriter) arrows(ri int, spans []Span) {
+	type step struct {
+		flow uint64
+		at   int64
+		i    int32
+	}
+	var order []step
+	for i := range spans {
+		if s := &spans[i]; s.Flow != 0 {
+			order = append(order, step{s.Flow, s.At, int32(i)})
 		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return spans[idxs[a]].At < spans[idxs[b]].At
-		})
-		id := fmt.Sprintf("%d.%d", ri, flow)
-		for step, i := range idxs {
-			s := &spans[i]
-			ce := chromeEvent{
-				Name: "flow", Cat: "flow", Ts: usOf(s.At),
-				Pid: anchors[i].pid, Tid: anchors[i].tid, ID: id,
+	}
+	slices.SortFunc(order, func(a, b step) int {
+		if c := cmp.Compare(a.flow, b.flow); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		flow := order[lo].flow
+		for hi = lo + 1; hi < len(order) && order[hi].flow == flow; hi++ {
+		}
+		if hi-lo < 2 {
+			continue
+		}
+		for k := lo; k < hi; k++ {
+			s := &spans[order[k].i]
+			ph := `"t"`
+			switch k {
+			case lo:
+				ph = `"s"`
+			case hi - 1:
+				ph = `"f"`
 			}
-			switch step {
-			case 0:
-				ce.Ph = "s"
-			case len(idxs) - 1:
-				ce.Ph = "f"
-				ce.BP = "e"
-			default:
-				ce.Ph = "t"
-				ce.BP = "e"
+			b := cw.entry()
+			b = append(b, `"name":"flow","cat":"flow","ph":`...)
+			b = append(b, ph...)
+			b = append(b, `,"ts":`...)
+			b = appendUs(b, s.At)
+			b = appendLane(b, ri*chromePidStride+int(s.Tile), spanTid(s))
+			b = append(b, `,"id":"`...)
+			b = strconv.AppendInt(b, int64(ri), 10)
+			b = append(b, '.')
+			b = strconv.AppendUint(b, flow, 10)
+			b = append(b, '"')
+			if k > lo {
+				b = append(b, `,"bp":"e"`...)
 			}
-			out.TraceEvents = append(out.TraceEvents, ce)
+			cw.buf = append(b, '}')
 		}
 	}
 }
 
-// writeChromeCounters renders the recorder's sampled series as Perfetto
-// counter tracks ("ph":"C"), so queue depths and utilization draw as area
-// charts alongside the event and span lanes. Series for a specific tile
-// (name "tileNN.component.what") attach to that tile's process; global
-// series (engine, NoC) go to a per-run "metrics" pseudo-process at the last
-// pid of the run's stride window.
-func writeChromeCounters(out *chromeFile, r *Recorder, ri int) {
-	sp := r.Sampler()
+// counters renders the sampled series as Perfetto counter tracks
+// ("ph":"C"), so queue depths and utilization draw as area charts
+// alongside the span lanes. Series for a specific tile (name
+// "tileNN.component.what") attach to that tile's process; global series
+// (engine, NoC) go to a per-run "metrics" pseudo-process at the last pid of
+// the run's stride window.
+func (cw *chromeWriter) counters(ri int, sp *Sampler) {
 	if sp == nil {
 		return
 	}
-	metricsPid := ri*chromePidStride + chromePidStride - 1
-	namedMetricsPid := false
 	for _, sr := range sp.Series() {
-		pid := metricsPid
-		var tile int
-		if n, _ := fmt.Sscanf(sr.Name(), "tile%d.", &tile); n == 1 {
-			pid = ri*chromePidStride + tile
-		} else if !namedMetricsPid {
-			namedMetricsPid = true
-			proc := "metrics"
-			if ri > 0 {
-				proc = fmt.Sprintf("sys%d metrics", ri)
-			}
-			out.TraceEvents = append(out.TraceEvents,
-				chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-					Args: map[string]interface{}{"name": proc}})
+		pid, proc := ri*chromePidStride+chromePidStride-1, "metrics"
+		if tile, ok := seriesTile(sr.Name()); ok {
+			pid, proc = ri*chromePidStride+tile, "tile "+strconv.Itoa(tile)
 		}
+		cw.process(ri, pid, proc)
+		name := appendString(nil, sr.Name())
 		for i := 0; i < sr.Len(); i++ {
 			t, v := sr.Sample(i)
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: sr.Name(), Cat: "counter", Ph: "C",
-				Ts: usOf(t), Pid: pid, Tid: 0,
-				Args: map[string]interface{}{"value": v},
-			})
+			b := cw.entry()
+			b = append(b, `"name":`...)
+			b = append(b, name...)
+			b = append(b, `,"cat":"counter","ph":"C","ts":`...)
+			b = appendUs(b, t)
+			b = append(b, `,"pid":`...)
+			b = strconv.AppendInt(b, int64(pid), 10)
+			b = append(b, `,"args":{"value":`...)
+			b = strconv.AppendInt(b, v, 10)
+			cw.buf = append(b, "}}"...)
 		}
 	}
 }
 
-// chromeArgs decodes an event's Arg fields into named values for the
-// trace-viewer detail pane.
-func chromeArgs(ev *Event) map[string]interface{} {
-	switch ev.Kind {
-	case KindCtxSwitch:
-		return map[string]interface{}{
-			"from": ev.Arg0, "to": ev.Arg1,
-			"reason": SwitchReason(ev.Arg2).String(),
-		}
-	case KindDTUCmd:
-		a := map[string]interface{}{
-			"cmd": DTUCmd(ev.Arg0).String(), "ep": ev.Arg1, "bytes": ev.Arg2,
-		}
-		if ev.Arg3 != 0 {
-			a["err"] = ev.Arg3
-		}
-		return a
-	case KindCoreReqRaise, KindCoreReqDrain:
-		return map[string]interface{}{"act": ev.Arg0, "depth": ev.Arg1}
-	case KindTLBHit, KindTLBMiss, KindTLBEvict:
-		return map[string]interface{}{
-			"act": ev.Arg0, "vaddr": fmt.Sprintf("%#x", uint64(ev.Arg1)),
-		}
-	case KindPageFault:
-		return map[string]interface{}{
-			"act": ev.Arg0, "vaddr": fmt.Sprintf("%#x", uint64(ev.Arg1)),
-			"perm": ev.Arg2,
-		}
-	case KindSyscall:
-		return map[string]interface{}{"op": ev.Arg0, "act": ev.Arg1}
-	case KindIrq:
-		return map[string]interface{}{"pending": ev.Arg0}
-	case KindNoCPacket:
-		a := map[string]interface{}{
-			"src": ev.Arg0, "dst": ev.Arg1, "bytes": ev.Arg2,
-		}
-		if ev.Arg3 == 0 {
-			a["nacked"] = true
-		}
-		return a
-	case KindActExit:
-		return map[string]interface{}{"act": ev.Arg0, "code": ev.Arg1}
-	default:
-		return nil
+// seriesTile parses the tile of a per-tile series name "tileNN.comp.what".
+func seriesTile(name string) (int, bool) {
+	rest, ok := strings.CutPrefix(name, "tile")
+	digits, _, dot := strings.Cut(rest, ".")
+	tile, err := strconv.Atoi(digits)
+	return tile, ok && dot && err == nil
+}
+
+// appendLane appends the "pid" and "tid" members of an entry.
+func appendLane(b []byte, pid, tid int) []byte {
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	return strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+}
+
+// appendKey appends an object key, preceded by a comma unless it is the
+// first member after offset open.
+func appendKey(b []byte, open int, key string) []byte {
+	if len(b) > open {
+		b = append(b, ',')
 	}
+	b = appendString(b, key)
+	return append(b, ':')
+}
+
+// appendArg appends a nonzero integer member.
+func appendArg(b []byte, open int, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(appendKey(b, open, key), v, 10)
+}
+
+// appendUs appends a picosecond timestamp as exact decimal microseconds.
+func appendUs(b []byte, ps int64) []byte {
+	if ps < 0 {
+		return appendUsAbs(append(b, '-'), -uint64(ps))
+	}
+	return appendUsAbs(b, uint64(ps))
+}
+
+// appendUsAbs appends ps picoseconds as decimal microseconds, with at most
+// six fractional digits and no trailing zeros.
+func appendUsAbs(b []byte, ps uint64) []byte {
+	b = strconv.AppendUint(b, ps/1e6, 10)
+	frac := ps % 1e6
+	if frac == 0 {
+		return b
+	}
+	d := [7]byte{'.'}
+	for i := 6; i > 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(d)
+	for d[n-1] == '0' {
+		n--
+	}
+	return append(b, d[:n]...)
+}
+
+// appendString appends s as a JSON string, escaping quotes, backslashes
+// and control characters.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&15])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }

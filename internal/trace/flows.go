@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -52,32 +53,68 @@ type FlowFile struct {
 	Runs   []FlowRun `json:"runs"`
 }
 
-// WriteFlows serializes the span streams of the given recorders as a
-// FlowFile (one run per recorder, in order).
+// WriteFlows streams the flow spans of the given recorders as a FlowFile
+// (one run per recorder, in order), byte for byte what encoding/json makes
+// of it. Spans of flow 0 belong to no message and are left out; span IDs
+// and parent refs are renumbered to positions in the written stream.
 func WriteFlows(w io.Writer, recs []*Recorder) error {
-	f := FlowFile{Schema: FlowSchema}
+	sw := &streamWriter{w: w}
+	sw.buf = append(sw.buf, `{"schema":"`+FlowSchema+`","runs":`...)
+	if len(recs) == 0 {
+		sw.buf = append(sw.buf, "null"...)
+	}
 	for ri, r := range recs {
-		run := FlowRun{Run: ri, Spans: make([]FlowSpan, 0, len(r.Spans()))}
+		sep := byte(',')
+		if ri == 0 {
+			sep = '['
+		}
+		b := append(sw.buf, sep)
+		b = append(b, `{"run":`...)
+		b = strconv.AppendInt(b, int64(ri), 10)
+		sw.buf = append(b, `,"spans":[`...)
+		// ids maps a recorded span's position to its written ID (0 when
+		// left out); a parent always precedes its child.
+		ids := make([]int32, len(r.Spans()))
+		var id int32
 		for i := range r.Spans() {
 			s := &r.spans[i]
-			run.Spans = append(run.Spans, FlowSpan{
-				Flow:   s.Flow,
-				ID:     int32(i + 1),
-				Parent: int32(s.Parent),
-				Name:   s.Name.String(),
-				Comp:   s.Comp.String(),
-				Tile:   s.Tile,
-				At:     s.At,
-				End:    s.End,
-				Path:   s.Path.String(),
-				Arg0:   s.Arg0,
-				Arg1:   s.Arg1,
-			})
+			if s.Flow == 0 {
+				continue
+			}
+			b := sw.next()
+			if id > 0 {
+				b = append(b, ',')
+			}
+			id++
+			ids[i] = id
+			b = append(b, `{"flow":`...)
+			b = strconv.AppendUint(b, s.Flow, 10)
+			b = strconv.AppendInt(append(b, `,"id":`...), int64(id), 10)
+			// The omitempty members: every one follows another, so an
+			// open offset of 0 always puts a comma before it.
+			if s.Parent > 0 && int(s.Parent) <= i {
+				b = appendArg(b, 0, "parent", int64(ids[s.Parent-1]))
+			}
+			b = appendString(append(b, `,"name":`...), s.Name.String())
+			b = appendString(append(b, `,"comp":`...), s.Comp.String())
+			b = strconv.AppendInt(append(b, `,"tile":`...), int64(s.Tile), 10)
+			b = strconv.AppendInt(append(b, `,"at":`...), s.At, 10)
+			b = strconv.AppendInt(append(b, `,"end":`...), s.End, 10)
+			if s.Path != PathNone {
+				b = appendString(append(b, `,"path":`...), s.Path.String())
+			}
+			b = appendArg(b, 0, "arg0", s.Arg0)
+			b = appendArg(b, 0, "arg1", s.Arg1)
+			sw.buf = append(b, '}')
 		}
-		f.Runs = append(f.Runs, run)
+		sw.buf = append(sw.buf, "]}"...)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&f)
+	if len(recs) > 0 {
+		sw.buf = append(sw.buf, ']')
+	}
+	sw.buf = append(sw.buf, "}\n"...)
+	sw.flush()
+	return sw.err
 }
 
 // spanNameOf is the reverse of SpanName.String (SpanNone if unknown).

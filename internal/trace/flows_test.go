@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -14,15 +15,15 @@ func flowFixture() *Recorder {
 
 	f1 := r.MintFlow()
 	root := r.BeginSpan(f1, 0, SpanDTUSend, 100, 0, CompDTU)
-	r.EmitSpan(f1, root, SpanDTUTLB, 110, 110, 0, CompDTU, PathNone, 1, 0x1000)
+	r.EmitSpan(f1, root, SpanDTUTLB, 110, 110, 0, CompDTU, PathNone, 1, 0x1000, 0)
 	r.EndSpanArgs(root, 400, PathNone, 3, 0)
-	r.EmitSpan(f1, 0, SpanDTUDeliver, 250, 250, 1, CompDTU, PathFast, 5, 0)
+	r.EmitSpan(f1, 0, SpanDTUDeliver, 250, 250, 1, CompDTU, PathFast, 5, 0, 0)
 
 	f2 := r.MintFlow()
 	root2 := r.BeginSpan(f2, 0, SpanDTUSend, 500, 0, CompDTU)
 	r.EndSpanArgs(root2, 900, PathNone, 3, 0)
-	r.EmitSpan(f2, 0, SpanKernForward, 950, 1200, 2, CompKernel, PathSlow, 0, 1)
-	r.EmitSpan(f2, 0, SpanDTUDeliver, 1180, 1180, 1, CompDTU, PathFast, 5, 0)
+	r.EmitSpan(f2, 0, SpanKernForward, 950, 1200, 2, CompKernel, PathSlow, 0, 1, 0)
+	r.EmitSpan(f2, 0, SpanDTUDeliver, 1180, 1180, 1, CompDTU, PathFast, 5, 0, 0)
 	return r
 }
 
@@ -60,6 +61,84 @@ func TestFlowsRoundTrip(t *testing.T) {
 	// A wrong schema marker is rejected.
 	if _, err := ReadFlows(strings.NewReader(`{"schema":"bogus/v0","runs":[]}`)); err == nil {
 		t.Errorf("ReadFlows accepted a bogus schema")
+	}
+}
+
+// TestWriteFlowsLeavesOutFlowZero pins that flow-0 spans, interleaved
+// with a parented flow and with parents of their own, leave the flows file
+// byte-identical to the same recorder's stream without them: WriteFlows
+// drops them and renumbers IDs and parent refs.
+func TestWriteFlowsLeavesOutFlowZero(t *testing.T) {
+	write := func(withZero bool) []byte {
+		r := NewRecorder()
+		r.Enable()
+		zero := func(at int64) {
+			if withZero {
+				x := r.BeginSpan(0, 0, SpanNoCXfer, at, 3, CompNoC)
+				r.EmitSpan(0, x, SpanNoCQueue, at, at+2, 3, CompNoC, PathNone, 1, 0, 0)
+				r.EndSpanArgs(x, at+5, PathNone, 0, 1)
+				r.EmitSpan(0, 0, SpanMuxSwitch, at, at+4, 1, CompTileMux, PathNone, 1, 2, 0)
+			}
+		}
+		zero(50)
+		f := r.MintFlow()
+		root := r.BeginSpan(f, 0, SpanDTUSend, 100, 0, CompDTU)
+		zero(105)
+		r.EmitSpan(f, root, SpanDTUTLB, 110, 110, 0, CompDTU, PathNone, 1, 0x1000, 2)
+		xfer := r.BeginSpan(f, root, SpanNoCXfer, 120, 1, CompNoC)
+		zero(125)
+		r.EmitSpan(f, xfer, SpanNoCQueue, 120, 130, 1, CompNoC, PathNone, 0, 0, 0)
+		r.EndSpanArgs(xfer, 200, PathNone, 0, 1)
+		r.EmitSpan(f, 0, SpanDTUDeliver, 200, 200, 1, CompDTU, PathFast, 5, 0, 0)
+		zero(250)
+		r.EndSpanArgs(root, 300, PathNone, 3, 0)
+		r.EmitSpan(f, 0, SpanDTUFetch, 310, 320, 1, CompDTU, PathNone, 5, 64, 0)
+		zero(400)
+		var buf bytes.Buffer
+		if err := WriteFlows(&buf, []*Recorder{r}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	with, without := write(true), write(false)
+	if !bytes.Equal(with, without) {
+		t.Fatalf("flow-0 spans changed the flows file:\n%s\nwant\n%s", with, without)
+	}
+	f, err := ReadFlows(bytes.NewReader(with))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(f.Runs[0].Spans); n != 6 {
+		t.Fatalf("flows file holds %d spans, want 6", n)
+	}
+	if probs := CheckFlows(f); len(probs) != 0 {
+		t.Errorf("flows file not well-formed: %v", probs)
+	}
+}
+
+// TestWriteFlowsMatchesEncodingJSON pins the streaming writer to the bytes
+// encoding/json makes of the same FlowFile, including no runs at all, a run
+// without flow spans, and spans whose omitempty members are set.
+func TestWriteFlowsMatchesEncodingJSON(t *testing.T) {
+	onlyZero := NewRecorder()
+	onlyZero.Enable()
+	onlyZero.EmitSpan(0, 0, SpanMuxIrq, 5, 5, 1, CompTileMux, PathNone, 2, 0, 0)
+	for _, recs := range [][]*Recorder{nil, {onlyZero}, {flowFixture(), onlyZero, flowFixture()}} {
+		var got bytes.Buffer
+		if err := WriteFlows(&got, recs); err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadFlows(bytes.NewReader(got.Bytes()))
+		if err != nil {
+			t.Fatalf("%d runs: %v", len(recs), err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(f); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%d runs: WriteFlows wrote\n%s\nencoding/json writes\n%s", len(recs), got.String(), want.String())
+		}
 	}
 }
 

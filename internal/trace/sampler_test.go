@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"sort"
 	"strings"
@@ -341,17 +340,20 @@ func TestReadSeriesRejectsBadInput(t *testing.T) {
 
 // TestWriteChromeCounterTracks checks the Perfetto export: sampled series
 // become "ph":"C" counter events, tile-prefixed series land on the tile's
-// pid, and everything else goes to the metrics pseudo-process.
+// pid, everything else goes to the metrics pseudo-process, and a tile that
+// has only counter tracks still gets its process name.
 func TestWriteChromeCounterTracks(t *testing.T) {
 	r := NewRecorder()
 	r.Enable()
-	r.CtxSwitch(1000, 500, 2, 0xFFFD, 1, SwitchDispatch)
+	r.EmitSpan(0, 0, SpanMuxSwitch, 1000, 1500, 2, CompTileMux, PathNone, 0xFFFD, 1, 0)
 	m := r.Metrics()
 	gTile := m.Gauge("tile02.mux.runnable")
+	gQuiet := m.Gauge("tile05.mux.runnable")
 	gGlobal := m.Gauge("noc.inflight")
 	s := NewSampler(m, 100)
 	r.SetSampler(s)
 	gTile.Set(1)
+	gQuiet.Set(0)
 	gGlobal.Set(9)
 	s.Sample(100)
 
@@ -359,40 +361,35 @@ func TestWriteChromeCounterTracks(t *testing.T) {
 	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	var parsed struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	counters := map[string]map[string]interface{}{}
-	metricsProcNamed := false
-	for _, ev := range parsed.TraceEvents {
-		if ev["ph"] == "C" {
-			counters[ev["name"].(string)] = ev
+	counters := map[string]chromeEntry{}
+	procs := map[int]string{}
+	for _, ev := range parseChrome(t, buf.Bytes()) {
+		if ev.Ph == "C" {
+			counters[ev.Name] = ev
 		}
-		if ev["ph"] == "M" && ev["name"] == "process_name" {
-			if args, ok := ev["args"].(map[string]interface{}); ok && args["name"] == "metrics" {
-				metricsProcNamed = true
-			}
+		if ev.Ph == "M" && ev.Name == "process_name" {
+			procs[ev.Pid] = ev.Args.Name
 		}
 	}
-	tileEv := counters["tile02.mux.runnable"]
-	if tileEv == nil {
+	tileEv, ok := counters["tile02.mux.runnable"]
+	if !ok {
 		t.Fatal("tile gauge missing from counter tracks")
 	}
-	if pid := int(tileEv["pid"].(float64)); pid != 2 {
-		t.Fatalf("tile counter pid = %d, want 2", pid)
+	if tileEv.Pid != 2 {
+		t.Fatalf("tile counter pid = %d, want 2", tileEv.Pid)
 	}
-	globalEv := counters["noc.inflight"]
-	if globalEv == nil {
+	globalEv, ok := counters["noc.inflight"]
+	if !ok {
 		t.Fatal("global gauge missing from counter tracks")
 	}
-	if args := globalEv["args"].(map[string]interface{}); args["value"].(float64) != 9 {
-		t.Fatalf("counter value = %v, want 9", args["value"])
+	if globalEv.Args.Value != 9 || globalEv.Ts != 0.0001 {
+		t.Fatalf("counter value %d at %vus, want 9 at 0.0001us", globalEv.Args.Value, globalEv.Ts)
 	}
-	if !metricsProcNamed {
+	if procs[globalEv.Pid] != "metrics" {
 		t.Fatal("metrics pseudo-process not named")
+	}
+	if procs[2] != "tile 2" || procs[5] != "tile 5" {
+		t.Fatalf("tile processes named %v, want tile 2 and tile 5", procs)
 	}
 }
 
@@ -401,7 +398,7 @@ func TestWriteChromeCounterTracks(t *testing.T) {
 func TestWriteChromeNoSampler(t *testing.T) {
 	r := NewRecorder()
 	r.Enable()
-	r.Irq(100, 1, 2)
+	r.EmitSpan(0, 0, SpanMuxIrq, 100, 100, 1, CompTileMux, PathNone, 2, 0, 0)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)

@@ -2,19 +2,24 @@ package trace
 
 import "hash/fnv"
 
-// This file implements causal spans: begin/end-stamped intervals threaded
-// along a message's path through the model. Every message minted at a
-// sending endpoint receives a deterministic flow ID (a per-recorder
-// sequence number, so two runs of a deterministic model produce identical
-// IDs); the components it traverses emit spans tagged with that flow, and
-// the analysis layer (flows.go, cmd/m3vtrace) reassembles them into
-// per-message latency breakdowns and critical-path reports.
+// This file implements spans, the recorder's one record type:
+// begin/end-stamped intervals (instants when begin equals end). Every
+// message minted at a sending endpoint receives a deterministic flow ID (a
+// per-recorder sequence number, so two runs of a deterministic model
+// produce identical IDs); the components it traverses emit spans tagged
+// with that flow, and the analysis layer (flows.go, cmd/m3vtrace)
+// reassembles them into per-message latency breakdowns and critical-path
+// reports.
 //
-// Like the event emit helpers, every span helper is nil-recorder-safe and
-// costs only the enabled-check when tracing is off: flow 0 is the "not
-// traced" flow, MintFlow returns it whenever the stream is disabled, and
-// every emit helper drops spans of flow 0, so disabled runs never touch
-// the span buffer.
+// Flow 0 belongs to no message. MintFlow returns it while the stream is
+// disabled; on an enabled recorder, spans of flow 0 record what happens
+// outside a traced message — context switches, interrupts, DTU memory
+// commands, packets of untraced messages. They are part of the stream and
+// its hash, but join no flow: the flows file and the Chrome flow arrows
+// skip them.
+//
+// Every span helper is nil-recorder-safe and costs only the enabled-check
+// when tracing is off, so disabled runs never touch the span buffer.
 
 // SpanName identifies a span type. Names follow the component.noun
 // convention of the metrics registry; the spanname analyzer enforces it
@@ -33,7 +38,8 @@ const (
 	// Arg0 = receive endpoint, Arg1 = error code.
 	SpanDTUReply
 	// SpanDTUTLB is the command's TLB check (instant).
-	// Arg0 = 1 hit / 0 miss, Arg1 = virtual address.
+	// Arg0 = 1 hit / 0 miss, Arg1 = virtual address, Arg2 = current
+	// activity id.
 	SpanDTUTLB
 	// SpanDTUDeliver is the receiving DTU storing (or rejecting) the
 	// message (instant). Path is PathFast when the message was stored
@@ -44,12 +50,13 @@ const (
 	// a non-current activity) to TileMux's acknowledgement.
 	// Arg0 = target activity id, Arg1 = queue depth after the drain.
 	SpanDTUCoreReq
-	// SpanDTUFetch covers the FETCH_MSG command that consumed the
-	// message at the receiver. Arg0 = receive endpoint, Arg1 = bytes.
+	// SpanDTUFetch covers a FETCH_MSG command; on success it consumed
+	// the message of its flow at the receiver, a failed fetch is flow 0.
+	// Arg0 = receive endpoint, Arg1 = bytes, Arg2 = error code.
 	SpanDTUFetch
 	// SpanNoCXfer covers one NoC delivery attempt from transmit to
-	// delivery. Arg0 = attempt number (0-based), Arg1 = 1 if delivered,
-	// 0 if NACKed.
+	// delivery, at the destination tile. Arg0 = attempt number (0-based),
+	// Arg1 = 1 if delivered, 0 if NACKed.
 	SpanNoCXfer
 	// SpanNoCQueue is the router-contention share of a transfer (child of
 	// SpanNoCXfer). Arg0 = ingress router.
@@ -89,6 +96,33 @@ const (
 	// SpanFaultStall covers an injected TileMux wakeup stall: the interval
 	// by which the scheduler poke was deferred.
 	SpanFaultStall
+	// SpanMuxSwitch covers a TileMux context switch (flow 0).
+	// Arg0 = previous activity id, Arg1 = next activity id,
+	// Arg2 = SwitchReason.
+	SpanMuxSwitch
+	// SpanMuxIrq is a TileMux core-request/kernel-message interrupt
+	// (instant, flow 0). Arg0 = pending core requests at entry.
+	SpanMuxIrq
+	// SpanMuxPageFault is a major fault forwarded to the pager (instant,
+	// flow 0). Arg0 = activity id, Arg1 = virtual address, Arg2 = perm.
+	SpanMuxPageFault
+	// SpanMuxActExit is an activity's exit call (instant, flow 0).
+	// Arg0 = activity id, Arg1 = exit code.
+	SpanMuxActExit
+	// SpanDTUTLBEvict is a FIFO eviction on TLB insert (instant, flow 0).
+	// Arg0 = evicted activity id, Arg1 = evicted virtual page address.
+	SpanDTUTLBEvict
+	// SpanDTUAck, SpanDTURead and SpanDTUWrite cover the ACK_MSG, READ
+	// and WRITE commands (flow 0). Arg0 = endpoint, Arg1 = bytes,
+	// Arg2 = error code.
+	SpanDTUAck
+	SpanDTURead
+	SpanDTUWrite
+	// SpanKernRotate covers a remote context switch the M³x controller
+	// performed to rotate a multiplexed tile at a time-slice tick (flow
+	// 0); switches that schedule a message's recipient are
+	// SpanKernSwitch. Arg0 = tile, Arg1 = target activity (global id).
+	SpanKernRotate
 	numSpanNames
 )
 
@@ -112,6 +146,15 @@ var spanNames = [numSpanNames]string{
 	SpanFaultCmdFail: "fault.cmd_fail",
 	SpanFaultRetry:   "fault.retry",
 	SpanFaultStall:   "fault.stall",
+	SpanMuxSwitch:    "tilemux.switch",
+	SpanMuxIrq:       "tilemux.irq",
+	SpanMuxPageFault: "tilemux.page_fault",
+	SpanMuxActExit:   "tilemux.act_exit",
+	SpanDTUTLBEvict:  "dtu.tlb_evict",
+	SpanDTUAck:       "dtu.ack",
+	SpanDTURead:      "dtu.read",
+	SpanDTUWrite:     "dtu.write",
+	SpanKernRotate:   "kernel.rotate",
 }
 
 // String returns the span's component.noun name.
@@ -150,20 +193,41 @@ func (p Path) String() string {
 	return "?"
 }
 
+// SwitchReason explains why TileMux performed a context switch (Arg2 of
+// a tilemux.switch span).
+type SwitchReason uint8
+
+// Context-switch reasons.
+const (
+	// SwitchDispatch: the idle core picked up a ready activity.
+	SwitchDispatch SwitchReason = iota
+	// SwitchPreempt: the time slice expired with other activities ready.
+	SwitchPreempt
+	// SwitchBlock: the activity blocked in WaitForMsg.
+	SwitchBlock
+	// SwitchYield: the activity yielded voluntarily.
+	SwitchYield
+	// SwitchExit: the activity exited.
+	SwitchExit
+	// SwitchFault: the activity blocked on a page fault.
+	SwitchFault
+)
+
 // SpanRef refers to a recorded span (its 1-based position in the span
 // stream). The zero ref is "no span": ending or parenting on it is a
 // no-op, so refs can be threaded unconditionally through disabled runs.
 // Refs are invalidated by Reset.
 type SpanRef int32
 
-// Span is one recorded interval of a flow. All fields are plain scalars so
-// a span stream can be hashed and compared bit-for-bit across runs.
+// Span is one recorded interval. All fields are plain scalars so a span
+// stream can be hashed and compared bit-for-bit across runs.
 type Span struct {
-	// Flow is the message's flow ID (never 0 in a recorded span).
+	// Flow is the message's flow ID, or 0 for a span of no message.
 	Flow uint64
-	// Parent refers to the enclosing span, or 0 for a flow-level root.
-	// Flows form forests: receive-side spans (core_req, wakeup, fetch)
-	// are roots of their own, since they outlive the sender's command.
+	// Parent refers to the enclosing span of the same flow, or 0 for a
+	// root. Flows form forests: receive-side spans (core_req, wakeup,
+	// fetch) are roots of their own, since they outlive the sender's
+	// command.
 	Parent SpanRef
 	// At/End are begin and end timestamps in picoseconds. End is -1 while
 	// the span is open.
@@ -176,8 +240,8 @@ type Span struct {
 	Name SpanName
 	// Path is the span's fast/slow mark (PathNone for most spans).
 	Path Path
-	// Arg0/Arg1 are name-specific payload values.
-	Arg0, Arg1 int64
+	// Arg0..Arg2 are name-specific payload values.
+	Arg0, Arg1, Arg2 int64
 }
 
 // Dur reports the span's duration, or 0 while it is open.
@@ -201,21 +265,18 @@ func (r *Recorder) MintFlow() uint64 {
 	return r.nextFlow
 }
 
-// BeginSpan opens a span on the given flow and returns its ref. It returns
-// 0 (a no-op ref) when the recorder is nil or disabled or the flow is the
-// untraced flow 0.
+// BeginSpan opens a span and returns its ref, or 0 (a no-op ref) when the
+// recorder is nil or disabled.
 //
 //m3v:noalloc
 func (r *Recorder) BeginSpan(flow uint64, parent SpanRef, name SpanName, at int64, tile int, comp Component) SpanRef {
-	if r == nil || !r.enabled || flow == 0 {
+	if r == nil || !r.enabled {
 		return 0
 	}
-	//m3vlint:ignore noalloc enabled-path span buffer grows amortized; the disabled fast path above allocates nothing
-	r.spans = append(r.spans, Span{
+	return r.add(Span{
 		Flow: flow, Parent: parent, Name: name,
 		At: at, End: -1, Tile: int32(tile), Comp: comp,
 	})
-	return SpanRef(len(r.spans))
 }
 
 // EndSpan closes a span. A zero or stale ref is ignored, so callers may
@@ -229,7 +290,8 @@ func (r *Recorder) EndSpan(ref SpanRef, end int64) {
 	r.spans[ref-1].End = end
 }
 
-// EndSpanArgs closes a span and sets its path mark and args in one step.
+// EndSpanArgs closes a span and sets its path mark and first two args in
+// one step.
 //
 //m3v:noalloc
 func (r *Recorder) EndSpanArgs(ref SpanRef, end int64, path Path, arg0, arg1 int64) {
@@ -243,16 +305,33 @@ func (r *Recorder) EndSpanArgs(ref SpanRef, end int64, path Path, arg0, arg1 int
 // EmitSpan records a complete span (begin and end known at emit time).
 //
 //m3v:noalloc
-func (r *Recorder) EmitSpan(flow uint64, parent SpanRef, name SpanName, at, end int64, tile int, comp Component, path Path, arg0, arg1 int64) {
-	if r == nil || !r.enabled || flow == 0 {
+func (r *Recorder) EmitSpan(flow uint64, parent SpanRef, name SpanName, at, end int64, tile int, comp Component, path Path, arg0, arg1, arg2 int64) {
+	if r == nil || !r.enabled {
 		return
 	}
-	//m3vlint:ignore noalloc enabled-path span buffer grows amortized; the disabled fast path above allocates nothing
-	r.spans = append(r.spans, Span{
+	r.add(Span{
 		Flow: flow, Parent: parent, Name: name,
 		At: at, End: end, Tile: int32(tile), Comp: comp,
-		Path: path, Arg0: arg0, Arg1: arg1,
+		Path: path, Arg0: arg0, Arg1: arg1, Arg2: arg2,
 	})
+}
+
+// add appends s to the stream and returns its ref. A full buffer doubles:
+// append grows a large slice by about a quarter at a time, which copies a
+// stream of a million spans several times over.
+//
+//m3v:noalloc
+func (r *Recorder) add(s Span) SpanRef {
+	n := len(r.spans)
+	if n == cap(r.spans) {
+		//m3vlint:ignore noalloc enabled-path span buffer doubles when full; the disabled paths never reach add
+		grown := make([]Span, n, 2*n+1024)
+		copy(grown, r.spans)
+		r.spans = grown
+	}
+	r.spans = r.spans[:n+1]
+	r.spans[n] = s
+	return SpanRef(n + 1)
 }
 
 // Spans returns the recorded span stream. The slice is owned by the
@@ -264,10 +343,9 @@ func (r *Recorder) Spans() []Span {
 	return r.spans
 }
 
-// SpanHash returns a 64-bit FNV-1a digest over the serialized span stream,
-// the span-level counterpart of Hash. Two runs of a deterministic model
-// must produce identical span hashes.
-func (r *Recorder) SpanHash() uint64 {
+// Hash returns a 64-bit FNV-1a digest over the serialized span stream. Two
+// runs of a deterministic model must produce identical hashes.
+func (r *Recorder) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v int64) {
@@ -286,6 +364,7 @@ func (r *Recorder) SpanHash() uint64 {
 		put(int64(s.Tile)<<24 | int64(s.Comp)<<16 | int64(s.Name)<<8 | int64(s.Path))
 		put(s.Arg0)
 		put(s.Arg1)
+		put(s.Arg2)
 	}
 	return h.Sum64()
 }
@@ -299,4 +378,16 @@ func (r *Recorder) CountSpans(n SpanName) int64 {
 		}
 	}
 	return c
+}
+
+// CountFlowSpans reports how many recorded spans belong to a flow (the
+// spans WriteFlows writes).
+func (r *Recorder) CountFlowSpans() int {
+	n := 0
+	for i := range r.Spans() {
+		if r.spans[i].Flow != 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -18,12 +18,12 @@ func TestSpanNilRecorder(t *testing.T) {
 	}
 	r.EndSpan(ref, 20)
 	r.EndSpanArgs(ref, 20, PathFast, 1, 2)
-	r.EmitSpan(1, 0, SpanDTUDeliver, 10, 10, 0, CompDTU, PathFast, 0, 0)
+	r.EmitSpan(1, 0, SpanDTUDeliver, 10, 10, 0, CompDTU, PathFast, 0, 0, 0)
 	if got := r.Spans(); got != nil {
 		t.Errorf("nil Spans = %v, want nil", got)
 	}
-	if h := r.SpanHash(); h == 0 {
-		t.Errorf("nil SpanHash = 0, want FNV offset basis")
+	if h := r.Hash(); h == 0 {
+		t.Errorf("nil Hash = 0, want FNV offset basis")
 	}
 	if n := r.CountSpans(SpanDTUSend); n != 0 {
 		t.Errorf("nil CountSpans = %d, want 0", n)
@@ -39,7 +39,7 @@ func TestSpanDisabledNoAllocs(t *testing.T) {
 		ref := r.BeginSpan(flow, 0, SpanDTUSend, 10, 0, CompDTU)
 		r.EndSpanArgs(ref, 20, PathNone, 3, 0)
 		r.EndSpan(ref, 20)
-		r.EmitSpan(flow, 0, SpanDTUDeliver, 15, 15, 1, CompDTU, PathFast, 0, 0)
+		r.EmitSpan(flow, 0, SpanDTUDeliver, 15, 15, 1, CompDTU, PathFast, 0, 0, 0)
 	}); allocs != 0 {
 		t.Errorf("disabled span emission allocates %.1f per run, want 0", allocs)
 	}
@@ -57,17 +57,23 @@ func TestSpanDisabledNoAllocs(t *testing.T) {
 	}
 }
 
-// TestSpanFlowZeroDropped pins that flow 0 (untraced) never reaches the
-// span buffer even on an enabled recorder.
-func TestSpanFlowZeroDropped(t *testing.T) {
+// TestSpanFlowZeroRecorded pins that an enabled recorder keeps spans of
+// flow 0 (no message) like any other, and that they are no flow spans.
+func TestSpanFlowZeroRecorded(t *testing.T) {
 	r := NewRecorder()
 	r.Enable()
-	if ref := r.BeginSpan(0, 0, SpanDTUSend, 10, 0, CompDTU); ref != 0 {
-		t.Errorf("BeginSpan(flow 0) = %d, want 0", ref)
+	ref := r.BeginSpan(0, 0, SpanNoCXfer, 10, 0, CompNoC)
+	if ref != 1 {
+		t.Errorf("BeginSpan(flow 0) = %d, want 1", ref)
 	}
-	r.EmitSpan(0, 0, SpanDTUDeliver, 10, 10, 0, CompDTU, PathFast, 0, 0)
-	if len(r.Spans()) != 0 {
-		t.Errorf("flow-0 emission stored %d spans, want 0", len(r.Spans()))
+	r.EndSpanArgs(ref, 40, PathNone, 0, 1)
+	r.EmitSpan(0, 0, SpanMuxSwitch, 50, 60, 0, CompTileMux, PathNone, 1, 2, int64(SwitchYield))
+	spans := r.Spans()
+	if len(spans) != 2 || spans[0].End != 40 || spans[1].Arg2 != int64(SwitchYield) {
+		t.Errorf("flow-0 spans = %+v", spans)
+	}
+	if n := r.CountFlowSpans(); n != 0 {
+		t.Errorf("CountFlowSpans = %d, want 0", n)
 	}
 }
 
@@ -137,16 +143,16 @@ func TestSpanHash(t *testing.T) {
 		return r
 	}
 	a, b := mk(300, PathNone), mk(300, PathNone)
-	if a.SpanHash() != b.SpanHash() {
+	if a.Hash() != b.Hash() {
 		t.Errorf("identical streams hash differently")
 	}
-	if a.SpanHash() == mk(301, PathNone).SpanHash() {
-		t.Errorf("End change not reflected in SpanHash")
+	if a.Hash() == mk(301, PathNone).Hash() {
+		t.Errorf("End change not reflected in Hash")
 	}
-	if a.SpanHash() == mk(300, PathSlow).SpanHash() {
-		t.Errorf("Path change not reflected in SpanHash")
+	if a.Hash() == mk(300, PathSlow).Hash() {
+		t.Errorf("Path change not reflected in Hash")
 	}
-	if a.SpanHash() == NewRecorder().SpanHash() {
+	if a.Hash() == NewRecorder().Hash() {
 		t.Errorf("empty stream hashes like a populated one")
 	}
 }

@@ -8,15 +8,15 @@ import (
 )
 
 // Summary renders a plain-text report: the metrics registry (all counters
-// and histogram summaries) followed by a per-kind breakdown of the recorded
-// event stream, built on the same table formatter the benchmark harness
+// and histogram summaries) followed by a per-name breakdown of the recorded
+// span stream, built on the same table formatter the benchmark harness
 // uses.
 func (r *Recorder) Summary() string {
 	var b strings.Builder
 	b.WriteString(r.metrics.Summary())
-	if n := len(r.Events()); n > 0 {
+	if n := len(r.Spans()); n > 0 {
 		b.WriteByte('\n')
-		b.WriteString(r.eventSummary())
+		b.WriteString(r.spanSummary())
 	}
 	return b.String()
 }
@@ -63,24 +63,24 @@ func (m *Metrics) Summary() string {
 	return b.String()
 }
 
-// eventSummary tabulates the event stream per (kind) with counts and total
+// spanSummary tabulates the span stream per name with counts and total
 // duration.
-func (r *Recorder) eventSummary() string {
-	var counts [numKinds]int64
-	var durs [numKinds]int64
-	for i := range r.events {
-		ev := &r.events[i]
-		counts[ev.Kind]++
-		durs[ev.Kind] += ev.Dur
-	}
-	t := stats.NewTable("event", "count", "total time")
-	for k := Kind(0); k < numKinds; k++ {
-		if counts[k] == 0 {
-			continue
+func (r *Recorder) spanSummary() string {
+	var counts, durs [numSpanNames]int64
+	for i := range r.spans {
+		s := &r.spans[i]
+		if s.Name < numSpanNames {
+			counts[s.Name]++
+			durs[s.Name] += s.Dur()
 		}
-		t.AddRow(k.String(), counts[k], fmtPs(durs[k]))
 	}
-	return fmt.Sprintf("events: %d recorded\n%s", len(r.events), t.String())
+	t := stats.NewTable("span", "count", "total time")
+	for n := SpanName(0); n < numSpanNames; n++ {
+		if counts[n] > 0 {
+			t.AddRow(n.String(), counts[n], fmtPs(durs[n]))
+		}
+	}
+	return fmt.Sprintf("spans: %d recorded\n%s", len(r.spans), t.String())
 }
 
 // fmtPs formats a picosecond quantity with an adaptive unit (mirrors

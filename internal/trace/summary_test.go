@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -15,18 +14,18 @@ func TestSummaryEmpty(t *testing.T) {
 	}
 }
 
-// TestSummaryDisabledRecorder: a disabled recorder drops events, so the
-// summary covers metrics only — no event table.
+// TestSummaryDisabledRecorder: a disabled recorder drops spans, so the
+// summary covers metrics only — no span table.
 func TestSummaryDisabledRecorder(t *testing.T) {
 	r := NewRecorder()
-	r.Irq(100, 1, 2) // dropped: tracing is off
+	r.EmitSpan(0, 0, SpanMuxIrq, 100, 100, 1, CompTileMux, PathNone, 2, 0, 0) // dropped: tracing is off
 	r.Metrics().Counter("a.b").Inc()
 	got := r.Summary()
 	if !strings.Contains(got, "a.b") {
 		t.Fatalf("summary lost the counter: %q", got)
 	}
-	if strings.Contains(got, "events:") {
-		t.Fatalf("disabled recorder reported events: %q", got)
+	if strings.Contains(got, "spans:") {
+		t.Fatalf("disabled recorder reported spans: %q", got)
 	}
 }
 
@@ -48,7 +47,7 @@ func TestSummaryGaugesAndQuantiles(t *testing.T) {
 	}
 }
 
-// TestWriteChromeEmpty: a recorder with no events and no sampler still
+// TestWriteChromeEmpty: a recorder with no spans and no sampler still
 // produces valid JSON with an empty traceEvents array.
 func TestWriteChromeEmpty(t *testing.T) {
 	r := NewRecorder()
@@ -56,14 +55,8 @@ func TestWriteChromeEmpty(t *testing.T) {
 	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	var parsed struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(parsed.TraceEvents) != 0 {
-		t.Fatalf("empty recorder emitted %d events", len(parsed.TraceEvents))
+	if evs := parseChrome(t, buf.Bytes()); len(evs) != 0 {
+		t.Fatalf("empty recorder emitted %d entries", len(evs))
 	}
 }
 

@@ -8,70 +8,68 @@ import (
 	"testing"
 )
 
+// emitSwitch records a flow-0 tilemux.switch span, the way TileMux does.
+func emitSwitch(r *Recorder, at, dur int64, tile int, from, to int64, why SwitchReason) {
+	r.EmitSpan(0, 0, SpanMuxSwitch, at, at+dur, tile, CompTileMux, PathNone, from, to, int64(why))
+}
+
 func TestRecorderDisabledByDefault(t *testing.T) {
 	r := NewRecorder()
-	r.DTUCmd(10, 5, 1, CmdSend, 3, 64, 0)
-	r.CtxSwitch(10, 5, 1, 2, 3, SwitchDispatch)
-	if len(r.Events()) != 0 {
-		t.Fatalf("disabled recorder stored %d events", len(r.Events()))
+	r.EmitSpan(0, 0, SpanDTURead, 10, 15, 1, CompDTU, PathNone, 3, 64, 0)
+	emitSwitch(r, 10, 5, 1, 2, 3, SwitchDispatch)
+	if len(r.Spans()) != 0 {
+		t.Fatalf("disabled recorder stored %d spans", len(r.Spans()))
 	}
 	r.Enable()
-	r.DTUCmd(10, 5, 1, CmdSend, 3, 64, 0)
-	if len(r.Events()) != 1 {
-		t.Fatalf("enabled recorder stored %d events, want 1", len(r.Events()))
+	r.EmitSpan(0, 0, SpanDTURead, 10, 15, 1, CompDTU, PathNone, 3, 64, 0)
+	if len(r.Spans()) != 1 {
+		t.Fatalf("enabled recorder stored %d spans, want 1", len(r.Spans()))
 	}
 	r.Disable()
-	r.Irq(20, 1, 0)
-	if len(r.Events()) != 1 {
-		t.Fatalf("re-disabled recorder stored %d events, want 1", len(r.Events()))
+	r.EmitSpan(0, 0, SpanMuxIrq, 20, 20, 1, CompTileMux, PathNone, 0, 0, 0)
+	if len(r.Spans()) != 1 {
+		t.Fatalf("re-disabled recorder stored %d spans, want 1", len(r.Spans()))
 	}
 }
 
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.Emit(Event{})
-	r.DTUCmd(0, 0, 0, CmdSend, 0, 0, 0)
-	r.CtxSwitch(0, 0, 0, 0, 0, SwitchYield)
-	r.CoreReq(0, 0, KindCoreReqRaise, 0, 0)
-	r.TLB(0, 0, KindTLBMiss, 0, 0)
-	r.PageFault(0, 0, 0, 0, 0)
-	r.Syscall(0, 0, 0, 0, 0)
-	r.Irq(0, 0, 0)
-	r.NoCPacket(0, 0, 0, 0, 0, true)
-	r.ActExit(0, 0, 0, 0)
+	r.EmitSpan(0, 0, SpanDTURead, 0, 0, 0, CompDTU, PathNone, 0, 0, 0)
+	emitSwitch(r, 0, 0, 0, 0, 0, SwitchYield)
+	r.EndSpanArgs(r.BeginSpan(0, 0, SpanNoCXfer, 0, 0, CompNoC), 0, PathNone, 0, 0)
 	r.Reset()
-	if r.Enabled() || len(r.Events()) != 0 {
+	if r.Enabled() || len(r.Spans()) != 0 || r.CountFlowSpans() != 0 {
 		t.Fatal("nil recorder must be inert")
 	}
 }
 
 // TestDisabledEmitNoAlloc pins the tentpole requirement: the disabled
-// tracer path performs zero allocations per emitted event.
+// tracer path performs zero allocations per emitted span.
 func TestDisabledEmitNoAlloc(t *testing.T) {
 	r := NewRecorder()
 	if avg := testing.AllocsPerRun(1000, func() {
-		r.DTUCmd(123, 456, 3, CmdReply, 7, 128, 0)
-		r.CtxSwitch(123, 456, 3, 1, 2, SwitchPreempt)
-		r.TLB(123, 3, KindTLBHit, 1, 0xdeadb000)
-		r.NoCPacket(123, 40, 1, 2, 80, true)
+		r.EmitSpan(0, 0, SpanDTURead, 123, 579, 3, CompDTU, PathNone, 7, 128, 0)
+		emitSwitch(r, 123, 456, 3, 1, 2, SwitchPreempt)
+		r.EmitSpan(0, 0, SpanDTUTLB, 123, 123, 3, CompDTU, PathNone, 1, 0xdeadb000, 1)
+		r.EndSpanArgs(r.BeginSpan(0, 0, SpanNoCXfer, 123, 2, CompNoC), 163, PathNone, 0, 1)
 	}); avg != 0 {
-		t.Fatalf("disabled emit allocates %.1f objects per event batch, want 0", avg)
+		t.Fatalf("disabled emit allocates %.1f objects per span batch, want 0", avg)
 	}
 	var nilRec *Recorder
 	if avg := testing.AllocsPerRun(1000, func() {
-		nilRec.DTUCmd(123, 456, 3, CmdReply, 7, 128, 0)
+		nilRec.EmitSpan(0, 0, SpanDTURead, 123, 579, 3, CompDTU, PathNone, 7, 128, 0)
 	}); avg != 0 {
 		t.Fatalf("nil-recorder emit allocates %.1f objects, want 0", avg)
 	}
 }
 
-// BenchmarkTraceDisabled measures the per-event cost of the disabled
+// BenchmarkTraceDisabled measures the per-span cost of the disabled
 // tracer. Run with -benchmem: the acceptance bar is 0 allocs/op.
 func BenchmarkTraceDisabled(b *testing.B) {
 	r := NewRecorder()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.DTUCmd(int64(i), 100, 3, CmdSend, 5, 64, 0)
+		r.EmitSpan(0, 0, SpanDTURead, int64(i), int64(i)+100, 3, CompDTU, PathNone, 5, 64, 0)
 	}
 }
 
@@ -82,10 +80,10 @@ func BenchmarkTraceEnabled(b *testing.B) {
 	r.Enable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(r.Events()) > 1<<20 {
+		if len(r.Spans()) > 1<<20 {
 			r.Reset()
 		}
-		r.DTUCmd(int64(i), 100, 3, CmdSend, 5, 64, 0)
+		r.EmitSpan(0, 0, SpanDTURead, int64(i), int64(i)+100, 3, CompDTU, PathNone, 5, 64, 0)
 	}
 }
 
@@ -145,92 +143,124 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHashDistinguishesStreams pins that flow-0 spans are part of the one
+// hashed stream, down to their third arg.
 func TestHashDistinguishesStreams(t *testing.T) {
-	mk := func(arg int64) *Recorder {
+	mk := func(why SwitchReason) *Recorder {
 		r := NewRecorder()
 		r.Enable()
-		r.DTUCmd(10, 5, 1, CmdSend, arg, 64, 0)
-		r.Irq(20, 1, 2)
+		r.EmitSpan(r.MintFlow(), 0, SpanDTUSend, 10, 15, 1, CompDTU, PathNone, 3, 0, 0)
+		emitSwitch(r, 20, 5, 1, 2, 3, why)
 		return r
 	}
-	a, b, c := mk(1), mk(1), mk(2)
+	a, b, c := mk(SwitchBlock), mk(SwitchBlock), mk(SwitchYield)
 	if a.Hash() != b.Hash() {
 		t.Fatal("identical streams hash differently")
 	}
 	if a.Hash() == c.Hash() {
-		t.Fatal("different streams hash identically")
+		t.Fatal("streams differing in a flow-0 span's arg2 hash identically")
 	}
 }
 
+// chromeEntry is the part of a Chrome trace entry the tests inspect.
+type chromeEntry struct {
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+	Pid  int     `json:"pid"`
+	Tid  int     `json:"tid"`
+	Args struct {
+		Name  string `json:"name"`
+		Flow  uint64 `json:"flow"`
+		Arg2  int64  `json:"arg2"`
+		Path  string `json:"path"`
+		Value int64  `json:"value"`
+	} `json:"args"`
+}
+
+// parseChrome decodes a Chrome trace written by WriteChrome.
+func parseChrome(t *testing.T, data []byte) []chromeEntry {
+	t.Helper()
+	var f struct {
+		TraceEvents     []chromeEntry `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("exporter emitted invalid JSON: %v", err)
+	}
+	if f.DisplayTimeUnit != "ns" {
+		t.Fatalf("displayTimeUnit = %q, want ns", f.DisplayTimeUnit)
+	}
+	return f.TraceEvents
+}
+
+// TestWriteChromeValidJSON pins the entry shapes: flow-0 spans on the
+// component lanes (instants when zero-length), flow spans as slices on the
+// flows lanes, exact microsecond timestamps, and lane metadata.
 func TestWriteChromeValidJSON(t *testing.T) {
 	r := NewRecorder()
 	r.Enable()
-	r.CtxSwitch(1000, 500, 2, 0xFFFD, 1, SwitchDispatch)
-	r.DTUCmd(2000, 300, 2, CmdSend, 8, 64, 0)
-	r.CoreReq(2500, 2, KindCoreReqRaise, 3, 1)
-	r.TLB(3000, 2, KindTLBMiss, 1, 0x10000)
-	r.PageFault(3100, 2, 1, 0x10000, 1)
-	r.Syscall(4000, 800, 0, 2, 1)
-	r.NoCPacket(4100, 60, 2, 0, 80, false)
-	r.ActExit(5000, 0, 1, 0)
+	emitSwitch(r, 1000, 500, 2, 0xFFFD, 1, SwitchBlock)
+	r.EmitSpan(0, 0, SpanMuxPageFault, 3100, 3100, 2, CompTileMux, PathNone, 1, 0x10000, 1)
+	f := r.MintFlow()
+	r.EmitSpan(f, 0, SpanDTUDeliver, 1234567, 1234567, 0, CompDTU, PathFast, 5, 0, 0)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	var parsed struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("exporter emitted invalid JSON: %v", err)
-	}
-	// 8 events + metadata entries.
-	if len(parsed.TraceEvents) < 8 {
-		t.Fatalf("traceEvents has %d entries, want >= 8", len(parsed.TraceEvents))
-	}
-	names := map[string]bool{}
-	for _, ev := range parsed.TraceEvents {
-		names[ev["name"].(string)] = true
-		if _, ok := ev["ph"].(string); !ok {
-			t.Fatalf("event missing ph: %v", ev)
+	byName := map[string]chromeEntry{}
+	threads := map[string]bool{}
+	for _, ev := range parseChrome(t, buf.Bytes()) {
+		byName[ev.Name] = ev
+		if ev.Name == "thread_name" {
+			threads[ev.Args.Name] = true
 		}
 	}
-	for _, want := range []string{"ctx_switch", "dtu_send", "core_req_raise",
-		"tlb_miss", "page_fault", "syscall", "noc_packet", "act_exit",
-		"process_name", "thread_name"} {
-		if !names[want] {
-			t.Errorf("trace is missing %q events (have %v)", want, names)
-		}
+	sw := byName["tilemux.switch"]
+	if sw.Ph != "X" || sw.Ts != 0.001 || sw.Dur != 0.0005 || sw.Pid != 2 ||
+		sw.Tid != 1+int(CompTileMux) || sw.Args.Flow != 0 || sw.Args.Arg2 != int64(SwitchBlock) {
+		t.Errorf("tilemux.switch entry = %+v", sw)
+	}
+	if pf := byName["tilemux.page_fault"]; pf.Ph != "i" || pf.Ts != 0.0031 {
+		t.Errorf("tilemux.page_fault entry = %+v, want an instant at 0.0031us", pf)
+	}
+	dl := byName["dtu.deliver"]
+	if dl.Ph != "X" || dl.Ts != 1.234567 || dl.Dur != 0.001 || dl.Args.Flow != f ||
+		dl.Args.Path != "fast" || dl.Tid != 1+int(numComponents)+int(CompDTU) {
+		t.Errorf("dtu.deliver entry = %+v", dl)
+	}
+	if byName["process_name"].Name == "" || !threads["tilemux"] || !threads["dtu flows"] {
+		t.Errorf("lane metadata missing: threads %v", threads)
 	}
 }
 
 func TestWriteChromeMerged(t *testing.T) {
 	a := NewRecorder()
 	a.Enable()
-	a.Irq(10, 1, 0)
+	a.EmitSpan(0, 0, SpanMuxIrq, 10, 10, 1, CompTileMux, PathNone, 0, 0, 0)
 	b := NewRecorder()
 	b.Enable()
-	b.Irq(20, 1, 0)
+	b.EmitSpan(0, 0, SpanMuxIrq, 20, 20, 1, CompTileMux, PathNone, 0, 0, 0)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, []*Recorder{a, b}); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	var parsed struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Pid  int    `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
 	pids := map[int]bool{}
-	for _, ev := range parsed.TraceEvents {
-		if ev.Name == "irq" {
+	procs := map[string]bool{}
+	for _, ev := range parseChrome(t, buf.Bytes()) {
+		switch ev.Name {
+		case "tilemux.irq":
 			pids[ev.Pid] = true
+		case "process_name":
+			procs[ev.Args.Name] = true
 		}
 	}
 	if !pids[1] || !pids[1001] {
 		t.Fatalf("merged pids = %v, want tiles at 1 and 1001", pids)
+	}
+	if !procs["sys0 tile 1"] || !procs["sys1 tile 1"] {
+		t.Fatalf("merged process names = %v", procs)
 	}
 }
 
@@ -239,9 +269,9 @@ func TestSummary(t *testing.T) {
 	r.Enable()
 	r.Metrics().Counter("tile01.dtu.sends").Add(7)
 	r.Metrics().Histogram("tile01.dtu.cmd_time").Observe(1500)
-	r.CtxSwitch(1000, 500, 1, 2, 3, SwitchBlock)
+	emitSwitch(r, 1000, 500, 1, 2, 3, SwitchBlock)
 	s := r.Summary()
-	for _, want := range []string{"tile01.dtu.sends", "7", "ctx_switch", "cmd_time"} {
+	for _, want := range []string{"tile01.dtu.sends", "7", "spans: 1 recorded", "tilemux.switch", "500ps", "cmd_time"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
@@ -291,7 +321,7 @@ func TestAutoRegisterConcurrent(t *testing.T) {
 			defer wg.Done()
 			r := NewRecorder()
 			for i := 0; i < 100; i++ {
-				r.CtxSwitch(int64(i)*1000, 500, w, int64(i), int64(i+1), SwitchBlock)
+				emitSwitch(r, int64(i)*1000, 500, w, int64(i), int64(i+1), SwitchBlock)
 				r.Metrics().Counter("tile00.mux.switches").Add(1)
 			}
 			hashes[w] = r.Hash()
@@ -303,9 +333,9 @@ func TestAutoRegisterConcurrent(t *testing.T) {
 		t.Fatalf("registered %d recorders, want %d", len(recs), workers)
 	}
 	// Every worker emitted the same stream apart from the tile id; each
-	// recorder must have all 100 events and a self-consistent hash.
+	// recorder must have all 100 spans and a self-consistent hash.
 	for i, r := range recs {
-		if n := r.CountKind(KindCtxSwitch); n != 100 {
+		if n := r.CountSpans(SpanMuxSwitch); n != 100 {
 			t.Errorf("recorder %d: %d ctx switches, want 100", i, n)
 		}
 		if got, again := r.Hash(), r.Hash(); got != again {
