@@ -74,11 +74,16 @@ go test -run 'TestSchedulePathAllocFree' -count=1 -v ./internal/sim/ \
     | grep -q '^--- PASS: TestSchedulePathAllocFree'
 go test -run 'TestHandoffSwitchCount' -count=1 -v ./internal/sim/ \
     | grep -q '^--- PASS: TestHandoffSwitchCount'
-# DTU round-trip alloc guard: a warm RPC allocates only its two payload
-# copies and two fetched Messages; READ and WRITE of a page and the
-# external requests allocate nothing.
+# Message-path alloc guards: a warm DTU RPC, one-way message, READ and
+# WRITE of a page and the external requests allocate nothing, and neither
+# do a warm no-op syscall and an M3x slow-path RPC on the full platform
+# (messages stay in their receive slots until ACK, writers are reused).
 go test -run 'TestMessagePathAllocs' -count=1 -v ./internal/dtu/ \
     | grep -q '^--- PASS: TestMessagePathAllocs'
+go test -run 'TestNoopSyscallAllocs' -count=1 -v ./internal/core/ \
+    | grep -q '^--- PASS: TestNoopSyscallAllocs'
+go test -run 'TestM3xSlowRPCAllocs' -count=1 -v ./internal/core/ \
+    | grep -q '^--- PASS: TestM3xSlowRPCAllocs'
 
 echo "== m3vtrace smoke =="
 # End-to-end flow tracing gate: a small run of Figure 6's pair dumps its span

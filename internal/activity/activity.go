@@ -14,6 +14,7 @@ import (
 	"m3v/internal/cap"
 	"m3v/internal/dtu"
 	"m3v/internal/noc"
+	"m3v/internal/proto"
 	"m3v/internal/sim"
 )
 
@@ -83,7 +84,19 @@ type Activity struct {
 
 	heapNext uint64
 	exited   bool
+
+	// w holds the request Msg builds, fw the slow-path Forward that may
+	// carry it, resp the reply of the last Call and r the reader of the
+	// last Syscall. All four are reused, so a message round trip of the
+	// activity allocates nothing.
+	w, fw proto.Writer
+	resp  []byte
+	r     proto.Reader
 }
+
+// Msg starts a request in the activity's writer and returns it. The bytes
+// stay valid until the next Msg; a send copies them as it starts.
+func (a *Activity) Msg(op proto.Op) *proto.Writer { return a.w.Reset(op) }
 
 // Proc returns the activity's simulation process.
 func (a *Activity) Proc() *sim.Proc { return a.X.Proc() }
@@ -174,6 +187,8 @@ func (a *Activity) SendBounded(ep dtu.EpID, data []byte, vaddr uint64, replyEp d
 }
 
 // TryRecv fetches an unread message from a receive gate without blocking.
+// The message is a view of its receive slot, valid until AckMsg or
+// ReplyMsg frees the slot.
 func (a *Activity) TryRecv(rg dtu.EpID) (int, *dtu.Message, bool) {
 	if !a.D.HasUnread(rg) {
 		return 0, nil, false
@@ -199,8 +214,16 @@ func (a *Activity) Recv(rg dtu.EpID) (int, *dtu.Message) {
 
 // ReplyMsg answers a fetched message. orig must be the fetched message (it
 // carries the routing information the M³x slow path needs when the
-// requester was switched out meanwhile).
+// requester was switched out meanwhile). data must not be a view of orig:
+// the REPLY frees orig's slot.
 func (a *Activity) ReplyMsg(rg dtu.EpID, slot int, orig *dtu.Message, data []byte, vaddr uint64) error {
+	// A REPLY that finds no recipient has already freed the slot, so the
+	// slow path routes by a copy of orig's header taken before.
+	var hdr dtu.Message
+	if orig != nil {
+		hdr = *orig
+		hdr.Data = nil
+	}
 	for {
 		a.X.BeginOp()
 		err := a.D.Reply(a.Proc(), rg, slot, data, vaddr)
@@ -211,7 +234,7 @@ func (a *Activity) ReplyMsg(rg dtu.EpID, slot int, orig *dtu.Message, data []byt
 				return ferr
 			}
 		case errors.Is(err, dtu.ErrNoRecipient) && !a.D.Virtualized() && orig != nil:
-			return a.sysForwardReply(orig, data)
+			return a.sysForwardReply(&hdr, data)
 		default:
 			return err
 		}
@@ -225,15 +248,17 @@ func (a *Activity) AckMsg(rg dtu.EpID, slot int) {
 	a.X.EndOp()
 }
 
-// Call performs an RPC: send on sg, await and consume the reply on rg.
+// Call performs an RPC: send on sg, await and consume the reply on rg. The
+// reply is copied into the activity's reply buffer before its slot is
+// freed; the returned bytes stay valid until the next Call.
 func (a *Activity) Call(sg, rg dtu.EpID, req []byte) ([]byte, error) {
 	if err := a.Send(sg, req, 0, rg, 0); err != nil {
 		return nil, err
 	}
 	slot, msg := a.Recv(rg)
-	data := msg.Data
+	a.resp = append(a.resp[:0], msg.Data...)
 	a.AckMsg(rg, slot)
-	return data, nil
+	return a.resp, nil
 }
 
 // ReadMem fills dst from a memory gate at offset off, page by page.

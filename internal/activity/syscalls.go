@@ -10,13 +10,16 @@ import (
 )
 
 // Syscall performs one system call RPC to the controller and returns the
-// parsed response.
+// parsed response. The reader is the activity's own: it stays valid until
+// the next Call.
 func (a *Activity) Syscall(req []byte) (proto.ErrCode, *proto.Reader, error) {
 	resp, err := a.Call(a.SysSgate, a.SysRgate, req)
 	if err != nil {
 		return proto.EUnreachable, nil, fmt.Errorf("%s: syscall transport: %w", a.Name, err)
 	}
-	return proto.ParseResp(resp)
+	code, r, err := proto.ParseResp(resp)
+	a.r = r
+	return code, &a.r, err
 }
 
 // syscall1 runs a syscall expecting one result word.
@@ -42,12 +45,12 @@ func (a *Activity) syscall0(req []byte) error {
 
 // SysNoop performs a no-op system call (microbenchmarks).
 func (a *Activity) SysNoop() error {
-	return a.syscall0(proto.NewWriter(proto.OpNoop).Done())
+	return a.syscall0(a.Msg(proto.OpNoop).Done())
 }
 
 // SysCreateRGate creates a receive gate capability.
 func (a *Activity) SysCreateRGate(slots, slotSize int) (cap.Sel, error) {
-	v, err := a.syscall1(proto.NewWriter(proto.OpCreateRGate).
+	v, err := a.syscall1(a.Msg(proto.OpCreateRGate).
 		U32(uint32(slots)).U32(uint32(slotSize)).Done())
 	return cap.Sel(v), err
 }
@@ -55,21 +58,21 @@ func (a *Activity) SysCreateRGate(slots, slotSize int) (cap.Sel, error) {
 // SysCreateSGate creates a send gate capability targeting one of the
 // caller's receive gates.
 func (a *Activity) SysCreateSGate(rg cap.Sel, label uint64, credits int) (cap.Sel, error) {
-	v, err := a.syscall1(proto.NewWriter(proto.OpCreateSGate).
+	v, err := a.syscall1(a.Msg(proto.OpCreateSGate).
 		U32(uint32(rg)).U64(label).U32(uint32(credits)).Done())
 	return cap.Sel(v), err
 }
 
 // SysCreateMGate allocates physical memory and returns its capability.
 func (a *Activity) SysCreateMGate(size uint64, perm dtu.Perm) (cap.Sel, error) {
-	v, err := a.syscall1(proto.NewWriter(proto.OpCreateMGate).
+	v, err := a.syscall1(a.Msg(proto.OpCreateMGate).
 		U64(size).U8(uint8(perm)).Done())
 	return cap.Sel(v), err
 }
 
 // SysDeriveMGate narrows a memory capability to a window.
 func (a *Activity) SysDeriveMGate(sel cap.Sel, off, size uint64, perm dtu.Perm) (cap.Sel, error) {
-	v, err := a.syscall1(proto.NewWriter(proto.OpDeriveMGate).
+	v, err := a.syscall1(a.Msg(proto.OpDeriveMGate).
 		U32(uint32(sel)).U64(off).U64(size).U8(uint8(perm)).Done())
 	return cap.Sel(v), err
 }
@@ -84,7 +87,7 @@ func (a *Activity) SysActivate(sel cap.Sel) (dtu.EpID, error) {
 // re-activation, e.g. per-extent memory gates of the file system). ep = -1
 // allocates a fresh endpoint.
 func (a *Activity) SysActivateAt(sel cap.Sel, ep dtu.EpID) (dtu.EpID, error) {
-	v, err := a.syscall1(proto.NewWriter(proto.OpActivate).
+	v, err := a.syscall1(a.Msg(proto.OpActivate).
 		U32(uint32(sel)).U32(uint32(int32(ep))).Done())
 	return dtu.EpID(v), err
 }
@@ -92,19 +95,19 @@ func (a *Activity) SysActivateAt(sel cap.Sel, ep dtu.EpID) (dtu.EpID, error) {
 // SysDelegate copies a capability into another activity's table and returns
 // its selector there.
 func (a *Activity) SysDelegate(target uint32, sel cap.Sel) (cap.Sel, error) {
-	v, err := a.syscall1(proto.NewWriter(proto.OpDelegate).
+	v, err := a.syscall1(a.Msg(proto.OpDelegate).
 		U32(target).U32(uint32(sel)).Done())
 	return cap.Sel(v), err
 }
 
 // SysRevoke revokes a capability and its entire derivation subtree.
 func (a *Activity) SysRevoke(sel cap.Sel) error {
-	return a.syscall0(proto.NewWriter(proto.OpRevoke).U32(uint32(sel)).Done())
+	return a.syscall0(a.Msg(proto.OpRevoke).U32(uint32(sel)).Done())
 }
 
 // SysCreateSrv registers a service name for an activated receive gate.
 func (a *Activity) SysCreateSrv(name string, rg cap.Sel) error {
-	return a.syscall0(proto.NewWriter(proto.OpCreateSrv).Str(name).U32(uint32(rg)).Done())
+	return a.syscall0(a.Msg(proto.OpCreateSrv).Str(name).U32(uint32(rg)).Done())
 }
 
 // Session describes an open service session.
@@ -117,7 +120,7 @@ type Session struct {
 
 // SysOpenSess opens a session with a registered service.
 func (a *Activity) SysOpenSess(name string) (Session, error) {
-	code, r, err := a.Syscall(proto.NewWriter(proto.OpOpenSess).Str(name).Done())
+	code, r, err := a.Syscall(a.Msg(proto.OpOpenSess).Str(name).Done())
 	if err != nil {
 		return Session{}, err
 	}
@@ -137,7 +140,7 @@ func (a *Activity) SysOpenSess(name string) (Session, error) {
 // SysCreateActivity creates a child activity on a tile the caller holds a
 // capability for.
 func (a *Activity) SysCreateActivity(tileSel cap.Sel, tile noc.TileID, name string) (ChildRef, error) {
-	code, r, err := a.Syscall(proto.NewWriter(proto.OpCreateActivity).
+	code, r, err := a.Syscall(a.Msg(proto.OpCreateActivity).
 		U32(uint32(tileSel)).Str(name).Done())
 	if err != nil {
 		return ChildRef{}, err
@@ -156,24 +159,24 @@ func (a *Activity) SysCreateActivity(tileSel cap.Sel, tile noc.TileID, name stri
 
 // SysStart marks a child activity runnable.
 func (a *Activity) SysStart(actSel cap.Sel) error {
-	return a.syscall0(proto.NewWriter(proto.OpActivityStart).U32(uint32(actSel)).Done())
+	return a.syscall0(a.Msg(proto.OpActivityStart).U32(uint32(actSel)).Done())
 }
 
 // SysWait blocks until a child activity exits and returns its exit code.
 func (a *Activity) SysWait(actSel cap.Sel) (int32, error) {
-	v, err := a.syscall1(proto.NewWriter(proto.OpActivityWait).U32(uint32(actSel)).Done())
+	v, err := a.syscall1(a.Msg(proto.OpActivityWait).U32(uint32(actSel)).Done())
 	return int32(uint32(v)), err
 }
 
 // SysKill terminates a child activity. Its exit code becomes -1.
 func (a *Activity) SysKill(actSel cap.Sel) error {
-	return a.syscall0(proto.NewWriter(proto.OpActivityKill).U32(uint32(actSel)).Done())
+	return a.syscall0(a.Msg(proto.OpActivityKill).U32(uint32(actSel)).Done())
 }
 
 // SysMapPages asks the controller to map pages of the caller's memory
 // capability into a target activity's address space (pager use).
 func (a *Activity) SysMapPages(target uint32, virt uint64, memSel cap.Sel, physOff uint64, pages int, perm dtu.Perm) error {
-	return a.syscall0(proto.NewWriter(proto.OpMapPages).
+	return a.syscall0(a.Msg(proto.OpMapPages).
 		U32(target).U64(virt).U32(uint32(memSel)).U64(physOff).
 		U32(uint32(pages)).U8(uint8(perm)).Done())
 }
@@ -182,7 +185,7 @@ func (a *Activity) SysMapPages(target uint32, virt uint64, memSel cap.Sel, physO
 // activity: the controller configures the child tile's TileMux with a send
 // gate towards the pager and tells it to use it for page faults.
 func (a *Activity) SysSetPager(actSel, sessSel cap.Sel) error {
-	return a.syscall0(proto.NewWriter(proto.OpSetPager).
+	return a.syscall0(a.Msg(proto.OpSetPager).
 		U32(uint32(actSel)).U32(uint32(sessSel)).Done())
 }
 
@@ -195,7 +198,7 @@ const forwardRetryMax = 12
 // controller, which delivers it or stores it in the recipient's saved state
 // and schedules the recipient (paper §2.2).
 func (a *Activity) sysForward(args dtu.SendArgs) error {
-	return a.forwardSyscall(proto.NewWriter(proto.OpForward).
+	return a.forwardSyscall(a.fw.Reset(proto.OpForward).
 		U8(0).
 		U64(a.D.LastFlow()).
 		U32(uint32(args.Ep)).
@@ -208,7 +211,7 @@ func (a *Activity) sysForward(args dtu.SendArgs) error {
 // sysForwardReply is the M³x slow path for the reply leg, routed by the
 // original message's reply coordinates.
 func (a *Activity) sysForwardReply(orig *dtu.Message, data []byte) error {
-	return a.forwardSyscall(proto.NewWriter(proto.OpForward).
+	return a.forwardSyscall(a.fw.Reset(proto.OpForward).
 		U8(1).
 		U64(a.D.LastFlow()).
 		U32(uint32(orig.SndTile)).

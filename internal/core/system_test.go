@@ -64,7 +64,7 @@ func TestEndToEndRemoteRPC(t *testing.T) {
 			t.Errorf("call: %v", err)
 			return
 		}
-		got = resp
+		got = bytes.Clone(resp) // valid only until the next Call
 		// Wait for the server to exit.
 		code, err := a.SysWait(ref.ActSel)
 		if err != nil || code != 7 {

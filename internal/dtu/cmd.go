@@ -16,6 +16,11 @@ import (
 // are method values cached when a cmd is first built (the noc.inflight
 // idiom), so a warm round trip allocates nothing of its own.
 //
+// A message command (SEND, REPLY, SendRaw) copies its payload into the
+// cmd's pooled buf as it starts and keeps that cmd across its retries; the
+// serving DTU copies the payload from buf into the receive slot, where it
+// stays until ACK_MSG or REPLY frees the slot.
+//
 // Lifetime: only the issuing process releases a cmd, and only after it has
 // observed completion. Completion is the last event that touches a cmd: a
 // request that is dropped for good never reaches the server, and the
@@ -28,7 +33,7 @@ import (
 type cmdOp uint8
 
 const (
-	opMsg      cmdOp = iota // SEND, REPLY, SendRaw: store msg at ep
+	opMsg      cmdOp = iota // SEND, REPLY, SendRaw: store msg with payload buf at ep
 	opRead                  // READ: len(buf) bytes at off of a memory tile
 	opWrite                 // WRITE: buf at off of a memory tile
 	opConfig                // ConfigureRemote: install conf at ep
@@ -45,10 +50,10 @@ type cmd struct {
 
 	// Request operands.
 	ep           EpID       // opMsg: receive endpoint; opConfig: target
-	msg          Message    // opMsg
+	msg          Message    // opMsg: the header; Data stays nil
 	crdRet       EpID       // opMsg: piggybacked credit return, or -1
 	off          uint64     // opRead, opWrite: offset within the memory tile
-	buf          []byte     // opRead: the bytes read; opWrite: the payload; capacity reused
+	buf          []byte     // opRead: the bytes read; opMsg, opWrite: the payload; capacity reused
 	conf         Endpoint   // opConfig
 	first, count int        // opReadEps: requested window
 	eps          []Endpoint // opReadEps: the caller's result buffer
@@ -110,12 +115,13 @@ func (d *DTU) releaseCmd(c *cmd) {
 
 // await issues c's request after the DTU's processing delay and parks p
 // until the response or a terminal drop completes it. It returns the
-// command's error; the caller reads any other results, then releases c.
+// command's error; the caller reads any other results, then releases c or,
+// to retry a message command, awaits it again.
 //
 //m3v:noalloc
 //m3v:simctx
 func (c *cmd) await(p *sim.Proc) error {
-	c.p = p
+	c.p, c.done, c.err, c.resp = p, false, nil, false
 	c.d.eng.After(procTime, c.issueFn)
 	for !c.done {
 		p.Park()

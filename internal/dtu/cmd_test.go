@@ -13,10 +13,12 @@ import (
 
 // TestMessagePathAllocs guards the allocation-free round trips. One
 // process drives both tiles of a warm rig through an RPC (Send, Fetch,
-// Reply, Fetch, Ack), a page READ and WRITE, and each external request. An
-// RPC may allocate only its two payload copies and the two fetched
-// Messages; the memory commands and the external requests, with ReadInto
-// and ReadEpsRemote filling caller buffers, allocate nothing.
+// Reply, Fetch, Ack), a one-way message whose Ack returns the credit, a
+// page READ and WRITE, and each external request. None allocates: payloads
+// travel in the pooled commands' buffers into the receive slots' own,
+// Fetch returns a view of the slot, the credit return is a queued record
+// sent by a cached callback, and ReadInto and ReadEpsRemote fill caller
+// buffers.
 func TestMessagePathAllocs(t *testing.T) {
 	r := newRig(t, true)
 	setupChannel(r, actB, 4)
@@ -53,6 +55,12 @@ func TestMessagePathAllocs(t *testing.T) {
 		must(err)
 		must(r.d0.Ack(p, 11, slot))
 	}
+	oneWay := func(p *sim.Proc) {
+		must(r.d0.Send(p, SendArgs{Ep: 10, Data: req, ReplyEp: -1}))
+		slot, _, err := r.d1.Fetch(p, 20)
+		must(err)
+		must(r.d1.Ack(p, 20, slot))
+	}
 	conf := SendEP(actB, 0, 7, 0xABC, 3, 128)
 	confs := []EpConf{{Ep: 30, Conf: conf}, {Ep: 31, Conf: conf}}
 	buf := make([]Endpoint, 0, 2)
@@ -62,7 +70,8 @@ func TestMessagePathAllocs(t *testing.T) {
 		max  float64
 		op   func(p *sim.Proc)
 	}{
-		{"Send-Fetch-Reply-Fetch-Ack", 4, rpc},
+		{"Send-Fetch-Reply-Fetch-Ack", 0, rpc},
+		{"Send-Fetch-Ack", 0, oneWay},
 		{"Write", 0, func(p *sim.Proc) { must(r.d0.Write(p, 8, PageSize, page, 0)) }},
 		{"ReadInto", 0, func(p *sim.Proc) { must(r.d0.ReadInto(p, 8, PageSize, page, 0)) }},
 		{"ConfigureRemote", 0, func(p *sim.Proc) { must(r.d0.ConfigureRemote(p, 1, 5, conf)) }},

@@ -43,10 +43,12 @@ func (d *DTU) Send(p *sim.Proc, a SendArgs) error {
 	flow := d.rec.MintFlow()
 	d.curFlow = flow
 	d.curSpan = d.rec.BeginSpan(flow, 0, trace.SpanDTUSend, int64(start), int(d.tile), trace.CompDTU)
-	err := d.send(p, a, flow)
+	c := d.msgCmd(a.Data)
+	err := d.send(p, a, flow, c)
 	for attempt := 0; d.retryTransient(p, err, flow, attempt); attempt++ {
-		err = d.send(p, a, flow)
+		err = d.send(p, a, flow, c)
 	}
+	d.releaseCmd(c)
 	d.m.cmdTime.Observe(int64(d.eng.Now() - start))
 	d.rec.EndSpanArgs(d.curSpan, int64(d.eng.Now()), trace.PathNone, int64(a.Ep), errCode(err))
 	d.curFlow, d.curSpan = 0, 0
@@ -54,7 +56,9 @@ func (d *DTU) Send(p *sim.Proc, a SendArgs) error {
 	return err
 }
 
-func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64) error {
+//m3v:noalloc
+//m3v:simctx
+func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64, c *cmd) error {
 	d.charge(p, SendCycles+d.mediation)
 	if d.inj.FailCmd(flow, int(d.tile), 0) {
 		return ErrXferTimeout
@@ -78,7 +82,7 @@ func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64) error {
 		// Single-shot reply endpoints do not get credits back.
 		crdEp = -1
 	}
-	msg := Message{
+	hdr := Message{
 		Label:      e.Label,
 		SndTile:    d.tile,
 		SndAct:     d.curAct,
@@ -86,10 +90,9 @@ func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64) error {
 		CrdEp:      crdEp,
 		ReplyLabel: a.ReplyLabel,
 		Flow:       flow,
-		Data:       append([]byte(nil), a.Data...),
 	}
 	d.m.sends.Inc()
-	err = d.issueMsg(p, e.TgtTile, e.TgtEp, msg, -1)
+	err = d.issueMsg(p, c, e.TgtTile, e.TgtEp, hdr, -1)
 	if err != nil {
 		e.Credits++ // command failed; nothing in flight
 	}
@@ -108,10 +111,12 @@ func (d *DTU) Reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64) e
 	flow := d.rec.MintFlow()
 	d.curFlow = flow
 	d.curSpan = d.rec.BeginSpan(flow, 0, trace.SpanDTUReply, int64(start), int(d.tile), trace.CompDTU)
-	err := d.reply(p, ep, slot, data, vaddr, flow)
+	c := d.msgCmd(data)
+	err := d.reply(p, ep, slot, len(data), vaddr, flow, c)
 	for attempt := 0; d.retryTransient(p, err, flow, attempt); attempt++ {
-		err = d.reply(p, ep, slot, data, vaddr, flow)
+		err = d.reply(p, ep, slot, len(data), vaddr, flow, c)
 	}
+	d.releaseCmd(c)
 	d.m.cmdTime.Observe(int64(d.eng.Now() - start))
 	d.rec.EndSpanArgs(d.curSpan, int64(d.eng.Now()), trace.PathNone, int64(ep), errCode(err))
 	d.curFlow, d.curSpan = 0, 0
@@ -119,7 +124,11 @@ func (d *DTU) Reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64) e
 	return err
 }
 
-func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64, flow uint64) error {
+// reply runs one attempt of a REPLY whose n payload bytes c already holds.
+//
+//m3v:noalloc
+//m3v:simctx
+func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, n int, vaddr uint64, flow uint64, c *cmd) error {
 	d.charge(p, replyCycles+d.mediation)
 	if d.inj.FailCmd(flow, int(d.tile), 1) {
 		return ErrXferTimeout
@@ -131,37 +140,37 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64, f
 	if slot < 0 || slot >= e.Slots || e.occupied&(1<<uint(slot)) == 0 {
 		return ErrInvalidArgs
 	}
-	req := e.slots[slot].msg
+	// The routing fields, read before the slot is freed.
+	req := &e.slots[slot].msg
 	if req.ReplyEp < 0 {
 		return ErrInvalidArgs // sender did not ask for a reply
 	}
-	if len(data) > e.SlotSize {
+	if n > e.SlotSize {
 		return ErrMsgTooLarge
 	}
-	if err := d.translate(vaddr, len(data), PermR); err != nil {
+	if err := d.translate(vaddr, n, PermR); err != nil {
 		return err
 	}
-	// Free the slot before the transfer: the hardware retires the slot as
-	// part of issuing the reply.
-	e.occupied &^= 1 << uint(slot)
-	e.unread &^= 1 << uint(slot)
-	reply := Message{
+	dst, dstEp, crdEp := req.SndTile, req.ReplyEp, req.CrdEp
+	hdr := Message{
 		Label:   req.ReplyLabel,
 		SndTile: d.tile,
 		SndAct:  d.curAct,
 		ReplyEp: -1,
 		CrdEp:   -1,
 		Flow:    flow,
-		Data:    append([]byte(nil), data...),
 	}
+	// Free the slot before the transfer: the hardware retires the slot as
+	// part of issuing the reply.
+	e.free(slot)
 	d.m.replies.Inc()
-	err = d.issueMsg(p, req.SndTile, req.ReplyEp, reply, req.CrdEp)
-	if errors.Is(err, ErrXferTimeout) {
+	err = d.issueMsg(p, c, dst, dstEp, hdr, crdEp)
+	if err == ErrXferTimeout { // issueMsg returns the sentinels bare
 		// The reply never reached the requester: re-occupy the slot so the
 		// retry (or the caller, if the budget runs out) can reissue it.
 		e.occupied |= 1 << uint(slot)
 	}
-	p.Sleep(xferTime(len(data)))
+	p.Sleep(xferTime(n))
 	return err
 }
 
@@ -173,18 +182,21 @@ func (d *DTU) SendRaw(p *sim.Proc, tile noc.TileID, ep EpID, msg Message, crdRet
 	if d.virt {
 		panic("dtu: SendRaw is a controller-DTU operation")
 	}
-	err := d.sendRaw(p, tile, ep, msg, crdRet)
+	c := d.msgCmd(msg.Data)
+	msg.Data = nil // the header travels in c.msg, the payload in c.buf
+	err := d.sendRaw(p, tile, ep, msg, crdRet, c)
 	for attempt := 0; d.retryTransient(p, err, msg.Flow, attempt); attempt++ {
-		err = d.sendRaw(p, tile, ep, msg, crdRet)
+		err = d.sendRaw(p, tile, ep, msg, crdRet, c)
 	}
+	d.releaseCmd(c)
 	return err
 }
 
-func (d *DTU) sendRaw(p *sim.Proc, tile noc.TileID, ep EpID, msg Message, crdRet EpID) error {
-	if d.inj.FailCmd(msg.Flow, int(d.tile), 0) {
+func (d *DTU) sendRaw(p *sim.Proc, tile noc.TileID, ep EpID, hdr Message, crdRet EpID, c *cmd) error {
+	if d.inj.FailCmd(hdr.Flow, int(d.tile), 0) {
 		return ErrXferTimeout
 	}
-	return d.issueMsg(p, tile, ep, msg, crdRet)
+	return d.issueMsg(p, c, tile, ep, hdr, crdRet)
 }
 
 // retryTransient reports whether a command wrapper should reissue after a
@@ -205,22 +217,37 @@ func (d *DTU) retryTransient(p *sim.Proc, err error, flow uint64, attempt int) b
 	return true
 }
 
-// issueMsg transmits a message to receive endpoint ep on tile dst and blocks
-// until the destination DTU acknowledges it. crdRet, if >= 0, is a credit
-// return piggybacked for a send endpoint at the destination.
+// msgCmd takes the cmd of a SEND, REPLY or SendRaw and copies the payload
+// into its pooled buffer: the DTU reads the payload once, as the command
+// starts, so the caller's buffer is free again at once and every retry
+// of the command transmits the same bytes.
 //
+//m3v:noalloc
+func (d *DTU) msgCmd(payload []byte) *cmd {
+	c := d.acquireCmd(opMsg, 0, 0)
+	//m3vlint:ignore noalloc amortized growth: the pooled buffer grows to the largest payload its cmd carried, then every command reuses it
+	c.buf = append(c.buf, payload...)
+	return c
+}
+
+// issueMsg transmits the message of c (header hdr, payload in c.buf) to
+// receive endpoint ep on tile dst and blocks until the destination DTU
+// acknowledges it. crdRet, if >= 0, is a credit return piggybacked for a
+// send endpoint at the destination.
+//
+//m3v:noalloc
 //m3v:simctx
-func (d *DTU) issueMsg(p *sim.Proc, dst noc.TileID, ep EpID, msg Message, crdRet EpID) error {
-	c := d.acquireCmd(opMsg, dst, headerBytes+len(msg.Data))
-	c.ep, c.msg, c.crdRet = ep, msg, crdRet
-	err := c.await(p)
-	d.releaseCmd(c)
-	return err
+func (d *DTU) issueMsg(p *sim.Proc, c *cmd, dst noc.TileID, ep EpID, hdr Message, crdRet EpID) error {
+	c.dst, c.size = dst, headerBytes+len(c.buf)
+	c.ep, c.msg, c.crdRet = ep, hdr, crdRet
+	return c.await(p)
 }
 
 // Fetch executes FETCH_MSG: it returns the oldest unread message of the
 // receive endpoint without freeing its slot. The slot index must be passed
-// to Reply or Ack later.
+// to Reply or Ack later. The message is a view of the slot: it stays valid
+// until Ack or Reply frees the slot, which overwrites its bytes. A reader
+// that needs the message afterwards copies it first.
 //
 //m3v:simctx
 func (d *DTU) Fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
@@ -237,6 +264,8 @@ func (d *DTU) Fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 	return slot, m, err
 }
 
+//m3v:noalloc
+//m3v:simctx
 func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 	d.charge(p, fetchCycles+d.mediation)
 	e, err := d.epFor(ep, EpReceive)
@@ -255,9 +284,9 @@ func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 		d.curMsgs--
 	}
 	d.m.fetches.Inc()
-	m := e.slots[slot].msg
+	m := &e.slots[slot].msg
 	p.Sleep(xferTime(len(m.Data))) // message moves over the cache bus
-	return slot, &m, nil
+	return slot, m, nil
 }
 
 // Ack executes ACK_MSG: it frees a fetched slot and returns the credit to
@@ -269,6 +298,8 @@ func (d *DTU) Ack(p *sim.Proc, ep EpID, slot int) error {
 	return err
 }
 
+//m3v:noalloc
+//m3v:simctx
 func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 	d.charge(p, ackCycles+d.mediation)
 	e, err := d.epFor(ep, EpReceive)
@@ -278,21 +309,33 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 	if slot < 0 || slot >= e.Slots || e.occupied&(1<<uint(slot)) == 0 {
 		return ErrInvalidArgs
 	}
-	msg := e.slots[slot].msg
-	bit := uint64(1) << uint(slot)
-	if e.unread&bit != 0 && d.curMsgs > 0 {
+	msg := &e.slots[slot].msg
+	if e.unread&(1<<uint(slot)) != 0 && d.curMsgs > 0 {
 		d.curMsgs-- // acked without fetching
 	}
-	e.occupied &^= bit
-	e.unread &^= bit
-	d.m.acks.Inc()
 	if msg.CrdEp >= 0 {
-		d.eng.After(procTime, func() {
-			d.net.Send(d.net.NewPacket(d.tile, msg.SndTile, headerBytes,
-				creditPacket{DstEp: msg.CrdEp}))
-		})
+		//m3vlint:ignore noalloc amortized growth: the queue's capacity reaches the DTU's peak number of credit returns in flight once
+		d.credits = append(d.credits, creditRet{tile: msg.SndTile, ep: msg.CrdEp})
+		d.eng.After(procTime, d.creditFn)
 	}
+	e.free(slot)
+	d.m.acks.Inc()
 	return nil
+}
+
+// creditRet is a credit return waiting for the DTU's processing delay.
+type creditRet struct {
+	tile noc.TileID
+	ep   EpID
+}
+
+// sendCredit is the delayed half of an ACK_MSG (cached in creditFn): it
+// sends the oldest queued credit return. Every return is scheduled
+// procTime after its ACK_MSG, so they come due in queue order.
+func (d *DTU) sendCredit() {
+	cr := d.credits[0]
+	d.credits = d.credits[:copy(d.credits, d.credits[1:])]
+	d.net.Send(d.net.NewPacket(d.tile, cr.tile, headerBytes, creditPacket{DstEp: cr.ep}))
 }
 
 // ReadInto executes the READ command: a DMA read of len(dst) bytes from

@@ -58,6 +58,10 @@ type DTU struct {
 	// is raiseIrq, cached so injecting an interrupt does not allocate.
 	freeCmds []*cmd
 	irqFn    func()
+	// credits queues the credit returns of ACK_MSG commands until their
+	// processing delay passed; creditFn is sendCredit, cached like irqFn.
+	credits  []creditRet
+	creditFn func()
 
 	// OnCoreReq is the core-request interrupt: the vDTU injects it into the
 	// core to notify TileMux that a non-running activity received a message.
@@ -123,6 +127,7 @@ func New(eng *sim.Engine, net *noc.Network, tile noc.TileID, coreClock sim.Clock
 		m:         newDTUMetrics(eng.Tracer().Metrics(), tile),
 	}
 	d.irqFn = d.raiseIrq
+	d.creditFn = d.sendCredit
 	if virt {
 		d.tlb = NewTLB()
 	}
@@ -259,8 +264,11 @@ func (d *DTU) Deliver(pkt *noc.Packet) bool {
 	}
 }
 
-// deliverMsg stores an incoming message. The return value feeds the NoC's
-// flow control: false means "retry later".
+// deliverMsg stores an incoming message, copying its payload from c's
+// buffer into the slot's own. The return value feeds the NoC's flow
+// control: false means "retry later".
+//
+//m3v:noalloc
 func (d *DTU) deliverMsg(c *cmd) bool {
 	flow := c.msg.Flow
 	e := &d.eps[c.ep]
@@ -294,10 +302,7 @@ func (d *DTU) deliverMsg(c *cmd) bool {
 			trace.CompDTU, trace.PathNone, int64(c.ep), deliverNacked, 0)
 		return false
 	}
-	bit := uint64(1) << uint(slot)
-	e.occupied |= bit
-	e.unread |= bit
-	e.slots[slot] = recvSlot{msg: c.msg}
+	e.store(slot, c.msg, c.buf)
 	// The message was stored by the DTU without controller involvement: the
 	// fast-path mark. On M³x a controller-forwarded message also ends here,
 	// but its kernel.forward span marks the flow slow, and slow wins.
@@ -330,14 +335,17 @@ func (d *DTU) returnCredits(ep EpID) {
 	}
 	e.Credits++
 	if d.OnCredits != nil {
+		//m3vlint:ignore noalloc audited callback slot: only tests install OnCredits, to count returned credits
 		d.OnCredits(ep)
 	}
 }
 
+//m3v:noalloc
 func (d *DTU) pushCoreReq(act ActID, flow uint64) {
 	wasEmpty := len(d.coreReqs) == 0
 	span := d.rec.BeginSpan(flow, 0, trace.SpanDTUCoreReq,
 		int64(d.eng.Now()), int(d.tile), trace.CompDTU)
+	//m3vlint:ignore noalloc amortized growth: AckCoreReq shifts the queue in place, so its capacity stays at the deepest queue once reached
 	d.coreReqs = append(d.coreReqs, coreReq{act: act, flow: flow, span: span})
 	d.m.coreReqs.Inc()
 	d.m.coreReqDepth.Set(int64(len(d.coreReqs)))

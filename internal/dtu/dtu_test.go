@@ -91,7 +91,7 @@ func TestSendFetchReplyAckRoundTrip(t *testing.T) {
 		if m.Label != 0x99 {
 			t.Errorf("reply label = %#x, want 0x99", m.Label)
 		}
-		replyData = m.Data
+		replyData = bytes.Clone(m.Data) // the view dies with the Ack
 		if err := r.d0.Ack(p, 11, slot); err != nil {
 			t.Errorf("ack reply: %v", err)
 		}
@@ -121,6 +121,38 @@ func TestSendFetchReplyAckRoundTrip(t *testing.T) {
 	if ep := r.d0.Ep(10); ep.Credits != 4 {
 		t.Errorf("credits after RPC = %d, want 4", ep.Credits)
 	}
+}
+
+// TestSlotReuseNoStaleTail fetches and acks a long message, then sends a
+// short one, which lands in the same slot. The short message must have
+// exactly its own length and bytes, with no tail of the long one, and a
+// view of the long message kept past its ACK_MSG must read the guard
+// value: a use after free is loud.
+func TestSlotReuseNoStaleTail(t *testing.T) {
+	r := newRig(t, false)
+	setupChannel(r, actB, 4)
+	long := bytes.Repeat([]byte("L"), 200)
+	r.run(func(p *sim.Proc) {
+		must(r.d0.Send(p, SendArgs{Ep: 10, Data: long, ReplyEp: -1}))
+		slot, m, err := r.d1.Fetch(p, 20)
+		must(err)
+		if !bytes.Equal(m.Data, long) {
+			t.Errorf("long message arrived as %d bytes", len(m.Data))
+		}
+		must(r.d1.Ack(p, 20, slot))
+		if !bytes.Equal(m.Data, bytes.Repeat([]byte{freedByte}, len(long))) {
+			t.Errorf("view kept past ACK_MSG reads %q..., want the guard value", m.Data[:8])
+		}
+		must(r.d0.Send(p, SendArgs{Ep: 10, Data: []byte("short"), ReplyEp: -1}))
+		slot2, m2, err := r.d1.Fetch(p, 20)
+		must(err)
+		if slot2 != slot {
+			t.Errorf("short message in slot %d, want the freed slot %d", slot2, slot)
+		}
+		if string(m2.Data) != "short" {
+			t.Errorf("reused slot holds %d bytes %q, want \"short\"", len(m2.Data), m2.Data)
+		}
+	})
 }
 
 func TestCreditsExhaustionAndReturn(t *testing.T) {

@@ -116,9 +116,44 @@ type Endpoint struct {
 	MemPerm Perm
 }
 
-// recvSlot is one occupied receive buffer slot.
+// recvSlot is one receive buffer slot. Its message's Data is the slot's
+// own buffer: it grows lazily to the largest message the slot has held,
+// and keeps that capacity while the slot is free.
 type recvSlot struct {
 	msg Message
+}
+
+// freedByte overwrites the bytes of a freed slot, so that a reader that
+// kept a view of its message past ACK_MSG or REPLY reads garbage, the same
+// garbage every run, instead of a plausible message.
+const freedByte = 0xEE
+
+// store puts a message into the free slot i: the header hdr, and a copy of
+// payload in the slot's own buffer.
+//
+//m3v:noalloc
+func (ep *Endpoint) store(i int, hdr Message, payload []byte) {
+	bit := uint64(1) << uint(i)
+	ep.occupied |= bit
+	ep.unread |= bit
+	m := &ep.slots[i].msg
+	buf := m.Data[:0]
+	*m = hdr
+	//m3vlint:ignore noalloc amortized growth: the slot buffer grows to the largest message the slot has held, then every message reuses it
+	m.Data = append(buf, payload...)
+}
+
+// free retires slot i and overwrites its bytes with freedByte.
+//
+//m3v:noalloc
+func (ep *Endpoint) free(i int) {
+	bit := uint64(1) << uint(i)
+	ep.occupied &^= bit
+	ep.unread &^= bit
+	data := ep.slots[i].msg.Data
+	for j := range data {
+		data[j] = freedByte
+	}
 }
 
 // UnreadCount reports the number of unfetched messages in a receive endpoint.
@@ -145,7 +180,8 @@ func (ep *Endpoint) freeSlot() int {
 // bypassing the NoC. Only the M³x controller uses it: with saved DTU state
 // in controller memory, the slow path delivers messages by writing them into
 // the saved receive buffer (M³x ATC'19); the state reaches the tile on
-// restore. It reports false if no slot is free.
+// restore. The payload is copied into the slot. It reports false if no
+// slot is free.
 func (ep *Endpoint) InjectMessage(msg Message) bool {
 	if ep.Kind != EpReceive {
 		return false
@@ -154,10 +190,7 @@ func (ep *Endpoint) InjectMessage(msg Message) bool {
 	if slot < 0 {
 		return false
 	}
-	bit := uint64(1) << uint(slot)
-	ep.occupied |= bit
-	ep.unread |= bit
-	ep.slots[slot] = recvSlot{msg: msg}
+	ep.store(slot, msg, msg.Data)
 	return true
 }
 

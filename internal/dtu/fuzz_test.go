@@ -63,13 +63,18 @@ func memOff(arg int) uint64 {
 //   - isolation: no READ or WRITE reaches DRAM outside the memory
 //     endpoint's region, not even at offsets near 2^64 whose end wraps
 //     around: the bytes outside never change, and a READ never returns
-//     them.
+//     them;
+//   - slot reuse: every successful FETCH returns exactly the bytes that
+//     were sent, whatever longer or shorter messages its slot held before
+//     (requests are 1 to 32 bytes long, and the echo replies with the
+//     request's bytes).
 //
 // Input layout: byte 0 arms the fault injector (rate + seed) and, in its top
 // two bits, bounds the NoC's retries per packet (0 = unbounded), so packets
 // can be dropped for good and commands must time out instead of wedging;
-// every further byte is one command (3-bit opcode, 5 bits of operand); see
-// memOff for the offsets of the memory commands.
+// every further byte is one command (3-bit opcode, 5 bits of operand): the
+// operand of a send is its payload length minus one; see memOff for the
+// offsets of the memory commands.
 func FuzzDTUCommands(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x01, 0x02, 0x03, 0x04})             // one of each, no faults
@@ -83,6 +88,10 @@ func FuzzDTUCommands(f *testing.F) {
 	f.Add([]byte("000000"))
 	// Reads and writes just below 2^64, some wrapping past it.
 	f.Add([]byte{0x00, 0xFC, 0xF4, 0x84, 0xFB, 0xF3, 0x83})
+	// A 32-byte RPC, then a 1-byte one, each drained before the next: the
+	// short request and its reply reuse the slots of the long ones. The
+	// same for one-way sends.
+	f.Add([]byte{0x00, 0xF8, 0x1D, 0x02, 0x00, 0x1D, 0x02, 0xF9, 0x1D, 0x01, 0x1D})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 96 {
@@ -129,6 +138,24 @@ func FuzzDTUCommands(f *testing.F) {
 			must(d0.ConfigureLocal(8, MemEP(actA, 2, memBase, memSize, PermRW)))
 			must(d1.ConfigureLocal(20, RecvEP(actB, 4, 256)))
 
+			// sent holds every payload by its first byte, the index of the
+			// command that sent it.
+			sent := map[byte][]byte{}
+			payload := func(i, arg int) []byte {
+				b := make([]byte, 1+arg)
+				for k := range b {
+					b[k] = byte(i*13 + k)
+				}
+				b[0] = byte(i)
+				sent[byte(i)] = b
+				return b
+			}
+			check := func(who string, m *Message) {
+				if len(m.Data) == 0 || !bytes.Equal(m.Data, sent[m.Data[0]]) {
+					t.Errorf("%s fetched %x, which was never sent", who, m.Data)
+				}
+			}
+
 			var hash uint64
 			ops := data[min(len(data), 1):]
 			done := false
@@ -139,14 +166,16 @@ func FuzzDTUCommands(f *testing.F) {
 					var err error
 					switch op {
 					case 0: // RPC-style send with reply endpoint
-						err = d0.Send(p, SendArgs{Ep: 10, Data: []byte{byte(i)}, ReplyEp: 11, ReplyLabel: 0x99})
+						err = d0.Send(p, SendArgs{Ep: 10, Data: payload(i, arg), ReplyEp: 11, ReplyLabel: 0x99})
 					case 1: // one-way send
-						err = d0.Send(p, SendArgs{Ep: 10, Data: []byte{byte(i)}, ReplyEp: -1})
+						err = d0.Send(p, SendArgs{Ep: 10, Data: payload(i, arg), ReplyEp: -1})
 					case 2: // drain one reply if present
 						if d0.HasUnread(11) {
 							var slot int
-							slot, _, err = d0.Fetch(p, 11)
+							var m *Message
+							slot, m, err = d0.Fetch(p, 11)
 							if err == nil {
+								check("driver", m)
 								err = d0.Ack(p, 11, slot)
 							}
 						}
@@ -180,8 +209,12 @@ func FuzzDTUCommands(f *testing.F) {
 					if d1.HasUnread(20) {
 						slot, m, err := d1.Fetch(p, 20)
 						if err == nil {
+							check("echo", m)
 							if m.ReplyEp >= 0 {
-								err = d1.Reply(p, 20, slot, []byte{2}, 0)
+								// The DTU reads the payload before it
+								// frees the slot, so the request's own
+								// bytes can be the reply.
+								err = d1.Reply(p, 20, slot, m.Data, 0)
 							} else {
 								err = d1.Ack(p, 20, slot)
 							}

@@ -78,7 +78,9 @@ func (d *DTU) AckCoreReq(p *sim.Proc) {
 		return
 	}
 	cr := d.coreReqs[0]
-	d.coreReqs = d.coreReqs[1:]
+	// Shift in place: slicing the head off would make the next push
+	// reallocate.
+	d.coreReqs = d.coreReqs[:copy(d.coreReqs, d.coreReqs[1:])]
 	d.m.coreReqDepth.Set(int64(len(d.coreReqs)))
 	d.rec.EndSpanArgs(cr.span, int64(d.eng.Now()), trace.PathNone,
 		int64(cr.act), int64(len(d.coreReqs)))

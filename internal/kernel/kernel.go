@@ -105,6 +105,12 @@ type Kernel struct {
 	// registry counter behind the Syscalls accessor.
 	rec       *trace.Recorder
 	cSyscalls *trace.Counter
+
+	// w builds the syscall replies and is used by the controller's process
+	// alone, so a reply survives until its fallback ran; mw builds the
+	// requests to the multiplexers, also from boot processes (a send
+	// copies them as it starts).
+	w, mw proto.Writer
 }
 
 // Remote is everything the M³x baseline (internal/m3x) adds to the
@@ -113,7 +119,7 @@ type Kernel struct {
 type Remote interface {
 	// Syscall handles a syscall the base kernel does not know (M³x:
 	// Forward); handled false answers EInvalid.
-	Syscall(p *sim.Proc, caller *ActEntry, op proto.Op, r *proto.Reader, slot int) (resp []byte, deferred, handled bool)
+	Syscall(p *sim.Proc, caller *ActEntry, op proto.Op, r proto.Reader, slot int) (resp []byte, deferred, handled bool)
 	// Configure sees every endpoint write of the controller before it
 	// reaches the tile, a revocation as the zero Endpoint, and may take it
 	// over (M³x: for a non-running activity, into its saved DTU state).
@@ -124,8 +130,9 @@ type Remote interface {
 	// Starting runs right before an activity is started.
 	Starting(p *sim.Proc, act *ActEntry)
 	// ReplyFallback delivers a syscall reply whose recipient is not running
-	// and reports whether it could.
-	ReplyFallback(msg *dtu.Message, resp []byte) bool
+	// and reports whether it could. msg is the header of the syscall
+	// message; its slot is already free.
+	ReplyFallback(msg dtu.Message, resp []byte) bool
 	// Idle runs whenever the controller is about to idle (M³x: time-slice
 	// rotations).
 	Idle(p *sim.Proc)
@@ -135,16 +142,16 @@ type Remote interface {
 // tiles, so the controller has nothing to add.
 type local struct{}
 
-func (local) Syscall(*sim.Proc, *ActEntry, proto.Op, *proto.Reader, int) ([]byte, bool, bool) {
+func (local) Syscall(*sim.Proc, *ActEntry, proto.Op, proto.Reader, int) ([]byte, bool, bool) {
 	return nil, false, false
 }
 func (local) Configure(*sim.Proc, noc.TileID, dtu.EpID, dtu.Endpoint) (bool, error) {
 	return false, nil
 }
-func (local) AfterSyscall(*sim.Proc)                  {}
-func (local) Starting(*sim.Proc, *ActEntry)           {}
-func (local) ReplyFallback(*dtu.Message, []byte) bool { return false }
-func (local) Idle(*sim.Proc)                          {}
+func (local) AfterSyscall(*sim.Proc)                 {}
+func (local) Starting(*sim.Proc, *ActEntry)          {}
+func (local) ReplyFallback(dtu.Message, []byte) bool { return false }
+func (local) Idle(*sim.Proc)                         {}
 
 // New creates a controller bound to the given (non-virtualized) DTU; onExit
 // observes every activity exit. The caller must configure
@@ -278,11 +285,16 @@ func (k *Kernel) loop(p *sim.Proc) {
 // reply answers a syscall, falling back to saved-state injection when the
 // caller is not running (M³x).
 func (k *Kernel) reply(p *sim.Proc, slot int, msg *dtu.Message, resp []byte) {
+	// A REPLY that finds no recipient has freed the slot, and the next
+	// syscall may land in it before the REPLY returns: the fallback routes
+	// by a copy of the header taken now.
+	hdr := *msg
+	hdr.Data = nil
 	err := k.d.Reply(p, EpSyscall, slot, resp, 0)
 	if err == nil {
 		return
 	}
-	if errors.Is(err, dtu.ErrNoRecipient) && k.remote.ReplyFallback(msg, resp) {
+	if errors.Is(err, dtu.ErrNoRecipient) && k.remote.ReplyFallback(hdr, resp) {
 		return
 	}
 	panic(fmt.Sprintf("kernel: syscall reply failed: %v", err))
@@ -310,26 +322,26 @@ func (k *Kernel) exited(p *sim.Proc, act *ActEntry, code int32) {
 	act.Exited = true
 	act.ExitCode = code
 	for _, w := range act.waiters {
-		k.reply(p, w.slot, w.msg, proto.Resp(proto.EOK, uint64(uint32(code))))
+		k.reply(p, w.slot, w.msg, k.w.Resp(proto.EOK, uint64(uint32(code))))
 	}
 	act.waiters = nil
 	k.onExit(act.ID, code)
 }
 
 // MuxRequest sends a request to a tile's multiplexer and waits for the
-// reply (exported for the M³x driver).
-func (k *Kernel) MuxRequest(p *sim.Proc, tile noc.TileID, req []byte) (proto.ErrCode, *proto.Reader) {
+// reply's code (exported for the M³x driver).
+func (k *Kernel) MuxRequest(p *sim.Proc, tile noc.TileID, req []byte) proto.ErrCode {
 	te := k.tiles[tile]
 	if te == nil {
-		return proto.ENoTile, nil
+		return proto.ENoTile
 	}
 	return k.muxRequest(p, te, req)
 }
 
-// muxRequest sends a request to a tile's multiplexer and waits for the
-// reply to arrive. The controller is blocked meanwhile — it is
-// single-threaded.
-func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) (proto.ErrCode, *proto.Reader) {
+// muxRequest sends a request to a tile's multiplexer, waits for the reply
+// to arrive and returns its code; no request has results. The controller
+// is blocked meanwhile — it is single-threaded.
+func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) proto.ErrCode {
 	err := k.d.Send(p, dtu.SendArgs{Ep: te.MuxSgate, Data: req, ReplyEp: EpMuxReply})
 	if err != nil {
 		panic(fmt.Sprintf("kernel: mux request to tile %d failed: %v", te.ID, err))
@@ -341,10 +353,10 @@ func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) (proto.ErrCo
 	if err != nil {
 		panic(fmt.Sprintf("kernel: mux reply fetch failed: %v", err))
 	}
-	defer k.d.Ack(p, EpMuxReply, slot)
-	code, r, err := proto.ParseResp(msg.Data)
+	code, _, err := proto.ParseResp(msg.Data)
+	_ = k.d.Ack(p, EpMuxReply, slot)
 	if err != nil {
-		return proto.EInvalid, nil
+		return proto.EInvalid
 	}
-	return code, r
+	return code
 }

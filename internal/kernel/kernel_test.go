@@ -22,12 +22,12 @@ type recRemote struct {
 	syscalls   []proto.Op
 }
 
-func (r *recRemote) Syscall(_ *sim.Proc, _ *kernel.ActEntry, op proto.Op, _ *proto.Reader, _ int) ([]byte, bool, bool) {
+func (r *recRemote) Syscall(_ *sim.Proc, _ *kernel.ActEntry, op proto.Op, _ proto.Reader, _ int) ([]byte, bool, bool) {
 	r.syscalls = append(r.syscalls, op)
 	if op != proto.OpForward {
 		return nil, false, false
 	}
-	return proto.Resp(proto.EOK, 42), false, true
+	return new(proto.Writer).Resp(proto.EOK, 42), false, true
 }
 
 func (r *recRemote) Configure(_ *sim.Proc, tile noc.TileID, ep dtu.EpID, conf dtu.Endpoint) (bool, error) {
@@ -44,13 +44,13 @@ func (r *recRemote) Starting(_ *sim.Proc, act *kernel.ActEntry) {
 	r.starting = append(r.starting, act.ID)
 }
 
-func (r *recRemote) ReplyFallback(*dtu.Message, []byte) bool { return false }
+func (r *recRemote) ReplyFallback(dtu.Message, []byte) bool { return false }
 
 func (r *recRemote) Idle(*sim.Proc) {}
 
 // forward issues an OpForward syscall and returns its answer.
 func forward(t *testing.T, a *activity.Activity) (proto.ErrCode, uint64) {
-	code, r, err := a.Syscall(proto.NewWriter(proto.OpForward).U8(0).U64(0).Done())
+	code, r, err := a.Syscall(new(proto.Writer).Reset(proto.OpForward).U8(0).U64(0).Done())
 	if err != nil {
 		t.Errorf("forward syscall: %v", err)
 		return code, 0
@@ -182,8 +182,8 @@ func (r *idleRemote) Idle(p *sim.Proc) {
 		return
 	}
 	r.armed = false
-	req := proto.NewWriter(proto.OpMuxCreateAct).U16(99).Str("probe").Done()
-	r.code, _ = r.k.MuxRequest(p, r.tile, req)
+	req := new(proto.Writer).Reset(proto.OpMuxCreateAct).U16(99).Str("probe").Done()
+	r.code = r.k.MuxRequest(p, r.tile, req)
 	r.raced = r.k.DTU().HasUnread(kernel.EpSyscall)
 }
 
@@ -240,7 +240,7 @@ func TestMapPagesBounds(t *testing.T) {
 			return
 		}
 		for _, off := range []uint64{dtu.PageSize, 2 * dtu.PageSize, ^uint64(dtu.PageSize - 1)} {
-			got[off], _, err = a.Syscall(proto.NewWriter(proto.OpMapPages).
+			got[off], _, err = a.Syscall(new(proto.Writer).Reset(proto.OpMapPages).
 				U32(a.ID).U64(0x100000).U32(uint32(sel)).U64(off).U32(1).U8(uint8(dtu.PermRW)).Done())
 			if err != nil {
 				t.Errorf("map at %#x: %v", off, err)
@@ -258,5 +258,97 @@ func TestMapPagesBounds(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("OpMapPages answered %v, want %v", got, want)
+	}
+}
+
+// refillRemote answers OpForward. For the first caller it makes the
+// controller's reply fail: it clears the caller's syscall receive
+// endpoint. ReplyFallback records the header it was given and whether a
+// syscall was waiting in the receive buffer at that point; the slot of
+// every forward is recorded.
+type refillRemote struct {
+	kernel.Remote
+	k        *kernel.Kernel
+	second   *sim.Proc
+	fired    bool
+	slots    []int
+	fallback bool
+	hdr      dtu.Message
+	waiting  bool
+}
+
+func (r *refillRemote) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, _ proto.Reader, slot int) ([]byte, bool, bool) {
+	if op != proto.OpForward {
+		return nil, false, false
+	}
+	r.slots = append(r.slots, slot)
+	if len(r.slots) == 1 {
+		if err := r.k.DTU().ConfigureRemote(p, caller.Tile, caller.SyscallRgate, dtu.Endpoint{}); err != nil {
+			panic(err)
+		}
+	}
+	return new(proto.Writer).Resp(proto.EOK), false, true
+}
+
+func (r *refillRemote) ReplyFallback(hdr dtu.Message, _ []byte) bool {
+	r.fallback = true
+	r.hdr = hdr
+	r.waiting = r.k.DTU().HasUnread(kernel.EpSyscall)
+	return true
+}
+
+// TestReplyFallbackAfterRefill pins that a failed syscall reply is routed
+// by the header of the syscall it answers. The REPLY frees the syscall's
+// receive slot before it learns that the caller has no receive endpoint,
+// and a syscall arriving meanwhile takes the same slot (the lowest free
+// one). A second activity's forward is started at delays swept across
+// that window; in every run the fallback must see the first caller's
+// header, and in some run the second forward must have landed in the
+// first one's slot before the fallback ran.
+func TestReplyFallbackAfterRefill(t *testing.T) {
+	refills := 0
+	for delay := sim.Time(0); delay <= 20*sim.Microsecond; delay += 100 * sim.Nanosecond {
+		sys := core.New(core.FPGAConfig())
+		procs := sys.Cfg.ProcessingTiles()
+		rem := &refillRemote{Remote: &recRemote{configured: make(map[noc.TileID]map[dtu.EpID]dtu.Endpoint)}, k: sys.Kern}
+		sys.Kern.SetRemote(rem)
+		first := sys.SpawnRoot(procs[0], "first", nil, func(a *activity.Activity) {
+			_, err := a.Spawn(core.TileSels(a)[procs[1]], procs[1], "second", nil, func(b *activity.Activity) {
+				rem.second = b.Proc()
+				for !rem.fired {
+					b.Proc().Park()
+				}
+				b.Proc().Sleep(delay)
+				forward(t, b)
+			})
+			if err != nil {
+				t.Errorf("spawn: %v", err)
+				return
+			}
+			for rem.second == nil {
+				a.Compute(1000)
+			}
+			rem.fired = true
+			rem.second.Wake()
+			// Its reply endpoint is gone once the Remote answers: this
+			// syscall never returns.
+			forward(t, a)
+		})
+		sys.Run(sim.Millisecond)
+		sys.Shutdown()
+		if !rem.fallback || len(rem.slots) != 2 {
+			t.Fatalf("delay %v: fallback %v, %d forwards handled; want a failed reply and 2",
+				delay, rem.fallback, len(rem.slots))
+		}
+		if rem.hdr.SndAct != dtu.ActID(first.ID) || rem.hdr.Label != uint64(first.ID) {
+			t.Errorf("delay %v: fallback routed by %v (act %d), want the first caller %d",
+				delay, &rem.hdr, rem.hdr.SndAct, first.ID)
+		}
+		if rem.waiting && rem.slots[1] == rem.slots[0] {
+			refills++
+		}
+	}
+	if refills == 0 {
+		t.Error("no second forward refilled the slot while the reply was in flight: the sweep misses the window")
 	}
 }

@@ -52,7 +52,7 @@ func NewClientNamed(a *activity.Activity, service string) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{a: a, sgEp: sgEp, rgEp: rgEp, epIn: -1, epOut: -1}
-	code, _, err := c.call(proto.NewWriter(opInit).U32(a.ID).Done())
+	code, _, err := c.call(c.a.Msg(opInit).U32(a.ID).Done())
 	if err != nil {
 		return nil, err
 	}
@@ -62,11 +62,13 @@ func NewClientNamed(a *activity.Activity, service string) (*Client, error) {
 	return c, nil
 }
 
-func (c *Client) call(req []byte) (proto.ErrCode, *proto.Reader, error) {
+// call sends a request and parses the reply, which the Reader reads in
+// the activity's reply buffer until its next Call.
+func (c *Client) call(req []byte) (proto.ErrCode, proto.Reader, error) {
 	c.a.Compute(clientCallCycles)
 	resp, err := c.a.Call(c.sgEp, c.rgEp, req)
 	if err != nil {
-		return proto.EUnreachable, nil, err
+		return proto.EUnreachable, proto.Reader{}, err
 	}
 	return proto.ParseResp(resp)
 }
@@ -89,19 +91,19 @@ func (c *Client) copyCost(n int) {
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
-	_, err := c.call1(proto.NewWriter(opMkdir).Str(path).Done())
+	_, err := c.call1(c.a.Msg(opMkdir).Str(path).Done())
 	return err
 }
 
 // Unlink removes a file or empty directory.
 func (c *Client) Unlink(path string) error {
-	_, err := c.call1(proto.NewWriter(opUnlink).Str(path).Done())
+	_, err := c.call1(c.a.Msg(opUnlink).Str(path).Done())
 	return err
 }
 
 // Stat returns a file's size and whether it is a directory.
 func (c *Client) Stat(path string) (uint64, bool, error) {
-	code, r, err := c.call(proto.NewWriter(opStat).Str(path).Done())
+	code, r, err := c.call(c.a.Msg(opStat).Str(path).Done())
 	if err != nil {
 		return 0, false, err
 	}
@@ -114,7 +116,7 @@ func (c *Client) Stat(path string) (uint64, bool, error) {
 
 // ReadDir lists a directory.
 func (c *Client) ReadDir(path string) ([]string, error) {
-	code, r, err := c.call(proto.NewWriter(opReadDir).Str(path).Done())
+	code, r, err := c.call(c.a.Msg(opReadDir).Str(path).Done())
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +152,7 @@ type File struct {
 
 // Open opens (and with FlagCreate creates) a file.
 func (c *Client) Open(path string, flags uint8) (*File, error) {
-	fd, err := c.call1(proto.NewWriter(opOpen).Str(path).U8(flags).Done())
+	fd, err := c.call1(c.a.Msg(opOpen).Str(path).U8(flags).Done())
 	if err != nil {
 		return nil, fmt.Errorf("m3fs open %s: %w", path, err)
 	}
@@ -160,7 +162,7 @@ func (c *Client) Open(path string, flags uint8) (*File, error) {
 // nextIn fetches the next readable extent and activates its capability on
 // the file's (reused) input endpoint.
 func (f *File) nextIn() error {
-	code, r, err := f.c.call(proto.NewWriter(opNextIn).U32(f.fd).Done())
+	code, r, err := f.c.call(f.c.a.Msg(opNextIn).U32(f.fd).Done())
 	if err != nil {
 		return err
 	}
@@ -240,7 +242,7 @@ func (f *File) Read(buf []byte) (int, error) {
 
 // nextOut obtains a fresh write extent.
 func (f *File) nextOut() error {
-	code, r, err := f.c.call(proto.NewWriter(opNextOut).U32(f.fd).Done())
+	code, r, err := f.c.call(f.c.a.Msg(opNextOut).U32(f.fd).Done())
 	if err != nil {
 		return err
 	}
@@ -264,7 +266,7 @@ func (f *File) commit() error {
 		return nil
 	}
 	f.outOpen = false
-	_, err := f.c.call1(proto.NewWriter(opCommit).U32(f.fd).U64(f.outUsed).Done())
+	_, err := f.c.call1(f.c.a.Msg(opCommit).U32(f.fd).U64(f.outUsed).Done())
 	return err
 }
 
@@ -304,7 +306,7 @@ func (f *File) Write(data []byte) (int, error) {
 
 // Seek repositions the sequential read cursor.
 func (f *File) Seek(pos uint64) error {
-	_, err := f.c.call1(proto.NewWriter(opSeek).U32(f.fd).U64(pos).Done())
+	_, err := f.c.call1(f.c.a.Msg(opSeek).U32(f.fd).U64(pos).Done())
 	if err == nil {
 		f.inSel, f.inLen, f.inOff, f.inEOF = 0, 0, 0, false
 	}
@@ -316,7 +318,7 @@ func (f *File) Close() error {
 	if err := f.commit(); err != nil {
 		return err
 	}
-	_, err := f.c.call1(proto.NewWriter(opClose).U32(f.fd).Done())
+	_, err := f.c.call1(f.c.a.Msg(opClose).U32(f.fd).Done())
 	return err
 }
 

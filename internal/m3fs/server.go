@@ -73,6 +73,9 @@ type server struct {
 	inodes  map[uint32]*inode
 	nextIno uint32
 	sess    map[uint64]*session
+
+	// w builds the replies.
+	w proto.Writer
 }
 
 // Program returns the m3fs server program.
@@ -182,35 +185,35 @@ func (s *server) delegateExtent(client uint32, off, size uint64, perm dtu.Perm) 
 func (s *server) handle(msg *dtu.Message) []byte {
 	op, r, err := proto.ParseOp(msg.Data)
 	if err != nil {
-		return proto.Resp(proto.EInvalid)
+		return s.w.Resp(proto.EInvalid)
 	}
 	a := s.a
 	if op == opInit {
 		client := r.U32()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		s.session(msg.Label, client)
-		return proto.Resp(proto.EOK)
+		return s.w.Resp(proto.EOK)
 	}
 	ss := s.sess[msg.Label]
 	if ss == nil {
-		return proto.Resp(proto.EInvalid)
+		return s.w.Resp(proto.EInvalid)
 	}
 	switch op {
 	case opOpen:
 		path := r.Str()
 		flags := r.U8()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		a.Compute(openCycles)
 		node, err := s.lookup(path, flags&FlagCreate != 0)
 		if err != nil {
-			return proto.Resp(proto.ENotFound)
+			return s.w.Resp(proto.ENotFound)
 		}
 		if node.dir {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		if flags&FlagTrunc != 0 {
 			s.truncate(node)
@@ -218,36 +221,36 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		fd := ss.nextFd
 		ss.nextFd++
 		ss.files[fd] = &openFile{node: node, flags: flags, wrExt: -1}
-		return proto.Resp(proto.EOK, uint64(fd))
+		return s.w.Resp(proto.EOK, uint64(fd))
 
 	case opStat:
 		path := r.Str()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		a.Compute(statCycles)
 		node, err := s.lookup(path, false)
 		if err != nil {
-			return proto.Resp(proto.ENotFound)
+			return s.w.Resp(proto.ENotFound)
 		}
 		isDir := uint64(0)
 		if node.dir {
 			isDir = 1
 		}
-		return proto.Resp(proto.EOK, node.size, isDir)
+		return s.w.Resp(proto.EOK, node.size, isDir)
 
 	case opNextIn:
 		fd := uint32(r.U32())
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		f := ss.files[fd]
 		if f == nil || f.flags&FlagR == 0 {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		a.Compute(nextInCycles)
 		if f.rdPos >= f.node.size {
-			return proto.Resp(proto.EOK, 0, 0, 0) // EOF
+			return s.w.Resp(proto.EOK, 0, 0, 0) // EOF
 		}
 		// Find the extent containing rdPos.
 		var base uint64
@@ -261,23 +264,23 @@ func (s *server) handle(msg *dtu.Message) []byte {
 				}
 				sel, err := s.delegateExtent(ss.client, e.off, eb, dtu.PermR)
 				if err != nil {
-					return proto.Resp(proto.ENoSpace)
+					return s.w.Resp(proto.ENoSpace)
 				}
 				f.rdPos += avail
-				return proto.Resp(proto.EOK, uint64(sel), avail, skip)
+				return s.w.Resp(proto.EOK, uint64(sel), avail, skip)
 			}
 			base += eb
 		}
-		return proto.Resp(proto.EOK, 0, 0, 0)
+		return s.w.Resp(proto.EOK, 0, 0, 0)
 
 	case opNextOut:
 		fd := uint32(r.U32())
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		f := ss.files[fd]
 		if f == nil || f.flags&FlagW == 0 {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		blocks := s.cfg.MaxExtentBlocks
 		// Allocation, clearing, and appending is what makes writes slower
@@ -285,25 +288,25 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		a.Compute(nextOutCycles + int64(blocks)*zeroBlockCycles)
 		off, err := s.alloc.Alloc(uint64(blocks)*BlockBytes, BlockBytes)
 		if err != nil {
-			return proto.Resp(proto.ENoSpace)
+			return s.w.Resp(proto.ENoSpace)
 		}
 		f.node.extents = append(f.node.extents, extent{off: off, blocks: blocks})
 		f.wrExt = len(f.node.extents) - 1
 		sel, err := s.delegateExtent(ss.client, off, uint64(blocks)*BlockBytes, dtu.PermW)
 		if err != nil {
-			return proto.Resp(proto.ENoSpace)
+			return s.w.Resp(proto.ENoSpace)
 		}
-		return proto.Resp(proto.EOK, uint64(sel), uint64(blocks)*BlockBytes)
+		return s.w.Resp(proto.EOK, uint64(sel), uint64(blocks)*BlockBytes)
 
 	case opCommit:
 		fd := uint32(r.U32())
 		used := r.U64()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		f := ss.files[fd]
 		if f == nil || f.wrExt < 0 {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		a.Compute(commitCycles)
 		e := &f.node.extents[f.wrExt]
@@ -316,55 +319,55 @@ func (s *server) handle(msg *dtu.Message) []byte {
 		}
 		f.node.size += used
 		f.wrExt = -1
-		return proto.Resp(proto.EOK)
+		return s.w.Resp(proto.EOK)
 
 	case opSeek:
 		fd := uint32(r.U32())
 		pos := r.U64()
 		f := ss.files[fd]
 		if f == nil || r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		f.rdPos = pos
-		return proto.Resp(proto.EOK)
+		return s.w.Resp(proto.EOK)
 
 	case opClose:
 		fd := uint32(r.U32())
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		a.Compute(closeCycles)
 		delete(ss.files, fd)
-		return proto.Resp(proto.EOK)
+		return s.w.Resp(proto.EOK)
 
 	case opMkdir:
 		path := r.Str()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		a.Compute(mkdirCycles)
 		parent, name := splitPath(path)
 		pn, err := s.lookup(parent, false)
 		if err != nil || !pn.dir {
-			return proto.Resp(proto.ENotFound)
+			return s.w.Resp(proto.ENotFound)
 		}
 		if _, dup := pn.children[name]; dup {
-			return proto.Resp(proto.EExists)
+			return s.w.Resp(proto.EExists)
 		}
 		d := &inode{ino: s.nextIno, dir: true, children: make(map[string]*inode)}
 		s.nextIno++
 		s.inodes[d.ino] = d
 		pn.children[name] = d
-		return proto.Resp(proto.EOK)
+		return s.w.Resp(proto.EOK)
 
 	case opReadDir:
 		path := r.Str()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		node, err := s.lookup(path, false)
 		if err != nil || !node.dir {
-			return proto.Resp(proto.ENotFound)
+			return s.w.Resp(proto.ENotFound)
 		}
 		a.Compute(readDirCycles + int64(len(node.children))*dirEntryCycles)
 		names := make([]string, 0, len(node.children))
@@ -372,32 +375,32 @@ func (s *server) handle(msg *dtu.Message) []byte {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		return proto.RespBytes(proto.EOK, []byte(strings.Join(names, "\x00")))
+		return s.w.RespBytes(proto.EOK, []byte(strings.Join(names, "\x00")))
 
 	case opUnlink:
 		path := r.Str()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return s.w.Resp(proto.EInvalid)
 		}
 		a.Compute(unlinkCycles)
 		parent, name := splitPath(path)
 		pn, err := s.lookup(parent, false)
 		if err != nil || !pn.dir {
-			return proto.Resp(proto.ENotFound)
+			return s.w.Resp(proto.ENotFound)
 		}
 		node, ok := pn.children[name]
 		if !ok {
-			return proto.Resp(proto.ENotFound)
+			return s.w.Resp(proto.ENotFound)
 		}
 		if !node.dir {
 			s.truncate(node)
 		}
 		delete(pn.children, name)
 		delete(s.inodes, node.ino)
-		return proto.Resp(proto.EOK)
+		return s.w.Resp(proto.EOK)
 
 	default:
-		return proto.Resp(proto.EInvalid)
+		return s.w.Resp(proto.EInvalid)
 	}
 }
 

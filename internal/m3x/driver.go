@@ -60,6 +60,9 @@ type Driver struct {
 	tickDue   bool
 	eng       *sim.Engine
 	rec       *trace.Recorder
+	// w builds the driver's syscall replies and multiplexer requests; the
+	// controller's process is its only user.
+	w proto.Writer
 
 	// Forwards and Switches count slow-path events, for reports.
 	Forwards int64
@@ -152,7 +155,7 @@ func (d *Driver) Idle(p *sim.Proc) {
 
 // ReplyFallback injects a syscall reply into the saved DTU state of a
 // stopped caller and restores the piggybacked send credit.
-func (d *Driver) ReplyFallback(msg *dtu.Message, resp []byte) bool {
+func (d *Driver) ReplyFallback(msg dtu.Message, resp []byte) bool {
 	// The controller's failed Reply command minted the reply's flow; the
 	// injected message keeps it so the recipient's fetch still links up.
 	flow := d.k.DTU().LastFlow()
@@ -284,7 +287,7 @@ func (d *Driver) savedEp(act uint32, ep dtu.EpID) *dtu.Endpoint {
 // Syscall implements the Forward slow-path syscall (paper §2.2: "the
 // slow path forwards the message to the recipient via the controller, which
 // first schedules the recipient and delivers the message afterwards").
-func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *proto.Reader, slot int) ([]byte, bool, bool) {
+func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r proto.Reader, slot int) ([]byte, bool, bool) {
 	if op != proto.OpForward {
 		return nil, false, false
 	}
@@ -310,7 +313,7 @@ func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *p
 		msg.Data = r.BytesField()
 		sg, ok := d.routes[tileEp{caller.Tile, sgEp}]
 		if r.Err() != nil || !ok || sg.kind != dtu.EpSend {
-			return proto.Resp(proto.EInvalid), false, true
+			return d.w.Resp(proto.EInvalid), false, true
 		}
 		msg.Label, tile, ep = sg.label, sg.tgtTile, sg.tgtEp
 	} else {
@@ -322,7 +325,7 @@ func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *p
 		msg.Data = r.BytesField()
 		leg = 1
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid), false, true
+			return d.w.Resp(proto.EInvalid), false, true
 		}
 	}
 	span := d.rec.BeginSpan(flow, 0, trace.SpanKernForward,
@@ -341,29 +344,31 @@ func (d *Driver) Syscall(p *sim.Proc, caller *kernel.ActEntry, op proto.Op, r *p
 func (d *Driver) deliverSlow(p *sim.Proc, tile noc.TileID, ep dtu.EpID, msg dtu.Message, crdEp dtu.EpID) []byte {
 	rt, ok := d.routes[tileEp{tile, ep}]
 	if !ok || rt.kind != dtu.EpReceive {
-		return proto.Resp(proto.ENotFound)
+		return d.w.Resp(proto.ENotFound)
 	}
 	owner := uint32(rt.act)
 	if d.current[tile] == owner {
 		// The recipient runs: the controller delivers the message itself.
 		if err := d.k.DTU().SendRaw(p, tile, ep, msg, crdEp); err != nil {
-			return proto.Resp(proto.EUnreachable)
+			return d.w.Resp(proto.EUnreachable)
 		}
-		return proto.Resp(proto.EOK, 0)
+		return d.w.Resp(proto.EOK, 0)
 	}
 	if code := d.injectSaved(owner, ep, msg, crdEp); code != proto.EOK {
-		return proto.Resp(code)
+		return d.w.Resp(code)
 	}
 	// Schedule the recipient after the caller got its reply.
 	d.pending = append(d.pending, pendingSwitch{tile: tile, act: owner, flow: msg.Flow})
-	return proto.Resp(proto.EOK, 0)
+	return d.w.Resp(proto.EOK, 0)
 }
 
 // AfterSyscall executes queued context switches.
 func (d *Driver) AfterSyscall(p *sim.Proc) {
 	for len(d.pending) > 0 {
 		sw := d.pending[0]
-		d.pending = d.pending[1:]
+		// Shift in place: slicing the head off would make the next
+		// append reallocate.
+		d.pending = d.pending[:copy(d.pending, d.pending[1:])]
 		d.performSwitch(p, sw.tile, sw.act, sw.flow, trace.SpanKernSwitch)
 	}
 }
@@ -382,7 +387,7 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 	p.Sleep(d.clk.Cycles(switchCycles))
 	k := d.k
 	// 1. Stop whatever runs on the tile (reply arrives once it parked).
-	if code, _ := k.MuxRequest(p, tile, proto.NewWriter(proto.OpMuxSwitch).Done()); code != proto.EOK {
+	if code := k.MuxRequest(p, tile, d.w.Reset(proto.OpMuxSwitch).Done()); code != proto.EOK {
 		panic(fmt.Sprintf("m3x: switch request failed: %d", code))
 	}
 	te := k.Tile(tile)
@@ -414,8 +419,8 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 	d.restore(p, tile, to)
 	// 4. Resume.
 	toAct := k.Act(to)
-	req := proto.NewWriter(proto.OpMuxResume).U16(uint16(toAct.Local)).Done()
-	if code, _ := k.MuxRequest(p, tile, req); code != proto.EOK {
+	req := d.w.Reset(proto.OpMuxResume).U16(uint16(toAct.Local)).Done()
+	if code := k.MuxRequest(p, tile, req); code != proto.EOK {
 		panic(fmt.Sprintf("m3x: resume failed: %d", code))
 	}
 	d.current[tile] = to

@@ -46,6 +46,9 @@ type RCTMux struct {
 	stopReq   bool
 	stopSlot  int
 	stopValid bool
+
+	// w builds RCTMux's replies and notifications.
+	w proto.Writer
 }
 
 // Act is one activity's tile-side state and its activity.Exec
@@ -135,7 +138,7 @@ func (m *RCTMux) loop(p *sim.Proc) {
 		if m.stopValid && m.cur == nil && !m.stopReq {
 			m.stopValid = false
 			p.Sleep(m.cy(stopCycles))
-			if err := m.d.Reply(p, tilemux.EpKernRgate, m.stopSlot, proto.Resp(proto.EOK), 0); err != nil {
+			if err := m.d.Reply(p, tilemux.EpKernRgate, m.stopSlot, m.w.Resp(proto.EOK), 0); err != nil {
 				panic(fmt.Sprintf("m3x: stop reply failed: %v", err))
 			}
 		}
@@ -168,22 +171,22 @@ func (m *RCTMux) hasWork() bool {
 func (m *RCTMux) handleKernelReq(p *sim.Proc, data []byte, slot int) ([]byte, bool) {
 	op, r, err := proto.ParseOp(data)
 	if err != nil {
-		return proto.Resp(proto.EInvalid), false
+		return m.w.Resp(proto.EInvalid), false
 	}
 	switch op {
 	case proto.OpMuxCreateAct:
 		id := dtu.ActID(r.U16())
 		name := r.Str()
 		m.acts[id] = &Act{ID: id, Name: name, mux: m}
-		return proto.Resp(proto.EOK), false
+		return m.w.Resp(proto.EOK), false
 	case proto.OpMuxStartAct:
 		a := m.acts[dtu.ActID(r.U16())]
 		if a == nil {
-			return proto.Resp(proto.EInvalid), false
+			return m.w.Resp(proto.EInvalid), false
 		}
 		a.started = true
 		m.maybeRun(a)
-		return proto.Resp(proto.EOK), false
+		return m.w.Resp(proto.EOK), false
 	case proto.OpMuxKillAct:
 		a := m.acts[dtu.ActID(r.U16())]
 		if a != nil {
@@ -192,13 +195,13 @@ func (m *RCTMux) handleKernelReq(p *sim.Proc, data []byte, slot int) ([]byte, bo
 				m.cur = nil
 			}
 		}
-		return proto.Resp(proto.EOK), false
+		return m.w.Resp(proto.EOK), false
 	case proto.OpMuxSwitch:
 		// Stop the current activity; the reply is deferred until it reached
 		// an operation boundary.
 		if m.cur == nil {
 			p.Sleep(m.cy(stopCycles))
-			return proto.Resp(proto.EOK), false
+			return m.w.Resp(proto.EOK), false
 		}
 		m.stopReq = true
 		m.stopSlot = slot
@@ -208,15 +211,15 @@ func (m *RCTMux) handleKernelReq(p *sim.Proc, data []byte, slot int) ([]byte, bo
 		id := dtu.ActID(r.U16())
 		a := m.acts[id]
 		if a == nil || a.proc == nil {
-			return proto.Resp(proto.EInvalid), false
+			return m.w.Resp(proto.EInvalid), false
 		}
 		p.Sleep(m.cy(resumeCycles))
 		m.cur = a
 		m.d.ResetCur(a.ID, m.d.UnreadOf(a.ID))
 		a.proc.Wake()
-		return proto.Resp(proto.EOK), false
+		return m.w.Resp(proto.EOK), false
 	default:
-		return proto.Resp(proto.EInvalid), false
+		return m.w.Resp(proto.EInvalid), false
 	}
 }
 
@@ -290,7 +293,7 @@ func (a *Act) Exit(code int32) {
 	m := a.mux
 	a.BeginOp()
 	a.exited = true
-	msg := proto.NewWriter(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
+	msg := m.w.Reset(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
 	if err := m.d.Send(a.proc, dtu.SendArgs{Ep: tilemux.EpKernSgate, Data: msg, ReplyEp: -1}); err != nil {
 		panic(fmt.Sprintf("m3x: exit notify failed: %v", err))
 	}

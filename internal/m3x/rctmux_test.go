@@ -95,7 +95,7 @@ func TestIdleWakeSources(t *testing.T) {
 					}
 					var err error
 					if tc.stop {
-						req := proto.NewWriter(proto.OpMuxSwitch).Done()
+						req := new(proto.Writer).Reset(proto.OpMuxSwitch).Done()
 						err = r.kd.Send(p, dtu.SendArgs{Ep: rigMuxSgate, Data: req, ReplyEp: rigMuxReply})
 					} else {
 						err = r.sd.Send(p, dtu.SendArgs{Ep: rigSgate, Data: []byte("m"), ReplyEp: -1})

@@ -75,6 +75,7 @@ func Program(cfg Config) activity.Program {
 		}
 		sessions := make(map[uint64]*session)
 		ext, _ := a.X.(externalWaiter)
+		var w proto.Writer // the replies
 		for {
 			progress := false
 			// Receive path: NIC frames to client channels.
@@ -97,7 +98,7 @@ func Program(cfg Config) activity.Program {
 			// Request path: client messages.
 			if slot, msg, ok := a.TryRecv(rgEp); ok {
 				progress = true
-				resp := handleReq(a, cfg.Dev, sessions, msg)
+				resp := handleReq(a, cfg.Dev, sessions, msg, &w)
 				if resp != nil {
 					if err := a.ReplyMsg(rgEp, slot, msg, resp, 0); err != nil {
 						panic(fmt.Sprintf("net: reply: %v", err))
@@ -120,34 +121,34 @@ func Program(cfg Config) activity.Program {
 	}
 }
 
-// handleReq processes one client request; a nil response means "ack only"
-// (one-way messages).
-func handleReq(a *activity.Activity, dev *nic.Device, sessions map[uint64]*session, msg *dtu.Message) []byte {
+// handleReq processes one client request and builds the response in w; a
+// nil response means "ack only" (one-way messages).
+func handleReq(a *activity.Activity, dev *nic.Device, sessions map[uint64]*session, msg *dtu.Message, w *proto.Writer) []byte {
 	op, r, err := proto.ParseOp(msg.Data)
 	if err != nil {
-		return proto.Resp(proto.EInvalid)
+		return w.Resp(proto.EInvalid)
 	}
 	switch op {
 	case opInit:
 		client := r.U32()
 		inSel := cap.Sel(r.U32())
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return w.Resp(proto.EInvalid)
 		}
 		ep, err := a.SysActivate(inSel)
 		if err != nil {
-			return proto.Resp(proto.ENoSuchCap)
+			return w.Resp(proto.ENoSuchCap)
 		}
 		sessions[msg.Label] = &session{client: client, inEp: ep, bound: true}
-		return proto.Resp(proto.EOK)
+		return w.Resp(proto.EOK)
 	case opSend:
 		data := r.BytesField()
 		if r.Err() != nil || len(data) > MaxPayload {
-			return proto.Resp(proto.EInvalid)
+			return w.Resp(proto.EInvalid)
 		}
 		sess := sessions[msg.Label]
 		if sess == nil {
-			return proto.Resp(proto.EInvalid)
+			return w.Resp(proto.EInvalid)
 		}
 		a.Compute(costProtoTx + costDriverTx + int64(len(data))/costPerByte)
 		frame := make([]byte, 8+len(data))
@@ -156,7 +157,7 @@ func handleReq(a *activity.Activity, dev *nic.Device, sessions map[uint64]*sessi
 		dev.Transmit(frame)
 		return nil // one-way: ack only
 	default:
-		return proto.Resp(proto.EInvalid)
+		return w.Resp(proto.EInvalid)
 	}
 }
 
@@ -180,6 +181,7 @@ type Socket struct {
 	sgEp dtu.EpID // to net
 	rgEp dtu.EpID // replies from net (init)
 	inEp dtu.EpID // inbound datagrams
+	buf  []byte   // the last datagram received
 }
 
 // Dial opens a socket: a session with net plus the per-socket inbound
@@ -221,7 +223,7 @@ func Dial(a *activity.Activity, netAct uint32) (*Socket, error) {
 		return nil, err
 	}
 	s := &Socket{a: a, sgEp: sgEp, rgEp: rgEp, inEp: inEp}
-	req := proto.NewWriter(opInit).U32(a.ID).U32(uint32(delegated)).Done()
+	req := a.Msg(opInit).U32(a.ID).U32(uint32(delegated)).Done()
 	resp, err := a.Call(sgEp, rgEp, req)
 	if err != nil {
 		return nil, err
@@ -234,25 +236,30 @@ func Dial(a *activity.Activity, netAct uint32) (*Socket, error) {
 
 // Send transmits a datagram (one-way, fire and forget like UDP).
 func (s *Socket) Send(data []byte) error {
-	req := proto.NewWriter(opSend).Bytes(data).Done()
+	req := s.a.Msg(opSend).Bytes(data).Done()
 	return s.a.Send(s.sgEp, req, 0, -1, 0)
 }
 
-// Recv blocks until a datagram arrives.
+// Recv blocks until a datagram arrives. The datagram is the socket's
+// buffer, valid until the next Recv or TryRecv.
 func (s *Socket) Recv() []byte {
 	slot, msg := s.a.Recv(s.inEp)
-	data := msg.Data
-	s.a.AckMsg(s.inEp, slot)
-	return data
+	return s.take(slot, msg)
 }
 
-// TryRecv returns a datagram if one is pending.
+// TryRecv returns a datagram if one is pending, like Recv.
 func (s *Socket) TryRecv() ([]byte, bool) {
 	slot, msg, ok := s.a.TryRecv(s.inEp)
 	if !ok {
 		return nil, false
 	}
-	data := msg.Data
+	return s.take(slot, msg), true
+}
+
+// take copies a fetched datagram into the socket's buffer and frees its
+// slot.
+func (s *Socket) take(slot int, msg *dtu.Message) []byte {
+	s.buf = append(s.buf[:0], msg.Data...)
 	s.a.AckMsg(s.inEp, slot)
-	return data, true
+	return s.buf
 }

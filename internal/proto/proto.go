@@ -9,7 +9,6 @@
 package proto
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -84,16 +83,17 @@ const (
 	EUnreachable
 )
 
-var errTexts = map[ErrCode]string{
-	ENoSuchCap:   "no such capability",
-	EWrongKind:   "wrong capability kind",
-	EPermDenied:  "permission denied",
-	ENoSpace:     "out of space",
-	EExists:      "already exists",
-	ENotFound:    "not found",
-	EInvalid:     "invalid argument",
-	ENoTile:      "no such tile",
-	EUnreachable: "unreachable",
+// codeErrs holds one error per code, so that Err never allocates.
+var codeErrs = [...]error{
+	ENoSuchCap:   errors.New("proto: no such capability"),
+	EWrongKind:   errors.New("proto: wrong capability kind"),
+	EPermDenied:  errors.New("proto: permission denied"),
+	ENoSpace:     errors.New("proto: out of space"),
+	EExists:      errors.New("proto: already exists"),
+	ENotFound:    errors.New("proto: not found"),
+	EInvalid:     errors.New("proto: invalid argument"),
+	ENoTile:      errors.New("proto: no such tile"),
+	EUnreachable: errors.New("proto: unreachable"),
 }
 
 // Err converts a code into a Go error (nil for EOK).
@@ -101,8 +101,8 @@ func (e ErrCode) Err() error {
 	if e == EOK {
 		return nil
 	}
-	if t, ok := errTexts[e]; ok {
-		return fmt.Errorf("proto: %s", t)
+	if int(e) < len(codeErrs) {
+		return codeErrs[e]
 	}
 	return fmt.Errorf("proto: error code %d", uint16(e))
 }
@@ -110,74 +110,127 @@ func (e ErrCode) Err() error {
 // ErrTruncated reports a message shorter than its encoding requires.
 var ErrTruncated = errors.New("proto: truncated message")
 
-// Writer serializes a message.
+// Writer serializes messages into a buffer it keeps. A long-lived sender
+// owns one Writer and starts each message with Reset, which reuses the
+// buffer's capacity; the bytes an earlier Done returned are overwritten.
 type Writer struct {
 	b []byte
 }
 
-// NewWriter starts a message with the given opcode.
-func NewWriter(op Op) *Writer {
-	return &Writer{b: []byte{byte(op)}}
+// Reset starts a new message with the given opcode in w's buffer.
+//
+//m3v:noalloc
+func (w *Writer) Reset(op Op) *Writer {
+	//m3vlint:ignore noalloc amortized growth: the buffer grows to the sender's largest message once, then every Reset reuses it
+	w.b = append(w.b[:0], byte(op))
+	return w
 }
 
 // U8 appends a byte.
-func (w *Writer) U8(v uint8) *Writer { w.b = append(w.b, v); return w }
+//
+//m3v:noalloc
+func (w *Writer) U8(v uint8) *Writer {
+	//m3vlint:ignore noalloc amortized growth: the buffer grows to the sender's largest message once, then every Reset reuses it
+	w.b = append(w.b, v)
+	return w
+}
 
 // U16 appends a little-endian uint16.
+//
+//m3v:noalloc
 func (w *Writer) U16(v uint16) *Writer {
-	w.b = binary.LittleEndian.AppendUint16(w.b, v)
+	//m3vlint:ignore noalloc amortized growth: the buffer grows to the sender's largest message once, then every Reset reuses it
+	w.b = append(w.b, byte(v), byte(v>>8))
 	return w
 }
 
 // U32 appends a little-endian uint32.
+//
+//m3v:noalloc
 func (w *Writer) U32(v uint32) *Writer {
-	w.b = binary.LittleEndian.AppendUint32(w.b, v)
+	//m3vlint:ignore noalloc amortized growth: the buffer grows to the sender's largest message once, then every Reset reuses it
+	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	return w
 }
 
 // U64 appends a little-endian uint64.
+//
+//m3v:noalloc
 func (w *Writer) U64(v uint64) *Writer {
-	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+	//m3vlint:ignore noalloc amortized growth: the buffer grows to the sender's largest message once, then every Reset reuses it
+	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 	return w
 }
 
 // Str appends a length-prefixed string (max 64 KiB).
+//
+//m3v:noalloc
 func (w *Writer) Str(s string) *Writer {
 	w.U16(uint16(len(s)))
+	//m3vlint:ignore noalloc amortized growth: the buffer grows to the sender's largest message once, then every Reset reuses it
 	w.b = append(w.b, s...)
 	return w
 }
 
 // Bytes appends a length-prefixed byte slice.
+//
+//m3v:noalloc
 func (w *Writer) Bytes(b []byte) *Writer {
 	w.U32(uint32(len(b)))
+	//m3vlint:ignore noalloc amortized growth: the buffer grows to the sender's largest message once, then every Reset reuses it
 	w.b = append(w.b, b...)
 	return w
 }
 
-// Done returns the encoded message.
+// Done returns the encoded message, a view of w's buffer that stays valid
+// until the next Reset.
+//
+//m3v:noalloc
 func (w *Writer) Done() []byte { return w.b }
 
+// Resp builds a generic response in w: an error code followed by up to
+// three result words.
+//
+//m3v:noalloc
+func (w *Writer) Resp(code ErrCode, vals ...uint64) []byte {
+	w.Reset(OpResp).U16(uint16(code))
+	for _, v := range vals {
+		w.U64(v)
+	}
+	return w.b
+}
+
+// RespBytes builds a response carrying an error code and a payload in w.
+//
+//m3v:noalloc
+func (w *Writer) RespBytes(code ErrCode, payload []byte) []byte {
+	return w.Reset(OpResp).U16(uint16(code)).Bytes(payload).Done()
+}
+
 // Reader deserializes a message. Errors are sticky: after the first
-// truncation every accessor returns zero and Err reports the failure.
+// truncation every accessor returns zero and Err reports the failure. A
+// Reader reads the message in place, so it is valid only as long as the
+// message bytes are; it is a small value the caller owns, and reading it
+// allocates nothing.
 type Reader struct {
 	b   []byte
 	off int
 	err error
 }
 
-// NewReader wraps an encoded message; the opcode has already been consumed
-// by Parse.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// ParseOp reads the opcode of an encoded message.
-func ParseOp(b []byte) (Op, *Reader, error) {
+// ParseOp reads the opcode of an encoded message and returns a Reader of
+// the rest.
+//
+//m3v:noalloc
+func ParseOp(b []byte) (Op, Reader, error) {
 	if len(b) == 0 {
-		return 0, nil, ErrTruncated
+		return 0, Reader{err: ErrTruncated}, ErrTruncated
 	}
-	return Op(b[0]), &Reader{b: b, off: 1}, nil
+	return Op(b[0]), Reader{b: b, off: 1}, nil
 }
 
+//m3v:noalloc
 func (r *Reader) need(n int) bool {
 	if r.err != nil {
 		return false
@@ -190,6 +243,8 @@ func (r *Reader) need(n int) bool {
 }
 
 // U8 reads a byte.
+//
+//m3v:noalloc
 func (r *Reader) U8() uint8 {
 	if !r.need(1) {
 		return 0
@@ -200,36 +255,44 @@ func (r *Reader) U8() uint8 {
 }
 
 // U16 reads a little-endian uint16.
+//
+//m3v:noalloc
 func (r *Reader) U16() uint16 {
 	if !r.need(2) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
+	b := r.b[r.off:]
 	r.off += 2
-	return v
+	return uint16(b[0]) | uint16(b[1])<<8
 }
 
 // U32 reads a little-endian uint32.
+//
+//m3v:noalloc
 func (r *Reader) U32() uint32 {
 	if !r.need(4) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
+	b := r.b[r.off:]
 	r.off += 4
-	return v
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // U64 reads a little-endian uint64.
+//
+//m3v:noalloc
 func (r *Reader) U64() uint64 {
 	if !r.need(8) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
+	b := r.b[r.off:]
 	r.off += 8
-	return v
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// Str reads a length-prefixed string.
+// Str reads a length-prefixed string. Unlike the other accessors it
+// allocates: the string outlives the message.
 func (r *Reader) Str() string {
 	n := int(r.U16())
 	if !r.need(n) {
@@ -240,44 +303,35 @@ func (r *Reader) Str() string {
 	return s
 }
 
-// BytesField reads a length-prefixed byte slice.
+// BytesField reads a length-prefixed byte slice. It returns a view of the
+// message that lives exactly as long as the message bytes; its capacity
+// ends with the field, so appending to it copies.
+//
+//m3v:noalloc
 func (r *Reader) BytesField() []byte {
 	n := int(r.U32())
 	if n < 0 || !r.need(n) {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.b[r.off:])
+	b := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
 
 // Err reports a deserialization failure, if any.
+//
+//m3v:noalloc
 func (r *Reader) Err() error { return r.err }
 
-// Resp builds a generic response: an error code followed by up to three
+// ParseResp decodes a generic response into its code and a Reader of the
 // result words.
-func Resp(code ErrCode, vals ...uint64) []byte {
-	w := NewWriter(OpResp).U16(uint16(code))
-	for _, v := range vals {
-		w.U64(v)
-	}
-	return w.Done()
-}
-
-// RespBytes builds a response carrying an error code and a payload.
-func RespBytes(code ErrCode, payload []byte) []byte {
-	return NewWriter(OpResp).U16(uint16(code)).Bytes(payload).Done()
-}
-
-// ParseResp decodes a generic response into its code and result words.
-func ParseResp(b []byte) (ErrCode, *Reader, error) {
+func ParseResp(b []byte) (ErrCode, Reader, error) {
 	op, r, err := ParseOp(b)
 	if err != nil {
-		return EInvalid, nil, err
+		return EInvalid, r, err
 	}
 	if op != OpResp {
-		return EInvalid, nil, fmt.Errorf("proto: response has opcode %d", op)
+		return EInvalid, r, fmt.Errorf("proto: response has opcode %d", op)
 	}
 	code := ErrCode(r.U16())
 	return code, r, r.Err()

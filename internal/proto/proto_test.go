@@ -7,7 +7,7 @@ import (
 )
 
 func TestWriterReaderRoundTrip(t *testing.T) {
-	msg := NewWriter(OpCreateActivity).
+	msg := new(Writer).Reset(OpCreateActivity).
 		U8(0xAB).
 		U16(0xCDEF).
 		U32(0xDEADBEEF).
@@ -43,7 +43,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestTruncationIsSticky(t *testing.T) {
-	msg := NewWriter(OpNoop).U16(7).Done()
+	msg := new(Writer).Reset(OpNoop).U16(7).Done()
 	_, r, err := ParseOp(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,8 @@ func TestEmptyMessage(t *testing.T) {
 }
 
 func TestRespRoundTrip(t *testing.T) {
-	resp := Resp(EOK, 42, 7)
+	var w Writer
+	resp := w.Resp(EOK, 42, 7)
 	code, r, err := ParseResp(resp)
 	if err != nil || code != EOK {
 		t.Fatalf("ParseResp = (%v,%v)", code, err)
@@ -79,7 +80,7 @@ func TestRespRoundTrip(t *testing.T) {
 	if v := r.U64(); v != 7 {
 		t.Errorf("second word = %d", v)
 	}
-	errResp := Resp(ENoSuchCap)
+	errResp := w.Resp(ENoSuchCap)
 	code, _, _ = ParseResp(errResp)
 	if code.Err() == nil {
 		t.Error("error code produced nil error")
@@ -90,7 +91,7 @@ func TestRespRoundTrip(t *testing.T) {
 }
 
 func TestRespBytes(t *testing.T) {
-	resp := RespBytes(EOK, []byte("payload"))
+	resp := new(Writer).RespBytes(EOK, []byte("payload"))
 	code, r, err := ParseResp(resp)
 	if err != nil || code != EOK {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestRespBytes(t *testing.T) {
 }
 
 func TestNonRespRejected(t *testing.T) {
-	msg := NewWriter(OpNoop).Done()
+	msg := new(Writer).Reset(OpNoop).Done()
 	if _, _, err := ParseResp(msg); err == nil {
 		t.Error("non-response parsed as response")
 	}
@@ -113,7 +114,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if len(s) > 60000 {
 			s = s[:60000]
 		}
-		msg := NewWriter(OpDelegate).U32(a).U64(b).Str(s).Bytes(d).Done()
+		msg := new(Writer).Reset(OpDelegate).U32(a).U64(b).Str(s).Bytes(d).Done()
 		_, r, err := ParseOp(msg)
 		if err != nil {
 			return false
@@ -128,7 +129,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 // TestFuzzTruncation: no parser panics on any truncation of a valid message.
 func TestFuzzTruncation(t *testing.T) {
-	msg := NewWriter(OpOpenSess).Str("some-service").U32(99).Bytes([]byte("xyz")).Done()
+	msg := new(Writer).Reset(OpOpenSess).Str("some-service").U32(99).Bytes([]byte("xyz")).Done()
 	for cut := 0; cut <= len(msg); cut++ {
 		op, r, err := ParseOp(msg[:cut])
 		if err != nil {
@@ -140,5 +141,35 @@ func TestFuzzTruncation(t *testing.T) {
 		r.BytesField()
 		// Err may or may not be set depending on the cut; no panic is the
 		// invariant.
+	}
+}
+
+// TestReuseAllocatesNothing pins the allocation-free message path: a warm
+// Writer rebuilds a message in its buffer, ParseOp and ParseResp return
+// Readers by value that read in place, BytesField is a view of the
+// message, and ErrCode.Err hands out one error per code.
+func TestReuseAllocatesNothing(t *testing.T) {
+	var w Writer
+	payload := []byte("payload")
+	round := func() {
+		msg := w.Reset(OpForward).U8(1).U16(2).U32(3).U64(4).Bytes(payload).Done()
+		op, r, err := ParseOp(msg)
+		if err != nil || op != OpForward || r.U8() != 1 || r.U16() != 2 || r.U32() != 3 || r.U64() != 4 {
+			panic("round trip failed")
+		}
+		if b := r.BytesField(); &b[0] != &msg[len(msg)-len(payload)] {
+			panic("BytesField copied")
+		}
+		code, r, err := ParseResp(w.Resp(ENoSpace, 5, 6))
+		if err != nil || code != ENoSpace || r.U64() != 5 || r.U64() != 6 {
+			panic("response round trip failed")
+		}
+		if code.Err() != ENoSpace.Err() {
+			panic("Err built a new error")
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("%.1f allocs per round, want 0", n)
 	}
 }

@@ -58,6 +58,8 @@ type Mux struct {
 	inj *fault.Injector
 	// muxMsgs is the saved unread count of TileMux's own activity id.
 	muxMsgs int
+	// w builds TileMux's replies, notifications and page-fault requests.
+	w proto.Writer
 
 	// rec is the engine's structured event recorder; the named counters
 	// below live in its always-on metrics registry.
@@ -512,23 +514,23 @@ func (m *Mux) handleMuxMsgs(p *sim.Proc) {
 func (m *Mux) handleKernelReq(data []byte) []byte {
 	op, r, err := proto.ParseOp(data)
 	if err != nil {
-		return proto.Resp(proto.EInvalid)
+		return m.w.Resp(proto.EInvalid)
 	}
 	switch op {
 	case proto.OpMuxCreateAct:
 		id := dtu.ActID(r.U16())
 		name := r.Str()
 		if r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return m.w.Resp(proto.EInvalid)
 		}
 		m.CreateAct(id, name)
-		return proto.Resp(proto.EOK)
+		return m.w.Resp(proto.EOK)
 	case proto.OpMuxStartAct:
 		m.StartAct(dtu.ActID(r.U16()))
-		return proto.Resp(proto.EOK)
+		return m.w.Resp(proto.EOK)
 	case proto.OpMuxKillAct:
 		m.KillAct(dtu.ActID(r.U16()))
-		return proto.Resp(proto.EOK)
+		return m.w.Resp(proto.EOK)
 	case proto.OpMuxMapPages:
 		id := dtu.ActID(r.U16())
 		virt, phys := r.U64(), r.U64()
@@ -536,34 +538,34 @@ func (m *Mux) handleKernelReq(data []byte) []byte {
 		perm := dtu.Perm(r.U8())
 		a := m.acts[id]
 		if a == nil || r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return m.w.Resp(proto.EInvalid)
 		}
 		for i := uint64(0); i < uint64(pages); i++ {
 			a.mapPage(virt>>dtu.PageShift+i, phys>>dtu.PageShift+i, perm)
 		}
-		return proto.Resp(proto.EOK)
+		return m.w.Resp(proto.EOK)
 	case proto.OpMuxSetPager:
 		id := dtu.ActID(r.U16())
 		ep := dtu.EpID(r.U32())
 		a := m.acts[id]
 		if a == nil || r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return m.w.Resp(proto.EInvalid)
 		}
 		a.pagerEp = ep
-		return proto.Resp(proto.EOK)
+		return m.w.Resp(proto.EOK)
 	case proto.OpMuxUnmapPages:
 		id := dtu.ActID(r.U16())
 		virt := r.U64()
 		pages := r.U32()
 		a := m.acts[id]
 		if a == nil || r.Err() != nil {
-			return proto.Resp(proto.EInvalid)
+			return m.w.Resp(proto.EInvalid)
 		}
 		for i := uint64(0); i < uint64(pages); i++ {
 			a.unmapPage(virt>>dtu.PageShift + i)
 		}
-		return proto.Resp(proto.EOK)
+		return m.w.Resp(proto.EOK)
 	default:
-		return proto.Resp(proto.EInvalid)
+		return m.w.Resp(proto.EInvalid)
 	}
 }

@@ -250,14 +250,14 @@ func TestKernelRequestsCreateStartMapKill(t *testing.T) {
 	r := newMuxRig(t)
 	started := false
 	r.eng.Spawn("kernel", func(p *sim.Proc) {
-		if code := kernelCall(t, r, p, proto.NewWriter(proto.OpMuxCreateAct).U16(7).Str("newact").Done()); code != proto.EOK {
+		if code := kernelCall(t, r, p, new(proto.Writer).Reset(proto.OpMuxCreateAct).U16(7).Str("newact").Done()); code != proto.EOK {
 			t.Errorf("create: code %d", code)
 		}
 		if r.mux.Act(7) == nil {
 			t.Error("activity 7 not created")
 		}
 		// Map 4 pages at 0x10000 -> 0x80000.
-		req := proto.NewWriter(proto.OpMuxMapPages).
+		req := new(proto.Writer).Reset(proto.OpMuxMapPages).
 			U16(7).U64(0x10000).U64(0x80000).U32(4).U8(uint8(dtu.PermRW)).Done()
 		if code := kernelCall(t, r, p, req); code != proto.EOK {
 			t.Errorf("map: code %d", code)
@@ -266,11 +266,11 @@ func TestKernelRequestsCreateStartMapKill(t *testing.T) {
 		if e, ok := a.pages[0x10]; !ok || e.ppage != 0x80 {
 			t.Errorf("pte[0x10] = %+v, ok=%v", e, ok)
 		}
-		if code := kernelCall(t, r, p, proto.NewWriter(proto.OpMuxStartAct).U16(7).Done()); code != proto.EOK {
+		if code := kernelCall(t, r, p, new(proto.Writer).Reset(proto.OpMuxStartAct).U16(7).Done()); code != proto.EOK {
 			t.Errorf("start: code %d", code)
 		}
 		started = true
-		if code := kernelCall(t, r, p, proto.NewWriter(proto.OpMuxKillAct).U16(7).Done()); code != proto.EOK {
+		if code := kernelCall(t, r, p, new(proto.Writer).Reset(proto.OpMuxKillAct).U16(7).Done()); code != proto.EOK {
 			t.Errorf("kill: code %d", code)
 		}
 		if r.mux.Act(7).State() != "exited" {
@@ -385,13 +385,13 @@ func TestPageFaultThroughPager(t *testing.T) {
 			t.Errorf("PF = (act %d, %#x)", act, vaddr)
 		}
 		// Install the mapping via the kernel->mux channel.
-		req := proto.NewWriter(proto.OpMuxMapPages).
+		req := new(proto.Writer).Reset(proto.OpMuxMapPages).
 			U16(act).U64(vaddr).U64(0xA0000).U32(1).U8(uint8(dtu.PermRW)).Done()
 		if code := kernelCall(t, r, p, req); code != proto.EOK {
 			t.Errorf("map: code %d", code)
 		}
 		// Answer the fault.
-		if err := r.kd.Reply(p, 12, slot, proto.Resp(proto.EOK), 0); err != nil {
+		if err := r.kd.Reply(p, 12, slot, new(proto.Writer).Resp(proto.EOK), 0); err != nil {
 			t.Errorf("pager reply: %v", err)
 		}
 	})
@@ -553,7 +553,7 @@ func TestIdleWakeSources(t *testing.T) {
 			folded: true,
 			trigger: func(r *muxRig, p *sim.Proc) {
 				sendAt(6*sim.Microsecond)(r, p)
-				req := proto.NewWriter(proto.OpMuxCreateAct).U16(9).Str("x").Done()
+				req := new(proto.Writer).Reset(proto.OpMuxCreateAct).U16(9).Str("x").Done()
 				if err := r.kd.Send(p, dtu.SendArgs{Ep: kEpMuxSgate, Data: req, ReplyEp: kEpMuxReply}); err != nil {
 					t.Errorf("send to mux: %v", err)
 				}

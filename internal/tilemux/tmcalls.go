@@ -147,7 +147,7 @@ func (a *Act) Exit(code int32) {
 	m.span(0, trace.SpanMuxActExit, m.eng.Now(), int64(a.ID), int64(code), 0)
 	// Notify the controller through TileMux's own send endpoint.
 	m.asMux(p, func() {
-		msg := proto.NewWriter(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
+		msg := m.w.Reset(proto.OpNotifyExit).U16(uint16(a.ID)).U32(uint32(code)).Done()
 		err := m.d.Send(p, dtu.SendArgs{Ep: EpKernSgate, Data: msg, ReplyEp: -1})
 		if err != nil && !errors.Is(err, dtu.ErrNoCredits) {
 			panic(fmt.Sprintf("tilemux: exit notification failed: %v", err))
@@ -184,7 +184,7 @@ func (a *Act) FixTranslation(vaddr uint64, perm dtu.Perm) error {
 	a.pfPending = true
 	a.state = actFaulting
 	m.asMux(p, func() {
-		msg := proto.NewWriter(proto.OpPageFault).
+		msg := m.w.Reset(proto.OpPageFault).
 			U16(uint16(a.ID)).U64(vaddr).U8(uint8(perm)).Done()
 		err := m.d.Send(p, dtu.SendArgs{
 			Ep: a.pagerEp, Data: msg,

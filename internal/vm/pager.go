@@ -61,41 +61,42 @@ func Program(cfg Config) activity.Program {
 			*cfg.Ready = true
 		}
 		sessions := make(map[uint64]*session)
+		var w proto.Writer // the replies
 		a.Serve(rgEp, func(msg *dtu.Message) ([]byte, bool) {
 			op, r, err := proto.ParseOp(msg.Data)
 			if err != nil {
-				return proto.Resp(proto.EInvalid), false
+				return w.Resp(proto.EInvalid), false
 			}
 			switch op {
 			case proto.OpPagerInit:
 				child := r.U32()
 				if r.Err() != nil {
-					return proto.Resp(proto.EInvalid), false
+					return w.Resp(proto.EInvalid), false
 				}
 				sessions[msg.Label] = &session{child: child}
-				return proto.Resp(proto.EOK), false
+				return w.Resp(proto.EOK), false
 			case proto.OpPageFault:
 				_ = dtu.ActID(r.U16()) // tile-local id, informational
 				vaddr := r.U64()
 				_ = dtu.Perm(r.U8())
 				s := sessions[msg.Label]
 				if s == nil || r.Err() != nil {
-					return proto.Resp(proto.EInvalid), false
+					return w.Resp(proto.EInvalid), false
 				}
 				a.Compute(faultCost)
 				if s.next+dtu.PageSize > cfg.PoolBytes {
-					return proto.Resp(proto.ENoSpace), false
+					return w.Resp(proto.ENoSpace), false
 				}
 				physOff := s.next
 				s.next += dtu.PageSize
 				err := a.SysMapPages(s.child, vaddr&^uint64(dtu.PageSize-1),
 					poolSel, physOff, 1, dtu.PermRW)
 				if err != nil {
-					return proto.Resp(proto.ENoSpace), false
+					return w.Resp(proto.ENoSpace), false
 				}
-				return proto.Resp(proto.EOK), false
+				return w.Resp(proto.EOK), false
 			default:
-				return proto.Resp(proto.EInvalid), false
+				return w.Resp(proto.EInvalid), false
 			}
 		})
 	}
@@ -162,7 +163,7 @@ func AttachChild(parent *activity.Activity, child activity.ChildRef) error {
 	if err != nil {
 		return err
 	}
-	resp, err := parent.Call(sgEp, rgEp, proto.NewWriter(proto.OpPagerInit).U32(child.ID).Done())
+	resp, err := parent.Call(sgEp, rgEp, parent.Msg(proto.OpPagerInit).U32(child.ID).Done())
 	if err != nil {
 		return fmt.Errorf("pager init: %w", err)
 	}

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"bytes"
 	"testing"
 
 	"m3v/internal/activity"
@@ -44,7 +45,7 @@ func TestDemandPagingEndToEnd(t *testing.T) {
 			return
 		}
 		slot, msg := a.Recv(rgEp)
-		delivered = msg.Data
+		delivered = bytes.Clone(msg.Data) // the view dies with the Ack
 		a.AckMsg(rgEp, slot)
 	})
 	sys.Run(20 * sim.Second)
