@@ -103,6 +103,17 @@ grep -q 'dtu.send' "$TRACE_TMP/fig6-perfetto.txt"
 grep -q '"ph":"s"' "$TRACE_TMP/fig6-perfetto.json"   # flow arrows present
 go run ./cmd/m3vtrace "$TRACE_TMP/fig6.json" > "$TRACE_TMP/fig6-report.txt"
 grep -Eq '[1-9][0-9]* fast' "$TRACE_TMP/fig6-report.txt"
+# A flows file with an unknown span name is a one-line error and exit 1,
+# not a panic. The binary is built first: go run adds its own exit line.
+go build -o "$TRACE_TMP/m3vtrace" ./cmd/m3vtrace
+sed 's/"dtu\.send"/"dtu.bogus"/' "$TRACE_TMP/fig6.json" > "$TRACE_TMP/fig6-bad.json"
+if "$TRACE_TMP/m3vtrace" -check "$TRACE_TMP/fig6-bad.json" > /dev/null \
+    2> "$TRACE_TMP/fig6-bad.txt"; then
+    echo "m3vtrace -check accepted an unknown span name"; exit 1
+fi
+test "$(wc -l < "$TRACE_TMP/fig6-bad.txt")" -eq 1
+grep -q 'unknown span name "dtu.bogus"' "$TRACE_TMP/fig6-bad.txt"
+if grep -q 'goroutine' "$TRACE_TMP/fig6-bad.txt"; then exit 1; fi
 # The same run also exports a sampled series of its four systems, so the
 # shared writer and m3vstat are exercised on multi-run input.
 go run ./cmd/m3vbench -run fig9 -fig9-tiles 1 -flows "$TRACE_TMP/fig9.json" \

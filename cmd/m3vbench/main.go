@@ -134,7 +134,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	bench.SetParallelism(o.parallel)
-	stopProfile, err := o.obs.StartCPUProfile()
+	stopProfile, err := cliflags.StartCPUProfile(o.obs.CPUProfile)
 	if err != nil {
 		return err
 	}

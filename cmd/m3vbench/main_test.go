@@ -215,14 +215,14 @@ func TestRunExports(t *testing.T) {
 		t.Fatalf("series: %v", err)
 	}
 
-	if runs := len(series.Runs); runs < 2 || len(flows.Runs) != runs {
-		t.Errorf("runs: flows %d, series %d; want equal and >= 2", len(flows.Runs), runs)
+	if runs := len(series.Runs); runs < 2 || len(flows) != runs {
+		t.Errorf("runs: flows %d, series %d; want equal and >= 2", len(flows), runs)
 	}
 	// The Chrome trace has no lane for a run that recorded nothing (the
 	// Linux reference engines), so compare against the runs with spans.
 	spanRuns := map[int]bool{}
-	for i, r := range flows.Runs {
-		if len(r.Spans) > 0 {
+	for i, r := range flows {
+		if len(r.Spans()) > 0 {
 			spanRuns[i] = true
 		}
 	}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -86,5 +88,21 @@ func TestRunLifecycle(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not drain")
+	}
+}
+
+// TestRunDefaultWorkers checks that the pool has one worker per CPU
+// without -workers: keeping each job's own sweep serial must not shrink
+// the pool. A stop channel closed up front drains right after binding.
+func TestRunDefaultWorkers(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	var out strings.Builder
+	if err := run([]string{"-addr", "127.0.0.1:0"}, &out, stop); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := fmt.Sprintf("(%d workers)", runtime.NumCPU())
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("output %q, want %q", out.String(), want)
 	}
 }

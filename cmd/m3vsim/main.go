@@ -48,7 +48,7 @@ func run(args []string, out io.Writer) error {
 	if err := obs.Validate(); err != nil {
 		return err
 	}
-	stopProfile, err := obs.StartCPUProfile()
+	stopProfile, err := cliflags.StartCPUProfile(obs.CPUProfile)
 	if err != nil {
 		return err
 	}

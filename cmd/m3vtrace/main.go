@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/pprof"
 
+	"m3v/internal/cliflags"
 	"m3v/internal/trace"
 )
 
@@ -47,32 +47,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *cpuProfile != "" {
-		pf, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			pf.Close()
-			return fail("cpuprofile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		}()
+	stopProfile, err := cliflags.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		return fail("%v", err)
 	}
+	defer stopProfile()
 
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return fail("%v", err)
 	}
-	flows, err := trace.ReadFlows(f)
+	recs, err := trace.ReadFlows(f)
 	f.Close()
 	if err != nil {
 		return fail("%v", err)
 	}
 
-	problems := trace.CheckFlows(flows)
+	problems := trace.CheckFlows(recs)
 	if *check {
 		if len(problems) > 0 {
 			for _, p := range problems {
@@ -81,10 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%d problem(s) found", len(problems))
 		}
 		total := 0
-		for _, run := range flows.Runs {
-			total += len(run.Spans)
+		for _, r := range recs {
+			total += len(r.Spans())
 		}
-		fmt.Fprintf(stdout, "ok: %d spans in %d runs, all streams well-formed\n", total, len(flows.Runs))
+		fmt.Fprintf(stdout, "ok: %d spans in %d runs, all streams well-formed\n", total, len(recs))
 		return 0
 	}
 	// In report mode still surface problems, but don't fail the run.
@@ -97,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := trace.WriteFlowsChrome(out, flows); err != nil {
+		if err := trace.WriteChrome(out, recs); err != nil {
 			return fail("perfetto: %v", err)
 		}
 		if err := out.Close(); err != nil {
@@ -106,6 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "perfetto: %s\n", *perfetto)
 	}
 
-	fmt.Fprint(stdout, trace.AnalyzeFlows(flows).Format())
+	fmt.Fprint(stdout, trace.AnalyzeFlows(recs).Format())
 	return 0
 }

@@ -93,3 +93,39 @@ func TestRunReportAndPerfetto(t *testing.T) {
 		t.Errorf("perfetto export missing the span: %s", data)
 	}
 }
+
+// TestRunMalformedFlows checks that every kind of flows file WriteFlows
+// cannot have written is a one-line error with exit 1 in each mode, never
+// a panic.
+func TestRunMalformedFlows(t *testing.T) {
+	good, err := os.ReadFile(writeTestFlows(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ name, old, new, want string }{
+		{"unknown name", `"noc.xfer"`, `"noc.bogus"`, `unknown span name "noc.bogus"`},
+		{"unknown component", `"comp":"noc"`, `"comp":"gpu"`, `unknown component "gpu"`},
+		{"unknown path", `"tile"`, `"path":"medium","tile"`, `unknown path "medium"`},
+		{"id not position", `"id":1`, `"id":2`, "has id 2, want 1"},
+		{"flow 0", `"flow":1`, `"flow":0`, "has flow 0"},
+	}
+	for _, tc := range cases {
+		bad := strings.Replace(string(good), tc.old, tc.new, 1)
+		if bad == string(good) {
+			t.Fatalf("%s: %q not in %s", tc.name, tc.old, good)
+		}
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range [][]string{{"-check"}, nil, {"-perfetto", filepath.Join(t.TempDir(), "p.json")}} {
+			var out, errOut strings.Builder
+			code := run(append(mode, path), &out, &errOut)
+			msg := errOut.String()
+			if code != 1 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.want) {
+				t.Errorf("%s %v: exit %d, stderr %q; want exit 1 and one line containing %q",
+					tc.name, mode, code, msg, tc.want)
+			}
+		}
+	}
+}

@@ -307,7 +307,7 @@ func (b *Builder) facts(pass *analysis.Pass, body *ast.BlockStmt) *bodyFacts {
 		case *ast.GoStmt:
 			fx.goC[n.Call] = true
 		case *ast.CallExpr:
-			fun := unparen(n.Fun)
+			fun := ast.Unparen(n.Fun)
 			fx.callee[fun] = true
 			if sel, ok := fun.(*ast.SelectorExpr); ok {
 				fx.callee[sel.Sel] = true
@@ -382,16 +382,16 @@ func (b *Builder) call(pass *analysis.Pass, node *Node, fx *bodyFacts, call *ast
 		Go:      fx.goC[call],
 		InPanic: fx.inPanic(call.Pos()),
 	}
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	// Unwrap generic instantiations f[T](...) to the underlying operand.
 	switch ix := fun.(type) {
 	case *ast.IndexExpr:
 		if _, ok := pass.TypesInfo.Uses[rootIdent(ix.X)].(*types.Func); ok {
-			fun = unparen(ix.X)
+			fun = ast.Unparen(ix.X)
 		}
 	case *ast.IndexListExpr:
 		if _, ok := pass.TypesInfo.Uses[rootIdent(ix.X)].(*types.Func); ok {
-			fun = unparen(ix.X)
+			fun = ast.Unparen(ix.X)
 		}
 	}
 	switch f := fun.(type) {
@@ -527,20 +527,10 @@ func (g *Graph) Impls(e Edge) []*Node {
 	return out
 }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // rootIdent returns the leftmost identifier of a (possibly selected or
 // parenthesized) expression, or nil.
 func rootIdent(e ast.Expr) *ast.Ident {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return e
 	case *ast.SelectorExpr:

@@ -144,7 +144,7 @@ type resolved struct {
 // local-variable resolution (the switchTarget idiom: build the name in a
 // local, then register it).
 func resolve(pass *analysis.Pass, e ast.Expr, followVars bool) ([]resolved, bool) {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	// Constant strings (literals, consts, folded concatenations).
 	if tv, ok := pass.TypesInfo.Types[e]; ok && tv.Value != nil {
 		if s, err := stringVal(tv.Value.ExactString()); err == nil {
@@ -157,7 +157,7 @@ func resolve(pass *analysis.Pass, e ast.Expr, followVars bool) ([]resolved, bool
 		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 			if fn, ok := pass.TypesInfo.ObjectOf(sel.Sel).(*types.Func); ok &&
 				fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && fn.Name() == "Sprintf" && len(e.Args) > 0 {
-				if tv, ok := pass.TypesInfo.Types[unparen(e.Args[0])]; ok && tv.Value != nil {
+				if tv, ok := pass.TypesInfo.Types[ast.Unparen(e.Args[0])]; ok && tv.Value != nil {
 					if format, err := stringVal(tv.Value.ExactString()); err == nil {
 						shaped := verb.ReplaceAllString(strings.ReplaceAll(format, "%%", "%"), "x0")
 						r := checkFull(shaped, fmt.Sprintf("template %q", format))
@@ -171,7 +171,7 @@ func resolve(pass *analysis.Pass, e ast.Expr, followVars bool) ([]resolved, bool
 		// prefix + "literal": the dynamic prefix is the component, the
 		// literal completes the name. Unique per package and suffix.
 		if e.Op == token.ADD {
-			if tv, ok := pass.TypesInfo.Types[unparen(e.Y)]; ok && tv.Value != nil {
+			if tv, ok := pass.TypesInfo.Types[ast.Unparen(e.Y)]; ok && tv.Value != nil {
 				if s, err := stringVal(tv.Value.ExactString()); err == nil {
 					r := resolved{
 						key:     "concat:" + pass.Pkg.Path() + ":" + s,
@@ -264,14 +264,4 @@ func enclosingFunc(pass *analysis.Pass, e ast.Expr) ast.Node {
 		return best
 	}
 	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

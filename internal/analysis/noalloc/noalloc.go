@@ -338,7 +338,7 @@ func (c *checker) block(body *ast.BlockStmt) {
 	addressed := map[*ast.CompositeLit]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if ue, ok := n.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-			if cl, ok := unparen(ue.X).(*ast.CompositeLit); ok {
+			if cl, ok := ast.Unparen(ue.X).(*ast.CompositeLit); ok {
 				addressed[cl] = true
 			}
 		}
@@ -550,16 +550,6 @@ func (c *checker) captures(lit *ast.FuncLit) string {
 		return true
 	})
 	return found
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 func typeOf(pass *analysis.Pass, e ast.Expr) types.Type {

@@ -87,7 +87,7 @@ func (c *ctx) walkStmts(stmts []ast.Stmt) {
 	for i, s := range stmts {
 		if as, ok := s.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
 			for j, rhs := range as.Rhs {
-				call, ok := unparen(rhs).(*ast.CallExpr)
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok || traceMethod(c.pass, call) != "BeginSpan" {
 					continue
 				}
@@ -117,7 +117,7 @@ func (c *ctx) walkStmts(stmts []ast.Stmt) {
 			}
 		}
 		if es, ok := s.(*ast.ExprStmt); ok {
-			if call, ok := unparen(es.X).(*ast.CallExpr); ok && traceMethod(c.pass, call) == "BeginSpan" {
+			if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok && traceMethod(c.pass, call) == "BeginSpan" {
 				c.pass.Reportf(call.Pos(),
 					"BeginSpan result discarded in %s: the span can never be ended; "+
 						"keep the SpanRef and close it", c.name)
@@ -139,16 +139,16 @@ func (c *ctx) escapes(obj types.Object) bool {
 		case *ast.CallExpr:
 			if traceMethod(c.pass, n) != "" {
 				for _, a := range n.Args {
-					if id, ok := unparen(a).(*ast.Ident); ok {
+					if id, ok := ast.Unparen(a).(*ast.Ident); ok {
 						sanctioned[id] = true
 					}
 				}
 			}
 		case *ast.BinaryExpr:
-			if id, ok := unparen(n.X).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 				sanctioned[id] = true
 			}
-			if id, ok := unparen(n.Y).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(n.Y).(*ast.Ident); ok {
 				sanctioned[id] = true
 			}
 		}
@@ -283,7 +283,7 @@ func (c *ctx) clauses(body *ast.BlockStmt, closed, exhaustive bool) flow {
 // closes reports whether the expression is EndSpan/EndSpanArgs with the
 // tracked ref as first argument.
 func (c *ctx) closes(e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) == 0 {
 		return false
 	}
@@ -291,7 +291,7 @@ func (c *ctx) closes(e ast.Expr) bool {
 	if m != "EndSpan" && m != "EndSpanArgs" {
 		return false
 	}
-	id, ok := unparen(call.Args[0]).(*ast.Ident)
+	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	return ok && c.pass.TypesInfo.Uses[id] == c.obj
 }
 
@@ -301,7 +301,7 @@ func (c *ctx) deferCloses(d *ast.DeferStmt) bool {
 	if c.closes(d.Call) {
 		return true
 	}
-	lit, ok := unparen(d.Call.Fun).(*ast.FuncLit)
+	lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit)
 	if !ok {
 		return false
 	}
@@ -323,7 +323,7 @@ func (c *ctx) deferCloses(d *ast.DeferStmt) bool {
 // traceMethod returns the method name of a call into the trace package
 // (by import-path suffix), or "".
 func traceMethod(pass *analysis.Pass, call *ast.CallExpr) string {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
@@ -338,7 +338,7 @@ func traceMethod(pass *analysis.Pass, call *ast.CallExpr) string {
 }
 
 func isPanic(pass *analysis.Pass, e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
@@ -418,14 +418,4 @@ func hasBreak(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -91,14 +91,14 @@ func (o *Options) Events() bool { return o.Trace != "" || o.Flows != "" }
 // Collect reports whether any export needs the runs' recorders.
 func (o *Options) Collect() bool { return o.Events() || o.Series != "" || o.Metrics }
 
-// StartCPUProfile starts the -cpuprofile profile, if set. The returned stop
-// function is never nil; defer it so the profile is flushed on every exit
-// path.
-func (o *Options) StartCPUProfile() (stop func(), err error) {
-	if o.CPUProfile == "" {
+// StartCPUProfile starts a CPU profile written to path, if path is not
+// empty (the -cpuprofile flag of every tool). The returned stop function is
+// never nil; defer it so the profile is flushed on every exit path.
+func StartCPUProfile(path string) (stop func(), err error) {
+	if path == "" {
 		return func() {}, nil
 	}
-	f, err := os.Create(o.CPUProfile)
+	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("cpuprofile: %w", err)
 	}

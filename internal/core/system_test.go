@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"m3v/internal/activity"
@@ -315,5 +316,35 @@ func TestM3vNoRecipientSkipsForward(t *testing.T) {
 	sys.Run(10 * sim.Second)
 	if !root.Done() {
 		t.Fatal("root did not finish")
+	}
+}
+
+// TestRootsBootTogether spawns three roots on different tiles before the
+// run starts, so all boot processes send requests to the tiles' TileMuxes
+// at once. The requests share the controller's request buffer and its one
+// reply endpoint; each root must still boot and finish a syscall, on M3v
+// and on M3x. With three, one request is built while two others wait.
+func TestRootsBootTogether(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"M3v", FPGAConfig()}, {"M3x", Gem5Config(3).WithM3x()}} {
+		sys := New(tc.cfg)
+		procs := sys.Cfg.ProcessingTiles()
+		var roots []*Handle
+		for i, tile := range procs[:3] {
+			roots = append(roots, sys.SpawnRoot(tile, fmt.Sprintf("root%d", i), nil, func(a *activity.Activity) {
+				if err := a.SysNoop(); err != nil {
+					t.Errorf("%s: noop: %v", tc.name, err)
+				}
+			}))
+		}
+		sys.Run(30 * sim.Second)
+		for i, h := range roots {
+			if !h.Done() {
+				t.Errorf("%s: root %d did not finish", tc.name, i)
+			}
+		}
+		sys.Shutdown()
 	}
 }

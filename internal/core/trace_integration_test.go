@@ -175,19 +175,11 @@ func TestSpanFastPathVerdicts(t *testing.T) {
 	sys := runTracedRPC(t, FPGAConfig(), true, 10)
 	defer sys.Shutdown()
 	rec := sys.Eng.Tracer()
-
-	var buf bytes.Buffer
-	if err := trace.WriteFlows(&buf, []*trace.Recorder{rec}); err != nil {
-		t.Fatalf("WriteFlows: %v", err)
-	}
-	flows, err := trace.ReadFlows(&buf)
-	if err != nil {
-		t.Fatalf("ReadFlows: %v", err)
-	}
-	if probs := trace.CheckFlows(flows); len(probs) != 0 {
+	recs := []*trace.Recorder{rec}
+	if probs := trace.CheckFlows(recs); len(probs) != 0 {
 		t.Fatalf("span streams not well-formed: %v", probs)
 	}
-	rep := trace.AnalyzeFlows(flows)
+	rep := trace.AnalyzeFlows(recs)
 	if rep.FastFlows == 0 || rep.NoVerdict != 0 {
 		t.Errorf("verdicts: %d fast, %d slow, %d unresolved — tile-local M3v RPC must resolve fast",
 			rep.FastFlows, rep.SlowFlows, rep.NoVerdict)
@@ -205,4 +197,52 @@ func TestSpanFastPathVerdicts(t *testing.T) {
 	}
 	// No dtu.tlb assertion: the no-op RPC keeps its buffers in the pinned
 	// vaddr-0 message area, which skips translation by design.
+}
+
+// TestFlowsFileMatchesRecorder pins that the flows file carries everything
+// the flow analysis reads: on Figure 6's tile-local pair (M3v) and on the
+// co-located pair (M3x, every message forwarded), the check and the report
+// of the written-then-read file equal those of the live recorder.
+func TestFlowsFileMatchesRecorder(t *testing.T) {
+	fig6 := runTracedRPC(t, FPGAConfig(), true, 10)
+	defer fig6.Shutdown()
+	m3x := New(Gem5Config(2).WithM3x())
+	defer m3x.Shutdown()
+	m3x.Eng.Tracer().Enable()
+	procs := m3x.Cfg.ProcessingTiles()
+	pair := &rpcpair.Colocated{Calls: 4, Tile: procs[1]}
+	root := m3x.SpawnRoot(procs[0], "root", nil, func(a *activity.Activity) {
+		pair.Root(a, TileSels(a))
+	})
+	m3x.Run(120 * sim.Second)
+	if !root.Done() {
+		t.Fatal("co-located pair did not finish")
+	}
+
+	for _, tc := range []struct {
+		name string
+		sys  *System
+	}{{"fig6 M3v", fig6}, {"co-located M3x", m3x}} {
+		live := []*trace.Recorder{tc.sys.Eng.Tracer()}
+		var buf bytes.Buffer
+		if err := trace.WriteFlows(&buf, live); err != nil {
+			t.Fatalf("%s: WriteFlows: %v", tc.name, err)
+		}
+		read, err := trace.ReadFlows(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadFlows: %v", tc.name, err)
+		}
+		for _, recs := range [][]*trace.Recorder{live, read} {
+			if probs := trace.CheckFlows(recs); len(probs) != 0 {
+				t.Errorf("%s: span streams not well-formed: %v", tc.name, probs)
+			}
+		}
+		rep := trace.AnalyzeFlows(live)
+		if rep.Flows == 0 {
+			t.Errorf("%s: no flows", tc.name)
+		}
+		if got, want := trace.AnalyzeFlows(read).Format(), rep.Format(); got != want {
+			t.Errorf("%s: report from the flows file:\n%s\nfrom the recorder:\n%s", tc.name, got, want)
+		}
+	}
 }

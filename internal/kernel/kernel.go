@@ -76,9 +76,14 @@ type Kernel struct {
 	d     *dtu.DTU
 	clock sim.Clock
 	proc  *sim.Proc
-	// muxReplies holds the processes waiting in muxRequest: the controller
-	// itself or a boot process creating a root activity.
+	// muxReplies holds the process waiting in muxRequest for its reply:
+	// the controller itself or a boot process creating a root activity.
+	// The reply endpoint has one slot, so requests take turns: muxBusy is
+	// set from the time one is built until its reply arrived, and muxTurn
+	// holds those waiting.
 	muxReplies sim.WaitQueue
+	muxBusy    bool
+	muxTurn    sim.WaitQueue
 
 	acts    map[uint32]*ActEntry
 	nextAct uint32
@@ -108,8 +113,8 @@ type Kernel struct {
 
 	// w builds the syscall replies and is used by the controller's process
 	// alone, so a reply survives until its fallback ran; mw builds the
-	// requests to the multiplexers, also from boot processes (a send
-	// copies them as it starts).
+	// requests to the multiplexers, also from boot processes, each holding
+	// the mux turn (muxWriter; a send copies them as it starts).
 	w, mw proto.Writer
 }
 
@@ -329,18 +334,38 @@ func (k *Kernel) exited(p *sim.Proc, act *ActEntry, code int32) {
 }
 
 // MuxRequest sends a request to a tile's multiplexer and waits for the
-// reply's code (exported for the M³x driver).
+// reply's code (exported for the M³x driver). req must stay unchanged
+// while the request waits for its turn.
 func (k *Kernel) MuxRequest(p *sim.Proc, tile noc.TileID, req []byte) proto.ErrCode {
 	te := k.tiles[tile]
 	if te == nil {
 		return proto.ENoTile
 	}
+	k.muxTake(p)
 	return k.muxRequest(p, te, req)
 }
 
+// muxTake waits until no mux request is outstanding and takes the turn;
+// muxRequest passes it on once its reply arrived.
+func (k *Kernel) muxTake(p *sim.Proc) {
+	for k.muxBusy {
+		k.muxTurn.Wait(p)
+	}
+	k.muxBusy = true
+}
+
+// muxWriter takes the turn for a mux request and returns the shared
+// request writer reset to op. The turn comes first: a process waiting for
+// it must not find its request overwritten by the one that went ahead.
+func (k *Kernel) muxWriter(p *sim.Proc, op proto.Op) *proto.Writer {
+	k.muxTake(p)
+	return k.mw.Reset(op)
+}
+
 // muxRequest sends a request to a tile's multiplexer, waits for the reply
-// to arrive and returns its code; no request has results. The controller
-// is blocked meanwhile — it is single-threaded.
+// to arrive and returns its code; no request has results. The caller holds
+// the turn (muxTake). The controller is blocked meanwhile — it is
+// single-threaded.
 func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) proto.ErrCode {
 	err := k.d.Send(p, dtu.SendArgs{Ep: te.MuxSgate, Data: req, ReplyEp: EpMuxReply})
 	if err != nil {
@@ -355,6 +380,8 @@ func (k *Kernel) muxRequest(p *sim.Proc, te *TileEntry, req []byte) proto.ErrCod
 	}
 	code, _, err := proto.ParseResp(msg.Data)
 	_ = k.d.Ack(p, EpMuxReply, slot)
+	k.muxBusy = false
+	k.muxTurn.WakeOne()
 	if err != nil {
 		return proto.EInvalid
 	}

@@ -236,7 +236,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		obj := mc.Obj.(*MemObj)
 		phys := obj.Base + mc.Off + physOff
 		te := k.tiles[tgt.Tile]
-		req := k.mw.Reset(proto.OpMuxMapPages).
+		req := k.muxWriter(p, proto.OpMuxMapPages).
 			U16(uint16(tgt.Local)).U64(virt).U64(phys).U32(pages).U8(perm).Done()
 		if code := k.muxRequest(p, te, req); code != proto.EOK {
 			return k.w.Resp(code), false
@@ -255,7 +255,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		act := ac.Obj.(*ActObj).Entry
 		if !act.Exited {
 			if te := k.tiles[act.Tile]; te != nil {
-				req := k.mw.Reset(proto.OpMuxKillAct).U16(uint16(act.Local)).Done()
+				req := k.muxWriter(p, proto.OpMuxKillAct).U16(uint16(act.Local)).Done()
 				if code := k.muxRequest(p, te, req); code != proto.EOK {
 					return k.w.Resp(code), false
 				}
@@ -295,7 +295,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		if err := k.configure(p, act.Tile, ep, conf); err != nil {
 			return k.w.Resp(proto.EUnreachable), false
 		}
-		req := k.mw.Reset(proto.OpMuxSetPager).
+		req := k.muxWriter(p, proto.OpMuxSetPager).
 			U16(uint16(act.Local)).U32(uint32(ep)).Done()
 		if code := k.muxRequest(p, te, req); code != proto.EOK {
 			return k.w.Resp(code), false
@@ -399,7 +399,7 @@ func (k *Kernel) CreateActivity(p *sim.Proc, tile noc.TileID, name string) (*Act
 		Caps:  cap.NewTable(name),
 	}
 	k.acts[id] = act
-	req := k.mw.Reset(proto.OpMuxCreateAct).U16(uint16(act.Local)).Str(name).Done()
+	req := k.muxWriter(p, proto.OpMuxCreateAct).U16(uint16(act.Local)).Str(name).Done()
 	if code := k.muxRequest(p, te, req); code != proto.EOK {
 		return nil, code.Err()
 	}
@@ -423,7 +423,7 @@ func (k *Kernel) CreateActivity(p *sim.Proc, tile noc.TileID, name string) (*Act
 func (k *Kernel) StartActivity(p *sim.Proc, act *ActEntry) error {
 	te := k.tiles[act.Tile]
 	k.remote.Starting(p, act)
-	req := k.mw.Reset(proto.OpMuxStartAct).U16(uint16(act.Local)).Done()
+	req := k.muxWriter(p, proto.OpMuxStartAct).U16(uint16(act.Local)).Done()
 	code := k.muxRequest(p, te, req)
 	return code.Err()
 }

@@ -1,7 +1,6 @@
 package m3x_test
 
 import (
-	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -66,18 +65,11 @@ func TestM3xSlowPathSpans(t *testing.T) {
 	runColocated(t, sys, &rpcpair.Colocated{Calls: rounds})
 
 	rec := sys.Eng.Tracer()
-	var buf bytes.Buffer
-	if err := trace.WriteFlows(&buf, []*trace.Recorder{rec}); err != nil {
-		t.Fatalf("WriteFlows: %v", err)
-	}
-	flows, err := trace.ReadFlows(&buf)
-	if err != nil {
-		t.Fatalf("ReadFlows: %v", err)
-	}
-	if probs := trace.CheckFlows(flows); len(probs) != 0 {
+	recs := []*trace.Recorder{rec}
+	if probs := trace.CheckFlows(recs); len(probs) != 0 {
 		t.Fatalf("span streams not well-formed: %v", probs)
 	}
-	rep := trace.AnalyzeFlows(flows)
+	rep := trace.AnalyzeFlows(recs)
 	if rep.SlowFlows < rounds {
 		t.Errorf("slow flows = %d, want >= %d (every co-located RPC leg forwards)",
 			rep.SlowFlows, rounds)

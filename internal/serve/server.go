@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,8 +22,8 @@ import (
 // default filled in by New.
 type Config struct {
 	// Workers is the simulation worker pool size (default
-	// bench.Parallelism(): simulations are CPU-bound single-threaded
-	// runs, so one per core saturates the machine).
+	// runtime.NumCPU(): simulations are CPU-bound single-threaded runs,
+	// so one per core saturates the machine).
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue answers 429
 	// with Retry-After (default 2*Workers).
@@ -97,7 +98,7 @@ type Server struct {
 // Serve must call Close to stop the pool.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
-		cfg.Workers = bench.Parallelism()
+		cfg.Workers = runtime.NumCPU()
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.Workers

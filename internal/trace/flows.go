@@ -4,58 +4,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // This file defines the flow-span interchange format consumed by
-// cmd/m3vtrace: a JSON document carrying the span streams of one or more
-// recorders (runs), plus the well-formedness checker and the latency /
-// critical-path analysis that runs on it.
+// cmd/m3vtrace: a JSON document carrying the flow spans of one or more
+// recorders (runs), which ReadFlows turns back into recorders. The
+// well-formedness checker and the latency / critical-path analysis run on
+// recorders, so a live run and its flows file give the same answers.
 
 // FlowSchema identifies the interchange format version.
 const FlowSchema = "m3vflows/v1"
 
-// FlowSpan is the serialized form of one Span. ID is the span's 1-based
-// position in its run's stream (the value SpanRefs refer to).
-type FlowSpan struct {
-	Flow   uint64 `json:"flow"`
-	ID     int32  `json:"id"`
-	Parent int32  `json:"parent,omitempty"`
-	Name   string `json:"name"`
-	Comp   string `json:"comp"`
-	Tile   int32  `json:"tile"`
-	At     int64  `json:"at"`
-	End    int64  `json:"end"`
-	Path   string `json:"path,omitempty"`
-	Arg0   int64  `json:"arg0,omitempty"`
-	Arg1   int64  `json:"arg1,omitempty"`
-}
-
-// Dur reports the span's duration (0 for never-ended spans).
-func (s *FlowSpan) Dur() int64 {
-	if s.End < s.At {
-		return 0
-	}
-	return s.End - s.At
-}
-
-// FlowRun is the span stream of one recorder.
-type FlowRun struct {
-	Run   int        `json:"run"`
-	Spans []FlowSpan `json:"spans"`
-}
-
-// FlowFile is the on-disk document.
-type FlowFile struct {
-	Schema string    `json:"schema"`
-	Runs   []FlowRun `json:"runs"`
-}
-
-// WriteFlows streams the flow spans of the given recorders as a FlowFile
-// (one run per recorder, in order), byte for byte what encoding/json makes
-// of it. Spans of flow 0 belong to no message and are left out; span IDs
+// WriteFlows streams the flow spans of the given recorders as an
+// m3vflows/v1 document: {"schema", "runs": [{"run", "spans": [...]}]}, one
+// run per recorder, in order, each span an object with the JSON members of
+// Span plus its "id" after "flow", byte for byte as encoding/json writes
+// them. Spans of flow 0 belong to no message and are left out; span IDs
 // and parent refs are renumbered to positions in the written stream.
 func WriteFlows(w io.Writer, recs []*Recorder) error {
 	sw := &streamWriter{w: w}
@@ -117,150 +85,120 @@ func WriteFlows(w io.Writer, recs []*Recorder) error {
 	return sw.err
 }
 
-// spanNameOf is the reverse of SpanName.String (SpanNone if unknown).
-func spanNameOf(s string) SpanName {
-	for i := SpanName(0); i < numSpanNames; i++ {
-		if spanNames[i] == s {
-			return i
-		}
+// ReadFlows parses a flows document into one recorder per run, holding the
+// run's spans in file order. It returns an error for an unknown span name,
+// component or path, a span without a name, an id that is not the span's
+// 1-based position (which parent refs resolve against) and a span of flow
+// 0: WriteFlows writes none of these.
+func ReadFlows(r io.Reader) ([]*Recorder, error) {
+	var f struct {
+		Schema string `json:"schema"`
+		Runs   []struct {
+			Spans []struct {
+				ID int32 `json:"id"`
+				Span
+			} `json:"spans"`
+		} `json:"runs"`
 	}
-	return SpanNone
-}
-
-// componentOf is the reverse of Component.String (CompDTU if unknown).
-func componentOf(s string) Component {
-	for i := Component(0); i < numComponents; i++ {
-		if componentNames[i] == s {
-			return i
-		}
-	}
-	return 0
-}
-
-// pathOf is the reverse of Path.String.
-func pathOf(s string) Path {
-	switch s {
-	case "fast":
-		return PathFast
-	case "slow":
-		return PathSlow
-	}
-	return PathNone
-}
-
-// WriteFlowsChrome renders a parsed flow file as Chrome trace-event JSON
-// with Perfetto flow arrows — the file-based equivalent of WriteChrome for
-// runs whose recorders are no longer live.
-func WriteFlowsChrome(w io.Writer, f *FlowFile) error {
-	recs := make([]*Recorder, 0, len(f.Runs))
-	for _, run := range f.Runs {
-		r := &Recorder{enabled: true}
-		for i := range run.Spans {
-			fs := &run.Spans[i]
-			r.spans = append(r.spans, Span{
-				Flow: fs.Flow, Parent: SpanRef(fs.Parent), At: fs.At, End: fs.End,
-				Tile: fs.Tile, Comp: componentOf(fs.Comp), Name: spanNameOf(fs.Name),
-				Path: pathOf(fs.Path), Arg0: fs.Arg0, Arg1: fs.Arg1,
-			})
-		}
-		recs = append(recs, r)
-	}
-	return WriteChrome(w, recs)
-}
-
-// ReadFlows parses a FlowFile and validates the schema marker.
-func ReadFlows(r io.Reader) (*FlowFile, error) {
-	var f FlowFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
+	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("trace: parsing flow file: %w", err)
 	}
 	if f.Schema != FlowSchema {
 		return nil, fmt.Errorf("trace: flow file schema %q, want %q", f.Schema, FlowSchema)
 	}
-	return &f, nil
+	recs := make([]*Recorder, len(f.Runs))
+	for ri := range f.Runs {
+		run := f.Runs[ri].Spans
+		spans := make([]Span, len(run))
+		for i := range run {
+			s := &run[i]
+			switch {
+			case s.Name == SpanNone:
+				return nil, fmt.Errorf("trace: flow file run %d: span at position %d has no name", ri, i+1)
+			case int(s.ID) != i+1:
+				return nil, fmt.Errorf("trace: flow file run %d: span at position %d (%s) has id %d, want %d",
+					ri, i+1, s.Name, s.ID, i+1)
+			case s.Flow == 0:
+				return nil, fmt.Errorf("trace: flow file run %d: span %d (%s) has flow 0", ri, s.ID, s.Name)
+			}
+			spans[i] = s.Span
+		}
+		f.Runs[ri].Spans = nil
+		recs[ri] = &Recorder{spans: spans, metrics: NewMetrics()}
+	}
+	return recs, nil
 }
 
-// CheckFlows verifies span-stream well-formedness and returns a list of
-// problems (empty = well-formed):
+// CheckFlows verifies the well-formedness of the recorders' flow spans and
+// returns a list of problems (empty = well-formed). Spans of flow 0 belong
+// to no message and are not checked.
 //
-//   - every span's ID is its 1-based position in the run's stream, so IDs
-//     are unique;
 //   - every begun span has an end (End >= At);
-//   - every parent ref resolves to an earlier span (0 < Parent < ID) of the
-//     same flow, and the child's interval is enclosed by its parent's;
+//   - every parent ref resolves to an earlier span (0 < Parent < ref) of
+//     the same flow, and the child's interval is enclosed by its parent's;
 //   - every flow that must resolve — its root dtu.send/dtu.reply completed
 //     successfully, or it carries a kernel.forward span — has a fast/slow
 //     verdict (flows whose send failed, e.g. out of credits, may have none).
-func CheckFlows(f *FlowFile) []string {
+func CheckFlows(recs []*Recorder) []string {
 	var problems []string
-	for _, run := range f.Runs {
-		mustResolve := map[uint64]bool{}
-		verdict := map[uint64]string{}
-		flowSeen := map[uint64]bool{}
+	type flowCheck struct {
+		verdict     Path
+		mustResolve bool
+	}
+	for ri, r := range recs {
+		spans := r.Spans()
+		flows := map[uint64]flowCheck{}
 		var order []uint64
-		for i := range run.Spans {
-			s := &run.Spans[i]
-			if !flowSeen[s.Flow] {
-				flowSeen[s.Flow] = true
-				order = append(order, s.Flow)
+		for i := range spans {
+			s := &spans[i]
+			if s.Flow == 0 {
+				continue
 			}
-			if int(s.ID) != i+1 {
-				problems = append(problems, fmt.Sprintf(
-					"run %d: span at position %d (%s) has id %d, want %d",
-					run.Run, i+1, s.Name, s.ID, i+1))
+			fc, seen := flows[s.Flow]
+			if !seen {
+				order = append(order, s.Flow)
 			}
 			if s.End < s.At {
 				problems = append(problems, fmt.Sprintf(
 					"run %d: span %d (%s, flow %d) begun at %d but never ended",
-					run.Run, s.ID, s.Name, s.Flow, s.At))
+					ri, i+1, s.Name, s.Flow, s.At))
 			}
 			if s.Parent != 0 {
-				// Parents are looked up by position, which is the ID of a
-				// well-formed stream.
-				var p *FlowSpan
+				var p *Span
 				if s.Parent > 0 && int(s.Parent) <= i {
-					p = &run.Spans[s.Parent-1]
+					p = &spans[s.Parent-1]
 				}
 				switch {
 				case p == nil:
 					problems = append(problems, fmt.Sprintf(
 						"run %d: span %d (%s) has dangling parent %d (not an earlier span)",
-						run.Run, s.ID, s.Name, s.Parent))
+						ri, i+1, s.Name, s.Parent))
 				case p.Flow != s.Flow:
 					problems = append(problems, fmt.Sprintf(
 						"run %d: span %d (%s, flow %d) has parent %d of different flow %d",
-						run.Run, s.ID, s.Name, s.Flow, p.ID, p.Flow))
+						ri, i+1, s.Name, s.Flow, s.Parent, p.Flow))
 				case s.At < p.At || (p.End >= p.At && s.End > p.End):
 					problems = append(problems, fmt.Sprintf(
 						"run %d: span %d (%s, [%d,%d]) not enclosed by parent %d (%s, [%d,%d])",
-						run.Run, s.ID, s.Name, s.At, s.End, p.ID, p.Name, p.At, p.End))
+						ri, i+1, s.Name, s.At, s.End, s.Parent, p.Name, p.At, p.End))
 				}
 			}
 			switch s.Name {
-			case "dtu.send", "dtu.reply":
+			case SpanDTUSend, SpanDTUReply:
 				if s.Parent == 0 && s.Arg1 == 0 {
-					mustResolve[s.Flow] = true
+					fc.mustResolve = true
 				}
-			case "kernel.forward":
-				mustResolve[s.Flow] = true
+			case SpanKernForward:
+				fc.mustResolve = true
 			}
-			// Slow wins over fast: the controller's final delivery of a
-			// forwarded message re-uses the regular DTU store.
-			switch s.Path {
-			case "slow":
-				verdict[s.Flow] = "slow"
-			case "fast":
-				if verdict[s.Flow] == "" {
-					verdict[s.Flow] = "fast"
-				}
-			}
+			fc.verdict = max(fc.verdict, s.Path)
+			flows[s.Flow] = fc
 		}
 		for _, flow := range order {
-			if mustResolve[flow] && verdict[flow] == "" {
+			if fc := flows[flow]; fc.mustResolve && fc.verdict == PathNone {
 				problems = append(problems, fmt.Sprintf(
 					"run %d: flow %d completed but has no fast/slow verdict",
-					run.Run, flow))
+					ri, flow))
 			}
 		}
 	}
@@ -302,124 +240,108 @@ type FlowReport struct {
 
 // AnalyzeFlows computes per-segment latency breakdowns and the per-flow
 // critical path (which segment's self time dominates end-to-end latency)
-// across all runs of a flow file. Output ordering is deterministic.
-func AnalyzeFlows(f *FlowFile) *FlowReport {
+// across the flow spans of all recorders. Output ordering is deterministic.
+func AnalyzeFlows(recs []*Recorder) *FlowReport {
 	rep := &FlowReport{EndToEndMin: -1}
-	segs := map[string]*SegmentStats{}
-	seg := func(name string) *SegmentStats {
-		s := segs[name]
-		if s == nil {
-			s = &SegmentStats{Name: name, Min: -1}
-			segs[name] = s
-		}
-		return s
+	var segs [numSpanNames]SegmentStats
+	// A flow's critical path breaks ties in name order.
+	byName := make([]SpanName, numSpanNames)
+	for i := range byName {
+		byName[i] = SpanName(i)
 	}
-	for _, run := range f.Runs {
+	slices.SortFunc(byName, func(a, b SpanName) int { return strings.Compare(a.String(), b.String()) })
+	type flowAgg struct {
+		min, max int64
+		verdict  Path
+		// self is the flow's self time per span name, -1 for a name
+		// none of its spans carries.
+		self [numSpanNames]int64
+	}
+	for _, r := range recs {
+		spans := r.Spans()
 		// Self time: duration minus the direct children's durations.
-		self := make(map[int32]int64, len(run.Spans))
-		for i := range run.Spans {
-			s := &run.Spans[i]
-			self[s.ID] += s.Dur()
-			if s.Parent != 0 {
-				self[s.Parent] -= s.Dur()
+		self := make([]int64, len(spans))
+		for i := range spans {
+			s := &spans[i]
+			if s.Flow == 0 {
+				continue
+			}
+			self[i] += s.Dur()
+			if s.Parent > 0 && int(s.Parent) <= len(spans) {
+				self[s.Parent-1] -= s.Dur()
 			}
 		}
-		type flowAgg struct {
-			min, max    int64
-			verdict     string
-			segSelf     map[string]int64
-			firstSeen   int
-			dominant    string
-			dominantVal int64
-		}
-		flows := map[uint64]*flowAgg{}
-		var order []uint64
-		for i := range run.Spans {
-			s := &run.Spans[i]
-			fa := flows[s.Flow]
-			if fa == nil {
-				fa = &flowAgg{min: s.At, max: s.End, segSelf: map[string]int64{}, firstSeen: i}
-				flows[s.Flow] = fa
-				order = append(order, s.Flow)
+		index := map[uint64]int{}
+		var flows []flowAgg
+		for i := range spans {
+			s := &spans[i]
+			if s.Flow == 0 {
+				continue
 			}
-			if s.At < fa.min {
-				fa.min = s.At
-			}
-			if s.End > fa.max {
-				fa.max = s.End
-			}
-			switch s.Path {
-			case "slow":
-				fa.verdict = "slow"
-			case "fast":
-				if fa.verdict == "" {
-					fa.verdict = "fast"
+			k, ok := index[s.Flow]
+			if !ok {
+				k = len(flows)
+				index[s.Flow] = k
+				flows = append(flows, flowAgg{min: s.At, max: s.End})
+				for n := range flows[k].self {
+					flows[k].self[n] = -1
 				}
 			}
-			sv := self[s.ID]
-			if sv < 0 {
-				sv = 0
-			}
-			fa.segSelf[s.Name] += sv
-			st := seg(s.Name)
-			st.Count++
-			st.Self += sv
-			if st.Min < 0 || sv < st.Min {
+			fa := &flows[k]
+			fa.min = min(fa.min, s.At)
+			fa.max = max(fa.max, s.End)
+			fa.verdict = max(fa.verdict, s.Path)
+			sv := max(self[i], 0)
+			fa.self[s.Name] = max(fa.self[s.Name], 0) + sv
+			st := &segs[s.Name]
+			if st.Count == 0 || sv < st.Min {
 				st.Min = sv
 			}
-			if sv > st.Max {
-				st.Max = sv
-			}
+			st.Count++
+			st.Self += sv
+			st.Max = max(st.Max, sv)
 		}
-		for _, flow := range order {
-			fa := flows[flow]
+		for k := range flows {
+			fa := &flows[k]
 			rep.Flows++
 			switch fa.verdict {
-			case "fast":
+			case PathFast:
 				rep.FastFlows++
-			case "slow":
+			case PathSlow:
 				rep.SlowFlows++
 			default:
 				rep.NoVerdict++
 			}
-			e2e := fa.max - fa.min
-			if e2e < 0 {
-				e2e = 0
-			}
+			e2e := max(fa.max-fa.min, 0)
 			rep.EndToEndTotal += e2e
 			if rep.EndToEndMin < 0 || e2e < rep.EndToEndMin {
 				rep.EndToEndMin = e2e
 			}
-			if e2e > rep.Max {
-				rep.Max = e2e
-			}
-			// Critical path: the segment with the largest self time in this
-			// flow. Ties break by name for determinism.
-			names := make([]string, 0, len(fa.segSelf))
-			for n := range fa.segSelf {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				if fa.dominant == "" || fa.segSelf[n] > fa.dominantVal {
-					fa.dominant, fa.dominantVal = n, fa.segSelf[n]
+			rep.Max = max(rep.Max, e2e)
+			// Critical path: the segment with the largest self time in
+			// this flow.
+			dom, best := SpanNone, int64(-1)
+			for _, n := range byName {
+				if fa.self[n] > best {
+					dom, best = n, fa.self[n]
 				}
 			}
-			if fa.dominant != "" {
-				st := seg(fa.dominant)
-				switch fa.verdict {
-				case "fast":
-					st.DominantFast++
-				case "slow":
-					st.DominantSlow++
-				default:
-					st.DominantNone++
-				}
+			st := &segs[dom]
+			switch fa.verdict {
+			case PathFast:
+				st.DominantFast++
+			case PathSlow:
+				st.DominantSlow++
+			default:
+				st.DominantNone++
 			}
 		}
 	}
-	for _, s := range segs {
-		rep.Segments = append(rep.Segments, *s)
+	for n := range segs {
+		if segs[n].Count > 0 {
+			segs[n].Name = SpanName(n).String()
+			rep.Segments = append(rep.Segments, segs[n])
+		}
 	}
 	sort.Slice(rep.Segments, func(i, j int) bool {
 		a, b := &rep.Segments[i], &rep.Segments[j]

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzReadFlows feeds arbitrary bytes through everything m3vtrace does with
-// a flow file: parse, well-formedness check, latency report and Perfetto
-// export. The report and export run even when the check finds problems, as
+// a flow file: parse into recorders, well-formedness check, latency report
+// and Perfetto export. Input ReadFlows rejects must be an error, never a
+// panic. The report and export run even when the check finds problems, as
 // m3vtrace's report mode does, so malformed input must never panic there.
 // The hand-written Perfetto writer must emit valid JSON with one slice per
 // span whatever the field values.
@@ -52,18 +53,18 @@ func FuzzReadFlows(f *testing.F) {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ff, err := ReadFlows(bytes.NewReader(data))
+		recs, err := ReadFlows(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		CheckFlows(ff)
-		_ = AnalyzeFlows(ff).Format()
+		CheckFlows(recs)
+		_ = AnalyzeFlows(recs).Format()
 		var out bytes.Buffer
-		if err := WriteFlowsChrome(&out, ff); err != nil {
-			t.Fatalf("WriteFlowsChrome: %v", err)
+		if err := WriteChrome(&out, recs); err != nil {
+			t.Fatalf("WriteChrome: %v", err)
 		}
 		if !json.Valid(out.Bytes()) {
-			t.Fatalf("WriteFlowsChrome emitted invalid JSON:\n%s", out.Bytes())
+			t.Fatalf("WriteChrome emitted invalid JSON:\n%s", out.Bytes())
 		}
 		var chrome struct {
 			TraceEvents []struct {
@@ -79,8 +80,8 @@ func FuzzReadFlows(f *testing.F) {
 				nslices++
 			}
 		}
-		for _, run := range ff.Runs {
-			spans += len(run.Spans)
+		for _, r := range recs {
+			spans += len(r.Spans())
 		}
 		if nslices != spans {
 			t.Fatalf("Perfetto export has %d slices for %d spans", nslices, spans)

@@ -15,7 +15,11 @@
 // without an import cycle.
 package trace
 
-import "sync"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Component identifies the subsystem that emitted a span.
 type Component uint8
@@ -49,6 +53,17 @@ func (c Component) String() string {
 		return componentNames[c]
 	}
 	return "?"
+}
+
+// UnmarshalText parses a component as String writes it; an unknown one is
+// an error.
+func (c *Component) UnmarshalText(b []byte) error {
+	i := slices.Index(componentNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("unknown component %q", b)
+	}
+	*c = Component(i)
+	return nil
 }
 
 // Recorder collects the span stream of one simulation engine and owns its

@@ -1,6 +1,10 @@
 package trace
 
-import "hash/fnv"
+import (
+	"fmt"
+	"hash/fnv"
+	"slices"
+)
 
 // This file implements spans, the recorder's one record type:
 // begin/end-stamped intervals (instants when begin equals end). Every
@@ -165,6 +169,17 @@ func (s SpanName) String() string {
 	return "?"
 }
 
+// UnmarshalText parses a name as String writes it; an unknown name, or
+// SpanNone's empty one, is an error.
+func (s *SpanName) UnmarshalText(b []byte) error {
+	i := slices.Index(spanNames[1:], string(b))
+	if i < 0 {
+		return fmt.Errorf("unknown span name %q", b)
+	}
+	*s = SpanName(i + 1)
+	return nil
+}
+
 // Path is a span's fast/slow-path attribution. A flow's verdict is the
 // strongest mark of any of its spans: PathSlow wins over PathFast, because
 // the M³x controller's final delivery of a forwarded message re-uses the
@@ -191,6 +206,17 @@ func (p Path) String() string {
 		return pathNames[p]
 	}
 	return "?"
+}
+
+// UnmarshalText parses a path as String writes it; an unknown one is an
+// error.
+func (p *Path) UnmarshalText(b []byte) error {
+	i := slices.Index(pathNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("unknown path %q", b)
+	}
+	*p = Path(i)
+	return nil
 }
 
 // SwitchReason explains why TileMux performed a context switch (Arg2 of
@@ -223,25 +249,29 @@ type SpanRef int32
 // stream can be hashed and compared bit-for-bit across runs.
 type Span struct {
 	// Flow is the message's flow ID, or 0 for a span of no message.
-	Flow uint64
+	Flow uint64 `json:"flow"`
 	// Parent refers to the enclosing span of the same flow, or 0 for a
 	// root. Flows form forests: receive-side spans (core_req, wakeup,
 	// fetch) are roots of their own, since they outlive the sender's
 	// command.
-	Parent SpanRef
+	Parent SpanRef `json:"parent,omitempty"`
 	// At/End are begin and end timestamps in picoseconds. End is -1 while
 	// the span is open.
-	At, End int64
+	At  int64 `json:"at"`
+	End int64 `json:"end"`
 	// Tile is the tile the span is attributed to.
-	Tile int32
+	Tile int32 `json:"tile"`
 	// Comp is the emitting component.
-	Comp Component
+	Comp Component `json:"comp"`
 	// Name selects the interpretation of the Arg fields.
-	Name SpanName
+	Name SpanName `json:"name"`
 	// Path is the span's fast/slow mark (PathNone for most spans).
-	Path Path
-	// Arg0..Arg2 are name-specific payload values.
-	Arg0, Arg1, Arg2 int64
+	Path Path `json:"path,omitempty"`
+	// Arg0..Arg2 are name-specific payload values; the flows file leaves
+	// out Arg2.
+	Arg0 int64 `json:"arg0,omitempty"`
+	Arg1 int64 `json:"arg1,omitempty"`
+	Arg2 int64 `json:"-"`
 }
 
 // Dur reports the span's duration, or 0 while it is open.

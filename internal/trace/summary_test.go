@@ -71,14 +71,14 @@ func TestWriteFlowsZeroLength(t *testing.T) {
 	if err := WriteFlows(&buf, []*Recorder{r}); err != nil {
 		t.Fatalf("WriteFlows: %v", err)
 	}
-	flows, err := ReadFlows(&buf)
+	recs, err := ReadFlows(&buf)
 	if err != nil {
 		t.Fatalf("ReadFlows: %v", err)
 	}
-	if len(flows.Runs) != 1 || len(flows.Runs[0].Spans) != 1 {
-		t.Fatalf("flows = %+v, want one run with one span", flows.Runs)
+	if len(recs) != 1 || len(recs[0].Spans()) != 1 {
+		t.Fatalf("read %d runs, want one run with one span", len(recs))
 	}
-	s := flows.Runs[0].Spans[0]
+	s := recs[0].Spans()[0]
 	if s.Dur() != 0 || s.End != s.At {
 		t.Fatalf("zero-length span has dur %d (at %d, end %d)", s.Dur(), s.At, s.End)
 	}
