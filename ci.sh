@@ -84,6 +84,13 @@ go test -run 'TestNoopSyscallAllocs' -count=1 -v ./internal/core/ \
     | grep -q '^--- PASS: TestNoopSyscallAllocs'
 go test -run 'TestM3xSlowRPCAllocs' -count=1 -v ./internal/core/ \
     | grep -q '^--- PASS: TestM3xSlowRPCAllocs'
+# Footprint guards: an FPGA boot allocates at most 160 KB (endpoint blocks,
+# histogram grids and DRAM pages are allocated on first use), and 64-byte
+# writes at a 4 KiB stride cost at most 128 bytes per DRAM page.
+go test -run 'TestBootBytes' -count=1 -v ./internal/core/ \
+    | grep -q '^--- PASS: TestBootBytes'
+go test -run 'TestPageFootprint' -count=1 -v ./internal/mem/ \
+    | grep -q '^--- PASS: TestPageFootprint'
 
 echo "== m3vtrace smoke =="
 # End-to-end flow tracing gate: a small run of Figure 6's pair dumps its span

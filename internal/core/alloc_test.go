@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"m3v/internal/activity"
@@ -124,6 +126,34 @@ func TestM3xSlowRPCAllocs(t *testing.T) {
 	})
 	if avg := g.allocsPerOp(t, sys, 5); avg > 0 {
 		t.Errorf("M³x slow RPC: %.2f allocs per call, want 0", avg)
+	}
+}
+
+// bootBytesMax bounds the bytes one FPGA platform allocates to boot and
+// shut down. The endpoint register files, the histogram grids and DRAM are
+// allocated on first use, so a boot pays for the endpoints and instruments
+// it configures, not for every register and sketch cell of every tile.
+const bootBytesMax = 160 << 10
+
+// TestBootBytes guards the boot footprint that m3vd pays for every fresh
+// request: the median TotalAlloc of core.New(FPGAConfig()) plus Shutdown
+// must stay within bootBytesMax.
+func TestBootBytes(t *testing.T) {
+	boot := func() { New(FPGAConfig()).Shutdown() }
+	boot() // first-use allocations of the runtime and of package state
+	var runs []uint64
+	for i := 0; i < 9; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		boot()
+		runtime.ReadMemStats(&after)
+		runs = append(runs, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(runs)
+	if got := runs[len(runs)/2]; got > bootBytesMax {
+		t.Errorf("FPGA boot allocates %d bytes (median of %d), want at most %d", got, len(runs), bootBytesMax)
+	} else {
+		t.Logf("FPGA boot allocates %d bytes (median of %d), bound %d", got, len(runs), bootBytesMax)
 	}
 }
 

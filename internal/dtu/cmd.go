@@ -46,7 +46,7 @@ type cmd struct {
 	d    *DTU       // issuing DTU
 	op   cmdOp      // request kind
 	dst  noc.TileID // serving tile
-	size int        // request bytes on the wire
+	size int        // request bytes on the wire; 0 until a message cmd is routed
 
 	// Request operands.
 	ep           EpID       // opMsg: receive endpoint; opConfig: target
@@ -184,7 +184,10 @@ func (d *DTU) serve(c *cmd) bool {
 		// snapshotted now; a window that misses it reads nothing.
 		lo := min(max(c.first, 0), NumEPs)
 		hi := min(max(c.first+c.count, lo), NumEPs)
-		c.eps = append(c.eps[:0], d.eps[lo:hi]...)
+		c.eps = c.eps[:0]
+		for i := lo; i < hi; i++ {
+			c.eps = append(c.eps, *d.ep(EpID(i)))
+		}
 	case opWriteEps:
 		for _, ec := range c.confs {
 			if err := d.ConfigureLocal(ec.Ep, ec.Conf); err != nil {

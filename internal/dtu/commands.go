@@ -125,6 +125,9 @@ func (d *DTU) Reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64) e
 }
 
 // reply runs one attempt of a REPLY whose n payload bytes c already holds.
+// The first attempt that passes the fault check retires the slot and keeps
+// the reply's routing in c; a retry resends from c and leaves the slot
+// alone, since a message delivered after the retirement may refill it.
 //
 //m3v:noalloc
 //m3v:simctx
@@ -133,6 +136,23 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, n int, vaddr uint64, flow ui
 	if d.inj.FailCmd(flow, int(d.tile), 1) {
 		return ErrXferTimeout
 	}
+	if c.size == 0 { // not routed yet: this attempt retires the slot
+		if err := d.retireReply(ep, slot, n, vaddr, flow, c); err != nil {
+			return err
+		}
+	}
+	d.m.replies.Inc()
+	err := c.await(p)
+	p.Sleep(xferTime(n))
+	return err
+}
+
+// retireReply checks a REPLY on slot of receive endpoint ep, routes c to
+// the requester's reply endpoint and frees the slot: the hardware retires
+// the slot as part of issuing the reply.
+//
+//m3v:noalloc
+func (d *DTU) retireReply(ep EpID, slot int, n int, vaddr uint64, flow uint64, c *cmd) error {
 	e, err := d.epFor(ep, EpReceive)
 	if err != nil {
 		return err
@@ -140,7 +160,6 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, n int, vaddr uint64, flow ui
 	if slot < 0 || slot >= e.Slots || e.occupied&(1<<uint(slot)) == 0 {
 		return ErrInvalidArgs
 	}
-	// The routing fields, read before the slot is freed.
 	req := &e.slots[slot].msg
 	if req.ReplyEp < 0 {
 		return ErrInvalidArgs // sender did not ask for a reply
@@ -151,7 +170,6 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, n int, vaddr uint64, flow ui
 	if err := d.translate(vaddr, n, PermR); err != nil {
 		return err
 	}
-	dst, dstEp, crdEp := req.SndTile, req.ReplyEp, req.CrdEp
 	hdr := Message{
 		Label:   req.ReplyLabel,
 		SndTile: d.tile,
@@ -160,18 +178,9 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, n int, vaddr uint64, flow ui
 		CrdEp:   -1,
 		Flow:    flow,
 	}
-	// Free the slot before the transfer: the hardware retires the slot as
-	// part of issuing the reply.
+	c.route(req.SndTile, req.ReplyEp, hdr, req.CrdEp)
 	e.free(slot)
-	d.m.replies.Inc()
-	err = d.issueMsg(p, c, dst, dstEp, hdr, crdEp)
-	if err == ErrXferTimeout { // issueMsg returns the sentinels bare
-		// The reply never reached the requester: re-occupy the slot so the
-		// retry (or the caller, if the budget runs out) can reissue it.
-		e.occupied |= 1 << uint(slot)
-	}
-	p.Sleep(xferTime(n))
-	return err
+	return nil
 }
 
 // SendRaw transmits a fully specified message to an arbitrary receive
@@ -238,9 +247,17 @@ func (d *DTU) msgCmd(payload []byte) *cmd {
 //m3v:noalloc
 //m3v:simctx
 func (d *DTU) issueMsg(p *sim.Proc, c *cmd, dst noc.TileID, ep EpID, hdr Message, crdRet EpID) error {
+	c.route(dst, ep, hdr, crdRet)
+	return c.await(p)
+}
+
+// route addresses c's message (header hdr, payload in c.buf) to receive
+// endpoint ep on tile dst; from then on c.size is nonzero.
+//
+//m3v:noalloc
+func (c *cmd) route(dst noc.TileID, ep EpID, hdr Message, crdRet EpID) {
 	c.dst, c.size = dst, headerBytes+len(c.buf)
 	c.ep, c.msg, c.crdRet = ep, hdr, crdRet
-	return c.await(p)
 }
 
 // Fetch executes FETCH_MSG: it returns the oldest unread message of the
@@ -439,6 +456,6 @@ func (d *DTU) HasUnread(ep EpID) bool {
 	if ep < 0 || int(ep) >= NumEPs {
 		return false
 	}
-	e := &d.eps[ep]
+	e := d.ep(ep)
 	return e.Kind == EpReceive && e.unread != 0
 }

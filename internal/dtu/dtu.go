@@ -16,6 +16,17 @@ import (
 // absorbed by the NoC's packet-based flow control.
 const coreReqDepth = 4
 
+// epBlock is the number of endpoint registers allocated together. A DTU
+// allocates a block when the first endpoint in it is configured, so a tile
+// pays only for the part of the register file it uses. Blocks never move:
+// a command keeps a pointer to its endpoint while it waits for the NoC.
+const epBlock = 16
+
+// absentEp is what every endpoint of a block that was never configured
+// reads as. It stays zero: every writer checks the endpoint's Kind first,
+// and EpInvalid is no kind a writer accepts.
+var absentEp Endpoint
+
 // coreReq is one queued core request: the activity that received a message
 // while not running, plus the trace flow/span of the message that raised it
 // (flow 0 and a no-op span when tracing is disabled).
@@ -38,7 +49,7 @@ type DTU struct {
 	mem       *mem.Memory // non-nil on memory tiles
 	mediation int64       // extra cycles per unprivileged command (SetMediation)
 
-	eps     [NumEPs]Endpoint
+	eps     [NumEPs / epBlock]*[epBlock]Endpoint // see ep
 	tlb     *TLB
 	curAct  ActID
 	curMsgs int // unread-message count of the current activity (CUR_ACT)
@@ -136,10 +147,14 @@ func New(eng *sim.Engine, net *noc.Network, tile noc.TileID, coreClock sim.Clock
 	// unless a sampler is armed.
 	eng.Tracer().Metrics().AddProbe(func() {
 		occ := 0
-		for i := range d.eps {
-			ep := &d.eps[i]
-			if ep.Kind == EpReceive {
-				occ += bits.OnesCount64(ep.occupied)
+		for _, blk := range d.eps {
+			if blk == nil {
+				continue
+			}
+			for i := range blk {
+				if blk[i].Kind == EpReceive {
+					occ += bits.OnesCount64(blk[i].occupied)
+				}
 			}
 		}
 		d.m.occupiedSlots.Set(int64(occ))
@@ -177,7 +192,18 @@ func (d *DTU) Ep(ep EpID) Endpoint {
 	if ep < 0 || int(ep) >= NumEPs {
 		return Endpoint{}
 	}
-	return d.eps[ep]
+	return *d.ep(ep)
+}
+
+// ep returns endpoint register i (0 <= i < NumEPs), or absentEp if its
+// block was never configured. Callers check Kind before they write.
+//
+//m3v:noalloc
+func (d *DTU) ep(i EpID) *Endpoint {
+	if blk := d.eps[i/epBlock]; blk != nil {
+		return &blk[i%epBlock]
+	}
+	return &absentEp
 }
 
 // charge blocks the calling process for n core cycles, modelling MMIO
@@ -195,7 +221,7 @@ func (d *DTU) epFor(ep EpID, kind EpKind) (*Endpoint, error) {
 	if ep < 0 || int(ep) >= NumEPs {
 		return nil, ErrUnknownEp
 	}
-	e := &d.eps[ep]
+	e := d.ep(ep)
 	if e.Kind != kind {
 		return nil, ErrUnknownEp
 	}
@@ -233,8 +259,8 @@ func (d *DTU) translate(vaddr uint64, n int, perm Perm) error {
 // permission is allowed by the PMP endpoints (endpoints 0..3, paper §4.1).
 // It returns the memory tile and tile-local offset of the access.
 func (d *DTU) CheckPMP(addr uint64, n int, perm Perm) (noc.TileID, uint64, error) {
-	for i := 0; i < NumPMPEPs; i++ {
-		e := &d.eps[i]
+	for i := EpID(0); i < NumPMPEPs; i++ {
+		e := d.ep(i)
 		if e.Kind != EpMemory || !e.MemPerm.Has(perm) {
 			continue
 		}
@@ -271,7 +297,7 @@ func (d *DTU) Deliver(pkt *noc.Packet) bool {
 //m3v:noalloc
 func (d *DTU) deliverMsg(c *cmd) bool {
 	flow := c.msg.Flow
-	e := &d.eps[c.ep]
+	e := d.ep(c.ep)
 	notPresent := e.Kind != EpReceive
 	if !notPresent && !d.virt && e.Act != d.curAct && e.Act != ActInvalid && e.Act != ActTileMux {
 		// Plain DTU (M³x): only the endpoints of the current activity (and
@@ -329,7 +355,7 @@ func (d *DTU) returnCredits(ep EpID) {
 	if ep < 0 || int(ep) >= NumEPs {
 		return
 	}
-	e := &d.eps[ep]
+	e := d.ep(ep)
 	if e.Kind != EpSend || e.Credits >= e.MaxCredits {
 		return
 	}

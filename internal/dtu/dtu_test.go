@@ -3,9 +3,12 @@ package dtu
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"m3v/internal/fault"
 	"m3v/internal/mem"
 	"m3v/internal/noc"
 	"m3v/internal/sim"
@@ -548,6 +551,161 @@ func TestReplyWithoutReplyEpFails(t *testing.T) {
 }
 
 const time2ms = 2 * sim.Millisecond
+
+// TestReplyRetryKeepsRouting retries a REPLY whose transfer timed out
+// after its slot was retired and refilled. Each packet gets one try (NoC
+// MaxRetries 1) and A's one reply slot is full, so the server's reply to A
+// is NACKed and dropped, while B's request lands in the freed slot before
+// the drop. A frees its reply slot once B's request is stored. The retry
+// must still reach A, and B's request must stay in the slot, unread.
+func TestReplyRetryKeepsRouting(t *testing.T) {
+	eng := sim.NewEngine()
+	defer eng.Shutdown()
+	cfg := noc.DefaultConfig()
+	cfg.MaxRetries = 1
+	net := noc.New(eng, noc.StarMesh{NumTiles: 4}, cfg)
+	dA := New(eng, net, 0, sim.MHz(80), false)
+	dS := New(eng, net, 1, sim.MHz(80), false)
+	dB := New(eng, net, 3, sim.MHz(80), false)
+	dS.SetInjector(fault.New(eng, fault.Config{Seed: 1})) // retries, no faults
+	for _, d := range []*DTU{dA, dB} {
+		d.SetCurAct(actA)
+		must(d.ConfigureLocal(10, SendEP(actA, 1, 20, 0x10, 1, 64)))
+		must(d.ConfigureLocal(11, RecvEP(actA, 1, 64)))
+	}
+	dS.SetCurAct(actB)
+	must(dS.ConfigureLocal(20, RecvEP(actB, 1, 64)))
+	const fill = 0xF111
+	if !dA.ep(11).InjectMessage(Message{Label: fill, ReplyEp: -1, CrdEp: -1, Data: []byte("fill")}) {
+		t.Fatal("could not pre-fill A's reply slot")
+	}
+
+	var replyErr error
+	var aGot string
+	replying, replied, bStored := false, false, false
+	eng.Spawn("A", func(p *sim.Proc) {
+		must(dA.Send(p, SendArgs{Ep: 10, Data: []byte("reqA"), ReplyEp: 11, ReplyLabel: 0xA}))
+		for !bStored && !replied {
+			p.Sleep(100 * sim.Nanosecond)
+		}
+		slot, m, err := dA.Fetch(p, 11)
+		if err != nil || m.Label != fill {
+			t.Errorf("A's first message: %v, %v; want the pre-filled one", m, err)
+			return
+		}
+		must(dA.Ack(p, 11, slot))
+		for !dA.HasUnread(11) && !replied {
+			p.Sleep(100 * sim.Nanosecond)
+		}
+		if dA.HasUnread(11) {
+			slot, m, err := dA.Fetch(p, 11)
+			must(err)
+			aGot = fmt.Sprintf("label %#x %q", m.Label, m.Data)
+			must(dA.Ack(p, 11, slot))
+		}
+	})
+	eng.Spawn("B", func(p *sim.Proc) {
+		for !replying {
+			p.Sleep(100 * sim.Nanosecond)
+		}
+		err := dB.Send(p, SendArgs{Ep: 10, Data: []byte("reqB"), ReplyEp: 11, ReplyLabel: 0xB})
+		if err != nil {
+			t.Errorf("B's request did not land in the freed slot: %v", err)
+		}
+		bStored = err == nil
+	})
+	eng.Spawn("S", func(p *sim.Proc) {
+		for !dS.HasUnread(20) {
+			p.Sleep(100 * sim.Nanosecond)
+		}
+		slot, m, err := dS.Fetch(p, 20)
+		if err != nil || string(m.Data) != "reqA" {
+			t.Errorf("server's first request: %v, %v; want A's", m, err)
+			return
+		}
+		// B polls every 100 ns and SENDs as long as the server REPLYs,
+		// so starting 100 to 200 ns ahead puts B's request at the server
+		// just after the slot is freed, with the reply still on its way.
+		replying = true
+		p.Sleep(200 * sim.Nanosecond)
+		replyErr = dS.Reply(p, 20, slot, []byte("repA"), 0)
+		replied = true
+	})
+	eng.RunUntil(sim.Second)
+
+	if replyErr != nil {
+		t.Errorf("Reply = %v, want nil", replyErr)
+	}
+	if want := `label 0xa "repA"`; aGot != want {
+		t.Errorf("A received %q, want %q", aGot, want)
+	}
+	if dB.HasUnread(11) {
+		t.Error("the reply meant for A reached B")
+	}
+	if !dS.HasUnread(20) {
+		t.Fatal("B's request is no longer unread in the server's slot")
+	}
+	if e := dS.Ep(20); string(e.slots[0].msg.Data) != "reqB" || e.slots[0].msg.SndTile != 3 {
+		t.Errorf("server's slot holds %q from tile %d, want B's request", e.slots[0].msg.Data, e.slots[0].msg.SndTile)
+	}
+}
+
+// TestAbsentEndpointBlocks: a fresh DTU holds no endpoint block, and
+// every endpoint reads as zero through Ep and is unknown to every command;
+// configuring ep 127 allocates its one block, and invalidating it, or an
+// endpoint of a block that was never configured, allocates nothing.
+func TestAbsentEndpointBlocks(t *testing.T) {
+	r := newRig(t, true)
+	d := r.d0
+	d.SetCurAct(actA)
+	blocks := func() int {
+		n := 0
+		for _, blk := range d.eps {
+			if blk != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := blocks(); n != 0 {
+		t.Fatalf("fresh DTU holds %d endpoint blocks, want 0", n)
+	}
+	for ep := EpID(0); ep < NumEPs; ep++ {
+		if got := d.Ep(ep); !reflect.DeepEqual(got, Endpoint{}) {
+			t.Fatalf("Ep(%d) of a fresh DTU = %+v, want the zero endpoint", ep, got)
+		}
+		for _, kind := range []EpKind{EpSend, EpReceive, EpMemory} {
+			if _, err := d.epFor(ep, kind); !errors.Is(err, ErrUnknownEp) {
+				t.Fatalf("epFor(%d, %v) of a fresh DTU: err %v, want ErrUnknownEp", ep, kind, err)
+			}
+		}
+	}
+	conf := SendEP(actA, 1, 20, 0x1234, 1, 64)
+	if avg := testing.AllocsPerRun(10, func() {
+		d.eps[127/epBlock] = nil
+		must(d.ConfigureLocal(127, conf))
+	}); avg != 1 {
+		t.Errorf("configuring ep 127: %.1f allocs, want 1 (its block)", avg)
+	}
+	if n := blocks(); n != 1 {
+		t.Errorf("after configuring ep 127: %d blocks, want 1", n)
+	}
+	if e, err := d.epFor(127, EpSend); err != nil || e.Label != 0x1234 {
+		t.Errorf("epFor(127) after configuring = %+v, %v", e, err)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		must(d.ConfigureLocal(127, Endpoint{}))
+		must(d.ConfigureLocal(0, Endpoint{})) // block 0 was never configured
+	}); avg != 0 {
+		t.Errorf("invalidating ep 127 and ep 0: %.1f allocs, want 0", avg)
+	}
+	if n := blocks(); n != 1 || d.Ep(127).Kind != EpInvalid {
+		t.Errorf("after invalidating: %d blocks, ep 127 kind %v; want 1, invalid", n, d.Ep(127).Kind)
+	}
+	if !reflect.DeepEqual(absentEp, Endpoint{}) {
+		t.Errorf("the shared absent endpoint changed: %+v", absentEp)
+	}
+}
 
 func TestMessageTooLarge(t *testing.T) {
 	r := newRig(t, true)

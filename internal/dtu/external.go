@@ -19,6 +19,9 @@ const extReqBytes = 32
 
 // ConfigureLocal installs an endpoint configuration on this DTU without NoC
 // traffic. Used by the controller for its own DTU and by the platform setup.
+// The first endpoint of a valid kind configured into a block of the
+// register file allocates the block; an invalidation of an endpoint whose
+// block was never configured has nothing to clear.
 func (d *DTU) ConfigureLocal(ep EpID, conf Endpoint) error {
 	if ep < 0 || int(ep) >= NumEPs {
 		return ErrInvalidArgs
@@ -26,7 +29,15 @@ func (d *DTU) ConfigureLocal(ep EpID, conf Endpoint) error {
 	if conf.Kind == EpReceive && conf.slots == nil {
 		conf.slots = make([]recvSlot, conf.Slots)
 	}
-	d.eps[ep] = conf
+	blk := d.eps[ep/epBlock]
+	if blk == nil {
+		if conf.Kind == EpInvalid {
+			return nil
+		}
+		blk = new([epBlock]Endpoint)
+		d.eps[ep/epBlock] = blk
+	}
+	blk[ep%epBlock] = conf
 	return nil
 }
 
@@ -93,10 +104,14 @@ func (d *DTU) ResetCur(act ActID, msgs int) {
 // the given activity (RCTMux restore path).
 func (d *DTU) UnreadOf(act ActID) int {
 	n := 0
-	for i := range d.eps {
-		e := &d.eps[i]
-		if e.Kind == EpReceive && e.Act == act {
-			n += e.UnreadCount()
+	for _, blk := range d.eps {
+		if blk == nil {
+			continue
+		}
+		for i := range blk {
+			if e := &blk[i]; e.Kind == EpReceive && e.Act == act {
+				n += e.UnreadCount()
+			}
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package dtu
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"m3v/internal/fault"
@@ -67,14 +68,19 @@ func memOff(arg int) uint64 {
 //   - slot reuse: every successful FETCH returns exactly the bytes that
 //     were sent, whatever longer or shorter messages its slot held before
 //     (requests are 1 to 32 bytes long, and the echo replies with the
-//     request's bytes).
+//     request's bytes);
+//   - absent endpoints: the endpoints of a block no one configured (d0's
+//     ep 100, d1's ep 100, which d0's ep 12 targets) read as the shared
+//     zero endpoint, which stays zero, and no command allocates their
+//     block.
 //
 // Input layout: byte 0 arms the fault injector (rate + seed) and, in its top
 // two bits, bounds the NoC's retries per packet (0 = unbounded), so packets
 // can be dropped for good and commands must time out instead of wedging;
 // every further byte is one command (3-bit opcode, 5 bits of operand): the
 // operand of a send is its payload length minus one; see memOff for the
-// offsets of the memory commands.
+// offsets of the memory commands. Opcode 6 with an odd operand sends to
+// d1's absent ep 100 instead of sending an oversized message.
 func FuzzDTUCommands(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x01, 0x02, 0x03, 0x04})             // one of each, no faults
@@ -92,6 +98,8 @@ func FuzzDTUCommands(f *testing.F) {
 	// short request and its reply reuse the slots of the long ones. The
 	// same for one-way sends.
 	f.Add([]byte{0x00, 0xF8, 0x1D, 0x02, 0x00, 0x1D, 0x02, 0xF9, 0x1D, 0x01, 0x1D})
+	// Sends to d1's absent ep 100 and a fetch from d0's, under faults.
+	f.Add([]byte{0x03, 0x0E, 0x1E, 0x1F, 0x00, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 96 {
@@ -135,6 +143,7 @@ func FuzzDTUCommands(f *testing.F) {
 			d1.SetCurAct(actB)
 			must(d0.ConfigureLocal(10, SendEP(actA, 1, 20, 0x1234, 4, 256)))
 			must(d0.ConfigureLocal(11, RecvEP(actA, 4, 256)))
+			must(d0.ConfigureLocal(12, SendEP(actA, 1, 100, 0x12, 4, 256)))
 			must(d0.ConfigureLocal(8, MemEP(actA, 2, memBase, memSize, PermRW)))
 			must(d1.ConfigureLocal(20, RecvEP(actB, 4, 256)))
 
@@ -189,10 +198,15 @@ func FuzzDTUCommands(f *testing.F) {
 						}
 					case 5: // let the responder catch up
 						p.Sleep(sim.Time(arg+1) * 10 * sim.Microsecond)
-					case 6: // oversized message: must fail, not wedge
+					case 6:
+						if arg%2 == 1 { // to an absent endpoint: no recipient
+							err = d0.Send(p, SendArgs{Ep: 12, Data: payload(i, arg), ReplyEp: -1})
+							break
+						}
+						// oversized message: must fail, not wedge
 						err = d0.Send(p, SendArgs{Ep: 10, Data: make([]byte, 300), ReplyEp: -1})
-					default: // fetch from an empty or wrong endpoint
-						_, _, err = d0.Fetch(p, EpID(arg%3)+11)
+					default: // fetch from an empty, wrong or absent endpoint
+						_, _, err = d0.Fetch(p, [...]EpID{11, 12, 13, 100}[arg%4])
 					}
 					hash = fnvFold(hash, uint64(i)<<32|uint64(op)<<16|errCodeOf(err))
 				}
@@ -231,6 +245,12 @@ func FuzzDTUCommands(f *testing.F) {
 			}
 			if !bytes.Equal(outside(), before) {
 				t.Fatal("DRAM outside the memory endpoint's region changed")
+			}
+			if !reflect.DeepEqual(absentEp, Endpoint{}) {
+				t.Fatalf("the shared absent endpoint changed: %+v", absentEp)
+			}
+			if d0.eps[100/epBlock] != nil || d1.eps[100/epBlock] != nil {
+				t.Fatal("a command allocated the block of an absent endpoint")
 			}
 			hash = fnvFold(hash, uint64(net.Delivered())<<32|uint64(net.Nacked())<<8|uint64(net.Dropped()))
 			hash = fnvFold(hash, uint64(eng.Now()))

@@ -10,8 +10,18 @@ import (
 	"m3v/internal/sim"
 )
 
-// chunkBits sizes the sparse backing chunks (64 KiB).
-const chunkBits = 16
+// The backing store's layout: 4 KiB pages, grouped 16 to a map entry so
+// the map costs one entry per 64 KiB of address space touched.
+const (
+	pageBits  = 12
+	pageSize  = 1 << pageBits
+	groupBits = 4
+	groupMask = 1<<groupBits - 1
+)
+
+// pageGroup holds 16 consecutive pages. A page holds the bytes up to its
+// highest written offset, and nothing before its first write.
+type pageGroup [1 << groupBits][]byte
 
 // The DRAM timing model: the FPGA's DDR4 interface with ~100ns access latency
 // and 3.2 GB/s sustained bandwidth.
@@ -20,14 +30,15 @@ const (
 	bwBps         int64 = 3_200_000_000        // sustained bandwidth in bytes/second
 )
 
-// Memory is one memory tile's DRAM. The backing store is sparse: chunks are
-// allocated on first write, so multi-hundred-megabyte tiles cost nothing
-// until used.
+// Memory is one memory tile's DRAM. The backing store is sparse: a page
+// grows on write to its highest written offset, so multi-hundred-megabyte
+// tiles cost nothing until used, and a page written only at its start
+// costs only those bytes.
 type Memory struct {
 	eng      *sim.Engine
 	size     uint64
-	chunks   map[uint64][]byte
-	nextFree sim.Time // FCFS contention point
+	groups   map[uint64]*pageGroup // by page number >> groupBits
+	nextFree sim.Time              // FCFS contention point
 
 	// Reads and Writes count completed accesses, for tests and reports.
 	Reads, Writes int64
@@ -46,7 +57,7 @@ func New(eng *sim.Engine, cfg Config) *Memory {
 	return &Memory{
 		eng:    eng,
 		size:   cfg.Size,
-		chunks: make(map[uint64][]byte),
+		groups: make(map[uint64]*pageGroup),
 	}
 }
 
@@ -77,20 +88,20 @@ func (m *Memory) ReadAt(off uint64, dst []byte) {
 		panic(err)
 	}
 	m.Reads++
-	pos := 0
-	for pos < len(dst) {
-		ci := (off + uint64(pos)) >> chunkBits
-		co := (off + uint64(pos)) & (1<<chunkBits - 1)
-		span := int(1<<chunkBits - co)
-		if span > len(dst)-pos {
-			span = len(dst) - pos
+	for pos := 0; pos < len(dst); {
+		a := off + uint64(pos)
+		po := int(a & (pageSize - 1))
+		n := min(pageSize-po, len(dst)-pos)
+		var pg []byte
+		if g := m.groups[a>>(pageBits+groupBits)]; g != nil {
+			pg = g[(a>>pageBits)&groupMask]
 		}
-		if c := m.chunks[ci]; c != nil {
-			copy(dst[pos:pos+span], c[co:])
-		} else {
-			clear(dst[pos : pos+span])
+		k := 0
+		if po < len(pg) {
+			k = copy(dst[pos:pos+n], pg[po:])
 		}
-		pos += span
+		clear(dst[pos+k : pos+n])
+		pos += n
 	}
 }
 
@@ -100,22 +111,36 @@ func (m *Memory) WriteAt(off uint64, b []byte) {
 		panic(err)
 	}
 	m.Writes++
-	pos := 0
-	for pos < len(b) {
-		ci := (off + uint64(pos)) >> chunkBits
-		co := (off + uint64(pos)) & (1<<chunkBits - 1)
-		span := int(1<<chunkBits - co)
-		if span > len(b)-pos {
-			span = len(b) - pos
+	for pos := 0; pos < len(b); {
+		a := off + uint64(pos)
+		po := int(a & (pageSize - 1))
+		n := min(pageSize-po, len(b)-pos)
+		gi := a >> (pageBits + groupBits)
+		g := m.groups[gi]
+		if g == nil {
+			g = new(pageGroup)
+			m.groups[gi] = g
 		}
-		c := m.chunks[ci]
-		if c == nil {
-			c = make([]byte, 1<<chunkBits)
-			m.chunks[ci] = c
+		pg := &g[(a>>pageBits)&groupMask]
+		if end := po + n; end > len(*pg) {
+			*pg = growPage(*pg, end)
 		}
-		copy(c[co:], b[pos:pos+span])
-		pos += span
+		copy((*pg)[po:], b[pos:pos+n])
+		pos += n
 	}
+}
+
+// growPage extends page pg to end bytes, zero beyond its old length. The
+// capacity at least doubles, up to the page size, so a page filled by
+// small ascending writes is copied O(log) times.
+func growPage(pg []byte, end int) []byte {
+	if end <= cap(pg) {
+		// Bytes past len were never written: make zeroed them.
+		return pg[:end]
+	}
+	grown := make([]byte, end, min(max(end, 2*cap(pg)), pageSize))
+	copy(grown, pg)
+	return grown
 }
 
 func (m *Memory) check(off uint64, n int) error {

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -48,26 +49,66 @@ func TestOutOfBoundsPanics(t *testing.T) {
 }
 
 // TestReadZeroesReusedBuffer reads into a dirty buffer across a written
-// chunk and one that was never written: every byte not stored must come
+// page and one that was never written: every byte not stored must come
 // back as zero, not as the buffer's old contents.
 func TestReadZeroesReusedBuffer(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, DefaultConfig(1<<20))
-	m.WriteAt(1<<chunkBits-1, []byte("xy")) // last byte of chunk 0, first of chunk 1
+	m.WriteAt(1<<pageBits-1, []byte("xy")) // last byte of page 0, first of page 1
 	dirty := func() []byte { return bytes.Repeat([]byte{0xEE}, 8) }
 	for _, c := range []struct {
 		off  uint64
 		want []byte
 	}{
-		{1<<chunkBits - 4, []byte{0, 0, 0, 'x', 'y', 0, 0, 0}},
-		{2<<chunkBits - 4, make([]byte, 8)}, // end of chunk 1, chunk 2 never written
-		{5 << chunkBits, make([]byte, 8)},   // no chunk at all
+		{1<<pageBits - 4, []byte{0, 0, 0, 'x', 'y', 0, 0, 0}},
+		{2<<pageBits - 4, make([]byte, 8)},             // end of page 1, page 2 never written
+		{5 << (pageBits + groupBits), make([]byte, 8)}, // no page group at all
 	} {
 		got := dirty()
 		m.ReadAt(c.off, got)
 		if !bytes.Equal(got, c.want) {
 			t.Errorf("ReadAt(%#x) into a dirty buffer = %x, want %x", c.off, got, c.want)
 		}
+	}
+}
+
+// TestPageFootprint writes 64 bytes at the start of every 4 KiB page, the
+// pattern of the find trace's file system: each page may cost at most 128
+// bytes, the record and its share of the page table. Reads past a page's
+// written end must still zero a dirty buffer.
+func TestPageFootprint(t *testing.T) {
+	const pages = 1024
+	m := New(sim.NewEngine(), DefaultConfig(pages*pageSize))
+	rec := bytes.Repeat([]byte{0xAB}, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < pages; i++ {
+		m.WriteAt(i*pageSize, rec)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / pages; per > 128 {
+		t.Errorf("64 B per 4 KiB page allocates %d bytes per page, want at most 128", per)
+	} else {
+		t.Logf("64 B per 4 KiB page allocates %d bytes per page, bound 128", per)
+	}
+	dst := bytes.Repeat([]byte{0xEE}, pageSize)
+	m.ReadAt(5*pageSize, dst)
+	if !bytes.Equal(dst[:64], rec) || !bytes.Equal(dst[64:], make([]byte, pageSize-64)) {
+		t.Errorf("page read into a dirty buffer did not return the record and zeros")
+	}
+	dst = bytes.Repeat([]byte{0xEE}, 16)
+	m.ReadAt(7*pageSize+100, dst) // wholly past the page's written end
+	if !bytes.Equal(dst, make([]byte, 16)) {
+		t.Errorf("read past a page's written end = %x, want zeros", dst)
+	}
+	// A later write in the middle of a page keeps the record and zeros the gap.
+	m.WriteAt(9*pageSize+1000, []byte("mid"))
+	dst = bytes.Repeat([]byte{0xEE}, 1010)
+	m.ReadAt(9*pageSize, dst)
+	want := append(append(bytes.Clone(rec), make([]byte, 1000-64)...), "mid"...)
+	want = append(want, make([]byte, 1010-len(want))...)
+	if !bytes.Equal(dst, want) {
+		t.Errorf("grown page reads %x, want %x", dst, want)
 	}
 }
 

@@ -135,6 +135,9 @@ const (
 // even when event tracing is off. A log-linear sub-bucket grid underneath
 // the coarse buckets turns it into a bounded-error quantile sketch: Quantile
 // reports any percentile with relative error at most 1/16, in fixed memory.
+// The grid (8.3 KB, most of the histogram) exists only once the histogram
+// holds a nonzero value: the first nonzero Observe, or a Merge of one,
+// allocates it, so an instrument a run never feeds costs a few hundred bytes.
 type Histogram struct {
 	name     string
 	count    int64
@@ -145,8 +148,22 @@ type Histogram struct {
 	buckets [65]int64
 	// sub[i] splits bucket i (i >= 1) into histSubCount linear cells of
 	// width 2^(i-1)/histSubCount each (cells are exact for i <= histSubBits,
-	// where the bucket is narrower than the grid).
-	sub [65][histSubCount]int64
+	// where the bucket is narrower than the grid). Nil while every
+	// observation is zero; see grid.
+	sub *histGrid
+}
+
+// histGrid is the sub-bucket grid of a Histogram.
+type histGrid [65][histSubCount]int64
+
+// grid returns h's sub-bucket grid, allocating it on first use. It is left
+// un-annotated: the allocation happens once per histogram.
+func (h *Histogram) grid() *histGrid {
+	if h.sub == nil {
+		//m3vlint:ignore noalloc once per histogram: the first nonzero observation allocates the grid, every later one reuses it
+		h.sub = new(histGrid)
+	}
+	return h.sub
 }
 
 // Name returns the histogram's registry name.
@@ -173,7 +190,7 @@ func (h *Histogram) Observe(v int64) {
 	b := bits.Len64(uint64(v))
 	h.buckets[b]++
 	if b > 0 {
-		h.sub[b][histSubIdx(v, b)]++
+		h.grid()[b][histSubIdx(v, b)]++
 	}
 }
 
@@ -273,6 +290,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if seen >= rank {
 		return 0
 	}
+	// A nonzero bucket b >= 1 holds nonzero values, so the grid exists.
 	for b := 1; b <= 64; b++ {
 		if h.buckets[b] == 0 {
 			continue
@@ -327,9 +345,13 @@ func (h *Histogram) Merge(o *Histogram) {
 	for i := range h.buckets {
 		h.buckets[i] += o.buckets[i]
 	}
-	for i := range h.sub {
-		for j := range h.sub[i] {
-			h.sub[i][j] += o.sub[i][j]
+	if o.sub == nil {
+		return // o holds only zeros
+	}
+	g := h.grid()
+	for i := range g {
+		for j := range g[i] {
+			g[i][j] += o.sub[i][j]
 		}
 	}
 }

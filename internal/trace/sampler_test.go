@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -157,6 +159,92 @@ func TestHistogramMerge(t *testing.T) {
 	a.Merge(nil)
 	if a.Count() != count {
 		t.Fatal("merging empty changed the count")
+	}
+}
+
+// TestHistogramGridLazy: a histogram that never saw a nonzero value holds
+// no sub-bucket grid, not even after merging another such histogram; the
+// first nonzero observation allocates it, and a warm Observe allocates
+// nothing.
+func TestHistogramGridLazy(t *testing.T) {
+	var h Histogram
+	if h.sub != nil {
+		t.Fatal("unobserved histogram holds a grid")
+	}
+	for i := 0; i < 3; i++ {
+		h.Observe(0)
+		h.Observe(-7) // clamped to zero
+	}
+	var sink Histogram
+	sink.Merge(&h)
+	if h.sub != nil || sink.sub != nil {
+		t.Fatal("zero-only histogram holds a grid")
+	}
+	if h.Count() != 6 || h.Quantile(0.5) != 0 || sink.Count() != 6 {
+		t.Fatalf("zero-only histogram: count %d, median %d, merged count %d; want 6, 0, 6",
+			h.Count(), h.Quantile(0.5), sink.Count())
+	}
+	h.Observe(5)
+	if h.sub == nil {
+		t.Fatal("nonzero observation left the grid unallocated")
+	}
+	if avg := testing.AllocsPerRun(1000, func() { h.Observe(123_456) }); avg != 0 {
+		t.Fatalf("warm Observe: %.1f allocs, want 0", avg)
+	}
+}
+
+// TestHistogramMatchesEagerGrid feeds seeded random streams (zeros, a
+// spread of magnitudes up to MaxInt64, negatives, and zero-only streams)
+// into lazy histograms and into a reference whose grid exists from the
+// start: counts, buckets, quantiles and merges must agree exactly.
+func TestHistogramMatchesEagerGrid(t *testing.T) {
+	eager := func() *Histogram { return &Histogram{sub: new(histGrid)} }
+	same := func(seed int64, what string, got, want *Histogram) {
+		t.Helper()
+		if got.Count() != want.Count() || got.Sum() != want.Sum() ||
+			got.Min() != want.Min() || got.Max() != want.Max() {
+			t.Fatalf("seed %d, %s: count/sum/min/max %d/%d/%d/%d, want %d/%d/%d/%d", seed, what,
+				got.Count(), got.Sum(), got.Min(), got.Max(), want.Count(), want.Sum(), want.Min(), want.Max())
+		}
+		gb, gc := got.Buckets()
+		wb, wc := want.Buckets()
+		if !reflect.DeepEqual(gb, wb) || !reflect.DeepEqual(gc, wc) {
+			t.Fatalf("seed %d, %s: buckets %v %v, want %v %v", seed, what, gb, gc, wb, wc)
+		}
+		for q := 0.0; q <= 1.0; q += 0.005 {
+			if g, w := got.Quantile(q), want.Quantile(q); g != w {
+				t.Fatalf("seed %d, %s: quantile(%g) = %d, want %d", seed, what, q, g, w)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		zeroOnly := seed%5 == 0
+		lazy := [2]*Histogram{{}, {}}
+		ref := [2]*Histogram{eager(), eager()}
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			var v int64
+			switch k := rng.Intn(8); {
+			case zeroOnly || k == 0:
+			case k == 1:
+				v = -rng.Int63n(1000)
+			case k == 2:
+				v = math.MaxInt64 - rng.Int63n(1<<40)
+			default:
+				v = rng.Int63n(int64(1) << uint(1+rng.Intn(62)))
+			}
+			j := rng.Intn(2)
+			lazy[j].Observe(v)
+			ref[j].Observe(v)
+		}
+		same(seed, "stream 0", lazy[0], ref[0])
+		same(seed, "stream 1", lazy[1], ref[1])
+		var fresh Histogram
+		fresh.Merge(lazy[1])
+		same(seed, "merged into empty", &fresh, ref[1])
+		lazy[0].Merge(lazy[1])
+		ref[0].Merge(ref[1])
+		same(seed, "merged", lazy[0], ref[0])
 	}
 }
 
