@@ -1,11 +1,13 @@
 package m3v_test
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (§6). Each benchmark runs the corresponding experiment
-// driver and reports the reproduced values as custom metrics; the printed
-// tables also show the paper's published numbers side by side.
+// Benchmark harness: one sub-benchmark per entry of the experiment registry
+// (bench.Experiments), which holds every table and figure of the paper's
+// evaluation (§6). Each runs the entry with the zero Params and reports the
+// reproduced values as custom metrics; the printed tables also show the
+// paper's published numbers side by side.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
+//	go test -run '^$' -bench 'Experiments/^fig6$' -benchtime 1x
 //
 // Wall-clock time measures the simulator, not the modelled system; the
 // custom metrics carry the simulated results.
@@ -64,53 +66,19 @@ func TestReportMetricCollisions(t *testing.T) {
 	}
 }
 
-// BenchmarkTable1Complexity regenerates Table 1: the vDTU area accounting
-// from the structural hardware model, including the cost of virtualization
-// (~6% logic, four registers).
-func BenchmarkTable1Complexity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.Table1())
-	}
-}
-
-// BenchmarkSoftwareComplexity regenerates the §6.1 SLOC comparison between
-// the controller and TileMux.
-func BenchmarkSoftwareComplexity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.SoftwareComplexity())
-	}
-}
-
-// BenchmarkFig6Microbench regenerates Figure 6: tile-local and cross-tile
-// no-op RPCs on M³v against Linux's no-op syscall and double yield.
-func BenchmarkFig6Microbench(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig6())
-	}
-}
-
-// BenchmarkFig7FS regenerates Figure 7: file read/write throughput of the
-// extent-based m3fs (shared and isolated) against Linux tmpfs.
-func BenchmarkFig7FS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig7())
-	}
-}
-
-// BenchmarkFig8UDP regenerates Figure 8: 1-byte UDP round-trip latency to a
-// directly connected peer.
-func BenchmarkFig8UDP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig8())
-	}
-}
-
-// BenchmarkFig9Scalability regenerates Figure 9: throughput of the find and
-// SQLite traceplayers with tile-local file systems, M³x vs M³v, across tile
-// counts. This is the paper's headline scalability result.
-func BenchmarkFig9Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig9())
+// BenchmarkExperiments runs every registry experiment, one sub-benchmark
+// per ID in registry order (BenchmarkExperiments/fig6 and so on).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run(bench.Params{}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				report(b, r)
+			}
+		})
 	}
 }
 
@@ -123,30 +91,5 @@ func BenchmarkFig9FindOneTile(b *testing.B) {
 		b.ReportMetric(m3v, "M3v(runs/s)")
 		b.ReportMetric(m3x, "M3x(runs/s)")
 		b.ReportMetric(m3v/m3x, "speedup(x)")
-	}
-}
-
-// BenchmarkVoiceAssistant regenerates §6.5.1: trigger-to-cloud latency of
-// the IoT voice assistant with and without tile sharing.
-func BenchmarkVoiceAssistant(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.VoiceAssistant())
-	}
-}
-
-// BenchmarkFig10Cloud regenerates Figure 10: the cloud key-value service
-// under the five YCSB mixes, M³v isolated/shared vs Linux with user/system
-// splits.
-func BenchmarkFig10Cloud(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig10())
-	}
-}
-
-// BenchmarkAblations regenerates the design-choice ablations DESIGN.md
-// calls out, most importantly §3.5's rejected TileMux-mediation design.
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, bench.Ablations())
 	}
 }

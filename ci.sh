@@ -60,7 +60,7 @@ echo "== bench smoke =="
 # ProcSleep records the Sleep fast path (the sleeper's own resume is the
 # next event) against a forced miss.
 go test -run '^$' -bench 'EngineSchedule|EnginePingPong|ProcSleep' -benchtime 1x ./internal/sim
-go test -run '^$' -bench 'Fig9FindOneTile|Fig10Cloud' -benchtime 1x .
+go test -run '^$' -bench 'Fig9FindOneTile|Experiments/^fig10$' -benchtime 1x .
 
 echo "== perf smoke =="
 # Allocation gates: every sim microbenchmark runs once and the

@@ -2,7 +2,7 @@
 // prints their tables, including the paper's published values side by side.
 //
 //	m3vbench                          # everything, sweep points fanned across all CPUs
-//	m3vbench -run fig6                # one experiment: table1, sloc, fig6..fig10, voice
+//	m3vbench -run fig6                # one experiment (-list prints the ids)
 //	m3vbench -run fig9 -parallel 4    # cap the sweep worker pool at 4
 //	m3vbench -run fig6 -trace t.json  # also dump one Chrome trace of all runs
 package main
@@ -20,17 +20,6 @@ import (
 	"m3v/internal/cliflags"
 	"m3v/internal/trace"
 )
-
-// order is the canonical run sequence of the shared experiment registry
-// (bench.Experiments), the single source of truth for experiment names used
-// here and by the m3vd serving layer.
-var order = func() []string {
-	var ids []string
-	for _, e := range bench.Experiments() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}()
 
 // options are the parsed command-line settings.
 type options struct {
@@ -104,10 +93,10 @@ func parseTiles(s string) ([]int, error) {
 	return tiles, nil
 }
 
-// listExperiments prints the experiment ids in run order.
+// listExperiments prints the registry's experiment ids in run order.
 func listExperiments(out io.Writer) {
-	for _, id := range order {
-		fmt.Fprintln(out, id)
+	for _, e := range bench.Experiments() {
+		fmt.Fprintln(out, e.ID)
 	}
 }
 

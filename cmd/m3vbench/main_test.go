@@ -16,27 +16,31 @@ import (
 	"m3v/internal/trace"
 )
 
-// TestRegistryAgreement checks that the names m3vbench accepts are exactly
-// the shared registry's IDs, in registry order, and pins the canonical
-// list: m3vd dispatches from the same table, so a drift here would split
-// the CLI and the serving layer.
+// TestRegistryAgreement pins the -list output: exactly the shared
+// registry's IDs, in registry order, and the canonical list itself. m3vd
+// dispatches from the same table, so a drift here would split the CLI and
+// the serving layer.
 func TestRegistryAgreement(t *testing.T) {
 	want := []string{"table1", "sloc", "fig6", "fig7", "fig8", "fig9", "voice", "fig10", "ablation"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
+	var out strings.Builder
+	if err := run([]string{"-list"}, &out); err != nil {
+		t.Fatalf("run -list: %v", err)
 	}
-	reg := bench.Experiments()
-	if len(reg) != len(order) {
-		t.Fatalf("registry has %d entries, m3vbench accepts %d", len(reg), len(order))
+	if got := strings.Fields(out.String()); !reflect.DeepEqual(got, want) {
+		t.Errorf("-list = %v, want %v", got, want)
 	}
-	for i, e := range reg {
-		if order[i] != e.ID {
-			t.Errorf("order[%d] = %q, registry %q", i, order[i], e.ID)
-		}
-		if e.Run == nil {
-			t.Errorf("experiment %q has no driver", e.ID)
-		}
+	if ids := registryIDs(); !reflect.DeepEqual(ids, want) {
+		t.Errorf("registry = %v, want %v", ids, want)
 	}
+}
+
+// registryIDs lists the registry's IDs in run order.
+func registryIDs() []string {
+	var ids []string
+	for _, e := range bench.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }
 
 // TestParseOptionsDefaults pins the default option values.
@@ -48,8 +52,8 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.list || o.parallel != runtime.NumCPU() {
 		t.Errorf("defaults = %+v", o)
 	}
-	if ids := runIDs(o); !reflect.DeepEqual(ids, order) {
-		t.Errorf("default run = %v, want every experiment %v", ids, order)
+	if ids, want := runIDs(o), registryIDs(); !reflect.DeepEqual(ids, want) {
+		t.Errorf("default run = %v, want every experiment %v", ids, want)
 	}
 	if p := o.params(); !reflect.DeepEqual(p, bench.Params{}) {
 		t.Errorf("default params = %+v, want the zero value", p)
@@ -109,19 +113,21 @@ func TestParseOptionsFig9Tiles(t *testing.T) {
 	}
 }
 
-// TestListExperiments checks the -list output covers every experiment in
-// run order.
+// TestListExperiments checks that every listed experiment resolves and
+// that -list only lists: with -run it still prints the ids and runs nothing.
 func TestListExperiments(t *testing.T) {
-	var out strings.Builder
+	var out, withRun strings.Builder
 	listExperiments(&out)
-	lines := strings.Fields(out.String())
-	if !reflect.DeepEqual(lines, order) {
-		t.Errorf("-list = %v, want %v", lines, order)
-	}
-	for _, id := range lines {
+	for _, id := range strings.Fields(out.String()) {
 		if _, ok := bench.Lookup(id); !ok {
 			t.Errorf("listed experiment %q has no driver", id)
 		}
+	}
+	if err := run([]string{"-list", "-run", "fig6"}, &withRun); err != nil {
+		t.Fatalf("run -list -run fig6: %v", err)
+	}
+	if withRun.String() != out.String() {
+		t.Errorf("-list -run fig6 printed\n%s\nwant the id list\n%s", withRun.String(), out.String())
 	}
 }
 

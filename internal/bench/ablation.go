@@ -6,7 +6,7 @@ import (
 	"m3v/internal/sim"
 )
 
-// Ablations quantifies the design choices the paper calls out:
+// ablations quantifies the design choices the paper calls out:
 //
 //  1. §3.5: the first M³v design iteration let TileMux mediate every vDTU
 //     access instead of tagging endpoints with activity ids; it "degraded
@@ -17,15 +17,8 @@ import (
 //  2. §3.6: the single-page transfer restriction lets the vDTU check the
 //     TLB once per command, at the price of one command per page on the
 //     data path; we report that per-command overhead (the SEND cost).
-func Ablations() *Result { return must(ablations(Params{}, nil)) }
-
-// mediationCycles is the §3.5 trap charged on top of every unprivileged
-// command: trap entry/exit, argument copy, endpoint-ownership validation in
-// software, and the return.
-const mediationCycles = 2200
-
 func ablations(p Params, c *sim.Canceler) (*Result, error) {
-	r := &Result{ID: "ablation", Title: "Design-choice ablations"}
+	r := newResult("ablation")
 
 	// The two measurements are independent systems; run them as sweep
 	// points.
@@ -47,6 +40,11 @@ func ablations(p Params, c *sim.Canceler) (*Result, error) {
 	r.Note("paper §3.5: mediation cost is why activities use the vDTU directly")
 	return finish(r, c)
 }
+
+// mediationCycles is the §3.5 trap charged on top of every unprivileged
+// command: trap entry/exit, argument copy, endpoint-ownership validation in
+// software, and the return.
+const mediationCycles = 2200
 
 // measureMediatedRPC measures a remote no-op RPC with TileMux mediation
 // charged on every processing tile's vDTU.

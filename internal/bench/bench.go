@@ -69,12 +69,3 @@ func (r *Result) Get(label string) float64 {
 	}
 	return 0
 }
-
-// All runs every experiment in paper order (the registry's order).
-func All() []*Result {
-	var out []*Result
-	for _, e := range Experiments() {
-		out = append(out, must(e.Run(Params{}, nil)))
-	}
-	return out
-}

@@ -9,8 +9,19 @@ import (
 	"m3v/internal/ycsb"
 )
 
+// runDriver runs an experiment driver with the zero Params and no
+// canceler, failing the test on an error.
+func runDriver(t *testing.T, run func(Params, *sim.Canceler) (*Result, error)) *Result {
+	t.Helper()
+	r, err := run(Params{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestFig6Shape(t *testing.T) {
-	r := Fig6()
+	r := runDriver(t, fig6)
 	t.Log("\n" + r.String())
 	remote := r.Get("M3v remote")
 	local := r.Get("M3v local")
@@ -34,7 +45,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	r := Fig7()
+	r := runDriver(t, fig7)
 	t.Log("\n" + r.String())
 	for _, label := range []string{"Linux read", "Linux write",
 		"M3v read (shared)", "M3v read (isolated)",
@@ -64,7 +75,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	r := Fig8()
+	r := runDriver(t, fig8)
 	t.Log("\n" + r.String())
 	linux := r.Get("Linux")
 	shared := r.Get("M3v (shared)")
@@ -159,7 +170,7 @@ func TestFig9Scalability(t *testing.T) {
 }
 
 func TestVoiceAssistantShape(t *testing.T) {
-	r := VoiceAssistant()
+	r := runDriver(t, voice)
 	t.Log("\n" + r.String())
 	iso := r.Get("isolated")
 	sh := r.Get("shared")
@@ -201,7 +212,7 @@ func TestFig10ReadHeavyShape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r := Table1()
+	r := runDriver(t, table1)
 	t.Log("\n" + r.String())
 	delta := r.Get("virtualization logic delta")
 	if delta < 3 || delta > 12 {
@@ -217,7 +228,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestSoftwareComplexityShape(t *testing.T) {
-	r := SoftwareComplexity()
+	r := runDriver(t, sloc)
 	t.Log("\n" + r.String())
 	c := r.Get("controller")
 	m := r.Get("TileMux")
@@ -231,8 +242,6 @@ func TestSoftwareComplexityShape(t *testing.T) {
 		t.Errorf("controller/TileMux = %.0f/%.0f SLOC = %.2f, want at least 1.5", c, m, ratio)
 	}
 }
-
-var _ = sim.Second
 
 func TestFig10ScanAnomaly(t *testing.T) {
 	// Paper §6.5.2: "Linux performs worse than M3v (shared) for scans" —

@@ -276,14 +276,23 @@ func linuxCloud(c *sim.Canceler, runs ycsbRuns) cloudTimes {
 	return out
 }
 
-// Fig10 reproduces Figure 10: the cloud service under YCSB workloads, M³v
+// Fig10 runs fig10 with the zero Params and panics on a broken
+// measurement. It is exported only for the perfbench module's fig10-ycsb
+// workload; everything else runs fig10 through the registry.
+func Fig10() *Result {
+	r, err := fig10(Params{}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// fig10 reproduces Figure 10: the cloud service under YCSB workloads, M³v
 // isolated/shared vs Linux, runtime split into user and system time. Each
 // mix is one point of the sweep, fanned out across the worker pool: its
 // runs are generated once and replayed by three independent simulations.
-func Fig10() *Result { return must(fig10(Params{}, nil)) }
-
 func fig10(p Params, c *sim.Canceler) (*Result, error) {
-	r := &Result{ID: "fig10", Title: "Cloud service (YCSB on LSM store), runtime per run"}
+	r := newResult("fig10")
 	// Three configurations per mix: M3v isolated, M3v shared, Linux.
 	times := runPoints(len(ycsb.Mixes), func(i int) [3]cloudTimes {
 		runs := cloudRuns(ycsb.Mixes[i].Mix)

@@ -92,14 +92,12 @@ func fig6M3v(p Params, c *sim.Canceler) (remote, local sim.Time) {
 	return pts[0], pts[1]
 }
 
-// Fig6 reproduces Figure 6: local/remote communication on M³v and the
+// fig6 reproduces Figure 6: local/remote communication on M³v and the
 // corresponding Linux primitives. Values in microseconds on 80 MHz BOOM
 // cores; the paper's anchors are ~25us for both the Linux no-op syscall and
 // the M³v remote RPC, ~5k cycles (~62us) for the tile-local RPC.
-func Fig6() *Result { return must(fig6(Params{}, nil)) }
-
 func fig6(p Params, c *sim.Canceler) (*Result, error) {
-	r := &Result{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives"}
+	r := newResult("fig6")
 	clk := sim.MHz(80)
 	remote, local := fig6M3v(p, c)
 	linux := runPoints(2, func(i int) sim.Time {
@@ -132,7 +130,7 @@ func serveFig6(p Params, c *sim.Canceler) (*Result, error) {
 		return nil, errors.New("fig6: rpc measurement incomplete")
 	}
 	clk := sim.MHz(80)
-	r := &Result{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives"}
+	r := newResult("fig6")
 	r.Add("M3v remote", remote.Micros(), "us", 25)
 	r.Add("M3v local", local.Micros(), "us", 62)
 	r.Add("M3v remote (cycles)", float64(clk.CyclesIn(remote)), "cycles", 2000)

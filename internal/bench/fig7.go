@@ -134,14 +134,12 @@ func linuxFSThroughput(c *sim.Canceler) (readMiBs, writeMiBs float64) {
 	return total / readT.Seconds(), total / writeT.Seconds()
 }
 
-// Fig7 reproduces Figure 7: file read/write throughput of m3fs (with and
+// fig7 reproduces Figure 7: file read/write throughput of m3fs (with and
 // without tile sharing) against Linux tmpfs. Paper values are approximate
 // bar heights (MiB/s at 80 MHz). The three configurations run as independent
 // sweep points.
-func Fig7() *Result { return must(fig7(Params{}, nil)) }
-
 func fig7(p Params, c *sim.Canceler) (*Result, error) {
-	r := &Result{ID: "fig7", Title: "File read/write throughput (MiB/s)"}
+	r := newResult("fig7")
 	type rw struct{ r, w float64 }
 	pts := runPoints(3, func(i int) rw {
 		switch i {

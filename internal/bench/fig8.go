@@ -82,12 +82,10 @@ func linuxUDPLatency(c *sim.Canceler) sim.Time {
 	return rtt
 }
 
-// Fig8 reproduces Figure 8: UDP latency between the platform and a directly
+// fig8 reproduces Figure 8: UDP latency between the platform and a directly
 // connected machine, 1-byte packets.
-func Fig8() *Result { return must(fig8(Params{}, nil)) }
-
 func fig8(p Params, c *sim.Canceler) (*Result, error) {
-	r := &Result{ID: "fig8", Title: "UDP round-trip latency (us)"}
+	r := newResult("fig8")
 	pts := runPoints(3, func(i int) sim.Time {
 		switch i {
 		case 0:

@@ -35,6 +35,9 @@ type playerResult struct {
 }
 
 // Fig9Point measures one data point of Figure 9: runs/s on n worker tiles.
+// It panics on a broken measurement. It is exported only for the perfbench
+// module's fig9-mux workload; everything else runs fig9 through the
+// registry.
 func Fig9Point(m3xMode bool, n int, mkTrace func() *traces.Trace) float64 {
 	v, err := fig9Run(Params{}, nil, m3xMode, n, mkTrace)
 	if err != nil {
@@ -156,13 +159,11 @@ var fig9Paper = map[string]float64{
 	"M3v SQLite 12": 1200,
 }
 
-// Fig9 reproduces Figure 9: scalability of context-switch-heavy workloads
+// fig9 reproduces Figure 9: scalability of context-switch-heavy workloads
 // under tile multiplexing, M³x vs M³v, 1-12 tiles. The (system, trace,
 // tile-count) points are independent simulations and fan out across the
 // sweep worker pool; rows keep the figure's order regardless of worker
 // count.
-func Fig9() *Result { return must(fig9(Params{}, nil)) }
-
 func fig9(p Params, c *sim.Canceler) (*Result, error) {
 	r, err := fig9Sweep(p, c, true)
 	if err != nil {
@@ -229,7 +230,7 @@ func fig9Sweep(p Params, c *sim.Canceler, withM3x bool) (*Result, error) {
 	if c.Cancelled() {
 		return nil, ErrCancelled
 	}
-	r := &Result{ID: "fig9", Title: "Scalability of tile multiplexing (runs/s)"}
+	r := newResult("fig9")
 	for i, pt := range pts {
 		if vals[i].err != nil {
 			return nil, vals[i].err

@@ -31,6 +31,7 @@ func collectGolden(t *testing.T) map[string]map[string]float64 {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		checkIdentity(t, e, r)
 		rows := make(map[string]float64, len(r.Rows))
 		for _, m := range r.Rows {
 			rows[m.Label] = m.Value
@@ -43,6 +44,7 @@ func collectGolden(t *testing.T) map[string]map[string]float64 {
 // TestGoldenFigures pins every row of the goldenExperiments tables to the
 // committed snapshot: the simulation is deterministic, so any drift is a real
 // model change and must be reviewed (and the snapshot regenerated) explicitly.
+// Every table must also carry its registry entry's ID and title.
 func TestGoldenFigures(t *testing.T) {
 	got := collectGolden(t)
 

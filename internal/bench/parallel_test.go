@@ -143,7 +143,11 @@ func TestForEachPointParallelPanicWrapsAndCompletes(t *testing.T) {
 func TestFig9ParallelSerialEquivalence(t *testing.T) {
 	defer SetParallelism(orig(t))
 	fig9Small := func() string {
-		return must(fig9(Params{Tiles: []int{1, 2}}, nil)).String()
+		r, err := fig9(Params{Tiles: []int{1, 2}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.String()
 	}
 	SetParallelism(1)
 	serial := fig9Small()

@@ -58,22 +58,15 @@ func finish(r *Result, c *sim.Canceler) (*Result, error) {
 	return r, nil
 }
 
-// must unwraps a run made without a canceler for the exported Fig*
-// functions, where the only possible error is a broken measurement.
-func must(r *Result, err error) *Result {
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Experiment is one entry of the shared experiment registry: the single
-// dispatch table behind both cmd/m3vbench and the m3vd serving layer.
+// Experiment is one entry of the shared experiment registry: the one way to
+// run an experiment, behind cmd/m3vbench, the m3vd serving layer and the
+// root benchmarks.
 type Experiment struct {
 	// ID is the canonical name accepted by -run and the serving request
 	// schema.
 	ID string
-	// Title matches the Result title the driver produces.
+	// Title is the title of every Result the entry's runners produce
+	// (newResult copies both from here).
 	Title string
 	// Run executes the full figure/table reproduction.
 	Run func(Params, *sim.Canceler) (*Result, error)
@@ -90,7 +83,7 @@ type Experiment struct {
 // deterministic for equal params.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "table1", Title: "vDTU area accounting (structural model)", Run: static(Table1)},
+		{ID: "table1", Title: "vDTU area accounting (structural model)", Run: table1},
 		{ID: "sloc", Title: "Software complexity (SLOC)", Run: sloc},
 		{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives", Run: fig6, Servable: serveFig6},
 		{ID: "fig7", Title: "File read/write throughput (MiB/s)", Run: fig7},
@@ -102,10 +95,14 @@ func Experiments() []Experiment {
 	}
 }
 
-// static adapts table1's driver, which simulates nothing, to the registry
-// signature.
-func static(f func() *Result) func(Params, *sim.Canceler) (*Result, error) {
-	return func(Params, *sim.Canceler) (*Result, error) { return f(), nil }
+// newResult starts a result with the ID and title of the registry entry id,
+// the one place both are declared. Every driver starts its result here.
+func newResult(id string) *Result {
+	e, ok := Lookup(id)
+	if !ok {
+		panic("bench: no registry entry " + id)
+	}
+	return &Result{ID: e.ID, Title: e.Title}
 }
 
 // Lookup finds a registry entry by ID. A linear scan over the ordered

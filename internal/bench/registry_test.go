@@ -11,7 +11,8 @@ import (
 )
 
 // TestRegistryShape pins the registry's canonical order, ID uniqueness,
-// and which experiments are servable.
+// which experiments are servable, and the identity of table1's and sloc's
+// results.
 func TestRegistryShape(t *testing.T) {
 	wantOrder := []string{"table1", "sloc", "fig6", "fig7", "fig8", "fig9", "voice", "fig10", "ablation"}
 	reg := Experiments()
@@ -46,6 +47,26 @@ func TestRegistryShape(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup(nope) succeeded")
 	}
+	// The two experiments that simulate nothing carry their registry
+	// identity; TestGoldenFigures checks the others.
+	for _, id := range []string{"table1", "sloc"} {
+		e, _ := Lookup(id)
+		r, err := e.Run(Params{}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		checkIdentity(t, e, r)
+	}
+}
+
+// checkIdentity requires a result to carry the ID and title of the registry
+// entry that produced it: the title m3vd lists under /experiments is the
+// one the table prints and /run bodies serve.
+func checkIdentity(t *testing.T, e Experiment, r *Result) {
+	t.Helper()
+	if r.ID != e.ID || r.Title != e.Title {
+		t.Errorf("%s result identity = (%q, %q), want the registry's (%q, %q)", e.ID, r.ID, r.Title, e.ID, e.Title)
+	}
 }
 
 // TestServableFig6Deterministic runs the servable fig6 twice with equal
@@ -58,6 +79,7 @@ func TestServableFig6Deterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("servable fig6: %v", err)
 		}
+		checkIdentity(t, e, r)
 		return r.String()
 	}
 	first := run()
@@ -77,6 +99,7 @@ func TestServableFig9TileClamp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("servable fig9: %v", err)
 	}
+	checkIdentity(t, e, r)
 	if len(r.Rows) != 2 {
 		t.Fatalf("servable fig9 rows = %d, want 2", len(r.Rows))
 	}

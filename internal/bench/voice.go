@@ -226,14 +226,12 @@ func compressorProg(a *activity.Activity) {
 	}
 }
 
-// VoiceAssistant reproduces §6.5.1: the trigger-to-cloud latency with and
+// voice reproduces §6.5.1: the trigger-to-cloud latency with and
 // without tile sharing. The paper measured 384 ms isolated vs 398 ms shared
 // (3.6% overhead) for its audio segment; the shape target is a small
 // sharing overhead.
-func VoiceAssistant() *Result { return must(voice(Params{}, nil)) }
-
 func voice(p Params, c *sim.Canceler) (*Result, error) {
-	r := &Result{ID: "voice", Title: "Voice assistant: compress+transmit after trigger"}
+	r := newResult("voice")
 	type vres struct {
 		t     sim.Time
 		ratio float64

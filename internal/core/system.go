@@ -104,7 +104,7 @@ func New(cfg Config) *System {
 	if cfg.BaselineM3x {
 		s.Driver = m3x.NewDriver(eng, s.Kern)
 	}
-	nextCtrlEp := dtu.EpID(8)
+	nextCtrlEp := kernel.EpFirstMuxSgate
 	for _, id := range cfg.ProcessingTiles() {
 		t := s.Tiles[id]
 		mustEp(t.DTU.ConfigureLocal(tilemux.EpKernRgate, dtu.RecvEP(dtu.ActTileMux, 4, 256)))

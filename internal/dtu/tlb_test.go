@@ -1,6 +1,7 @@
 package dtu
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -98,4 +99,123 @@ func TestTLBTranslationProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// refTLB is the map-plus-FIFO-slice TLB the fixed array replaced, kept as
+// the reference TestTLBMatchesReference compares against.
+type refTLB struct {
+	entries      map[refKey]refVal
+	fifo         []refKey // eviction order
+	hits, misses int64
+}
+
+type refKey struct {
+	act   ActID
+	vpage uint64
+}
+
+type refVal struct {
+	ppage uint64
+	perm  Perm
+}
+
+func newRefTLB() *refTLB { return &refTLB{entries: make(map[refKey]refVal)} }
+
+func (t *refTLB) lookup(act ActID, vaddr uint64, perm Perm) (uint64, bool) {
+	v, found := t.entries[refKey{act, vaddr >> PageShift}]
+	if !found || !v.perm.Has(perm) {
+		t.misses++
+		return 0, false
+	}
+	t.hits++
+	return v.ppage<<PageShift | vaddr&(PageSize-1), true
+}
+
+func (t *refTLB) insert(act ActID, vaddr, paddr uint64, perm Perm) (victimAct ActID, victimVaddr uint64, evicted bool) {
+	k := refKey{act, vaddr >> PageShift}
+	if _, exists := t.entries[k]; !exists {
+		if len(t.entries) >= tlbEntries {
+			victim := t.fifo[0]
+			t.fifo = t.fifo[1:]
+			delete(t.entries, victim)
+			victimAct, victimVaddr, evicted = victim.act, victim.vpage<<PageShift, true
+		}
+		t.fifo = append(t.fifo, k)
+	}
+	t.entries[k] = refVal{ppage: paddr >> PageShift, perm: perm}
+	return victimAct, victimVaddr, evicted
+}
+
+func (t *refTLB) invalidatePage(act ActID, vaddr uint64) {
+	k := refKey{act, vaddr >> PageShift}
+	if _, ok := t.entries[k]; !ok {
+		return
+	}
+	delete(t.entries, k)
+	for i, f := range t.fifo {
+		if f == k {
+			t.fifo = append(t.fifo[:i], t.fifo[i+1:]...)
+			break
+		}
+	}
+}
+
+func (t *refTLB) invalidateAct(act ActID) {
+	keep := t.fifo[:0]
+	for _, k := range t.fifo {
+		if k.act == act {
+			delete(t.entries, k)
+		} else {
+			keep = append(keep, k)
+		}
+	}
+	t.fifo = keep
+}
+
+// TestTLBMatchesReference drives the TLB and refTLB with the same seeded
+// random operation sequences and requires equal results after every step:
+// lookups (address, hit), inserts (victim), Len and the hit/miss counters.
+// Three activities, 48 pages and three permission sets make keys collide
+// often and push the TLB past its 32 entries, so evictions, in-place
+// updates and invalidations of evicted or absent entries all occur.
+func TestTLBMatchesReference(t *testing.T) {
+	perms := []Perm{PermR, PermW, PermRW}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tlb, ref := NewTLB(), newRefTLB()
+		for step := 0; step < 2000; step++ {
+			act := ActID(rng.Intn(3))
+			vaddr := uint64(rng.Intn(48))<<PageShift | uint64(rng.Intn(PageSize))
+			perm := perms[rng.Intn(len(perms))]
+			var got, want [3]uint64
+			switch op := rng.Intn(10); {
+			case op < 4:
+				pa, ok := tlb.Lookup(act, vaddr, perm)
+				rpa, rok := ref.lookup(act, vaddr, perm)
+				got, want = [3]uint64{pa, b2u(ok)}, [3]uint64{rpa, b2u(rok)}
+			case op < 8:
+				paddr := uint64(rng.Intn(1024)) << PageShift
+				va, vv, ev := tlb.Insert(act, vaddr, paddr, perm)
+				rva, rvv, rev := ref.insert(act, vaddr, paddr, perm)
+				got, want = [3]uint64{uint64(va), vv, b2u(ev)}, [3]uint64{uint64(rva), rvv, b2u(rev)}
+			case op < 9:
+				tlb.InvalidatePage(act, vaddr)
+				ref.invalidatePage(act, vaddr)
+			default:
+				tlb.InvalidateAct(act)
+				ref.invalidateAct(act)
+			}
+			if got != want || tlb.Len() != len(ref.entries) || tlb.Hits != ref.hits || tlb.Misses != ref.misses {
+				t.Fatalf("seed %d step %d: result %v len %d hits %d misses %d, reference %v len %d hits %d misses %d",
+					seed, step, got, tlb.Len(), tlb.Hits, tlb.Misses, want, len(ref.entries), ref.hits, ref.misses)
+			}
+		}
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -33,8 +33,9 @@ const (
 	EpNotify dtu.EpID = 2
 	// EpMuxReply receives replies to the controller's TileMux requests.
 	EpMuxReply dtu.EpID = 3
-	// epFirstDyn is the first endpoint used for per-tile mux send gates.
-	epFirstDyn dtu.EpID = 8
+	// EpFirstMuxSgate is the first of the per-tile mux send gates: the
+	// platform configures one per processing tile, in tile order.
+	EpFirstMuxSgate dtu.EpID = 8
 )
 
 // Std endpoints allocated on user tiles.

@@ -13,9 +13,7 @@
 //     slow-path forwarding), for comparison;
 //   - OS services (extent-based file system, UDP network stack, pager) and
 //     the paper's workloads (LSM key-value store, YCSB, a FLAC-style codec,
-//     find/SQLite traceplayers);
-//   - a benchmark harness reproducing every table and figure of the paper's
-//     evaluation.
+//     find/SQLite traceplayers).
 //
 // # Quick start
 //
@@ -31,7 +29,8 @@
 // Programs run as activities: they communicate through DTU gates, obtain
 // resources via system calls to the controller, and are scheduled by the
 // tile-local TileMux exactly as in the paper. See examples/ for complete
-// scenarios and internal/bench for the paper's experiments.
+// scenarios; the paper's experiments are internal/bench's registry, run by
+// cmd/m3vbench and served by cmd/m3vd.
 //
 // # Configuration
 //
@@ -44,7 +43,6 @@ package m3v
 
 import (
 	"m3v/internal/activity"
-	"m3v/internal/bench"
 	"m3v/internal/cap"
 	"m3v/internal/core"
 	"m3v/internal/dtu"
@@ -106,9 +104,6 @@ const (
 	PermRW = dtu.PermRW
 )
 
-// Result is one reproduced experiment's outcome.
-type Result = bench.Result
-
 // NewSystem builds and boots a platform.
 func NewSystem(cfg Config) *System { return core.New(cfg) }
 
@@ -132,6 +127,3 @@ type Sel = cap.Sel
 // TileSels returns the tile-capability selectors a root activity received:
 // the rights it needs to create children on other tiles.
 func TileSels(a *Activity) map[TileID]Sel { return core.TileSels(a) }
-
-// Experiments runs every reproduced table and figure in paper order.
-func Experiments() []*Result { return bench.All() }
